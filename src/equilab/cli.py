@@ -316,14 +316,15 @@ def _cmd_balayage(cfg, out):
 
 
 def _cmd_hp(cfg, out):
-    from .hermite_pade import solve_with_escalation
+    from .hermite_pade import HPSweep, solve_with_escalation
 
     _, _, _, sigma = _build_objects(cfg)
     n_list = cfg.get("hp", {}).get("n_list", [5, 10, 20, 40])
     bits = cfg.get("hp", {}).get("precision_bits", 512)
+    sweep = HPSweep(sigma, n_list)
     summary = []
     for n in n_list:
-        sol, zeros = solve_with_escalation(n, sigma, bits)
+        sol, zeros = solve_with_escalation(n, sigma, bits, sweep=sweep)
         sol.save_json(out.path(f"hp_n{n}.json"))
         with open(out.path(f"hp_zeros_n{n}.csv"), "w", encoding="utf-8") as fh:
             fh.write("index,zero\n")

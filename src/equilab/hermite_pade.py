@@ -9,14 +9,23 @@ For order n the polynomials (Q0, Q1, Q2), deg <= n, not all zero, satisfy
 
 With the Laurent moments a_k of f1 (Chebyshev moments, known exactly) and
 b_k of f2, the order condition is a (2n+1) x (2n+2) homogeneous linear
-system; the solver takes the last right-singular direction of that system at
-the working precision, normalizes the leading coefficient of Q2 to 1, and
-re-verifies the vanishing Laurent coefficients before returning.  These
-systems are severely ill-conditioned: the second-smallest singular value
-decays exponentially in n, and once it sinks below the rounding floor the
-nullspace direction degrades.  The escalation driver doubles the working
-precision (up to a cap) whenever the residual check or the real-zero count
-betrays that floor.
+system.  When F lies on one side of [-1, 1], (f1, f2) is a Nikishin system,
+and Nikishin systems are perfect (Fidalgo Prieto and Lopez Lagomasino,
+Constr. Approx. 34, 2011), so Q2 can be normalized to leading coefficient 1
+before solving: the solver runs an LU solve of the remaining (2n+1)-square
+system, estimates its 1-norm condition number from the LU factors (Hager's
+estimator), and re-verifies the vanishing Laurent coefficients before
+returning.  When the normalization fails numerically (a singular square
+system, as at odd n on a symmetric F, where deg Q2 = n - 1), it falls back
+to the last right-singular direction of the full system.  These systems are
+severely ill-conditioned: log2 cond grows by about 13 bits per order on
+F = [2, 3], and once it nears the working precision the solution degrades
+although the residual check may still pass.  The escalation driver therefore
+doubles the working precision (up to a cap) until log2 cond stays
+GATE_MARGIN_BITS below it and the real-zero count is full.  Across the orders
+of one run an HPSweep keeps one moment table per precision and starts each
+order at the precision predicted from the previous order's conditioning
+growth.
 
 All moment arithmetic runs at an elevated working precision and is rounded
 to the requested precision only at the end; b_k uses the exact recursion
@@ -246,6 +255,9 @@ class HPSolution:
     combination that fails to vanish at the working precision; the order
     condition demands residual_order >= 2n+2.  ``nullspace_dim`` counts the
     numerically null directions observed (1 for a normal index).
+    ``log2_cond`` is log2 of the condition number of the system that was
+    solved, and ``method`` names the solve: "lu" for the square system with
+    the leading coefficient of Q2 fixed to 1, "svd" for the fallback.
     """
 
     n: int
@@ -257,7 +269,8 @@ class HPSolution:
     residual_max: float
     nullspace_dim: int
     degree_q2: int
-    sigma_min: float
+    log2_cond: float
+    method: str
 
     def to_json_dict(self) -> dict:
         dps = int(self.precision_bits * 0.30103) + 5
@@ -268,6 +281,8 @@ class HPSolution:
             "residual_max": float(self.residual_max),
             "nullspace_dim": self.nullspace_dim,
             "degree_q2": self.degree_q2,
+            "log2_cond": self.log2_cond,
+            "method": self.method,
             "q0": [mp.nstr(c, dps) for c in self.q0],
             "q1": [mp.nstr(c, dps) for c in self.q1],
             "q2": [mp.nstr(c, dps) for c in self.q2],
@@ -282,14 +297,63 @@ class HPSolution:
 def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSolution:
     """Solve the order condition at order n from moment sequences a, b.
 
-    Moments must be supplied at least up to index 3n+1.  The nullspace
-    direction is the last right-singular vector of the moment matrix; if the
-    re-verified Laurent coefficients 1..2n+1 do not vanish to
-    2^(-precision_bits/4), the precision is declared insufficient.
+    Moments must be supplied at least up to index 3n+1.  The leading
+    coefficient of Q2 is fixed to 1 (for F on one side of [-1, 1] the pair
+    is a perfect Nikishin system, so Q2 has full degree) and the remaining
+    2n+1 coefficients come from an LU solve of the square system.  When the
+    LU finds that system singular, or its solution exceeds
+    2^(precision_bits/2) (the leading coefficient is numerically zero, as at
+    odd n on a symmetric F), the nullspace direction is taken from the SVD
+    instead.  If the re-verified Laurent coefficients 1..2n+1 do not vanish
+    to 2^(-precision_bits/4), the precision is declared insufficient.
     """
+    _check_moments(n, a, b)
+    with mp.workprec(precision_bits):
+        A, rhs = _square_system(n, a, b)
+        try:
+            LU, perm = mp.mp.LU_decomp(A)
+        except ZeroDivisionError:
+            return _solve_hp_svd(n, a, b, precision_bits)
+        x = mp.mp.U_solve(LU, mp.mp.L_solve(LU, rhs, perm))
+        if max(abs(v) for v in x) > mp.mpf(2) ** (precision_bits // 2):
+            return _solve_hp_svd(n, a, b, precision_bits)
+        log2_cond = _log2_cond1(A, LU, perm)
+        # a condition number this close to the rounding floor leaves a second
+        # numerically null direction, as a singular value would in the SVD
+        nullspace_dim = 2 if log2_cond > precision_bits - 20 else 1
+        p = [x[i] for i in range(n + 1)]
+        q = [x[n + 1 + i] for i in range(n)] + [mp.mpf(1)]
+        return _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond, "lu")
+
+
+def _square_system(n, a, b):
+    """The order condition with Q2[n] = 1: unknowns Q1[0..n], Q2[0..n-1]."""
+    m = 2 * n + 1
+    A = mp.matrix(m, m)
+    rhs = mp.matrix(m, 1)
+    for r in range(m):
+        for i in range(n + 1):
+            A[r, i] = a[i + r]
+        for i in range(n):
+            A[r, n + 1 + i] = b[i + r]
+        rhs[r] = -b[n + r]
+    return A, rhs
+
+
+def _check_moments(n, a, b):
     need = 3 * n + 2
     if len(a) < need or len(b) < need:
         raise ValueError(f"order {n} needs moments up to index {3 * n + 1}")
+
+
+def _solve_hp_svd(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSolution:
+    """The order condition solved as the last right-singular vector of the moment matrix.
+
+    The fallback of :func:`solve_hp` and its test oracle.  ``log2_cond`` is
+    log2(sigma_max / sigma_min) over the 2n+1 singular values of the
+    (2n+1) x (2n+2) moment matrix.
+    """
+    _check_moments(n, a, b)
     m = 2 * n + 1
     with mp.workprec(precision_bits):
         M = mp.matrix(m, m + 1)
@@ -300,67 +364,118 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
         U, S, V = mp.svd_r(M, full_matrices=True, compute_uv=True)
         sigma_min = S[m - 1]
         sigma_max = S[0]
+        log2_cond = float(mp.log(sigma_max / sigma_min, 2)) if sigma_min > 0 else float("inf")
         # singular values this close to the rounding floor are numerically null
         null_floor = sigma_max * mp.mpf(2) ** (-(precision_bits - 20))
         nullspace_dim = 1 + sum(1 for i in range(m) if S[i] < null_floor)
         vec = [V[m, j] for j in range(m + 1)]
         p = vec[: n + 1]
         q = vec[n + 1 :]
+        return _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond, "svd")
 
-        qmax = max(abs(x) for x in q)
-        pmax = max(abs(x) for x in p)
-        if qmax == 0 and pmax == 0:
-            raise PrecisionError("null vector vanished at working precision")
-        residuals = []
-        for j in range(1, 2 * n + 3):
-            s = mp.mpf(0)
-            for i in range(n + 1):
-                s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
-            residuals.append(abs(s))
-        tol_vanish = mp.mpf(2) ** (-(precision_bits // 4))
-        if max(residuals[: 2 * n + 1], default=mp.mpf(0)) > tol_vanish:
-            raise PrecisionError(
-                f"order condition residual {mp.nstr(max(residuals[:2 * n + 1]), 5)} exceeds "
-                f"2^-{precision_bits // 4} at {precision_bits} bits"
-            )
-        for j, r in enumerate(residuals, start=1):
-            if r > tol_vanish:
-                residual_order = j
-                break
-        else:
-            residual_order = 2 * n + 3  # capped: all computable coefficients vanish
 
-        deg_tol = qmax * mp.mpf(2) ** (-(precision_bits // 2))
-        degree_q2 = max((i for i, x in enumerate(q) if abs(x) > deg_tol), default=-1)
-        if degree_q2 < 0:
-            raise PrecisionError("Q2 vanished at working precision")
-        lead = q[degree_q2]
-        p = [x / lead for x in p]
-        q = [x / lead for x in q]
+def _log2_cond1(A, LU, perm) -> float:
+    """log2 of the 1-norm condition number of A from its LU factors.
 
-        # polynomial part of Q1 f1 + Q2 f2 has degree <= n-1; Q0 cancels it
-        q0 = []
-        for mdeg in range(n):
-            s = mp.mpf(0)
-            for i in range(mdeg + 1, n + 1):
-                s += p[i] * a[i - mdeg - 1] + q[i] * b[i - mdeg - 1]
-            q0.append(-s)
-        while q0 and q0[-1] == 0:
-            q0.pop()
-        if not q0:
-            q0 = [mp.mpf(0)]
+    ||A^-1||_1 comes from Hager's estimator (SIAM J. Sci. Stat. Comput. 5,
+    1984) with Higham's extra test vector (ACM TOMS 14, 1988): a few
+    triangular solves with A and A^T, never the inverse itself.
+    """
+    m = A.rows
+    norm_a = max(mp.fsum(abs(A[i, j]) for i in range(m)) for j in range(m))
 
-        resid_norm = []
-        for j in range(1, 2 * n + 2):
-            s = mp.mpf(0)
-            for i in range(n + 1):
-                s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
-            resid_norm.append(abs(s))
-        residual_max = max(resid_norm, default=mp.mpf(0))
-        if residual_max > tol_vanish:
-            raise PrecisionError(
-                f"normalized residual {mp.nstr(residual_max, 5)} exceeds 2^-{precision_bits // 4}"
-            )
+    def solve(v):
+        return mp.mp.U_solve(LU, mp.mp.L_solve(LU, mp.matrix(v), perm))
+
+    x = [mp.mpf(1) / m] * m
+    est = mp.mpf(0)
+    for _ in range(5):
+        y = solve(x)
+        est_new = mp.fsum(abs(v) for v in y)
+        if est_new <= est:
+            break
+        est = est_new
+        z = _solve_transposed(LU, perm, [1 if v >= 0 else -1 for v in y])
+        j = max(range(m), key=lambda i: abs(z[i]))
+        if abs(z[j]) <= mp.fsum(zi * xi for zi, xi in zip(z, x)):
+            break
+        x = [mp.mpf(0)] * m
+        x[j] = mp.mpf(1)
+    if m > 1:
+        alt = [(-1) ** i * (1 + mp.mpf(i) / (m - 1)) for i in range(m)]
+        est = max(est, 2 * mp.fsum(abs(v) for v in solve(alt)) / (3 * m))
+    return float(mp.log(norm_a * est, 2))
+
+
+def _solve_transposed(LU, perm, c):
+    """Solve A^T x = c given P A = L U in mpmath's packed form (unit L below the diagonal)."""
+    m = LU.rows
+    w = list(c)
+    for i in range(m):  # U^T w = c
+        w[i] = (w[i] - mp.fsum(LU[j, i] * w[j] for j in range(i))) / LU[i, i]
+    for i in range(m - 1, -1, -1):  # L^T v = w
+        w[i] = w[i] - mp.fsum(LU[j, i] * w[j] for j in range(i + 1, m))
+    for k in reversed(range(len(perm))):  # x = P^T v
+        w[k], w[perm[k]] = w[perm[k]], w[k]
+    return w
+
+
+def _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond, method):
+    """Verify the order condition for (p, q), normalize Q2 and complete Q0."""
+    qmax = max(abs(x) for x in q)
+    pmax = max(abs(x) for x in p)
+    if qmax == 0 and pmax == 0:
+        raise PrecisionError("null vector vanished at working precision")
+    residuals = []
+    for j in range(1, 2 * n + 3):
+        s = mp.mpf(0)
+        for i in range(n + 1):
+            s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
+        residuals.append(abs(s))
+    tol_vanish = mp.mpf(2) ** (-(precision_bits // 4))
+    if max(residuals[: 2 * n + 1], default=mp.mpf(0)) > tol_vanish:
+        raise PrecisionError(
+            f"order condition residual {mp.nstr(max(residuals[:2 * n + 1]), 5)} exceeds "
+            f"2^-{precision_bits // 4} at {precision_bits} bits"
+        )
+    for j, r in enumerate(residuals, start=1):
+        if r > tol_vanish:
+            residual_order = j
+            break
+    else:
+        residual_order = 2 * n + 3  # capped: all computable coefficients vanish
+
+    deg_tol = qmax * mp.mpf(2) ** (-(precision_bits // 2))
+    degree_q2 = max((i for i, x in enumerate(q) if abs(x) > deg_tol), default=-1)
+    if degree_q2 < 0:
+        raise PrecisionError("Q2 vanished at working precision")
+    lead = q[degree_q2]
+    p = [x / lead for x in p]
+    q = [x / lead for x in q]
+
+    # polynomial part of Q1 f1 + Q2 f2 has degree <= n-1; Q0 cancels it
+    q0 = []
+    for mdeg in range(n):
+        s = mp.mpf(0)
+        for i in range(mdeg + 1, n + 1):
+            s += p[i] * a[i - mdeg - 1] + q[i] * b[i - mdeg - 1]
+        q0.append(-s)
+    while q0 and q0[-1] == 0:
+        q0.pop()
+    if not q0:
+        q0 = [mp.mpf(0)]
+
+    resid_norm = []
+    for j in range(1, 2 * n + 2):
+        s = mp.mpf(0)
+        for i in range(n + 1):
+            s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
+        resid_norm.append(abs(s))
+    residual_max = max(resid_norm, default=mp.mpf(0))
+    if residual_max > tol_vanish:
+        raise PrecisionError(
+            f"normalized residual {mp.nstr(residual_max, 5)} exceeds 2^-{precision_bits // 4}"
+        )
 
     return HPSolution(
         n=n,
@@ -372,7 +487,8 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
         residual_max=float(residual_max),
         nullspace_dim=nullspace_dim,
         degree_q2=degree_q2,
-        sigma_min=float(sigma_min),
+        log2_cond=log2_cond,
+        method=method,
     )
 
 
@@ -485,6 +601,44 @@ def counting_measure(zeros, n: int) -> DiscreteMeasure:
 # --------------------------------------------------------------------------
 # escalation driver
 
+# An attempt is accepted only when log2 cond + GATE_MARGIN_BITS <= bits:
+# below that margin the residual contract and the zero count can both pass
+# while the zeros are already wrong in the leading digits.
+GATE_MARGIN_BITS = 32
+
+
+class HPSweep:
+    """Work shared by the orders of one run over a fixed sigma and n_list.
+
+    Holds one table of moments a_k, b_k up to index 3 * max(n_list) + 1 per
+    precision, each computed once and sliced for every order, and the
+    conditioning growth rate ``bits_per_order`` = log2 cond / n of the last
+    accepted order, which predicts the starting precision of the next.
+    """
+
+    def __init__(self, sigma: MarkovSpec, n_list):
+        self.sigma = sigma
+        self.k_max = 3 * max(n_list, default=0) + 1
+        self.bits_per_order = 0.0
+        self._tables = {}
+
+    def moments(self, n: int, bits: int):
+        """Moments a_k, b_k for k <= 3n+1 at the given precision."""
+        if bits not in self._tables:
+            self._tables[bits] = (
+                moments_f1(self.k_max, bits),
+                moments_f2(self.k_max, self.sigma, bits),
+            )
+        a, b = self._tables[bits]
+        return a[: 3 * n + 2], b[: 3 * n + 2]
+
+    def start_bits(self, n: int, precision_bits: int, max_bits: int) -> int:
+        """The smallest rung precision_bits * 2^k predicted to pass the condition gate."""
+        bits = precision_bits
+        while self.bits_per_order * n + GATE_MARGIN_BITS > bits and 2 * bits <= max_bits:
+            bits *= 2
+        return bits
+
 
 def solve_with_escalation(
     n: int,
@@ -493,25 +647,41 @@ def solve_with_escalation(
     *,
     max_bits: int = MAX_PRECISION_BITS,
     hull=None,
+    sweep: HPSweep | None = None,
 ):
-    """Moments, solve, zeros, doubling the precision until the zero count is full.
+    """Moments, solve, condition gate and zeros, doubling the precision until all pass.
 
-    Returns (solution, zeros).  Escalation exhaustion raises PrecisionError.
+    An attempt fails when the solve or the zero count raises PrecisionError,
+    or when log2 cond + GATE_MARGIN_BITS exceeds its precision.  Attempts
+    start at the precision that ``sweep`` predicts from the previous order,
+    never below ``precision_bits``.  Pass one ``sweep`` to every order of a
+    run to share its moment tables.  Returns (solution, zeros); escalation
+    exhaustion raises PrecisionError.
     """
-    bits = precision_bits
+    if sweep is None:
+        sweep = HPSweep(sigma, [n])
+    elif sweep.sigma is not sigma:
+        raise ValueError("sweep was built for a different sigma")
     if hull is None:
         hull = sigma.support.hull
+    bits = sweep.start_bits(n, precision_bits, max_bits)
     last_exc = None
     while bits <= max_bits:
         try:
-            a = moments_f1(3 * n + 1, bits)
-            b = moments_f2(3 * n + 1, sigma, bits)
+            a, b = sweep.moments(n, bits)
             sol = solve_hp(n, a, b, bits)
+            if sol.log2_cond + GATE_MARGIN_BITS > bits:
+                raise PrecisionError(
+                    f"log2 cond {sol.log2_cond:.1f} + {GATE_MARGIN_BITS} exceeds {bits} bits"
+                )
             zeros = zeros_q2(sol, hull=hull)
-            return sol, zeros
         except PrecisionError as exc:
             last_exc = exc
             bits *= 2
+            continue
+        if n > 0:
+            sweep.bits_per_order = sol.log2_cond / n
+        return sol, zeros
     raise PrecisionError(
         f"escalation exhausted at {max_bits} bits for order {n}: {last_exc}"
     )

@@ -42,6 +42,7 @@ from .equilibrium import (
 )
 from .errors import EquilabError
 from .hermite_pade import (
+    HPSweep,
     MarkovSpec,
     counting_measure,
     solve_with_escalation,
@@ -434,13 +435,14 @@ def verify_zero_distribution(
     scalar = solve_scalar(sigma.support, grid_params)
     lam = scalar.measure
     hull = sigma.support.hull
+    sweep = HPSweep(sigma, n_list)
     ks_seq = {}
     precisions = {}
     for n in n_list:
         try:
-            sol, zeros = solve_with_escalation(n, sigma, precision_bits, hull=hull)
+            sol, zeros = solve_with_escalation(n, sigma, precision_bits, hull=hull, sweep=sweep)
         except EquilabError as exc:
-            rep.add(f"zeros.order_{n}", float("inf"), 0.0, False, f"failure: {exc}")
+            rep.add(f"zeros.order_{n}", float("nan"), 0.0, False, f"failure: {exc}")
             continue
         precisions[n] = sol.precision_bits
         zf = [float(z) for z in zeros]
@@ -451,6 +453,11 @@ def verify_zero_distribution(
                 "degree of Q2 equals the order")
         rep.add(f"zeros.count_n{n}", len(zeros), n, len(zeros) == n,
                 "real zero count equals the degree")
+        if sol.degree_q2 != n:
+            # the counting measure would have mass degree/n, not a unit measure
+            rep.add(f"zeros.order_{n}", float("nan"), 0.0, False,
+                    f"failure: degree of Q2 is {sol.degree_q2}, not {n}; no KS distance")
+            continue
         ks_seq[n] = ks_distance(counting_measure(zeros, n), lam)
 
     if len(ks_seq) == len(n_list):

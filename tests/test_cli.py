@@ -123,6 +123,30 @@ def test_check_failure_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "problem, hp, failed_order",
+    [
+        # symmetric F: Q2 of odd order has degree n - 1, so no unit counting measure
+        ({"f_intervals": [[-3.0, -2.0], [2.0, 3.0]], "sigma": "arcsine"},
+         {"n_list": [3, 4], "precision_bits": 128}, "zeros.order_3"),
+        # a starting precision above the escalation cap: no attempt at all
+        (SMALL_CFG["problem"], {"n_list": [2], "precision_bits": 8192}, "zeros.order_2"),
+    ],
+)
+def test_failed_order_exits_1_with_report(tmp_path, problem, hp, failed_order):
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg["problem"], cfg["hp"] = problem, hp
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["verify-prop2", "--config", str(p), "--out", str(out)]) == 1
+    checks = {c["check_id"]: c for c in
+              json.loads((out / "report.json").read_text())["reports"][0]["checks"]}
+    assert checks[failed_order]["status"] == "fail"
+    assert checks[failed_order]["value"] is None
+    assert checks["zeros.ks_final"]["status"] == "skipped"
+
+
 def test_preset_with_overrides(tmp_path):
     out = tmp_path / "o"
     code = run(

@@ -4,8 +4,11 @@ import mpmath as mp
 import pytest
 
 from equilab.errors import PrecisionError
+from equilab import hermite_pade
 from equilab.hermite_pade import (
+    GATE_MARGIN_BITS,
     HPSolution,
+    HPSweep,
     MarkovSpec,
     arcsine_sigma,
     constant_sigma,
@@ -17,12 +20,16 @@ from equilab.hermite_pade import (
     solve_hp,
     solve_with_escalation,
     zeros_q2,
+    _log2_cond1,
     _moments_f2_at_order,
+    _solve_hp_svd,
+    _square_system,
     discretize_sigma,
 )
 from equilab.kernels import IntervalUnion
 
 F23 = IntervalUnion([(2.0, 3.0)])
+SYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 PREC = 256
 
 
@@ -185,6 +192,92 @@ class TestSolveHP:
         assert data["n"] == 2
         assert data["degree_q2"] == 2
         assert data["q2"][-1] == "1.0"
+        assert data["method"] == "lu"
+        assert data["log2_cond"] == sol.log2_cond > 0
+
+
+class TestSquareSolve:
+    @pytest.mark.parametrize("make_sigma", [arcsine_sigma, constant_sigma])
+    def test_lu_matches_svd_oracle(self, make_sigma):
+        k = 3 * 10 + 1
+        a = moments_f1(k, PREC)
+        b = moments_f2(k, make_sigma(F23), PREC)
+        for n in (2, 5, 10):
+            lu = solve_hp(n, a, b, PREC)
+            svd = _solve_hp_svd(n, a, b, PREC)
+            assert (lu.method, svd.method) == ("lu", "svd")
+            assert lu.degree_q2 == svd.degree_q2 == n
+            with mp.workprec(PREC):
+                for x, y in zip(lu.q0 + lu.q1 + lu.q2, svd.q0 + svd.q1 + svd.q2):
+                    assert abs(x - y) <= mp.mpf(2) ** (-(PREC // 4))
+
+    def test_condition_estimate_matches_singular_values(self):
+        bits = 512
+        k = 3 * 20 + 1
+        a = moments_f1(k, bits)
+        b = moments_f2(k, arcsine_sigma(F23), bits)
+        with mp.workprec(bits):
+            for n in (5, 10, 20):
+                A, _ = _square_system(n, a, b)
+                S = mp.svd_r(A, compute_uv=False)
+                exact = float(mp.log(S[0] / S[A.rows - 1], 2))
+                LU, perm = mp.mp.LU_decomp(A)
+                assert abs(_log2_cond1(A, LU, perm) - exact) <= 2.0
+                assert abs(solve_hp(n, a, b, bits).log2_cond - exact) <= 2.0
+
+    def test_symmetric_support_odd_order_falls_back_to_svd(self):
+        # sigma symmetric about 0 makes Q2 of odd order n drop to degree n - 1,
+        # so the square system with Q2[n] = 1 has no solution
+        k = 3 * 5 + 1
+        a = moments_f1(k, PREC)
+        b = moments_f2(k, arcsine_sigma(SYM), PREC)
+        for n in (3, 5):
+            sol = solve_hp(n, a, b, PREC)
+            assert sol.method == "svd"
+            assert sol.degree_q2 == n - 1
+            assert sol.residual_order >= 2 * n + 2
+        even = solve_hp(4, a, b, PREC)
+        assert (even.method, even.degree_q2) == ("lu", 4)
+
+
+class TestConditionGate:
+    def test_order_ten_never_accepted_at_128_bits(self):
+        # at 128 bits the n = 10 LU solve passes the residual contract and
+        # the zero count, but log2 cond is about 131.6: its zeros are wrong
+        sigma = arcsine_sigma(F23)
+        with pytest.raises(PrecisionError, match="log2 cond"):
+            solve_with_escalation(10, sigma, 128, max_bits=128)
+        sol, zeros = solve_with_escalation(10, sigma, 128)
+        assert sol.precision_bits == 256
+        assert sol.log2_cond + GATE_MARGIN_BITS <= sol.precision_bits
+        assert len(zeros) == 10
+
+    def test_prediction_and_one_moment_table_per_rung(self, monkeypatch):
+        calls = []
+        original = hermite_pade.moments_f2
+
+        def counting(k_max, sigma, precision_bits=hermite_pade.DEFAULT_PRECISION_BITS):
+            calls.append((k_max, precision_bits))
+            return original(k_max, sigma, precision_bits)
+
+        monkeypatch.setattr(hermite_pade, "moments_f2", counting)
+        sigma = arcsine_sigma(F23)
+        n_list = [3, 6, 10]
+        sweep = HPSweep(sigma, n_list)
+        bits = {}
+        for n in n_list:
+            sol, zeros = solve_with_escalation(n, sigma, 128, sweep=sweep)
+            assert len(zeros) == n
+            bits[n] = sol.precision_bits
+        # n = 10 starts at 256 bits from the rate measured at n = 6
+        assert bits == {3: 128, 6: 128, 10: 256}
+        assert calls == [(31, 128), (31, 256)]
+        assert sweep.bits_per_order == pytest.approx(sol.log2_cond / 10)
+
+    def test_sweep_rejects_other_sigma(self):
+        sweep = HPSweep(arcsine_sigma(F23), [2])
+        with pytest.raises(ValueError):
+            solve_with_escalation(2, constant_sigma(F23), 128, sweep=sweep)
 
 
 class TestZeros:
@@ -222,7 +315,8 @@ class TestZeros:
             residual_max=sol5.residual_max,
             nullspace_dim=sol5.nullspace_dim,
             degree_q2=sol5.degree_q2,
-            sigma_min=sol5.sigma_min,
+            log2_cond=sol5.log2_cond,
+            method=sol5.method,
         )
         z1 = zeros_q2(sol5, hull=(2.0, 3.0))
         z2 = zeros_q2(scaled, hull=(2.0, 3.0))
