@@ -35,7 +35,15 @@ to the requested precision only at the end; b_k uses the exact recursion
 
 over the per-component Gauss discretization (t_j, omega_j) of sigma, so the
 only approximation in b_k is the quadrature of sigma, which is checked by
-order doubling.
+order doubling.  The rule is placed in the variable u = sqrt(|t| - 1): a
+rule affine in t converges only at the rate set by the branch point of f1
+at t = +-1, which needs order 1024 on F = [1.01, 1.5] at 512 bits, while in
+u the pole of f1 cancels against dt = 2u du and order 256 suffices.  The
+recursion runs on Python integers in fixed point (each value v held as
+floor(v * 2^P)) and converts to mpf once at the end.  After that rounding
+it agrees bit for bit with the same recursion in mpf arithmetic at
+precision P, except where b_k vanishes exactly (the even b_k of a symmetric
+sigma): there both return rounding noise.
 """
 
 from __future__ import annotations
@@ -44,9 +52,11 @@ import json
 import warnings
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from .errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
 from .kernels import IntervalUnion
@@ -112,13 +122,17 @@ _GL_CACHE = {}
 
 
 def gauss_legendre(order: int, prec: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] at the given binary precision."""
+    """Gauss-Legendre nodes and weights on [-1, 1] at the given binary precision.
+
+    Newton's method runs on the nonnegative nodes only; the rule is symmetric,
+    so each negative node is the mirror -x of a positive one, with its weight.
+    """
     key = (order, prec)
     if key in _GL_CACHE:
         return _GL_CACHE[key]
     with mp.workprec(prec + 32):
         xs, ws = [], []
-        seeds = np.polynomial.legendre.leggauss(order)[0]
+        seeds = np.polynomial.legendre.leggauss(order)[0][order // 2 :]
         for seed in seeds:
             x = mp.mpf(float(seed))
             for _ in range(100):
@@ -136,34 +150,52 @@ def gauss_legendre(order: int, prec: int):
             dp = order * (x * p1 - p0) / (x * x - 1)
             xs.append(x)
             ws.append(2 / ((1 - x * x) * dp * dp))
+    # the middle node x = 0 of an odd rule is its own mirror
+    mirrored = slice(order % 2, None)
     with mp.workprec(prec):
-        out = ([+x for x in xs], [+w for w in ws])
+        xs = [+x for x in xs]
+        ws = [+w for w in ws]
+        out = ([-x for x in reversed(xs[mirrored])] + xs, ws[mirrored][::-1] + ws)
     _GL_CACHE[key] = out
     return out
 
 
 def discretize_sigma(spec: MarkovSpec, order: int, prec: int):
-    """Per-component Gauss nodes and weights (t_j, omega_j) for sigma."""
+    """Per-component Gauss nodes and weights (t_j, omega_j) for sigma.
+
+    Each component is mapped by u = sqrt(|t| - 1), t = +-(1 + u^2),
+    dt = 2u du, and the Gauss rule is placed on [u_c, u_d].  The pole 1/u of
+    f1(t) = 1/(u sqrt(u^2 + 2)) at the branch point then cancels against dt,
+    so f1 no longer limits the rule's convergence.  Since
+    t - c = (u - u_c)(u + u_c), an arcsine endpoint factor of the density
+    stays an arcsine factor in u, which the Chebyshev nodes absorb; its
+    remaining factor 1/sqrt(u + u_c) is what still slows the rule as F
+    nears [-1, 1].
+    """
     ts, ws = [], []
     with mp.workprec(prec + 32):
         for (c, d) in spec.support.intervals:
+            sign = 1 if c > 0 else -1
             cm, dm = mp.mpf(c), mp.mpf(d)
-            mid, half = (cm + dm) / 2, (dm - cm) / 2
+            uc, ud = sorted(mp.sqrt(abs(x) - 1) for x in (cm, dm))
+            mid, half = (uc + ud) / 2, (ud - uc) / 2
             if spec.rule == "chebyshev":
                 for j in range(1, order + 1):
                     th = mp.pi * (2 * j - 1) / (2 * order)
-                    t = mid + half * mp.cos(th)
-                    # Gauss rule for the weight 1/sqrt((t-c)(d-t)):
-                    # omega = (pi/order) * density(t) * sqrt((t-c)(d-t))
-                    w = (mp.pi / order) * spec.density(t) * mp.sqrt((t - cm) * (dm - t))
+                    u = mid + half * mp.cos(th)
+                    t = sign * (1 + u * u)
+                    # Gauss rule for the weight 1/sqrt((u-u_c)(u_d-u)):
+                    # omega = (pi/order) * density(t) * sqrt((u-u_c)(u_d-u)) * 2u
+                    w = (mp.pi / order) * spec.density(t) * mp.sqrt((u - uc) * (ud - u)) * 2 * u
                     ts.append(t)
                     ws.append(w)
             else:
                 xs, gw = gauss_legendre(order, prec)
                 for x, g in zip(xs, gw):
-                    t = mid + half * x
+                    u = mid + half * x
+                    t = sign * (1 + u * u)
                     ts.append(t)
-                    ws.append(g * half * spec.density(t))
+                    ws.append(g * half * spec.density(t) * 2 * u)
     return ts, ws
 
 
@@ -191,21 +223,27 @@ def _cauchy_value_f1(t):
     return mp.sign(t) / mp.sqrt(t * t - 1)
 
 
+def _to_fixed(x, scale_bits):
+    """floor(x * 2^scale_bits) for an mpf x, as a Python integer."""
+    return to_fixed(x._mpf_, scale_bits)
+
+
 def _moments_f2_at_order(k_max, ts, ws, precision_bits):
+    # fixed point: each value v is held as the integer floor(v * 2^P)
     tmax = max(abs(t) for t in ts)
     pad = int(k_max * mp.log(tmax, 2)) + 64
-    with mp.workprec(precision_bits + pad):
-        a = moments_f1(k_max, precision_bits + pad)
-        ck = [_cauchy_value_f1(t) for t in ts]
-        b = [mp.mpf(0)] * (k_max + 1)
-        for k in range(k_max + 1):
-            s = mp.mpf(0)
-            for j, t in enumerate(ts):
-                s += ws[j] * ck[j]
-                ck[j] = t * ck[j] - a[k]
-            b[k] = -s
+    P = precision_bits + pad
+    with mp.workprec(P):
+        ck = [_to_fixed(_cauchy_value_f1(t), P) for t in ts]
+    a = [_to_fixed(x, P) for x in moments_f1(k_max, P)]
+    tj = [_to_fixed(t, P) for t in ts]
+    wj = [_to_fixed(w, P) for w in ws]
+    sums = []
+    for k in range(k_max + 1):
+        sums.append(-sum(map(mul, wj, ck)))
+        ck = [(t * c >> P) - a[k] for t, c in zip(tj, ck)]
     with mp.workprec(precision_bits):
-        return [+x for x in b]
+        return [mp.ldexp(mp.mpf(s), -2 * P) for s in sums]
 
 
 def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -213,6 +251,8 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
 
     Successive orders must agree to 2^(-precision_bits/2) in the sup norm;
     failure to stabilize within the order cap raises, it is never hidden.
+    Returns (b, order): the moments at the accepted quadrature order, and
+    that order.
     """
     order = sigma.quad_order
     ts, ws = discretize_sigma(sigma, order, precision_bits)
@@ -225,7 +265,7 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
         scale = max(mp.mpf(1), max(abs(x) for x in cur))
         delta = max(abs(p - q) for p, q in zip(prev, cur))
         if delta <= tol * scale:
-            return cur
+            return cur, order
         prev = cur
     raise QuadratureError(
         f"sigma quadrature did not stabilize to 2^-{precision_bits // 2} by order 1024"
@@ -614,21 +654,23 @@ class HPSweep:
     precision, each computed once and sliced for every order, and the
     conditioning growth rate ``bits_per_order`` = log2 cond / n of the last
     accepted order, which predicts the starting precision of the next.
+    ``quad_orders`` maps each precision to the sigma-quadrature order at
+    which its moments b_k were accepted.
     """
 
     def __init__(self, sigma: MarkovSpec, n_list):
         self.sigma = sigma
         self.k_max = 3 * max(n_list, default=0) + 1
         self.bits_per_order = 0.0
+        self.quad_orders = {}
         self._tables = {}
 
     def moments(self, n: int, bits: int):
         """Moments a_k, b_k for k <= 3n+1 at the given precision."""
         if bits not in self._tables:
-            self._tables[bits] = (
-                moments_f1(self.k_max, bits),
-                moments_f2(self.k_max, self.sigma, bits),
-            )
+            a = moments_f1(self.k_max, bits)
+            b, self.quad_orders[bits] = moments_f2(self.k_max, self.sigma, bits)
+            self._tables[bits] = (a, b)
         a, b = self._tables[bits]
         return a[: 3 * n + 2], b[: 3 * n + 2]
 
@@ -656,7 +698,7 @@ def solve_with_escalation(
     start at the precision that ``sweep`` predicts from the previous order,
     never below ``precision_bits``.  Pass one ``sweep`` to every order of a
     run to share its moment tables.  Returns (solution, zeros); escalation
-    exhaustion raises PrecisionError.
+    exhaustion, or a start precision above ``max_bits``, raises PrecisionError.
     """
     if sweep is None:
         sweep = HPSweep(sigma, [n])
@@ -665,6 +707,11 @@ def solve_with_escalation(
     if hull is None:
         hull = sigma.support.hull
     bits = sweep.start_bits(n, precision_bits, max_bits)
+    if bits > max_bits:
+        raise PrecisionError(
+            f"no attempt for order {n}: the start precision {bits} bits exceeds "
+            f"the cap of {max_bits} bits"
+        )
     last_exc = None
     while bits <= max_bits:
         try:

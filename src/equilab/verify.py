@@ -474,5 +474,6 @@ def verify_zero_distribution(
 
     rep.provenance["ks_sequence"] = {str(n): float(v) for n, v in ks_seq.items()}
     rep.provenance["effective_precision_bits"] = {str(n): p for n, p in precisions.items()}
+    rep.provenance["sigma_quad_orders"] = {str(b): o for b, o in sweep.quad_orders.items()}
     rep.timings["total"] = time.perf_counter() - t0
     return rep

@@ -256,7 +256,7 @@ def hp_batch():
     bits = 512
     k = 3 * 40 + 1
     a = moments_f1(k, bits)
-    b = moments_f2(k, arcsine_sigma(F23), bits)
+    b, _ = moments_f2(k, arcsine_sigma(F23), bits)
     return {n: solve_hp(n, a, b, bits) for n in (5, 10, 20, 40)}
 
 

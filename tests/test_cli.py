@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 from equilab.cli import run
+from equilab.hermite_pade import MAX_PRECISION_BITS
 
 SMALL_CFG = {
     "problem": {"f_intervals": [[2.0, 3.0]], "sigma": "arcsine"},
@@ -87,7 +88,7 @@ def test_hp_order_zero_closed_form(tmp_path):
     from equilab.hermite_pade import arcsine_sigma, moments_f2
     from equilab.kernels import IntervalUnion
 
-    b = moments_f2(0, arcsine_sigma(IntervalUnion([(2.0, 3.0)])), 192)
+    b, _ = moments_f2(0, arcsine_sigma(IntervalUnion([(2.0, 3.0)])), 192)
     with mp.workprec(192):
         assert abs(mp.mpf(data["q1"][0]) - (-b[0])) <= mp.mpf(10) ** (-40)
 
@@ -145,6 +146,13 @@ def test_failed_order_exits_1_with_report(tmp_path, problem, hp, failed_order):
     assert checks[failed_order]["status"] == "fail"
     assert checks[failed_order]["value"] is None
     assert checks["zeros.ks_final"]["status"] == "skipped"
+    above_cap = hp["precision_bits"] > MAX_PRECISION_BITS
+    assert ("no attempt for order" in checks[failed_order]["note"]) == above_cap
+    if above_cap:
+        assert checks[failed_order]["note"].endswith(
+            f"start precision {hp['precision_bits']} bits exceeds the cap of "
+            f"{MAX_PRECISION_BITS} bits"
+        )
 
 
 def test_preset_with_overrides(tmp_path):

@@ -1,6 +1,7 @@
 """High-precision Hermite-Pade tests: moments, order condition, real zeros."""
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from equilab.errors import PrecisionError
@@ -72,7 +73,7 @@ class TestMomentsF2:
 
     def test_sign_for_right_support(self):
         for sigma in (arcsine_sigma(F23), constant_sigma(F23)):
-            b = moments_f2(2, sigma, PREC)
+            b, _ = moments_f2(2, sigma, PREC)
             assert b[0] < 0
 
     def test_quadrature_doubling_stable(self):
@@ -90,7 +91,7 @@ class TestMomentsF2:
         # affine rescale y = 2x - 5, h(x) = 2 f1(y) = -2/sqrt(y^2 - 1); so
         # b_0 follows from the exact arcsine-weighted quadrature of h
         sigma_c = arcsine_sigma(F23)
-        b_c = moments_f2(3, sigma_c, PREC)
+        b_c, _ = moments_f2(3, sigma_c, PREC)
         with mp.workprec(PREC):
             def h(x):
                 y = 2 * x - 5
@@ -101,8 +102,99 @@ class TestMomentsF2:
             b0 = mp.fsum(h(x) for x in nodes) / N
             assert abs(b_c[0] - b0) <= mp.mpf(10) ** (-40)
 
+        # b_0 = -integral of f1 against sigma; for the arcsine measure of
+        # [c, d] (1 < c < d) that is a complete elliptic integral (Byrd and
+        # Friedman 256.00): b_0 = -2 K(m) / (pi sqrt((d-1)(c+1))),
+        # m = 2(d-c) / ((d-1)(c+1)); f1 is odd, so b_0 flips sign on -F
+        for F in ((2.0, 3.0), (1.01, 1.5), (1.001, 1.5), (-1.5, -1.01)):
+            b, _ = moments_f2(0, arcsine_sigma(IntervalUnion([F])), PREC)
+            with mp.workprec(PREC):
+                c, d = sorted(abs(mp.mpf(x)) for x in F)
+                m = 2 * (d - c) / ((d - 1) * (c + 1))
+                b0 = -mp.sign(F[0]) * 2 * mp.ellipk(m) / (mp.pi * mp.sqrt((d - 1) * (c + 1)))
+                assert abs(b[0] - b0) <= mp.mpf(10) ** (-40)
+
+
+def _mpf_moments_oracle(k_max, ts, ws, precision_bits):
+    """The b_k recursion in mpf arithmetic at precision P: the integer kernel's reference."""
+    tmax = max(abs(t) for t in ts)
+    pad = int(k_max * mp.log(tmax, 2)) + 64
+    with mp.workprec(precision_bits + pad):
+        a = moments_f1(k_max, precision_bits + pad)
+        ck = [hermite_pade._cauchy_value_f1(t) for t in ts]
+        b = [mp.mpf(0)] * (k_max + 1)
+        for k in range(k_max + 1):
+            s = mp.mpf(0)
+            for j, t in enumerate(ts):
+                s += ws[j] * ck[j]
+                ck[j] = t * ck[j] - a[k]
+            b[k] = -s
+    with mp.workprec(precision_bits):
+        return [+x for x in b]
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("bits", [128, 512, 1024])
+    @pytest.mark.parametrize("support", [F23, IntervalUnion([(1.01, 1.5)]), SYM])
+    def test_equals_mpf_recursion(self, support, bits):
+        ts, ws = discretize_sigma(arcsine_sigma(support), 64, bits)
+        fixed = _moments_f2_at_order(31, ts, ws, bits)
+        oracle = _mpf_moments_oracle(31, ts, ws, bits)
+        if support is not SYM:
+            assert fixed == oracle
+            return
+        # on a symmetric F the even b_k vanish exactly; both recursions
+        # return rounding noise there, which need not agree bit for bit
+        assert fixed[1::2] == oracle[1::2]
+        with mp.workprec(bits):
+            assert max(abs(x) for x in fixed[::2] + oracle[::2]) <= mp.mpf(2) ** (-bits)
+
+    def test_cauchy_atoms_share_the_kernel(self):
+        atoms = [(mp.mpf(-2), mp.mpf("0.25")), (mp.mpf("1.5"), mp.mpf("0.75"))]
+        b = moments_f2_from_cauchy(9, atoms, PREC)
+        assert b == _mpf_moments_oracle(9, [t for t, _ in atoms], [w for _, w in atoms], PREC)
+
+
+class TestSigmaQuadratureConvergence:
+    def test_near_branch_point_accepted_by_order_256(self):
+        # the substitution u = sqrt(|t| - 1) makes the integrand analytic at
+        # t = 1; a rule affine in t needed order 1024 here
+        _, order = moments_f2(31, arcsine_sigma(IntervalUnion([(1.01, 1.5)])), 512)
+        assert order <= 256
+
+    def test_very_near_branch_point_converges(self):
+        # the rule affine in t raised QuadratureError here after order 2048
+        _, order = moments_f2(31, arcsine_sigma(IntervalUnion([(1.0001, 1.5)])), 512)
+        assert order <= 1024
+
+
+def _gauss_legendre_all_nodes(order, prec):
+    """Gauss-Legendre rule by Newton's method on every node (gauss_legendre's reference)."""
+    with mp.workprec(prec + 32):
+        xs = []
+        for seed in np.polynomial.legendre.leggauss(order)[0]:
+            x = mp.mpf(float(seed))
+            for _ in range(100):
+                p0, p1 = mp.mpf(1), x
+                for k in range(2, order + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dx = p1 / (order * (x * p1 - p0) / (x * x - 1))
+                x = x - dx
+                if abs(dx) < mp.mpf(2) ** (-(prec + 16)):
+                    break
+            xs.append(x)
+    return xs
+
 
 class TestGaussLegendre:
+    @pytest.mark.parametrize("order, prec", [(16, 256), (17, 256), (64, 512)])
+    def test_mirrored_nodes_match_newton_on_every_node(self, order, prec):
+        xs, ws = gauss_legendre(order, prec)
+        with mp.workprec(prec):
+            for x, y in zip(xs, _gauss_legendre_all_nodes(order, prec)):
+                assert abs(x - y) <= mp.mpf(2) ** (-(prec - 4))
+            assert ws == ws[::-1]
+
     def test_polynomial_exactness(self):
         xs, ws = gauss_legendre(16, PREC)
         with mp.workprec(PREC):
@@ -119,14 +211,14 @@ class TestGaussLegendre:
 @pytest.fixture(scope="module")
 def moments():
     k = 3 * 6 + 1
-    return moments_f1(k, PREC), moments_f2(k, arcsine_sigma(F23), PREC)
+    return moments_f1(k, PREC), moments_f2(k, arcsine_sigma(F23), PREC)[0]
 
 
 @pytest.fixture(scope="module")
 def sol5():
     k = 3 * 5 + 1
     a = moments_f1(k, PREC)
-    b = moments_f2(k, arcsine_sigma(F23), PREC)
+    b, _ = moments_f2(k, arcsine_sigma(F23), PREC)
     return solve_hp(5, a, b, PREC)
 
 
@@ -176,7 +268,7 @@ class TestSolveHP:
         orders = []
         for bits in (256, 512, 1024):
             a = moments_f1(k, bits)
-            b = moments_f2(k, sig, bits)
+            b, _ = moments_f2(k, sig, bits)
             orders.append(solve_hp(4, a, b, bits).residual_order)
         assert orders[0] <= orders[1] <= orders[2]
         assert orders[0] == 2 * 4 + 2
@@ -201,7 +293,7 @@ class TestSquareSolve:
     def test_lu_matches_svd_oracle(self, make_sigma):
         k = 3 * 10 + 1
         a = moments_f1(k, PREC)
-        b = moments_f2(k, make_sigma(F23), PREC)
+        b, _ = moments_f2(k, make_sigma(F23), PREC)
         for n in (2, 5, 10):
             lu = solve_hp(n, a, b, PREC)
             svd = _solve_hp_svd(n, a, b, PREC)
@@ -215,7 +307,7 @@ class TestSquareSolve:
         bits = 512
         k = 3 * 20 + 1
         a = moments_f1(k, bits)
-        b = moments_f2(k, arcsine_sigma(F23), bits)
+        b, _ = moments_f2(k, arcsine_sigma(F23), bits)
         with mp.workprec(bits):
             for n in (5, 10, 20):
                 A, _ = _square_system(n, a, b)
@@ -230,7 +322,7 @@ class TestSquareSolve:
         # so the square system with Q2[n] = 1 has no solution
         k = 3 * 5 + 1
         a = moments_f1(k, PREC)
-        b = moments_f2(k, arcsine_sigma(SYM), PREC)
+        b, _ = moments_f2(k, arcsine_sigma(SYM), PREC)
         for n in (3, 5):
             sol = solve_hp(n, a, b, PREC)
             assert sol.method == "svd"
@@ -272,6 +364,7 @@ class TestConditionGate:
         # n = 10 starts at 256 bits from the rate measured at n = 6
         assert bits == {3: 128, 6: 128, 10: 256}
         assert calls == [(31, 128), (31, 256)]
+        assert sweep.quad_orders == {128: 128, 256: 128}
         assert sweep.bits_per_order == pytest.approx(sol.log2_cond / 10)
 
     def test_sweep_rejects_other_sigma(self):
@@ -284,7 +377,7 @@ class TestZeros:
     def test_order_one_single_zero(self):
         k = 4
         a = moments_f1(k, PREC)
-        b = moments_f2(k, arcsine_sigma(F23), PREC)
+        b, _ = moments_f2(k, arcsine_sigma(F23), PREC)
         sol = solve_hp(1, a, b, PREC)
         zeros = zeros_q2(sol, hull=(2.0, 3.0))
         assert len(zeros) == 1

@@ -119,6 +119,7 @@ class TestZeroDistribution:
         assert rep.all_passed
         assert "ks_sequence" in rep.provenance
         assert set(rep.provenance["ks_sequence"]) == {"2", "4"}
+        assert rep.provenance["sigma_quad_orders"] == {"192": 128}
 
     def test_n_list_must_increase(self):
         with pytest.raises(ValueError):
