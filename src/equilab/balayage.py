@@ -6,7 +6,10 @@ are implemented: the closed form for a point mass swept onto E = [-1, 1]
 (density sqrt(a^2-1) / (pi |x-a| sqrt(1-x^2)), with exact cell masses from
 the arctan antiderivative), and a potential-matching linear solve for
 arbitrary discrete sources and targets.  The closed form doubles as the test
-oracle for the numeric route.
+oracle for the numeric route.  A numeric sweep with negative weights falls
+back to the least-squares fit over the simplex, solved by
+:func:`equilab.equilibrium.minimize_on_simplices` once the free constant is
+eliminated.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import NonConvergenceError
 from .kernels import E_LEFT, E_RIGHT, IntervalUnion, green_e_at_infinity
 from .measures import DiscreteMeasure, Grid, log_potential, neglog_cell_averages
-from .equilibrium import project_simplex
+from .equilibrium import minimize_on_simplices
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,7 @@ def balayage_point_to_e(a: float, grid: Grid) -> BalayageResult:
     return BalayageResult(measure=mu, shift_constant=float(green_e_at_infinity(a)))
 
 
-def balayage_numeric(
-    mu: DiscreteMeasure,
-    target: Grid,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> BalayageResult:
+def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> BalayageResult:
     """Sweep a discrete measure onto the target grid by potential matching.
 
     Solves for nonnegative target weights b and a constant c with
@@ -112,7 +109,7 @@ def balayage_numeric(
     b, c = sol[:n], float(sol[n])
 
     if b.min() < -1e-8:
-        b, c = _projected_lsq(P, rhs_u, mass, tol, max_iter)
+        b, c = projected_sweep(P, rhs_u, mass)
 
     swept = DiscreteMeasure.from_weights(target, np.maximum(b, 0.0))
     resid = float(np.max(np.abs(log_potential(swept, target.nodes) - rhs_u - c)))
@@ -129,28 +126,16 @@ def _support_relation(a: IntervalUnion, b: IntervalUnion) -> str:
     return "disjoint"
 
 
-def _projected_lsq(P, rhs_u, mass, tol, max_iter):
-    """Least-squares fallback: min over the simplex of ||P b - c - rhs_u||^2, c free."""
-    n = P.shape[0]
-    b = np.full(n, mass / n)
-    L = np.linalg.norm(P, 2) ** 2 * 4.0
-    last = np.inf
-    for it in range(1, int(max_iter) + 1):
-        r = P @ b - rhs_u
-        c = float(np.mean(r))
-        g = 2.0 * P.T @ (r - c)
-        b_new = project_simplex(b - g / L, mass)
-        moved = np.max(np.abs(b_new - b))
-        b = b_new
-        if moved <= tol and moved >= last - tol:
-            r = P @ b - rhs_u
-            return b, float(np.mean(r))
-        last = moved
-    raise NonConvergenceError(
-        f"projected balayage fallback did not converge; last step {moved:.3e}",
-        residual=moved,
-        iterations=it,
-    )
+def projected_sweep(P, rhs_u, mass):
+    """Least-squares fallback: min over the simplex of ||P b - c - rhs_u||^2, c free.
+
+    For fixed b the best c is the mean of P b - rhs_u, so with the centering
+    matrix C = I - 11'/n the objective is ||C (P b - rhs_u)||^2, which is
+    b'Hb + 2g'b plus a constant for H = P'CP and g = -P'C rhs_u.
+    """
+    CP = P - P.mean(axis=0)
+    b, _, _, _ = minimize_on_simplices(CP.T @ CP, -CP.T @ rhs_u, [(len(rhs_u), mass)])
+    return b, float(np.mean(P @ b - rhs_u))
 
 
 def reconstruct_e_measure(lam: DiscreteMeasure, e_grid: Grid) -> DiscreteMeasure:

@@ -7,8 +7,13 @@ Serialized reports carry no wall-clock data (timings go to a sidecar and the
 only timestamp lives in the manifest), so reruns with the same config are
 byte-identical.
 
+The verify commands solve the scalar problem (and, for ``verify-theorem1``
+and ``verify-all``, the coupled problem) once per run and hand the solutions
+to every verifier and to the ``measures/`` writer.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 on
-configuration or solver errors.
+configuration or solver errors (a solver error in any command, a verify
+command included, ends the run with exit 2 and no report).
 """
 
 from __future__ import annotations
@@ -18,20 +23,11 @@ import hashlib
 import json
 import os
 import sys
+import time
 from datetime import datetime, timezone
+from functools import partial
 
 from .errors import ConfigError, EquilabError
-
-COMMANDS = (
-    "solve-scalar",
-    "solve-vector",
-    "solve-p6",
-    "balayage",
-    "hp",
-    "verify-theorem1",
-    "verify-prop2",
-    "verify-all",
-)
 
 PRESETS = {
     "f23-arcsine": {
@@ -99,15 +95,9 @@ def validate_config(cfg: dict):
         problems.append("problem.f_intervals missing or empty")
     else:
         try:
-            from .kernels import IntervalUnion
+            from .kernels import IntervalUnion, require_gap_to_e
 
-            F = IntervalUnion(ivs)
-            gap = F.gap_to_unit_interval()
-            if gap < 1e-6:
-                problems.append(
-                    f"problem.f_intervals must be disjoint from [-1, 1] with gap >= 1e-6 "
-                    f"(disjointness invariant violated, gap = {gap:g})"
-                )
+            require_gap_to_e(IntervalUnion(ivs))
         except (ValueError, TypeError) as exc:
             problems.append(f"problem.f_intervals invalid: {exc}")
     sigma = cfg.get("problem", {}).get("sigma", "arcsine")
@@ -211,8 +201,9 @@ def _write_report(out, rep, stem):
     return rep.all_passed
 
 
-def _write_timings(out, reports):
+def _write_timings(out, reports, solve_timings):
     payload = {rep.name: {k: float(v) for k, v in rep.timings.items()} for rep in reports}
+    payload["solve"] = solve_timings
     with open(os.path.join(out.root, "timings.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -345,10 +336,10 @@ def _cmd_hp(cfg, out):
     return 0
 
 
-def _collect_reports(cfg, which):
-    from .equilibrium import solve_scalar, solve_vector
+def _cmd_verify(cfg, out, which):
+    from .equilibrium import E_INTERVAL, solve_scalar, solve_vector
+    from .measures import make_grid
     from .verify import (
-        Tolerances,
         verify_charge_slopes,
         verify_equivalence,
         verify_mixed_potential,
@@ -357,13 +348,20 @@ def _collect_reports(cfg, which):
     )
 
     F, gp, tol, sigma = _build_objects(cfg)
-    reports = []
+    t0 = time.perf_counter()
+    scalar = solve_scalar(F, gp)
+    solve_timings = {"scalar": time.perf_counter() - t0}
+    coupled = None
     if which in ("theorem1", "all"):
-        reports.append(verify_equivalence(F, gp, tol))
+        t0 = time.perf_counter()
+        coupled = solve_vector(F, gp)
+        solve_timings["coupled"] = time.perf_counter() - t0
+
+    reports = []
+    if coupled is not None:
+        reports.append(verify_equivalence(F, scalar, coupled, gp, tol))
     if which == "all":
-        scalar = solve_scalar(F, gp)
-        sol_e, _ = solve_vector(F, gp)
-        reports.append(verify_mixed_potential(scalar.measure, sol_e.measure, tol))
+        reports.append(verify_mixed_potential(scalar.measure, coupled[0].measure, tol))
         reports.append(
             verify_positivity(
                 scalar.measure,
@@ -378,37 +376,13 @@ def _collect_reports(cfg, which):
             verify_zero_distribution(
                 sigma,
                 cfg.get("hp", {}).get("n_list", [5, 10, 20, 40]),
+                scalar.measure,
                 gp,
                 cfg.get("hp", {}).get("precision_bits", 512),
                 ks_final=0.08 * scale,
             )
         )
-    return reports
 
-
-def _write_verify_artifacts(cfg, out, which, reports):
-    """Plot-ready CSVs: the solved measures and the KS sequence."""
-    from .equilibrium import E_INTERVAL, solve_scalar, solve_vector
-    from .measures import make_grid
-
-    F, gp, _, _ = _build_objects(cfg)
-    if which in ("theorem1", "all"):
-        scalar = solve_scalar(F, gp)
-        sol_e, sol_f = solve_vector(F, gp)
-        _write_solution(out, "measures/scalar_f", scalar, make_grid(F, gp.n, gp.grading))
-        _write_solution(out, "measures/coupled_e", sol_e,
-                        make_grid(E_INTERVAL, gp.n, gp.grading))
-        _write_solution(out, "measures/coupled_f", sol_f, make_grid(F, gp.n, gp.grading))
-    for rep in reports:
-        seq = rep.provenance.get("ks_sequence")
-        if seq:
-            lines = ["n,ks"]
-            lines += [f"{n},{float(v)!r}" for n, v in sorted(seq.items(), key=lambda kv: int(kv[0]))]
-            out.write_text("prop2_ks.csv", "\n".join(lines) + "\n")
-
-
-def _cmd_verify(cfg, out, which):
-    reports = _collect_reports(cfg, which)
     ok = True
     combined_md = []
     for rep in reports:
@@ -416,18 +390,43 @@ def _cmd_verify(cfg, out, which):
         combined_md.append(rep.to_markdown())
     out.write_json("report.json", {"reports": [r.to_json_dict() for r in reports]})
     out.write_text("report.md", "\n".join(combined_md))
-    _write_verify_artifacts(cfg, out, which, reports)
-    _write_timings(out, reports)
+    # plot-ready CSVs: the solved measures and the KS sequence
+    if coupled is not None:
+        f_grid = make_grid(F, gp.n, gp.grading)
+        _write_solution(out, "measures/scalar_f", scalar, f_grid)
+        _write_solution(out, "measures/coupled_e", coupled[0],
+                        make_grid(E_INTERVAL, gp.n, gp.grading))
+        _write_solution(out, "measures/coupled_f", coupled[1], f_grid)
+    for rep in reports:
+        seq = rep.provenance.get("ks_sequence")
+        if seq:
+            lines = ["n,ks"]
+            lines += [f"{n},{float(v)!r}" for n, v in sorted(seq.items(), key=lambda kv: int(kv[0]))]
+            out.write_text("prop2_ks.csv", "\n".join(lines) + "\n")
+    _write_timings(out, reports, solve_timings)
     n_checks = sum(len(r.checks) for r in reports)
     n_pass = sum(1 for r in reports for c in r.checks if c.status == "pass")
     n_skip = sum(1 for r in reports for c in r.checks if c.status == "skipped")
-    label = {"theorem1": "verify-theorem1", "prop2": "verify-prop2", "all": "verify-all"}[which]
     print(
-        f"[{label}] {n_pass}/{n_checks} checks passed"
+        f"[verify-{which}] {n_pass}/{n_checks} checks passed"
         + (f" ({n_skip} skipped)" if n_skip else "")
         + f"; reports under {out.root}"
     )
     return 0 if ok else 1
+
+
+HANDLERS = {
+    "solve-scalar": _cmd_solve_scalar,
+    "solve-vector": _cmd_solve_vector,
+    "solve-p6": _cmd_solve_p6,
+    "balayage": _cmd_balayage,
+    "hp": _cmd_hp,
+    "verify-theorem1": partial(_cmd_verify, which="theorem1"),
+    "verify-prop2": partial(_cmd_verify, which="prop2"),
+    "verify-all": partial(_cmd_verify, which="all"),
+}
+
+COMMANDS = tuple(HANDLERS)
 
 
 # --------------------------------------------------------------------------
@@ -443,8 +442,12 @@ def build_parser():
     ap.add_argument("--config", help="path to a JSON config file")
     ap.add_argument("--preset", help=f"bundled preset ({', '.join(sorted(PRESETS))})")
     ap.add_argument("--out", default="out", help="output directory (default: ./out)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="thread count; 1 forces reference determinism (default)")
+    ap.add_argument("--threads", type=int, default=1, choices=[1],
+                    help="BLAS thread count, 1 only (the reference mode, default): pins "
+                         "OMP/OPENBLAS/MKL/NUMEXPR_NUM_THREADS to 1 where not already set; "
+                         "the pin takes effect only if numpy is not loaded yet, so a fresh "
+                         "equilab process gets it but an in-process cli.run does not, and "
+                         "a *_NUM_THREADS value already in the environment wins")
     ap.add_argument("--precision-bits", type=int, dest="precision_bits")
     ap.add_argument("--nodes", type=int, help="override grids.n_per_component")
     ap.add_argument("--tolerance-scale", type=float, dest="tolerance_scale")
@@ -459,40 +462,18 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the contract
         return int(exc.code or 0)
-    if args.threads == 1:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     try:
-        cfg = load_config(args)
+        try:
+            cfg = load_config(args)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"cannot read config: {exc}", file=sys.stderr)
+            return 2
         validate_config(cfg)
-    except ConfigError as exc:
-        print("configuration invalid:", file=sys.stderr)
-        for v in exc.violations:
-            print(f"  - {v}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-
-    out = OutputDir(args.out)
-    try:
-        if args.command == "solve-scalar":
-            code = _cmd_solve_scalar(cfg, out)
-        elif args.command == "solve-vector":
-            code = _cmd_solve_vector(cfg, out)
-        elif args.command == "solve-p6":
-            code = _cmd_solve_p6(cfg, out)
-        elif args.command == "balayage":
-            code = _cmd_balayage(cfg, out)
-        elif args.command == "hp":
-            code = _cmd_hp(cfg, out)
-        elif args.command == "verify-theorem1":
-            code = _cmd_verify(cfg, out, "theorem1")
-        elif args.command == "verify-prop2":
-            code = _cmd_verify(cfg, out, "prop2")
-        else:
-            code = _cmd_verify(cfg, out, "all")
+        out = OutputDir(args.out)
+        code = HANDLERS[args.command](cfg, out)
     except ConfigError as exc:
         print("configuration invalid:", file=sys.stderr)
         for v in exc.violations:

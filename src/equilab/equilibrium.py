@@ -11,13 +11,17 @@ over simplex-constrained weight vectors:
   3 log(1/|x - y|) + g_F(x, y) for a single-interval F.
 
 The scalar and reduced problems minimize the discretized quadratic energy
-w'Kw + 2f'w (cell-averaged diagonal, midpoint off-diagonal); the primal path
-solves the linear saddle system, and a monotone accelerated projected
-gradient with an active-set polish guards grids that produce negative
-weights.  The coupled problem is a potential-matching collocation system on
-the grid nodes, with the same projected-gradient guard on the product of
-simplices.  Residuals are always re-measured through the evaluation-route
-quadrature of :mod:`equilab.measures` and recorded as observed.
+w'Kw + 2f'w (cell-averaged diagonal, midpoint off-diagonal) through the
+linear saddle system.  The coupled problem is a potential-matching
+collocation system on the grid nodes.  Grids that produce negative weights
+fall back to :func:`minimize_on_simplices`, the one guard routine: a
+monotone accelerated projected gradient with an active-set polish for
+x'Hx + 2g'x over a product of simplices.  The scalar and reduced problems
+map onto it with H = K, g = f; the coupled problem with the symmetrized
+collocation blocks [[4 A_EE, -B], [-B', A_FF]] and g = 0; balayage (in
+:mod:`equilab.balayage`) after eliminating its free constant.  Residuals are
+always re-measured through the evaluation-route quadrature of
+:mod:`equilab.measures` and recorded as observed.
 """
 
 from __future__ import annotations
@@ -33,12 +37,16 @@ from .kernels import (
     IntervalUnion,
     _phi_real,
     green_single_interval,
+    require_gap_to_e,
 )
 from .measures import DiscreteMeasure, Grid, log_potential, make_grid, neglog_cell_averages
 
 E_INTERVAL = IntervalUnion([(E_LEFT, E_RIGHT)])
 
-MIN_GAP = 1e-6
+# stopping rule of the projected gradient: KKT residual and iteration cap
+TOL = 1e-10
+MAX_ITER = 100_000
+POLISH_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,6 @@ class SingularKernel:
 
     sing_coeff: float
     smooth: object = None          # vectorized (s, t) -> array, or None for zero
-    smooth_diag: object = None     # optional diagonal values t -> smooth(t, t)
 
     def smooth_matrix(self, s, t):
         if self.smooth is None:
@@ -80,12 +87,7 @@ def surface_field(x):
 
 def reduced_kernel(F: IntervalUnion) -> SingularKernel:
     """Kernel 3 log(1/|x-y|) + g_F(x, y) on E, single-interval F only."""
-    gf = green_single_interval(F)
-
-    def smooth(x, y):
-        return gf.smooth(x, y)
-
-    return SingularKernel(sing_coeff=4.0, smooth=smooth)
+    return SingularKernel(sing_coeff=4.0, smooth=green_single_interval(F).smooth)
 
 
 # --------------------------------------------------------------------------
@@ -117,10 +119,7 @@ def assemble_energy_matrix(grid: Grid, kernel: SingularKernel, near_field_exact=
             K[i + 1, i] = val
     K = kernel.sing_coeff * K
     if kernel.smooth is not None:
-        S = kernel.smooth_matrix(x, x)
-        if kernel.smooth_diag is not None:
-            np.fill_diagonal(S, kernel.smooth_diag(x))
-        K = K + S
+        K = K + kernel.smooth_matrix(x, x)
     return K
 
 
@@ -146,13 +145,7 @@ def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     P = kernel.sing_coeff * neglog_cell_averages(z, mu)
     if kernel.smooth is not None:
-        S = kernel.smooth(z[:, None], mu.nodes[None, :])
-        if kernel.smooth_diag is not None:
-            diag = z[:, None] == mu.nodes[None, :]
-            if diag.any():
-                zi, cj = np.nonzero(diag)
-                S[zi, cj] = kernel.smooth_diag(mu.nodes[cj])
-        P = P + S
+        P = P + kernel.smooth(z[:, None], mu.nodes[None, :])
     out = P @ mu.weights
     return float(out[0]) if np.ndim(z_in) == 0 else out
 
@@ -192,7 +185,7 @@ class EquilibriumSolution:
 
 
 # --------------------------------------------------------------------------
-# simplex machinery
+# the projected-gradient guard
 
 
 def project_simplex(v, mass=1.0):
@@ -206,153 +199,169 @@ def project_simplex(v, mass=1.0):
     return np.maximum(v - theta, 0.0)
 
 
-def _kkt_residual(K, f, w):
-    g = K @ w + f
-    active = w > 0
-    c = float(np.sum(w[active] * g[active]) / np.sum(w[active]))
-    r_eq = float(np.max(np.abs(g[active] - c)))
-    r_in = float(np.max(np.maximum(c - g[~active], 0.0), initial=0.0))
-    return max(r_eq, r_in), c
+def _block_slices(blocks):
+    out, start = [], 0
+    for size, _ in blocks:
+        out.append(slice(start, start + size))
+        start += size
+    return out
 
 
-def _energy(K, f, w):
-    return float(w @ (K @ w) + 2.0 * f @ w)
+def _project(x, blocks):
+    slices = _block_slices(blocks)
+    return np.concatenate([project_simplex(x[s], mass) for s, (_, mass) in zip(slices, blocks)])
 
 
-def _projected_descent(K, f, w0, mass, tol, max_iter, polish_every=50):
-    """Monotone accelerated projected gradient on w'Kw + 2f'w over the simplex.
+def _energy(H, g, x):
+    return float(x @ (H @ x) + 2.0 * g @ x)
 
-    Accelerated steps are accepted only when they do not increase the energy,
-    so the recorded energy trace is non-increasing by construction.  Step
-    sizes come from halving backtracking starting at 1.  Every few iterations
-    the equality KKT system on the current support is solved directly; once
-    the support is identified that lands exactly on the constrained minimizer
-    (first-order methods alone crawl on these ill-conditioned kernels).
+
+def kkt_residual(H, g, x, blocks):
+    """Largest KKT violation over the blocks, and each block's multiplier.
+
+    On the support of each block the gradient half Hx + g equals the block's
+    multiplier, and off the support it is at least that.
     """
-    w = project_simplex(np.asarray(w0, dtype=float), mass)
-    y = w.copy()
-    w_prev = w.copy()
-    tk = 1.0
-    J = _energy(K, f, w)
-    trace = [J]
-    it = 0
-    for it in range(1, int(max_iter) + 1):
-        g = 2.0 * (K @ y + f)
-        step = 1.0
-        cand = project_simplex(y - step * g, mass)
-        Jc = _energy(K, f, cand)
-        while Jc > J and step > 1e-20:
-            step *= 0.5
-            cand = project_simplex(y - step * g, mass)
-            Jc = _energy(K, f, cand)
-        if Jc <= J:
-            w_prev, w = w, cand
-            J = Jc
-        else:
-            w_prev, w = w, w
-        trace.append(J)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        y = w + (tk / t_next) * (cand - w) + ((tk - 1.0) / t_next) * (w - w_prev)
-        tk = t_next
-        res, _ = _kkt_residual(K, f, w)
-        if res <= tol:
-            return w, it, trace
-        if it % polish_every == 0:
-            polished, _ = _active_set_polish(K, f, w, mass)
-            Jp = _energy(K, f, polished)
-            if Jp <= J:
-                res_p, _ = _kkt_residual(K, f, polished)
-                if res_p <= tol:
-                    trace.append(Jp)
-                    return polished, it, trace
-                if Jp < J:
-                    w_prev, w, J = w, polished, Jp
-                    y = w.copy()
-                    tk = 1.0
-                    trace.append(J)
-    res, _ = _kkt_residual(K, f, w)
-    raise NonConvergenceError(
-        f"projected gradient did not reach tolerance {tol:g}; achieved KKT residual {res:.3e}",
-        residual=res,
-        iterations=it,
-    )
+    G = H @ x + g
+    res, mult = 0.0, []
+    for s in _block_slices(blocks):
+        gs, xs = G[s], x[s]
+        active = xs > 0
+        c = float(np.sum(xs[active] * gs[active]) / np.sum(xs[active]))
+        r_eq = float(np.max(np.abs(gs[active] - c)))
+        r_in = float(np.max(np.maximum(c - gs[~active], 0.0), initial=0.0))
+        res = max(res, r_eq, r_in)
+        mult.append(c)
+    return res, tuple(mult)
 
 
-def _active_set_polish(K, f, w, mass):
-    """Re-solve the equality KKT system on the support found by the iteration."""
-    act = w > 0
-    if act.sum() == 0:
-        return w, None
-    Ka = K[np.ix_(act, act)]
-    fa = f[act]
-    na = int(act.sum())
-    A = np.zeros((na + 1, na + 1))
-    A[:na, :na] = Ka
-    A[:na, na] = 1.0
-    A[na, :na] = 1.0
-    rhs = np.concatenate([-fa, [mass]])
+def _active_set_polish(H, g, x, blocks):
+    """Re-solve the equality KKT system on the support, one multiplier per block.
+
+    Returns None when that system is singular or its solution leaves the
+    nonnegative orthant.
+    """
+    act = np.flatnonzero(x > 0)
+    m = len(blocks)
+    ind = np.zeros((act.size, m))
+    for b, s in enumerate(_block_slices(blocks)):
+        ind[(act >= s.start) & (act < s.stop), b] = 1.0
+    A = np.zeros((act.size + m, act.size + m))
+    A[: act.size, : act.size] = H[np.ix_(act, act)]
+    A[: act.size, act.size :] = ind
+    A[act.size :, : act.size] = ind.T
+    rhs = np.concatenate([-g[act], [mass for _, mass in blocks]])
     try:
         sol = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        return w, None
-    wa = sol[:na]
-    if np.any(wa < 0):
-        return w, None
-    out = np.zeros_like(w)
-    out[act] = wa
-    return out, float(-sol[na])
+        return None
+    if np.any(sol[: act.size] < 0):
+        return None
+    out = np.zeros_like(x)
+    out[act] = sol[: act.size]
+    return out
+
+
+def minimize_on_simplices(H, g, blocks, init=None):
+    """Minimize x'Hx + 2g'x over a product of simplices.
+
+    ``blocks`` lists ``(size, mass)`` per simplex, in the order of x; H is
+    symmetric and positive definite on the constraint set.  Accelerated steps
+    are accepted only when they do not increase the energy, so the recorded
+    energy trace is non-increasing by construction; step sizes come from
+    halving backtracking starting at 1.  Every few iterations the equality
+    KKT system on the current support is solved directly; once the support
+    is identified that lands exactly on the constrained minimizer
+    (first-order methods alone crawl on these ill-conditioned kernels).
+
+    Returns ``(x, multipliers, iterations, energy_trace)``, one multiplier
+    per block.  Raises :class:`NonConvergenceError` when the KKT residual
+    stays above ``TOL`` after ``MAX_ITER`` iterations.
+    """
+    if init is None:
+        init = np.concatenate([np.full(size, mass / size) for size, mass in blocks])
+    x = _project(np.asarray(init, dtype=float), blocks)
+    y, tk = x, 1.0
+    J = _energy(H, g, x)
+    trace = [J]
+    it = 0
+    res = np.inf
+    while it < MAX_ITER and res > TOL:
+        it += 1
+        grad = 2.0 * (H @ y + g)
+        step = 1.0
+        cand = _project(y - step * grad, blocks)
+        Jc = _energy(H, g, cand)
+        while Jc > J and step > 1e-20:
+            step *= 0.5
+            cand = _project(y - step * grad, blocks)
+            Jc = _energy(H, g, cand)
+        x_prev = x
+        if Jc <= J:
+            x, J = cand, Jc
+        trace.append(J)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        y = x + (tk / t_next) * (cand - x) + ((tk - 1.0) / t_next) * (x - x_prev)
+        tk = t_next
+        res, _ = kkt_residual(H, g, x, blocks)
+        if res > TOL and it % POLISH_EVERY == 0:
+            polished = _active_set_polish(H, g, x, blocks)
+            Jp = np.inf if polished is None else _energy(H, g, polished)
+            if Jp <= J:
+                x, J = polished, Jp
+                y, tk = x, 1.0
+                trace.append(J)
+                res, _ = kkt_residual(H, g, x, blocks)
+    if res > TOL:
+        raise NonConvergenceError(
+            f"projected gradient did not reach tolerance {TOL:g}; achieved KKT residual {res:.3e}",
+            residual=res,
+            iterations=it,
+        )
+    # the support is identified: land on the exact minimizer over it
+    polished = _active_set_polish(H, g, x, blocks)
+    if polished is not None:
+        Jp = _energy(H, g, polished)
+        if Jp <= J + 1e-15 * abs(J):
+            x = polished
+            trace.append(Jp)
+    _, mult = kkt_residual(H, g, x, blocks)
+    return x, mult, it, trace
 
 
 # --------------------------------------------------------------------------
 # solvers
 
 
-def solve_kernel_equilibrium(
-    grid: Grid,
-    kernel: SingularKernel,
-    fieldfn=None,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    near_field_exact: bool = False,
-    force_fallback: bool = False,
-    init=None,
-) -> EquilibriumSolution:
+def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -> EquilibriumSolution:
     """Unit-mass minimizer of the discretized energy w'Kw + 2f'w.
 
     Primal path: the saddle system [K 1; 1' 0] (w, -c) = (-f, 1).  Negative
-    weights (discretization artifacts on coarse grids) trigger the projected
-    gradient fallback followed by an active-set polish.  The returned
-    residual is measured through the evaluation-route quadrature at the grid
-    nodes, never through the energy matrix itself.
+    weights (discretization artifacts on coarse grids) trigger
+    :func:`minimize_on_simplices` with H = K, g = f.  The returned residual
+    is measured through the evaluation-route quadrature at the grid nodes,
+    never through the energy matrix itself.
     """
-    K = assemble_energy_matrix(grid, kernel, near_field_exact=near_field_exact)
+    K = assemble_energy_matrix(grid, kernel)
     f = np.zeros(grid.size) if fieldfn is None else np.asarray(fieldfn(grid.nodes), dtype=float)
     n = grid.size
 
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = K
+    A[:n, n] = 1.0
+    A[n, :n] = 1.0
+    rhs = np.concatenate([-f, [1.0]])
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"saddle system is singular: {exc}") from exc
+    w = sol[:n]
+    c = float(-sol[n])
     method = "saddle"
     iterations = 0
     trace = ()
-    if not force_fallback:
-        A = np.zeros((n + 1, n + 1))
-        A[:n, :n] = K
-        A[:n, n] = 1.0
-        A[n, :n] = 1.0
-        rhs = np.concatenate([-f, [1.0]])
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"saddle system is singular: {exc}") from exc
-        w = sol[:n]
-        c = float(-sol[n])
-    if force_fallback or np.min(w) < -1e-12:
-        w0 = np.full(n, 1.0 / n) if init is None else np.asarray(init, dtype=float)
-        w, iterations, trace_list = _projected_descent(K, f, w0, 1.0, tol, max_iter)
-        polished, c_pol = _active_set_polish(K, f, w, 1.0)
-        if c_pol is not None and _energy(K, f, polished) <= _energy(K, f, w) + 1e-15 * abs(_energy(K, f, w)):
-            w = polished
-            trace_list.append(_energy(K, f, w))
-        _, c = _kkt_residual(K, f, w)
+    if np.min(w) < -1e-12:
+        w, (c,), iterations, trace_list = minimize_on_simplices(K, f, [(n, 1.0)])
         method = "projected"
         trace = tuple(trace_list)
 
@@ -372,52 +381,64 @@ def solve_kernel_equilibrium(
     )
 
 
-def _check_f(F: IntervalUnion):
-    if F.gap_to_unit_interval() < MIN_GAP:
-        raise ValueError(
-            f"F must be disjoint from [-1, 1] with gap at least {MIN_GAP:g}; "
-            f"got gap {F.gap_to_unit_interval():g}"
-        )
-
-
-def solve_scalar(F: IntervalUnion, grid_params: GridParams = GridParams(), **solver_kw) -> EquilibriumSolution:
+def solve_scalar(F: IntervalUnion, grid_params: GridParams = GridParams()) -> EquilibriumSolution:
     """Weighted equilibrium on F: surface kernel with external field log|Phi|.
 
     At the solution the sheet-1 potential plus field is constant on all of F
     and the density stays strictly positive (full support); both facts are
     re-measured and recorded, not assumed.
     """
-    _check_f(F)
+    require_gap_to_e(F)
     grid = make_grid(F, grid_params.n, grid_params.grading)
-    return solve_kernel_equilibrium(grid, surface_kernel(), surface_field, **solver_kw)
+    return solve_kernel_equilibrium(grid, surface_kernel(), surface_field)
 
 
-def solve_reduced(F: IntervalUnion, grid_params: GridParams = GridParams(), **solver_kw) -> EquilibriumSolution:
+def solve_reduced(F: IntervalUnion, grid_params: GridParams = GridParams()) -> EquilibriumSolution:
     """One-measure reduction on E: kernel 3 log(1/|x-y|) + g_F(x, y), no field.
 
     Needs a single-interval F (the Green function is in closed form only
     there); the result should reproduce the first component of the coupled
     problem, and its constant the sum of the two coupled constants.
     """
-    _check_f(F)
+    require_gap_to_e(F)
     if F.m != 1:
         raise ValueError("the reduced problem supports a single-interval F only")
     grid = make_grid(E_INTERVAL, grid_params.n, grid_params.grading)
-    return solve_kernel_equilibrium(grid, reduced_kernel(F), None, **solver_kw)
+    return solve_kernel_equilibrium(grid, reduced_kernel(F), None)
 
 
-def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams(), *, tol=1e-10, max_iter=100_000):
+def coupled_projected(QEE, QEF, QFE, QFF):
+    """Coupled pair from :func:`minimize_on_simplices` on the symmetrized blocks.
+
+    The Galerkin symmetrizations A_EE, A_FF, B of the collocation blocks give
+    the energy 4 u'A_EE u - 2 u'Bv + v'A_FF v, positive definite on the
+    product of the two unit simplices because the interaction matrix
+    [[4, -1], [-1, 1]] is.  Returns ``(u, v, w1, w2, iterations)``, the
+    constants averaged from the collocation equations.
+    """
+    AEE = 0.5 * (QEE + QEE.T)
+    AFF = 0.5 * (QFF + QFF.T)
+    B = 0.5 * (QEF + QFE.T)
+    H = np.block([[4.0 * AEE, -B], [-B.T, AFF]])
+    nE, nF = len(QEE), len(QFF)
+    x, _, iterations, _ = minimize_on_simplices(H, np.zeros(nE + nF), [(nE, 1.0), (nF, 1.0)])
+    u, v = x[:nE], x[nE:]
+    w1 = float(np.mean(4.0 * (QEE @ u) - QEF @ v))
+    w2 = float(np.mean(-(QFE @ u) + QFF @ v))
+    return u, v, w1, w2, iterations
+
+
+def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
     """Coupled pair problem: 4 U1 - U2 = w1 on E, -U1 + U2 = w2 on F.
 
     Solved as a collocation system on the grid nodes (potentials through the
     evaluation-route quadrature), so the recorded residuals measure only the
-    linear-algebra error.  Negative weights fall back to a block projected
-    gradient on the positive-definite energy with interaction matrix
-    [[4, -1], [-1, 1]], then an active-set polish.
+    linear-algebra error.  Negative weights fall back to
+    :func:`coupled_projected`.
 
     Returns a pair of :class:`EquilibriumSolution`, for the E and F measures.
     """
-    _check_f(F)
+    require_gap_to_e(F)
     ge = make_grid(E_INTERVAL, grid_params.n, grid_params.grading)
     gf = make_grid(F, grid_params.n, grid_params.grading)
     me = DiscreteMeasure.from_weights(ge, np.full(ge.size, 1.0 / ge.size))
@@ -450,9 +471,7 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams(), *, to
     iterations = 0
 
     if min(u.min(), v.min()) < -1e-12:
-        u, v, iterations = _vector_fallback(QEE, QEF, QFE, QFF, nE, nF, tol, max_iter)
-        w1 = float(np.mean(4.0 * (QEE @ u) - QEF @ v))
-        w2 = float(np.mean(-(QFE @ u) + QFF @ v))
+        u, v, w1, w2, iterations = coupled_projected(QEE, QEF, QFE, QFF)
         method = "projected"
 
     lam_e = DiscreteMeasure.from_weights(ge, np.maximum(u, 0.0))
@@ -476,43 +495,3 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams(), *, to
         iterations=iterations,
     )
     return sol_e, sol_f
-
-
-def _vector_fallback(QEE, QEF, QFE, QFF, nE, nF, tol, max_iter):
-    """Block projected gradient on the coupled energy over a product of simplices.
-
-    Uses the Galerkin symmetrizations of the collocation blocks; the energy
-    4 u'Au - 2 u'Bv + v'Cv is positive definite on the constraint set because
-    the interaction matrix [[4, -1], [-1, 1]] is.
-    """
-    AEE = 0.5 * (QEE + QEE.T)
-    AFF = 0.5 * (QFF + QFF.T)
-    B = 0.5 * (QEF + QFE.T)
-
-    def energy(u, v):
-        return float(4.0 * u @ (AEE @ u) - 2.0 * u @ (B @ v) + v @ (AFF @ v))
-
-    u = np.full(nE, 1.0 / nE)
-    v = np.full(nF, 1.0 / nF)
-    J = energy(u, v)
-    it = 0
-    for it in range(1, int(max_iter) + 1):
-        gu = 8.0 * (AEE @ u) - 2.0 * (B @ v)
-        gv = 2.0 * (AFF @ v) - 2.0 * (B.T @ u)
-        step = 1.0
-        while step > 1e-20:
-            uc = project_simplex(u - step * gu, 1.0)
-            vc = project_simplex(v - step * gv, 1.0)
-            Jc = energy(uc, vc)
-            if Jc <= J:
-                break
-            step *= 0.5
-        moved = max(np.max(np.abs(uc - u)), np.max(np.abs(vc - v)))
-        u, v, J = uc, vc, Jc
-        if moved <= tol:
-            return u, v, it
-    raise NonConvergenceError(
-        f"coupled projected gradient did not converge; last step {moved:.3e}",
-        residual=moved,
-        iterations=it,
-    )

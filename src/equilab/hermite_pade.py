@@ -59,7 +59,7 @@ import numpy as np
 from mpmath.libmp import to_fixed
 
 from .errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
-from .kernels import IntervalUnion
+from .kernels import IntervalUnion, require_gap_to_e
 from .measures import DiscreteMeasure
 
 DEFAULT_PRECISION_BITS = 512
@@ -85,8 +85,7 @@ class MarkovSpec:
     rule: str = "legendre"
 
     def __post_init__(self):
-        if self.support.gap_to_unit_interval() <= 0:
-            raise ValueError("sigma support must be disjoint from [-1, 1]")
+        require_gap_to_e(self.support)
         if self.rule not in ("legendre", "chebyshev"):
             raise ValueError("rule must be 'legendre' or 'chebyshev'")
         if self.quad_order < 4:

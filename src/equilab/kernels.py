@@ -98,6 +98,18 @@ class IntervalUnion:
         )
 
 
+MIN_GAP = 1e-6
+
+
+def require_gap_to_e(F: IntervalUnion) -> None:
+    """The one check that F keeps at least ``MIN_GAP`` from E = [-1, 1]."""
+    gap = F.gap_to_unit_interval()
+    if gap < MIN_GAP:
+        raise ValueError(
+            f"F must be disjoint from [-1, 1] with gap at least {MIN_GAP:g}; got gap {gap:g}"
+        )
+
+
 @dataclass(frozen=True)
 class RSPoint:
     """A point of the two-sheeted surface: complex projection plus sheet index."""

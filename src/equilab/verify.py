@@ -7,6 +7,11 @@ full configuration echo and are deterministic for a fixed seed; wall-clock
 timings live in a separate structure so the serialized reports stay
 byte-stable across runs.
 
+Verifiers take solved measures and solve nothing themselves, except the
+reduced one-measure problem, which only the equivalence suite uses; each run
+solves the scalar and coupled problems once and hands the solutions to every
+verifier.
+
 Checks implemented:
 
 - equivalence: the scalar solution on F against the coupled pair on (E, F),
@@ -33,13 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balayage import balayage_numeric, reconstruct_e_measure
-from .equilibrium import (
-    E_INTERVAL,
-    GridParams,
-    solve_reduced,
-    solve_scalar,
-    solve_vector,
-)
+from .equilibrium import E_INTERVAL, EquilibriumSolution, GridParams, solve_reduced
 from .errors import EquilabError
 from .hermite_pade import (
     HPSweep,
@@ -47,7 +46,7 @@ from .hermite_pade import (
     counting_measure,
     solve_with_escalation,
 )
-from .kernels import IntervalUnion, green_e_at_infinity
+from .kernels import IntervalUnion, green_e_at_infinity, require_gap_to_e
 from .measures import (
     DiscreteMeasure,
     green_potential_e,
@@ -177,14 +176,17 @@ def _echo_grid(gp: GridParams):
 
 def verify_equivalence(
     F: IntervalUnion,
+    scalar: EquilibriumSolution,
+    coupled: tuple,
     grid_params: GridParams = GridParams(),
     tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
-    """Scalar-versus-coupled equivalence suite on a given F."""
-    if F.gap_to_unit_interval() < 1e-6:
-        raise ValueError(
-            "F violates the disjointness invariant: it must stay clear of [-1, 1]"
-        )
+    """Scalar-versus-coupled equivalence suite on a given F.
+
+    ``scalar`` is ``solve_scalar(F, grid_params)`` and ``coupled`` the pair
+    ``solve_vector(F, grid_params)``.
+    """
+    require_gap_to_e(F)
     t0 = time.perf_counter()
     rep = VerificationReport(
         name="equivalence",
@@ -194,13 +196,7 @@ def verify_equivalence(
             "tolerances": {"ks": tolerances.ks, "residual_rel": tolerances.residual_rel},
         },
     )
-    try:
-        scalar = solve_scalar(F, grid_params)
-        sol_e, sol_f = solve_vector(F, grid_params)
-    except EquilabError as exc:
-        rep.add("equivalence.solver", float("inf"), 0.0, False, f"solver failure: {exc}")
-        rep.timings["total"] = time.perf_counter() - t0
-        return rep
+    sol_e, sol_f = coupled
     lam = scalar.measure
     w_f = scalar.constant
 
@@ -404,6 +400,7 @@ def verify_charge_slopes(lam: DiscreteMeasure, rel_tol: float = 1e-3) -> Verific
 def verify_zero_distribution(
     sigma: MarkovSpec,
     n_list,
+    lam: DiscreteMeasure,
     grid_params: GridParams = GridParams(),
     precision_bits: int = 512,
     *,
@@ -412,8 +409,8 @@ def verify_zero_distribution(
 ) -> VerificationReport:
     """Hull containment, degree, and KS decay of normalized zero counting measures.
 
-    The comparison measure is the scalar equilibrium solution on the support
-    of sigma.  The 10% non-increase band on the KS sequence is an artifact
+    The comparison measure ``lam`` is the scalar equilibrium solution on the
+    support of sigma, solved on ``grid_params``.  The 10% non-increase band on the KS sequence is an artifact
     policy for desk scale, flagged as such in the provenance, not a claim
     about rates.
     """
@@ -432,8 +429,6 @@ def verify_zero_distribution(
             "ks_band_policy": "non-increase within 10% per step; desk-scale policy",
         },
     )
-    scalar = solve_scalar(sigma.support, grid_params)
-    lam = scalar.measure
     hull = sigma.support.hull
     sweep = HPSweep(sigma, n_list)
     ks_seq = {}

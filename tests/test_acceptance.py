@@ -230,9 +230,9 @@ def test_criterion_7_charge_slopes(scalar23):
 
 
 @pytest.fixture(scope="module")
-def zero_distribution_report():
+def zero_distribution_report(scalar23):
     return verify_zero_distribution(
-        arcsine_sigma(F23), [5, 10, 20, 40], GP400, 512
+        arcsine_sigma(F23), [5, 10, 20, 40], scalar23.measure, GP400, 512
     )
 
 

@@ -7,7 +7,9 @@ import os
 import mpmath as mp
 import pytest
 
+import equilab.equilibrium as equilibrium
 from equilab.cli import run
+from equilab.errors import NonConvergenceError
 from equilab.hermite_pade import MAX_PRECISION_BITS
 
 SMALL_CFG = {
@@ -113,6 +115,48 @@ def test_verify_all_idempotent(cfg_path, tmp_path):
         if name in ("manifest.json", "timings.json"):
             continue
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_threads_other_than_1_exits_2(cfg_path, tmp_path, capsys):
+    assert run(["solve-scalar", "--threads", "2", "--config", cfg_path,
+                "--out", str(tmp_path / "o")]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, coupled",
+    [("verify-theorem1", 1), ("verify-prop2", 0), ("verify-all", 1)],
+)
+def test_each_problem_solved_once(cfg_path, tmp_path, monkeypatch, command, coupled):
+    calls = {}
+
+    def spy(name):
+        original = getattr(equilibrium, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, name, counted)
+
+    for name in ("solve_scalar", "solve_vector"):
+        spy(name)
+    assert run([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    assert calls.get("solve_scalar", 0) == 1
+    assert calls.get("solve_vector", 0) == coupled
+    timings = json.loads((tmp_path / "o" / "timings.json").read_text())
+    assert set(timings["solve"]) == ({"scalar", "coupled"} if coupled else {"scalar"})
+
+
+@pytest.mark.parametrize("command", ["verify-theorem1", "verify-all"])
+def test_solver_error_exits_2(cfg_path, tmp_path, monkeypatch, capsys, command):
+    def fail(*args, **kwargs):
+        raise NonConvergenceError("collocation system is singular")
+
+    monkeypatch.setattr(equilibrium, "solve_vector", fail)
+    assert run([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_check_failure_exits_1(tmp_path):

@@ -8,19 +8,36 @@ from equilab.equilibrium import (
     GridParams,
     LOG_KERNEL,
     assemble_energy_matrix,
+    coupled_projected,
     kernel_potential,
+    kkt_residual,
+    minimize_on_simplices,
     solve_kernel_equilibrium,
     solve_reduced,
     solve_scalar,
     solve_vector,
+    surface_field,
     surface_kernel,
 )
 from equilab.kernels import IntervalUnion
-from equilab.measures import DiscreteMeasure, ks_distance, make_grid, surface_functional
+from equilab.measures import (
+    DiscreteMeasure,
+    ks_distance,
+    make_grid,
+    neglog_cell_averages,
+    surface_functional,
+)
+from equilab.verify import Tolerances
 
 F23 = IntervalUnion([(2.0, 3.0)])
 FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 GP = GridParams(n=200, grading=2.0)
+
+
+def scalar_qp(n):
+    """The scalar problem on F23 as the quadratic program w'Kw + 2f'w."""
+    grid = make_grid(F23, n, 2.0)
+    return grid, assemble_energy_matrix(grid, surface_kernel()), surface_field(grid.nodes)
 
 
 def arcsine_cells(grid):
@@ -75,28 +92,30 @@ class TestScalarProblem:
             solve_scalar(IntervalUnion([(1.0 + 1e-9, 2.0)]), GP)
 
     def test_dual_paths_agree(self):
-        gp = GridParams(n=100, grading=2.0)
-        saddle = solve_scalar(F23, gp)
-        fallback = solve_scalar(F23, gp, force_fallback=True)
-        assert fallback.method == "projected"
-        assert ks_distance(saddle.measure, fallback.measure) <= 1e-6
-        assert abs(saddle.energy - fallback.energy) <= 1e-8 * max(1.0, abs(saddle.energy))
+        saddle = solve_scalar(F23, GridParams(n=100, grading=2.0))
+        grid, K, f = scalar_qp(100)
+        w, _, _, _ = minimize_on_simplices(K, f, [(grid.size, 1.0)])
+        fallback = DiscreteMeasure.from_weights(grid, w)
+        assert ks_distance(saddle.measure, fallback) <= 1e-6
+        energy = w @ K @ w + 2.0 * f @ w
+        assert abs(saddle.energy - energy) <= 1e-8 * max(1.0, abs(saddle.energy))
 
     def test_fallback_energy_monotone(self):
-        gp = GridParams(n=64, grading=2.0)
-        sol = solve_scalar(F23, gp, force_fallback=True)
-        trace = np.asarray(sol.energy_trace)
+        grid, K, f = scalar_qp(64)
+        _, _, _, trace = minimize_on_simplices(K, f, [(grid.size, 1.0)])
+        trace = np.asarray(trace)
         assert len(trace) > 1
         assert np.all(np.diff(trace) <= 1e-14 * np.maximum(1.0, np.abs(trace[:-1])))
 
     def test_uniqueness_under_init(self):
-        gp = GridParams(n=64, grading=2.0)
+        grid, K, f = scalar_qp(64)
         rng = np.random.default_rng(3)
         init = rng.random(64)
         init /= init.sum()
-        a = solve_scalar(F23, gp, force_fallback=True)
-        b = solve_scalar(F23, gp, force_fallback=True, init=init)
-        assert ks_distance(a.measure, b.measure) <= 1e-6
+        a, _, _, _ = minimize_on_simplices(K, f, [(grid.size, 1.0)])
+        b, _, _, _ = minimize_on_simplices(K, f, [(grid.size, 1.0)], init=init)
+        assert ks_distance(DiscreteMeasure.from_weights(grid, a),
+                           DiscreteMeasure.from_weights(grid, b)) <= 1e-6
 
     def test_grid_convergence(self):
         coarse = solve_scalar(F23, GridParams(n=100, grading=2.0))
@@ -124,6 +143,26 @@ class TestCoupledProblem:
         sol_e, sol_f = solve_vector(F23, GP)
         assert sol_e.constants[0] == sol_f.constants[1]
         assert sol_e.constants[1] == sol_f.constants[0]
+
+    def test_projected_form_meets_kkt_and_matches_collocation(self):
+        # the guard routine on the symmetrized collocation blocks of [2, 3]
+        ge, gf = make_grid(E_INTERVAL, GP.n, GP.grading), make_grid(F23, GP.n, GP.grading)
+        me = DiscreteMeasure.from_weights(ge, np.full(ge.size, 1.0 / ge.size))
+        mf = DiscreteMeasure.from_weights(gf, np.full(gf.size, 1.0 / gf.size))
+        QEE, QEF = neglog_cell_averages(ge.nodes, me), neglog_cell_averages(ge.nodes, mf)
+        QFE, QFF = neglog_cell_averages(gf.nodes, me), neglog_cell_averages(gf.nodes, mf)
+        u, v, _, _, _ = coupled_projected(QEE, QEF, QFE, QFF)
+        B = 0.5 * (QEF + QFE.T)
+        H = np.block([[2.0 * (QEE + QEE.T), -B], [-B.T, 0.5 * (QFF + QFF.T)]])
+        blocks = [(ge.size, 1.0), (gf.size, 1.0)]
+        res, _ = kkt_residual(H, np.zeros(len(H)), np.concatenate([u, v]), blocks)
+        assert res <= 1e-10
+        assert u.sum() == pytest.approx(1.0, abs=1e-12) and v.sum() == pytest.approx(1.0, abs=1e-12)
+        assert min(u.min(), v.min()) >= 0.0
+        sol_e, sol_f = solve_vector(F23, GP)
+        ks = Tolerances().ks
+        assert ks_distance(DiscreteMeasure.from_weights(ge, u), sol_e.measure) <= ks
+        assert ks_distance(DiscreteMeasure.from_weights(gf, v), sol_f.measure) <= ks
 
 
 class TestReducedProblem:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equilab.kernels import (
+    MIN_GAP,
     IntervalUnion,
     RSPoint,
     external_field,
@@ -17,6 +18,7 @@ from equilab.kernels import (
     green_single_interval,
     phi_on_sheet,
     phi_sheet,
+    require_gap_to_e,
     rs_kernel,
     scalar_kernel,
     scalar_kernel_smooth,
@@ -233,6 +235,24 @@ class TestIntervalUnion:
     def test_gap(self):
         assert IntervalUnion([(2.0, 3.0)]).gap_to_unit_interval() == pytest.approx(1.0)
         assert IntervalUnion([(0.5, 2.0)]).gap_to_unit_interval() < 0
+
+    def test_degenerate_f_rejected(self):
+        # the one gap check: an overlap and a gap below MIN_GAP are rejected
+        for ivs in ([(0.5, 2.0)], [(1.0 + 0.5 * MIN_GAP, 2.0)], [(-2.0, -1.0)]):
+            with pytest.raises(ValueError, match="disjoint"):
+                require_gap_to_e(IntervalUnion(ivs))
+        require_gap_to_e(IntervalUnion([(1.0 + 2.0 * MIN_GAP, 2.0)]))
+
+    def test_every_entry_point_uses_the_gap_check(self):
+        from equilab.equilibrium import solve_reduced, solve_scalar, solve_vector
+        from equilab.hermite_pade import arcsine_sigma
+        from equilab.verify import verify_equivalence
+
+        near = IntervalUnion([(1.0 + 0.5 * MIN_GAP, 2.0)])
+        for call in (solve_scalar, solve_vector, solve_reduced, arcsine_sigma,
+                     lambda F: verify_equivalence(F, None, None)):
+            with pytest.raises(ValueError, match="disjoint"):
+                call(near)
 
     def test_symmetry_detection(self):
         assert IntervalUnion([(-3.0, -2.0), (2.0, 3.0)]).is_symmetric()

@@ -29,8 +29,9 @@ def solutions():
 
 
 class TestEquivalence:
-    def test_single_interval(self):
-        rep = verify_equivalence(F23, GP, TOL)
+    def test_single_interval(self, solutions):
+        scalar, sol_e, sol_f = solutions
+        rep = verify_equivalence(F23, scalar, (sol_e, sol_f), GP, TOL)
         assert rep.all_passed
         ids = {c.check_id for c in rep.checks}
         assert "equivalence.scalar_min_density" in ids
@@ -42,17 +43,13 @@ class TestEquivalence:
         assert "equivalence.reduced_constant_consistency" in ids
 
     def test_symmetric_f(self):
-        rep = verify_equivalence(FSYM, GP, TOL)
+        rep = verify_equivalence(FSYM, solve_scalar(FSYM, GP), solve_vector(FSYM, GP), GP, TOL)
         assert rep.all_passed
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["equivalence.symmetry_e"].status == "pass"
         # reduced route is single-interval only: recorded as skipped
         assert by_id["equivalence.ks_reduced_vs_coupled_e"].status == "skipped"
         assert by_id["equivalence.reduced_constant_consistency"].status == "skipped"
-
-    def test_degenerate_f_rejected(self):
-        with pytest.raises(ValueError):
-            verify_equivalence(IntervalUnion([(0.5, 2.0)]), GP, TOL)
 
     def test_cross_route_closure(self, solutions):
         # three routes to the E measure agree pairwise within 2x the KS bound
@@ -113,17 +110,19 @@ class TestSlopes:
 class TestZeroDistribution:
     def test_small_orders(self):
         sigma = arcsine_sigma(F23)
+        gp = GridParams(n=100, grading=2.0)
         rep = verify_zero_distribution(
-            sigma, [2, 4], GridParams(n=100, grading=2.0), 192, ks_final=0.5
+            sigma, [2, 4], solve_scalar(F23, gp).measure, gp, 192, ks_final=0.5
         )
         assert rep.all_passed
         assert "ks_sequence" in rep.provenance
         assert set(rep.provenance["ks_sequence"]) == {"2", "4"}
         assert rep.provenance["sigma_quad_orders"] == {"192": 128}
 
-    def test_n_list_must_increase(self):
+    def test_n_list_must_increase(self, solutions):
+        scalar, _, _ = solutions
         with pytest.raises(ValueError):
-            verify_zero_distribution(arcsine_sigma(F23), [4, 2], GP, 192)
+            verify_zero_distribution(arcsine_sigma(F23), [4, 2], scalar.measure, GP, 192)
 
 
 class TestReportStructure:
