@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .kernels import E_LEFT, E_RIGHT, IntervalUnion, green_e_at_infinity
-from .measures import DiscreteMeasure, Grid, log_potential, neglog_cell_averages
+from .kernels import E_LEFT, E_RIGHT, IntervalUnion, green_e_at_infinity, is_real
+from .measures import DiscreteMeasure, Grid, neglog_cell_averages
 from .equilibrium import minimize_on_simplices
 
 
@@ -60,6 +60,13 @@ def _point_cdf_from_left(a: float, x):
     return 1.0 - 2.0 * np.arctan(k * np.tan(theta / 2.0)) / np.pi
 
 
+def require_outside_e(a):
+    """The one check that a point to sweep lies outside [-1, 1]; returns it as a float."""
+    if not is_real(a) or not abs(a) > 1.0 + 1e-9:
+        raise ValueError(f"point must be a number outside [-1, 1], got {a!r}")
+    return float(a)
+
+
 def balayage_point_to_e(a: float, grid: Grid) -> BalayageResult:
     """Closed-form balayage of the unit point mass at a onto E = [-1, 1].
 
@@ -67,8 +74,7 @@ def balayage_point_to_e(a: float, grid: Grid) -> BalayageResult:
     infinity evaluated at a, so the potential identity
     U_swept = -log|. - a| + log|Phi(a)| holds on E.
     """
-    if abs(a) <= 1.0:
-        raise ValueError("point must lie outside [-1, 1]")
+    require_outside_e(a)
     _require_e_grid(grid)
     if a > 1.0:
         w = _point_cdf_from_left(a, grid.cell_right) - _point_cdf_from_left(a, grid.cell_left)
@@ -112,7 +118,8 @@ def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> BalayageResult:
         b, c = projected_sweep(P, rhs_u, mass)
 
     swept = DiscreteMeasure.from_weights(target, np.maximum(b, 0.0))
-    resid = float(np.max(np.abs(log_potential(swept, target.nodes) - rhs_u - c)))
+    # P depends on the target cells only, so P @ weights is the potential of swept
+    resid = float(np.max(np.abs(P @ swept.weights - rhs_u - c)))
     return BalayageResult(measure=swept, shift_constant=c, residual_sup=resid)
 
 

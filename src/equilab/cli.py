@@ -1,62 +1,63 @@
 """Command-line entry point.
 
 One command per process; configuration comes from a JSON file or a bundled
-preset, with individual flags overriding config keys.  Every run writes its
-artifacts under the output directory plus a manifest with content hashes.
-Serialized reports carry no wall-clock data (timings go to a sidecar and the
-only timestamp lives in the manifest), so reruns with the same config are
-byte-identical.
+preset, with individual flags overriding config keys.  ``validate_config`` is
+the only reader of the config tree: it fills missing keys from ``DEFAULTS``,
+checks every key, types included, and returns the run's objects as one
+:class:`RunConfig` for the command handlers.  A value that the library also
+needs (the gap of F to E, the grid, the orders, the balayage point) is
+checked by the library's own function and reported under its config key.
 
-The verify commands solve the scalar problem (and, for ``verify-theorem1``
-and ``verify-all``, the coupled problem) once per run and hand the solutions
-to every verifier and to the ``measures/`` writer.
+Every run writes its artifacts under the output directory plus a manifest
+with content hashes.  Serialized reports carry no wall-clock data (timings
+go to a sidecar and the only timestamp lives in the manifest), so reruns
+with the same config are byte-identical.  The verify commands solve the
+scalar problem (and, for ``verify-theorem1`` and ``verify-all``, the coupled
+problem) once per run and hand the solutions to every verifier and to the
+``measures/`` writer.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 on
-configuration or solver errors (a solver error in any command, a verify
-command included, ends the run with exit 2 and no report).
+configuration or solver errors (an invalid config ends the run before any
+solve, listing every violation; a solver error ends it without a report).
+The package modules, and numpy with them, are imported inside the functions
+that use them, so that ``run`` pins the BLAS threads before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from datetime import datetime, timezone
 from functools import partial
+from typing import NamedTuple
 
 from .errors import ConfigError, EquilabError
 
+DEFAULTS = {
+    "problem": {"sigma": "arcsine"},
+    "grids": {"n_per_component": 400, "grading": 2.0},
+    "hp": {"n_list": [5, 10, 20, 40], "precision_bits": 512},
+    "balayage": {"point": 2.0},
+    "tolerance_scale": 1.0,
+    "positivity_samples": 1000,
+    "seed": 20240801,
+}
+
+
+def _preset(f_intervals, sigma):
+    return {**copy.deepcopy(DEFAULTS), "problem": {"f_intervals": f_intervals, "sigma": sigma}}
+
+
 PRESETS = {
-    "f23-arcsine": {
-        "problem": {"f_intervals": [[2.0, 3.0]], "sigma": "arcsine"},
-        "grids": {"n_per_component": 400, "grading": 2.0},
-        "hp": {"n_list": [5, 10, 20, 40], "precision_bits": 512},
-        "balayage": {"point": 2.0},
-        "tolerance_scale": 1.0,
-        "positivity_samples": 1000,
-        "seed": 20240801,
-    },
-    "f23-constant": {
-        "problem": {"f_intervals": [[2.0, 3.0]], "sigma": "constant"},
-        "grids": {"n_per_component": 400, "grading": 2.0},
-        "hp": {"n_list": [5, 10, 20, 40], "precision_bits": 512},
-        "balayage": {"point": 2.0},
-        "tolerance_scale": 1.0,
-        "positivity_samples": 1000,
-        "seed": 20240801,
-    },
-    "sym-arcsine": {
-        "problem": {"f_intervals": [[-3.0, -2.0], [2.0, 3.0]], "sigma": "arcsine"},
-        "grids": {"n_per_component": 400, "grading": 2.0},
-        "hp": {"n_list": [5, 10, 20, 40], "precision_bits": 512},
-        "balayage": {"point": 2.0},
-        "tolerance_scale": 1.0,
-        "positivity_samples": 1000,
-        "seed": 20240801,
-    },
+    "f23-arcsine": _preset([[2.0, 3.0]], "arcsine"),
+    "f23-constant": _preset([[2.0, 3.0]], "constant"),
+    "sym-arcsine": _preset([[-3.0, -2.0], [2.0, 3.0]], "arcsine"),
 }
 
 DEFAULT_PRESET = "f23-arcsine"
@@ -70,81 +71,122 @@ def load_config(args) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            return cfg  # validate_config reports it
     else:
         preset = args.preset or DEFAULT_PRESET
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
-        cfg = json.loads(json.dumps(PRESETS[preset]))
-    if args.nodes is not None:
-        cfg.setdefault("grids", {})["n_per_component"] = args.nodes
-    if args.precision_bits is not None:
-        cfg.setdefault("hp", {})["precision_bits"] = args.precision_bits
-    if args.tolerance_scale is not None:
-        cfg["tolerance_scale"] = args.tolerance_scale
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg = copy.deepcopy(PRESETS[preset])
+    overrides = {
+        "grids.n_per_component": args.nodes,
+        "hp.precision_bits": args.precision_bits,
+        "tolerance_scale": args.tolerance_scale,
+        "seed": args.seed,
+    }
+    for key, value in overrides.items():
+        if value is None:
+            continue
+        section, _, leaf = key.rpartition(".")
+        node = cfg.setdefault(section, {}) if section else cfg
+        if isinstance(node, dict):  # validate_config reports a section that is not
+            node[leaf] = value
     cfg["threads"] = args.threads
     return cfg
 
 
-def validate_config(cfg: dict):
-    """Collects every violated invariant and reports them together."""
-    problems = []
-    ivs = cfg.get("problem", {}).get("f_intervals")
-    if not ivs:
-        problems.append("problem.f_intervals missing or empty")
-    else:
-        try:
-            from .kernels import IntervalUnion, require_gap_to_e
+class RunConfig(NamedTuple):
+    """The objects of one run, read from a checked config."""
 
-            require_gap_to_e(IntervalUnion(ivs))
-        except (ValueError, TypeError) as exc:
-            problems.append(f"problem.f_intervals invalid: {exc}")
-    sigma = cfg.get("problem", {}).get("sigma", "arcsine")
-    if sigma not in ("arcsine", "constant"):
-        problems.append(f"problem.sigma must be 'arcsine' or 'constant', got {sigma!r}")
-    n = cfg.get("grids", {}).get("n_per_component", 400)
-    if not isinstance(n, int) or n < 8:
-        problems.append("grids.n_per_component must be an integer >= 8")
-    grading = cfg.get("grids", {}).get("grading", 2.0)
-    if not 1.0 <= float(grading) <= 2.0:
-        problems.append("grids.grading must lie in [1, 2]")
-    n_list = cfg.get("hp", {}).get("n_list", [5, 10, 20, 40])
-    if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(k < 0 for k in n_list):
-        problems.append("hp.n_list must be nonnegative and strictly increasing")
-    bits = cfg.get("hp", {}).get("precision_bits", 512)
-    if not isinstance(bits, int) or bits < 64:
-        problems.append("hp.precision_bits must be an integer >= 64")
-    scale = cfg.get("tolerance_scale", 1.0)
-    if not float(scale) > 0:
-        problems.append("tolerance_scale must be positive")
+    F: object                   # IntervalUnion
+    grid: object                # GridParams
+    tolerances: object          # Tolerances
+    sigma: object               # MarkovSpec
+    n_list: list
+    precision_bits: int
+    ks_final: float
+    positivity_samples: int
+    seed: int
+    balayage_point: float
+
+
+def _expect(ok, what):
+    def parse(value):
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _parsers():
+    """Config key -> function that checks the value and returns what the run uses."""
+    from .balayage import require_outside_e
+    from .hermite_pade import require_n_list
+    from .kernels import IntervalUnion, is_integer, is_real, require_gap_to_e
+    from .measures import require_grading, require_node_count
+
+    return {
+        "problem.f_intervals": lambda ivs: require_gap_to_e(IntervalUnion(ivs)),
+        "problem.sigma": _expect(lambda s: s in ("arcsine", "constant"), "'arcsine' or 'constant'"),
+        "grids.n_per_component": require_node_count,
+        "grids.grading": require_grading,
+        "hp.n_list": require_n_list,
+        "hp.precision_bits": _expect(lambda b: is_integer(b) and b >= 64, "an integer >= 64"),
+        "balayage.point": require_outside_e,
+        "tolerance_scale": _expect(lambda s: is_real(s) and 0 < s < math.inf,
+                                   "a positive finite number"),
+        "positivity_samples": _expect(lambda k: is_integer(k) and k >= 1, "a positive integer"),
+        "seed": _expect(lambda k: is_integer(k) and k >= 0, "a nonnegative integer"),
+    }
+
+
+def validate_config(cfg: dict) -> RunConfig:
+    """Reads and checks every key, filling missing ones from DEFAULTS.
+
+    Collects every violated invariant into one ConfigError; otherwise returns
+    the run's objects.
+    """
+    from .equilibrium import GridParams
+    from .hermite_pade import arcsine_sigma, constant_sigma
+    from .verify import KS_FINAL, Tolerances
+
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"the config must be a JSON object, got {type(cfg).__name__}")
+    problems = [f"{name} must be an object, got {cfg[name]!r}" for name in DEFAULTS
+                if isinstance(DEFAULTS[name], dict) and not isinstance(cfg.get(name, {}), dict)]
+    values = {}
+    for key, parse in _parsers().items():
+        section, _, leaf = key.rpartition(".")
+        node, default = (cfg.get(section, {}), DEFAULTS[section]) if section else (cfg, DEFAULTS)
+        if not isinstance(node, dict):
+            continue
+        value = node.get(leaf, default.get(leaf))
+        if value is None:
+            problems.append(f"{key}: missing")
+            continue
+        try:
+            values[key] = parse(value)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{key}: {exc}")
     if problems:
         raise ConfigError(problems)
 
-
-def _build_objects(cfg):
-    from .equilibrium import GridParams
-    from .hermite_pade import arcsine_sigma, constant_sigma
-    from .kernels import IntervalUnion
-    from .verify import Tolerances
-
-    F = IntervalUnion(cfg["problem"]["f_intervals"])
-    gp = GridParams(
-        n=cfg.get("grids", {}).get("n_per_component", 400),
-        grading=float(cfg.get("grids", {}).get("grading", 2.0)),
+    F = values["problem.f_intervals"]
+    scale = values["tolerance_scale"]
+    make_sigma = arcsine_sigma if values["problem.sigma"] == "arcsine" else constant_sigma
+    return RunConfig(
+        F=F,
+        grid=GridParams(n=values["grids.n_per_component"], grading=values["grids.grading"]),
+        tolerances=Tolerances().scaled(float(scale)),
+        sigma=make_sigma(F),
+        n_list=values["hp.n_list"],
+        precision_bits=values["hp.precision_bits"],
+        ks_final=KS_FINAL * float(scale),
+        positivity_samples=values["positivity_samples"],
+        seed=values["seed"],
+        balayage_point=values["balayage.point"],
     )
-    scale = float(cfg.get("tolerance_scale", 1.0))
-    base = Tolerances()
-    tol = Tolerances(
-        ks=base.ks * scale,
-        residual_rel=base.residual_rel * scale,
-        constancy=base.constancy * scale,
-        identity=base.identity,
-        constant_agreement=base.constant_agreement * scale,
-    )
-    kind = cfg.get("problem", {}).get("sigma", "arcsine")
-    sigma = arcsine_sigma(F) if kind == "arcsine" else constant_sigma(F)
-    return F, gp, tol, sigma
 
 
 # --------------------------------------------------------------------------
@@ -190,9 +232,9 @@ class OutputDir:
             fh.write("\n")
 
 
-def _write_solution(out, prefix, sol, grid):
+def _write_solution(out, prefix, sol, grid_params):
     sol.measure.to_csv(out.path(f"{prefix}.csv"))
-    out.write_json(f"{prefix}.json", sol.sidecar_dict(grid))
+    out.write_json(f"{prefix}.json", sol.sidecar_dict(grid_params))
 
 
 def _write_report(out, rep, stem):
@@ -213,13 +255,11 @@ def _write_timings(out, reports, solve_timings):
 # command implementations
 
 
-def _cmd_solve_scalar(cfg, out):
+def _cmd_solve_scalar(rc: RunConfig, out):
     from .equilibrium import solve_scalar
-    from .measures import make_grid
 
-    F, gp, _, _ = _build_objects(cfg)
-    sol = solve_scalar(F, gp)
-    _write_solution(out, "scalar_f", sol, make_grid(F, gp.n, gp.grading))
+    sol = solve_scalar(rc.F, rc.grid)
+    _write_solution(out, "scalar_f", sol, rc.grid)
     print(
         f"[solve-scalar] constant={sol.constant:.6f} residual_sup={sol.residual_sup:.3e} "
         f"min_density={sol.min_density:.3e} ({sol.method})"
@@ -227,14 +267,12 @@ def _cmd_solve_scalar(cfg, out):
     return 0
 
 
-def _cmd_solve_vector(cfg, out):
-    from .equilibrium import E_INTERVAL, solve_vector
-    from .measures import make_grid
+def _cmd_solve_vector(rc: RunConfig, out):
+    from .equilibrium import solve_vector
 
-    F, gp, _, _ = _build_objects(cfg)
-    sol_e, sol_f = solve_vector(F, gp)
-    _write_solution(out, "coupled_e", sol_e, make_grid(E_INTERVAL, gp.n, gp.grading))
-    _write_solution(out, "coupled_f", sol_f, make_grid(F, gp.n, gp.grading))
+    sol_e, sol_f = solve_vector(rc.F, rc.grid)
+    _write_solution(out, "coupled_e", sol_e, rc.grid)
+    _write_solution(out, "coupled_f", sol_f, rc.grid)
     print(
         f"[solve-vector] w1={sol_e.constants[0]:.6f} w2={sol_e.constants[1]:.6f} "
         f"residuals=({sol_e.residual_sup:.3e}, {sol_f.residual_sup:.3e})"
@@ -242,13 +280,11 @@ def _cmd_solve_vector(cfg, out):
     return 0
 
 
-def _cmd_solve_p6(cfg, out):
-    from .equilibrium import E_INTERVAL, solve_reduced
-    from .measures import make_grid
+def _cmd_solve_p6(rc: RunConfig, out):
+    from .equilibrium import solve_reduced
 
-    F, gp, _, _ = _build_objects(cfg)
-    sol = solve_reduced(F, gp)
-    _write_solution(out, "reduced_e", sol, make_grid(E_INTERVAL, gp.n, gp.grading))
+    sol = solve_reduced(rc.F, rc.grid)
+    _write_solution(out, "reduced_e", sol, rc.grid)
     print(
         f"[solve-p6] constant={sol.constant:.6f} residual_sup={sol.residual_sup:.3e} "
         f"min_density={sol.min_density:.3e}"
@@ -256,38 +292,24 @@ def _cmd_solve_p6(cfg, out):
     return 0
 
 
-def _cmd_balayage(cfg, out):
+def _cmd_balayage(rc: RunConfig, out):
     import numpy as np
 
     from .balayage import balayage_numeric, balayage_point_to_e
     from .equilibrium import E_INTERVAL
-    from .kernels import green_e_at_infinity
+    from .kernels import IntervalUnion, green_e_at_infinity
     from .measures import DiscreteMeasure, ks_distance, log_potential, make_grid
 
-    _, gp, _, _ = _build_objects(cfg)
-    a = float(cfg.get("balayage", {}).get("point", 2.0))
-    if abs(a) <= 1.0 + 1e-9:
-        raise ConfigError(f"balayage.point must lie outside [-1, 1], got {a}")
-    from .kernels import IntervalUnion
-
-    grid = make_grid(E_INTERVAL, gp.n, gp.grading)
+    a = rc.balayage_point
+    grid = make_grid(E_INTERVAL, rc.grid.n, rc.grid.grading)
     closed = balayage_point_to_e(a, grid)
     # a single narrow cell centered at the point stands in for the delta mass
     half = min(abs(a) - 1.0, 0.5) / 1000.0
-    src = DiscreteMeasure(
-        [a], [1.0], [a - half], [a + half], IntervalUnion([(a - half, a + half)])
-    )
+    src = DiscreteMeasure([a], [1.0], [a - half], [a + half], IntervalUnion([(a - half, a + half)]))
     numeric = balayage_numeric(src, grid)
     ks = ks_distance(closed.measure, numeric.measure)
-    ident = float(
-        np.max(
-            np.abs(
-                log_potential(numeric.measure, grid.nodes)
-                - log_potential(src, grid.nodes)
-                - numeric.shift_constant
-            )
-        )
-    )
+    ident = float(np.max(np.abs(log_potential(numeric.measure, grid.nodes)
+                                - log_potential(src, grid.nodes) - numeric.shift_constant)))
     closed.measure.to_csv(out.path("balayage_closed.csv"))
     numeric.measure.to_csv(out.path("balayage_numeric.csv"))
     out.write_json(
@@ -306,16 +328,13 @@ def _cmd_balayage(cfg, out):
     return 0
 
 
-def _cmd_hp(cfg, out):
+def _cmd_hp(rc: RunConfig, out):
     from .hermite_pade import HPSweep, solve_with_escalation
 
-    _, _, _, sigma = _build_objects(cfg)
-    n_list = cfg.get("hp", {}).get("n_list", [5, 10, 20, 40])
-    bits = cfg.get("hp", {}).get("precision_bits", 512)
-    sweep = HPSweep(sigma, n_list)
+    sweep = HPSweep(rc.sigma, rc.n_list)
     summary = []
-    for n in n_list:
-        sol, zeros = solve_with_escalation(n, sigma, bits, sweep=sweep)
+    for n in rc.n_list:
+        sol, zeros = solve_with_escalation(n, rc.sigma, rc.precision_bits, sweep=sweep)
         sol.save_json(out.path(f"hp_n{n}.json"))
         with open(out.path(f"hp_zeros_n{n}.csv"), "w", encoding="utf-8") as fh:
             fh.write("index,zero\n")
@@ -336,9 +355,8 @@ def _cmd_hp(cfg, out):
     return 0
 
 
-def _cmd_verify(cfg, out, which):
-    from .equilibrium import E_INTERVAL, solve_scalar, solve_vector
-    from .measures import make_grid
+def _cmd_verify(rc: RunConfig, out, which):
+    from .equilibrium import solve_scalar, solve_vector
     from .verify import (
         verify_charge_slopes,
         verify_equivalence,
@@ -347,40 +365,26 @@ def _cmd_verify(cfg, out, which):
         verify_zero_distribution,
     )
 
-    F, gp, tol, sigma = _build_objects(cfg)
     t0 = time.perf_counter()
-    scalar = solve_scalar(F, gp)
+    scalar = solve_scalar(rc.F, rc.grid)
     solve_timings = {"scalar": time.perf_counter() - t0}
     coupled = None
     if which in ("theorem1", "all"):
         t0 = time.perf_counter()
-        coupled = solve_vector(F, gp)
+        coupled = solve_vector(rc.F, rc.grid)
         solve_timings["coupled"] = time.perf_counter() - t0
 
     reports = []
     if coupled is not None:
-        reports.append(verify_equivalence(F, scalar, coupled, gp, tol))
+        reports.append(verify_equivalence(rc.F, scalar, coupled, rc.grid, rc.tolerances))
     if which == "all":
-        reports.append(verify_mixed_potential(scalar.measure, coupled[0].measure, tol))
-        reports.append(
-            verify_positivity(
-                scalar.measure,
-                samples=int(cfg.get("positivity_samples", 1000)),
-                seed=int(cfg.get("seed", 20240801)),
-            )
-        )
+        reports.append(verify_mixed_potential(scalar.measure, coupled[0].measure, rc.tolerances))
+        reports.append(verify_positivity(scalar.measure, rc.positivity_samples, rc.seed))
         reports.append(verify_charge_slopes(scalar.measure))
     if which in ("prop2", "all"):
-        scale = float(cfg.get("tolerance_scale", 1.0))
         reports.append(
-            verify_zero_distribution(
-                sigma,
-                cfg.get("hp", {}).get("n_list", [5, 10, 20, 40]),
-                scalar.measure,
-                gp,
-                cfg.get("hp", {}).get("precision_bits", 512),
-                ks_final=0.08 * scale,
-            )
+            verify_zero_distribution(rc.sigma, rc.n_list, scalar.measure, rc.grid,
+                                     rc.precision_bits, ks_final=rc.ks_final)
         )
 
     ok = True
@@ -392,11 +396,9 @@ def _cmd_verify(cfg, out, which):
     out.write_text("report.md", "\n".join(combined_md))
     # plot-ready CSVs: the solved measures and the KS sequence
     if coupled is not None:
-        f_grid = make_grid(F, gp.n, gp.grading)
-        _write_solution(out, "measures/scalar_f", scalar, f_grid)
-        _write_solution(out, "measures/coupled_e", coupled[0],
-                        make_grid(E_INTERVAL, gp.n, gp.grading))
-        _write_solution(out, "measures/coupled_f", coupled[1], f_grid)
+        _write_solution(out, "measures/scalar_f", scalar, rc.grid)
+        _write_solution(out, "measures/coupled_e", coupled[0], rc.grid)
+        _write_solution(out, "measures/coupled_f", coupled[1], rc.grid)
     for rep in reports:
         seq = rep.provenance.get("ks_sequence")
         if seq:
@@ -471,9 +473,9 @@ def run(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 2
-        validate_config(cfg)
+        rc = validate_config(cfg)
         out = OutputDir(args.out)
-        code = HANDLERS[args.command](cfg, out)
+        code = HANDLERS[args.command](rc, out)
     except ConfigError as exc:
         print("configuration invalid:", file=sys.stderr)
         for v in exc.violations:

@@ -26,7 +26,7 @@ always re-measured through the evaluation-route quadrature of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,9 @@ from .kernels import (
     _phi_real,
     green_single_interval,
     require_gap_to_e,
+    scalar_kernel_smooth,
 )
-from .measures import DiscreteMeasure, Grid, log_potential, make_grid, neglog_cell_averages
+from .measures import DiscreteMeasure, Grid, make_grid, neglog_cell_averages
 
 E_INTERVAL = IntervalUnion([(E_LEFT, E_RIGHT)])
 
@@ -73,11 +74,7 @@ LOG_KERNEL = SingularKernel(sing_coeff=1.0)
 
 def surface_kernel() -> SingularKernel:
     """Kernel of the scalar problem over real points outside E."""
-
-    def smooth(s, t):
-        return np.log(np.abs(1.0 - _phi_real(s) * _phi_real(t)))
-
-    return SingularKernel(sing_coeff=2.0, smooth=smooth)
+    return SingularKernel(sing_coeff=2.0, smooth=scalar_kernel_smooth)
 
 
 def surface_field(x):
@@ -94,13 +91,11 @@ def reduced_kernel(F: IntervalUnion) -> SingularKernel:
 # assembly and evaluation
 
 
-def assemble_energy_matrix(grid: Grid, kernel: SingularKernel, near_field_exact=False):
+def assemble_energy_matrix(grid: Grid, kernel: SingularKernel):
     """Galerkin energy matrix: midpoint off-diagonal, exact self-cell diagonal.
 
     The self-cell double integral of -log|s-t| over a width-h cell is
-    h^2 (3/2 - log h); with ``near_field_exact`` the adjacent-cell pair
-    integral is exact as well (off by default, midpoint plus grading is the
-    reference discretization).
+    h^2 (3/2 - log h).
     """
     x = grid.nodes
     h = grid.widths
@@ -108,35 +103,10 @@ def assemble_energy_matrix(grid: Grid, kernel: SingularKernel, near_field_exact=
     with np.errstate(divide="ignore"):
         K = -np.log(np.abs(D))
     np.fill_diagonal(K, 1.5 - np.log(h))
-    if near_field_exact:
-        for i in range(len(x) - 1):
-            if abs(grid.cell_right[i] - grid.cell_left[i + 1]) > 1e-14 * max(1.0, abs(x[i])):
-                continue
-            val = _pair_integral_neglog(
-                grid.cell_left[i], grid.cell_right[i], grid.cell_left[i + 1], grid.cell_right[i + 1]
-            ) / (h[i] * h[i + 1])
-            K[i, i + 1] = val
-            K[i + 1, i] = val
     K = kernel.sing_coeff * K
     if kernel.smooth is not None:
         K = K + kernel.smooth_matrix(x, x)
     return K
-
-
-def _L2(u):
-    # double antiderivative of log|u|, L2'' = log|u|, L2(0) = 0
-    out = np.zeros_like(np.asarray(u, dtype=float))
-    uu = np.asarray(u, dtype=float)
-    nz = uu != 0.0
-    out[nz] = uu[nz] ** 2 * (2.0 * np.log(np.abs(uu[nz])) - 3.0) / 4.0
-    return out
-
-
-def _pair_integral_neglog(a1, b1, a2, b2):
-    """Exact integral of -log|s - t| over [a1, b1] x [a2, b2], disjoint cells."""
-    corners = np.array([b2 - a1, a2 - b1, b2 - b1, a2 - a1])
-    vals = _L2(corners)
-    return -(vals[0] + vals[1] - vals[2] - vals[3])
 
 
 def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
@@ -163,13 +133,12 @@ class EquilibriumSolution:
     method: str
     iterations: int = 0
     energy: float = float("nan")
-    energy_trace: tuple = field(default=(), repr=False)
 
     @property
     def constant(self) -> float:
         return self.constants[0]
 
-    def sidecar_dict(self, grid: Grid) -> dict:
+    def sidecar_dict(self, grid_params: GridParams) -> dict:
         return {
             "constant": float(self.constants[0]),
             "constants": [float(c) for c in self.constants],
@@ -177,9 +146,9 @@ class EquilibriumSolution:
             "min_density": float(self.min_density),
             "method": self.method,
             "grid": {
-                "n_per_component": grid.n_per_component,
-                "grading": grid.grading,
-                "support": [[l, r] for (l, r) in grid.support.intervals],
+                "n_per_component": grid_params.n,
+                "grading": grid_params.grading,
+                "support": [[l, r] for (l, r) in self.measure.support.intervals],
             },
         }
 
@@ -359,11 +328,9 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
     c = float(-sol[n])
     method = "saddle"
     iterations = 0
-    trace = ()
     if np.min(w) < -1e-12:
-        w, (c,), iterations, trace_list = minimize_on_simplices(K, f, [(n, 1.0)])
+        w, (c,), iterations, _ = minimize_on_simplices(K, f, [(n, 1.0)])
         method = "projected"
-        trace = tuple(trace_list)
 
     mu = DiscreteMeasure.from_weights(grid, np.maximum(w, 0.0))
     pe = kernel_potential(mu, kernel, grid.nodes) + f
@@ -377,7 +344,6 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
         method=method,
         iterations=iterations,
         energy=_energy(K, f, np.asarray(mu.weights)),
-        energy_trace=trace,
     )
 
 
@@ -476,8 +442,10 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
 
     lam_e = DiscreteMeasure.from_weights(ge, np.maximum(u, 0.0))
     lam_f = DiscreteMeasure.from_weights(gf, np.maximum(v, 0.0))
-    r1 = float(np.max(np.abs(4.0 * log_potential(lam_e, ge.nodes) - log_potential(lam_f, ge.nodes) - w1)))
-    r2 = float(np.max(np.abs(-log_potential(lam_e, gf.nodes) + log_potential(lam_f, gf.nodes) - w2)))
+    # the blocks depend on the cells only, so they give the potentials of lam_e, lam_f
+    ue, uf = lam_e.weights, lam_f.weights
+    r1 = float(np.max(np.abs(4.0 * (QEE @ ue) - QEF @ uf - w1)))
+    r2 = float(np.max(np.abs(-(QFE @ ue) + QFF @ uf - w2)))
     sol_e = EquilibriumSolution(
         measure=lam_e,
         constants=(w1, w2),

@@ -22,10 +22,11 @@ severely ill-conditioned: log2 cond grows by about 13 bits per order on
 F = [2, 3], and once it nears the working precision the solution degrades
 although the residual check may still pass.  The escalation driver therefore
 doubles the working precision (up to a cap) until log2 cond stays
-GATE_MARGIN_BITS below it and the real-zero count is full.  Across the orders
-of one run an HPSweep keeps one moment table per precision and starts each
-order at the precision predicted from the previous order's conditioning
-growth.
+GATE_MARGIN_BITS below it and the real-zero count is full.  The orders of
+one run form a nonempty, strictly increasing list of nonnegative integers
+(require_n_list, the one check of it, shared with the CLI); across them an
+HPSweep keeps one moment table per precision and starts each order at the
+precision predicted from the previous order's conditioning growth.
 
 All moment arithmetic runs at an elevated working precision and is rounded
 to the requested precision only at the end; b_k uses the exact recursion
@@ -35,10 +36,11 @@ to the requested precision only at the end; b_k uses the exact recursion
 
 over the per-component Gauss discretization (t_j, omega_j) of sigma, so the
 only approximation in b_k is the quadrature of sigma, which is checked by
-order doubling.  The rule is placed in the variable u = sqrt(|t| - 1): a
-rule affine in t converges only at the rate set by the branch point of f1
-at t = +-1, which needs order 1024 on F = [1.01, 1.5] at 512 bits, while in
-u the pole of f1 cancels against dt = 2u du and order 256 suffices.  The
+doubling its order from QUAD_ORDER_START = 64.  The rule is placed in the
+variable u = sqrt(|t| - 1): a rule affine in t converges only at the rate
+set by the branch point of f1 at t = +-1, which needs order 1024 on
+F = [1.01, 1.5] at 512 bits, while in u the pole of f1 cancels against
+dt = 2u du and order 256 suffices.  The
 recursion runs on Python integers in fixed point (each value v held as
 floor(v * 2^P)) and converts to mpf once at the end.  After that rounding
 it agrees bit for bit with the same recursion in mpf arithmetic at
@@ -59,11 +61,22 @@ import numpy as np
 from mpmath.libmp import to_fixed
 
 from .errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
-from .kernels import IntervalUnion, require_gap_to_e
+from .kernels import IntervalUnion, is_integer, require_gap_to_e
 from .measures import DiscreteMeasure
 
 DEFAULT_PRECISION_BITS = 512
 MAX_PRECISION_BITS = 4096
+# the sigma quadrature doubles from this order until the moments settle
+QUAD_ORDER_START = 64
+
+
+def require_n_list(n_list) -> list:
+    """The one check of a list of orders; returns it as a list."""
+    ok = isinstance(n_list, (list, tuple)) and all(is_integer(n) and n >= 0 for n in n_list)
+    if not ok or not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("orders must form a nonempty, strictly increasing list of "
+                         f"nonnegative integers, got {n_list!r}")
+    return list(n_list)
 
 
 # --------------------------------------------------------------------------
@@ -81,18 +94,15 @@ class MarkovSpec:
 
     support: IntervalUnion
     density: object
-    quad_order: int = 64
     rule: str = "legendre"
 
     def __post_init__(self):
         require_gap_to_e(self.support)
         if self.rule not in ("legendre", "chebyshev"):
             raise ValueError("rule must be 'legendre' or 'chebyshev'")
-        if self.quad_order < 4:
-            raise ValueError("quadrature order must be at least 4")
 
 
-def arcsine_sigma(support: IntervalUnion, quad_order: int = 64) -> MarkovSpec:
+def arcsine_sigma(support: IntervalUnion) -> MarkovSpec:
     """Unit measure with arcsine density on each component (equal masses)."""
     m = support.m
     comps = support.intervals
@@ -104,20 +114,28 @@ def arcsine_sigma(support: IntervalUnion, quad_order: int = 64) -> MarkovSpec:
                 return 1 / (m * mp.pi * mp.sqrt((t - c) * (d - t)))
         raise ValueError(f"{t} is outside the support")
 
-    return MarkovSpec(support=support, density=density, quad_order=quad_order, rule="chebyshev")
+    return MarkovSpec(support=support, density=density, rule="chebyshev")
 
 
-def constant_sigma(support: IntervalUnion, quad_order: int = 64) -> MarkovSpec:
+def constant_sigma(support: IntervalUnion) -> MarkovSpec:
     """Unit measure with constant density over the whole support."""
     total = support.total_length
 
     def density(t):
         return mp.mpf(1) / total
 
-    return MarkovSpec(support=support, density=density, quad_order=quad_order, rule="legendre")
+    return MarkovSpec(support=support, density=density, rule="legendre")
 
 
 _GL_CACHE = {}
+
+
+def _legendre(order: int, x):
+    """P_order(x) and its derivative, by the three-term recurrence."""
+    p0, p1 = mp.mpf(1), x
+    for k in range(2, order + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, order * (x * p1 - p0) / (x * x - 1)
 
 
 def gauss_legendre(order: int, prec: int):
@@ -135,18 +153,12 @@ def gauss_legendre(order: int, prec: int):
         for seed in seeds:
             x = mp.mpf(float(seed))
             for _ in range(100):
-                p0, p1 = mp.mpf(1), x
-                for k in range(2, order + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
+                p, dp = _legendre(order, x)
+                dx = p / dp
                 x = x - dx
                 if abs(dx) < mp.mpf(2) ** (-(prec + 16)):
                     break
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, order + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = order * (x * p1 - p0) / (x * x - 1)
+            _, dp = _legendre(order, x)
             xs.append(x)
             ws.append(2 / ((1 - x * x) * dp * dp))
     # the middle node x = 0 of an odd rule is its own mirror
@@ -253,7 +265,7 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
     Returns (b, order): the moments at the accepted quadrature order, and
     that order.
     """
-    order = sigma.quad_order
+    order = QUAD_ORDER_START
     ts, ws = discretize_sigma(sigma, order, precision_bits)
     prev = _moments_f2_at_order(k_max, ts, ws, precision_bits)
     tol = mp.mpf(2) ** (-(precision_bits // 2))
@@ -365,18 +377,22 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
         return _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond, "lu")
 
 
-def _square_system(n, a, b):
-    """The order condition with Q2[n] = 1: unknowns Q1[0..n], Q2[0..n-1]."""
+def _moment_matrix(n, a, b):
+    """The (2n+1) x (2n+2) order-condition matrix on (Q1[0..n], Q2[0..n])."""
     m = 2 * n + 1
-    A = mp.matrix(m, m)
-    rhs = mp.matrix(m, 1)
+    M = mp.matrix(m, m + 1)
     for r in range(m):
         for i in range(n + 1):
-            A[r, i] = a[i + r]
-        for i in range(n):
-            A[r, n + 1 + i] = b[i + r]
-        rhs[r] = -b[n + r]
-    return A, rhs
+            M[r, i] = a[i + r]
+            M[r, n + 1 + i] = b[i + r]
+    return M
+
+
+def _square_system(n, a, b):
+    """The order condition with Q2[n] = 1: unknowns Q1[0..n], Q2[0..n-1]."""
+    M = _moment_matrix(n, a, b)
+    m = 2 * n + 1
+    return M[:, 0:m], -M.column(m)
 
 
 def _check_moments(n, a, b):
@@ -395,11 +411,7 @@ def _solve_hp_svd(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) ->
     _check_moments(n, a, b)
     m = 2 * n + 1
     with mp.workprec(precision_bits):
-        M = mp.matrix(m, m + 1)
-        for r in range(m):
-            for i in range(n + 1):
-                M[r, i] = a[i + r]
-                M[r, n + 1 + i] = b[i + r]
+        M = _moment_matrix(n, a, b)
         U, S, V = mp.svd_r(M, full_matrices=True, compute_uv=True)
         sigma_min = S[m - 1]
         sigma_max = S[0]
@@ -459,18 +471,24 @@ def _solve_transposed(LU, perm, c):
     return w
 
 
+def _laurent_residuals(n, a, b, p, q, count):
+    """|coefficient of z^-j| of Q1 f1 + Q2 f2, for j = 1..count."""
+    out = []
+    for j in range(1, count + 1):
+        s = mp.mpf(0)
+        for i in range(n + 1):
+            s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
+        out.append(abs(s))
+    return out
+
+
 def _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond, method):
     """Verify the order condition for (p, q), normalize Q2 and complete Q0."""
     qmax = max(abs(x) for x in q)
     pmax = max(abs(x) for x in p)
     if qmax == 0 and pmax == 0:
         raise PrecisionError("null vector vanished at working precision")
-    residuals = []
-    for j in range(1, 2 * n + 3):
-        s = mp.mpf(0)
-        for i in range(n + 1):
-            s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
-        residuals.append(abs(s))
+    residuals = _laurent_residuals(n, a, b, p, q, 2 * n + 2)
     tol_vanish = mp.mpf(2) ** (-(precision_bits // 4))
     if max(residuals[: 2 * n + 1], default=mp.mpf(0)) > tol_vanish:
         raise PrecisionError(
@@ -504,13 +522,7 @@ def _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond
     if not q0:
         q0 = [mp.mpf(0)]
 
-    resid_norm = []
-    for j in range(1, 2 * n + 2):
-        s = mp.mpf(0)
-        for i in range(n + 1):
-            s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
-        resid_norm.append(abs(s))
-    residual_max = max(resid_norm, default=mp.mpf(0))
+    residual_max = max(_laurent_residuals(n, a, b, p, q, 2 * n + 1), default=mp.mpf(0))
     if residual_max > tol_vanish:
         raise PrecisionError(
             f"normalized residual {mp.nstr(residual_max, 5)} exceeds 2^-{precision_bits // 4}"
@@ -542,32 +554,31 @@ def _polyval(coeffs_desc, x):
     return acc
 
 
-def zeros_q2(sol: HPSolution, hull=None, *, max_grid_doublings: int = 3):
+# the bracketing grid is refined at most this many times
+MAX_GRID_DOUBLINGS = 3
+
+
+def zeros_q2(sol: HPSolution, hull):
     """All real zeros of Q2, by sign-change bracketing plus bisection/Newton.
 
     ``hull`` is the convex hull (lo, hi) of the support of sigma; the search
-    window is the hull widened by half its length (or a coefficient-based
-    bound when no hull is given).  Zeros found outside the hull are kept and
-    flagged with a warning; finding fewer zeros than the degree is a
-    precision failure, reported for escalation.
+    window is the hull widened by half its length.  Zeros found outside the
+    hull are kept and flagged with a warning; finding fewer zeros than the
+    degree is a precision failure, reported for escalation.
     """
     deg = sol.degree_q2
     with mp.workprec(sol.precision_bits):
         coeffs = list(reversed(sol.q2[: deg + 1]))
-        if hull is None:
-            bound = 1 + max(abs(c) for c in coeffs)
-            lo, hi = -bound, bound
-        else:
-            width = hull[1] - hull[0]
-            lo = mp.mpf(hull[0]) - width / 2
-            hi = mp.mpf(hull[1]) + width / 2
+        width = hull[1] - hull[0]
+        lo = mp.mpf(hull[0]) - width / 2
+        hi = mp.mpf(hull[1]) + width / 2
         if deg == 0:
             return []
 
         npts = max(512, 32 * deg)
         roots = []
         prev_count = -1
-        for _ in range(max_grid_doublings + 1):
+        for _ in range(MAX_GRID_DOUBLINGS + 1):
             xs = [lo + (hi - lo) * mp.mpf(i) / npts for i in range(npts + 1)]
             vals = [_polyval(coeffs, x) for x in xs]
             roots = []
@@ -591,13 +602,12 @@ def zeros_q2(sol: HPSolution, hull=None, *, max_grid_doublings: int = 3):
                 f"found {len(roots)} real zeros for degree {deg}; escalation required"
             )
         roots = sorted(roots)
-        if hull is not None:
-            outside = [r for r in roots if r < hull[0] or r > hull[1]]
-            if outside:
-                warnings.warn(
-                    f"{len(outside)} zero(s) outside the hull {hull}: precision diagnostic",
-                    PrecisionDiagnosticWarning,
-                )
+        outside = [r for r in roots if r < hull[0] or r > hull[1]]
+        if outside:
+            warnings.warn(
+                f"{len(outside)} zero(s) outside the hull {hull}: precision diagnostic",
+                PrecisionDiagnosticWarning,
+            )
     return roots
 
 
@@ -687,7 +697,6 @@ def solve_with_escalation(
     precision_bits: int = DEFAULT_PRECISION_BITS,
     *,
     max_bits: int = MAX_PRECISION_BITS,
-    hull=None,
     sweep: HPSweep | None = None,
 ):
     """Moments, solve, condition gate and zeros, doubling the precision until all pass.
@@ -703,8 +712,6 @@ def solve_with_escalation(
         sweep = HPSweep(sigma, [n])
     elif sweep.sigma is not sigma:
         raise ValueError("sweep was built for a different sigma")
-    if hull is None:
-        hull = sigma.support.hull
     bits = sweep.start_bits(n, precision_bits, max_bits)
     if bits > max_bits:
         raise PrecisionError(
@@ -720,7 +727,7 @@ def solve_with_escalation(
                 raise PrecisionError(
                     f"log2 cond {sol.log2_cond:.1f} + {GATE_MARGIN_BITS} exceeds {bits} bits"
                 )
-            zeros = zeros_q2(sol, hull=hull)
+            zeros = zeros_q2(sol, sigma.support.hull)
         except PrecisionError as exc:
             last_exc = exc
             bits *= 2

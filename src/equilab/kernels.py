@@ -26,6 +26,7 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,16 @@ LOG2 = float(np.log(2.0))
 # domain types
 
 
+def is_integer(x) -> bool:
+    """True for integers; False for booleans, floats and strings."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """True for real numbers; False for booleans and strings."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Finite disjoint union of closed real intervals, ordered left to right."""
@@ -46,7 +57,10 @@ class IntervalUnion:
     intervals: tuple
 
     def __init__(self, intervals):
-        ivs = tuple((float(l), float(r)) for (l, r) in intervals)
+        ivs = tuple((l, r) for (l, r) in intervals)
+        if not all(is_real(x) for iv in ivs for x in iv):
+            raise TypeError("interval endpoints must be real numbers")
+        ivs = tuple((float(l), float(r)) for (l, r) in ivs)
         if not ivs:
             raise ValueError("IntervalUnion needs at least one interval")
         for (l, r) in ivs:
@@ -71,13 +85,6 @@ class IntervalUnion:
     def total_length(self) -> float:
         return sum(r - l for (l, r) in self.intervals)
 
-    def contains(self, x, tol=0.0):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=bool)
-        for (l, r) in self.intervals:
-            out |= (x >= l - tol) & (x <= r + tol)
-        return out if out.shape else bool(out)
-
     def gap_to_unit_interval(self) -> float:
         """Distance from this set to E = [-1, 1]; negative means overlap."""
         gap = np.inf
@@ -101,13 +108,14 @@ class IntervalUnion:
 MIN_GAP = 1e-6
 
 
-def require_gap_to_e(F: IntervalUnion) -> None:
-    """The one check that F keeps at least ``MIN_GAP`` from E = [-1, 1]."""
+def require_gap_to_e(F: IntervalUnion) -> IntervalUnion:
+    """The one check that F keeps at least ``MIN_GAP`` from E = [-1, 1]; returns F."""
     gap = F.gap_to_unit_interval()
     if gap < MIN_GAP:
         raise ValueError(
             f"F must be disjoint from [-1, 1] with gap at least {MIN_GAP:g}; got gap {gap:g}"
         )
+    return F
 
 
 @dataclass(frozen=True)

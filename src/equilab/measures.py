@@ -25,6 +25,8 @@ from .kernels import (
     IntervalUnion,
     RSPoint,
     _phi_real,
+    is_integer,
+    is_real,
     zhukovskii_derivative_abs,
     zhukovskii_inverse,
 )
@@ -67,12 +69,19 @@ class Grid:
     def size(self) -> int:
         return len(self.nodes)
 
-    def component_slices(self):
-        n = self.n_per_component
-        return [slice(i * n, (i + 1) * n) for i in range(self.support.m)]
 
-    def refined(self, factor: int) -> "Grid":
-        return make_grid(self.support, self.n_per_component * factor, self.grading)
+def require_node_count(n_per_component):
+    """The one check of a grid's cell count per component; returns it."""
+    if not is_integer(n_per_component) or n_per_component < 8:
+        raise ValueError(f"need an integer >= 8 nodes per component, got {n_per_component!r}")
+    return n_per_component
+
+
+def require_grading(grading):
+    """The one check of a grid's grading exponent; returns it as a float."""
+    if not is_real(grading) or not 1.0 <= grading <= 2.0:
+        raise ValueError(f"grading exponent must be a number in [1, 2], got {grading!r}")
+    return float(grading)
 
 
 def make_grid(support: IntervalUnion, n_per_component: int, grading: float = 1.0) -> Grid:
@@ -81,10 +90,8 @@ def make_grid(support: IntervalUnion, n_per_component: int, grading: float = 1.0
     Grading 1 is uniform; grading up to 2 clusters cells toward the component
     endpoints, resolving the inverse-square-root density blowup there.
     """
-    if n_per_component < 8:
-        raise ValueError("need at least 8 nodes per component")
-    if not 1.0 <= grading <= 2.0:
-        raise ValueError("grading exponent must lie in [1, 2]")
+    require_node_count(n_per_component)
+    require_grading(grading)
     nodes, lefts, rights = [], [], []
     n = int(n_per_component)
     xi_edges = np.arange(n + 1) / n

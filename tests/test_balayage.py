@@ -107,6 +107,8 @@ class TestNumericBalayage:
             - num.shift_constant
         )
         assert np.max(np.abs(dev)) <= 10 * 1e-10
+        # the recorded residual is this recomputation, from the matrix already in hand
+        assert num.residual_sup == float(np.max(np.abs(dev)))
 
     def test_mass_preserved(self):
         grid = make_grid(E_INTERVAL, 200, 2.0)

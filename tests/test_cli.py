@@ -49,6 +49,51 @@ def test_invalid_config_lists_violations(tmp_path, capsys):
     assert not (tmp_path / "o").exists() or not os.listdir(tmp_path / "o")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("hp.n_list", 5),
+        ("hp.n_list", [2, "4"]),
+        ("hp.n_list", [2.0, 4.0]),
+        ("hp.n_list", []),
+        ("problem", [1]),
+        ("grids", "fine"),
+        ("problem.sigma", ["arcsine"]),
+        ("grids.grading", "2"),
+        ("hp.precision_bits", 256.0),
+        ("positivity_samples", 0),
+        ("seed", -1),
+        ("tolerance_scale", float("inf")),
+        ("balayage.point", 0.5),
+    ],
+)
+def test_malformed_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, key, value):
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    section, _, leaf = key.rpartition(".")
+    (cfg[section] if section else cfg)[leaf] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the config was checked")
+
+    monkeypatch.setattr(equilibrium, "solve_scalar", no_solve)
+    out = tmp_path / "o"
+    assert run(["verify-all", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration invalid:" in err
+    assert f"  - {key}" in err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_config_not_an_object_exits_2(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text("[1]")
+    assert run(["verify-all", "--nodes", "64", "--config", str(p),
+                "--out", str(tmp_path / "o")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run(["solve-scalar", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -23,6 +23,7 @@ from equilab.kernels import IntervalUnion
 from equilab.measures import (
     DiscreteMeasure,
     ks_distance,
+    log_potential,
     make_grid,
     neglog_cell_averages,
     surface_functional,
@@ -134,6 +135,17 @@ class TestCoupledProblem:
         assert sol_e.min_density > 0.0
         assert sol_f.min_density > 0.0
 
+    def test_residuals_equal_log_potential_recomputation(self):
+        # the collocation blocks depend on the cells only, so they give the
+        # potentials of the solved measures bit for bit
+        sol_e, sol_f = solve_vector(F23, GP)
+        lam_e, lam_f = sol_e.measure, sol_f.measure
+        w1, w2 = sol_e.constants
+        x, y = lam_e.nodes, lam_f.nodes
+        r1 = np.max(np.abs(4.0 * log_potential(lam_e, x) - log_potential(lam_f, x) - w1))
+        r2 = np.max(np.abs(-log_potential(lam_e, y) + log_potential(lam_f, y) - w2))
+        assert (sol_e.residual_sup, sol_f.residual_sup) == (float(r1), float(r2))
+
     def test_symmetric_f(self):
         sol_e, _ = solve_vector(FSYM, GP)
         w = sol_e.measure.weights
@@ -185,14 +197,3 @@ class TestAssembly:
         grid = make_grid(F23, 32, 2.0)
         K = assemble_energy_matrix(grid, surface_kernel())
         np.testing.assert_allclose(K, K.T, atol=1e-12)
-
-    def test_near_field_flag(self):
-        grid = make_grid(F23, 32, 1.0)
-        K0 = assemble_energy_matrix(grid, LOG_KERNEL)
-        K1 = assemble_energy_matrix(grid, LOG_KERNEL, near_field_exact=True)
-        off = np.abs(K0 - K1)
-        # only the adjacent pair changes; exact gap for equal cells is
-        # 3/2 - 2 log 2 independent of the width
-        assert off[0, 2] == 0.0
-        assert off[0, 1] == pytest.approx(1.5 - 2.0 * np.log(2.0), abs=1e-12)
-        np.testing.assert_allclose(np.diag(off), 0.0, atol=1e-15)

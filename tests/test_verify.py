@@ -18,7 +18,7 @@ from equilab.verify import (
 F23 = IntervalUnion([(2.0, 3.0)])
 FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 GP = GridParams(n=120, grading=2.0)
-TOL = Tolerances().scaled(120)
+TOL = Tolerances().scaled(400 / 120)
 
 
 @pytest.fixture(scope="module")
