@@ -104,7 +104,6 @@ class RunConfig(NamedTuple):
     sigma: object               # MarkovSpec
     n_list: list
     precision_bits: int
-    ks_final: float
     positivity_samples: int
     seed: int
     balayage_point: float
@@ -149,7 +148,7 @@ def validate_config(cfg: dict) -> RunConfig:
     """
     from .equilibrium import GridParams
     from .hermite_pade import arcsine_sigma, constant_sigma
-    from .verify import KS_FINAL, Tolerances
+    from .verify import Tolerances
 
     if not isinstance(cfg, dict):
         raise ConfigError(f"the config must be a JSON object, got {type(cfg).__name__}")
@@ -173,16 +172,14 @@ def validate_config(cfg: dict) -> RunConfig:
         raise ConfigError(problems)
 
     F = values["problem.f_intervals"]
-    scale = values["tolerance_scale"]
     make_sigma = arcsine_sigma if values["problem.sigma"] == "arcsine" else constant_sigma
     return RunConfig(
         F=F,
         grid=GridParams(n=values["grids.n_per_component"], grading=values["grids.grading"]),
-        tolerances=Tolerances().scaled(float(scale)),
+        tolerances=Tolerances().scaled(float(values["tolerance_scale"])),
         sigma=make_sigma(F),
         n_list=values["hp.n_list"],
         precision_bits=values["hp.precision_bits"],
-        ks_final=KS_FINAL * float(scale),
         positivity_samples=values["positivity_samples"],
         seed=values["seed"],
         balayage_point=values["balayage.point"],
@@ -384,7 +381,7 @@ def _cmd_verify(rc: RunConfig, out, which):
     if which in ("prop2", "all"):
         reports.append(
             verify_zero_distribution(rc.sigma, rc.n_list, scalar.measure, rc.grid,
-                                     rc.precision_bits, ks_final=rc.ks_final)
+                                     rc.precision_bits, rc.tolerances)
         )
 
     ok = True

@@ -113,7 +113,7 @@ def require_gap_to_e(F: IntervalUnion) -> IntervalUnion:
     gap = F.gap_to_unit_interval()
     if gap < MIN_GAP:
         raise ValueError(
-            f"F must be disjoint from [-1, 1] with gap at least {MIN_GAP:g}; got gap {gap:g}"
+            f"F must be disjoint from [-1, 1] with gap at least {MIN_GAP:g}; got gap {gap!r}"
         )
     return F
 

@@ -154,6 +154,7 @@ class Tolerances:
     constancy: float = 1e-2
     identity: float = 1e-10
     constant_agreement: float = 2e-2
+    ks_final: float = 0.08  # KS distance of the highest order's zero-counting measure
 
     def scaled(self, factor: float) -> "Tolerances":
         """Every discretization bound times ``factor``; the quadrature identity stays."""
@@ -163,11 +164,8 @@ class Tolerances:
             constancy=self.constancy * factor,
             identity=self.identity,
             constant_agreement=self.constant_agreement * factor,
+            ks_final=self.ks_final * factor,
         )
-
-
-# bound on the KS distance of the highest order's zero-counting measure
-KS_FINAL = 0.08
 
 
 def _echo_grid(gp: GridParams):
@@ -403,8 +401,7 @@ def verify_zero_distribution(
     lam: DiscreteMeasure,
     grid_params: GridParams,
     precision_bits: int,
-    *,
-    ks_final: float = KS_FINAL,
+    tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Hull containment, degree, and KS decay of normalized zero counting measures.
 
@@ -438,7 +435,7 @@ def verify_zero_distribution(
             continue
         precisions[n] = sol.precision_bits
         zf = [float(z) for z in zeros]
-        excursion = max(0.0, hull[0] - min(zf), max(zf) - hull[1])
+        excursion = max(0.0, hull[0] - min(zf), max(zf) - hull[1]) if zf else 0.0
         rep.add_bound(f"zeros.hull_containment_n{n}", excursion, 1e-9,
                       f"max excursion outside [{hull[0]}, {hull[1]}]")
         rep.add(f"zeros.degree_n{n}", sol.degree_q2, n, sol.degree_q2 == n,
@@ -450,19 +447,21 @@ def verify_zero_distribution(
             rep.add(f"zeros.order_{n}", float("nan"), 0.0, False,
                     f"failure: degree of Q2 is {sol.degree_q2}, not {n}; no KS distance")
             continue
-        ks_seq[n] = ks_distance(counting_measure(zeros, n), lam)
+        if n > 0:  # order 0 has no zeros to count
+            ks_seq[n] = ks_distance(counting_measure(zeros, n), lam)
 
-    if len(ks_seq) == len(n_list):
-        ratios = [
-            ks_seq[b] / ks_seq[a] for a, b in zip(n_list, n_list[1:])
-        ]
+    positive = [n for n in n_list if n > 0]
+    if positive and len(ks_seq) == len(positive):
+        ratios = [ks_seq[b] / ks_seq[a] for a, b in zip(positive, positive[1:])]
         worst = max(ratios) if ratios else 0.0
         rep.add_bound("zeros.ks_non_increasing", worst, 1.0 + 0.10,
                       "max step ratio of the KS sequence")
-        rep.add_bound("zeros.ks_final", ks_seq[n_list[-1]], ks_final)
+        rep.add_bound("zeros.ks_final", ks_seq[positive[-1]], tolerances.ks_final)
     else:
-        rep.skip("zeros.ks_non_increasing", "incomplete KS sequence after failures")
-        rep.skip("zeros.ks_final", "incomplete KS sequence after failures")
+        reason = ("incomplete KS sequence after failures" if positive
+                  else "no positive order, so no zeros to count")
+        rep.skip("zeros.ks_non_increasing", reason)
+        rep.skip("zeros.ks_final", reason)
 
     rep.provenance["ks_sequence"] = {str(n): float(v) for n, v in ks_seq.items()}
     rep.provenance["effective_precision_bits"] = {str(n): p for n, p in precisions.items()}

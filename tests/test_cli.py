@@ -140,6 +140,44 @@ def test_hp_order_zero_closed_form(tmp_path):
         assert abs(mp.mpf(data["q1"][0]) - (-b[0])) <= mp.mpf(10) ** (-40)
 
 
+def test_hp_zeros_pinned(tmp_path):
+    # the mpmath arithmetic is deterministic: a refactor of the HP layer must
+    # reproduce these zero files byte for byte
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]], "sigma": "arcsine"},
+                             "hp": {"n_list": [2, 4], "precision_bits": 192}}))
+    out = tmp_path / "o"
+    assert run(["hp", "--config", str(p), "--out", str(out)]) == 0
+    assert (out / "hp_zeros_n2.csv").read_bytes() == (
+        b"index,zero\n0,2.0886872957542506\n1,2.76526256968427\n"
+    )
+    assert (out / "hp_zeros_n4.csv").read_bytes() == (
+        b"index,zero\n0,2.023110301934652\n1,2.2106727272242783\n"
+        b"2,2.572180023012383\n3,2.9377498514116276\n"
+    )
+
+
+@pytest.mark.parametrize("n_list, ks_status", [([0, 2, 4], "pass"), ([0], "skipped")])
+def test_verify_order_zero(tmp_path, n_list, ks_status):
+    # order 0 has no zeros: it is checked for degree and count, and the KS
+    # sequence runs over the positive orders only
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg["hp"]["n_list"] = n_list
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["verify-prop2", "--config", str(p), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())["reports"][0]
+    checks = {c["check_id"]: c for c in rep["checks"]}
+    assert checks["zeros.hull_containment_n0"]["value"] == 0.0
+    for cid in ("zeros.hull_containment_n0", "zeros.degree_n0", "zeros.count_n0"):
+        assert checks[cid]["status"] == "pass"
+    assert set(rep["provenance"]["ks_sequence"]) == {str(n) for n in n_list if n > 0}
+    for cid in ("zeros.ks_non_increasing", "zeros.ks_final"):
+        assert checks[cid]["status"] == ks_status
+        assert checks[cid]["note"] or ks_status == "pass"
+
+
 def _walk_files(root):
     out = []
     for base, _, files in os.walk(root):

@@ -1,10 +1,12 @@
 """High-precision Hermite-Pade tests: moments, order condition, real zeros."""
 
+import json
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from equilab.errors import PrecisionError
+from equilab.errors import PrecisionDiagnosticWarning, PrecisionError
 from equilab import hermite_pade
 from equilab.hermite_pade import (
     GATE_MARGIN_BITS,
@@ -373,7 +375,50 @@ class TestConditionGate:
             solve_with_escalation(2, constant_sigma(F23), 128, sweep=sweep)
 
 
+def _solution_with_roots(roots, bits):
+    """A synthetic HPSolution whose Q2 is the monic polynomial with these roots."""
+    with mp.workprec(bits):
+        q = [mp.mpc(1)]  # ascending coefficients, times (x - r) per root
+        for r in roots:
+            r = mp.mpc(r)
+            q = [-r * q[0]] + [q[i - 1] - r * q[i] for i in range(1, len(q))] + [q[-1]]
+        q2 = tuple(c.real for c in q)
+    deg = len(roots)
+    return HPSolution(n=deg, q0=(mp.mpf(0),), q1=(mp.mpf(0),) * (deg + 1), q2=q2,
+                      precision_bits=bits, residual_order=2 * deg + 2, residual_max=0.0,
+                      nullspace_dim=1, degree_q2=deg, log2_cond=0.0, method="lu")
+
+
 class TestZeros:
+    def test_clustered_zeros_all_found(self):
+        roots = ["2.000001", "2.00001", "2.0001", "2.5", "2.9"]
+        zeros = zeros_q2(_solution_with_roots(roots, 192), hull=(2.0, 3.0))
+        assert len(zeros) == 5
+        with mp.workprec(192):
+            assert max(abs(z - mp.mpf(r)) for z, r in zip(zeros, roots)) <= mp.mpf(2) ** -150
+
+    def test_complex_pair_is_a_precision_failure(self):
+        sol = _solution_with_roots([2.2, mp.mpc(2.5, 0.1), mp.mpc(2.5, -0.1), 2.8], 192)
+        with pytest.raises(PrecisionError):
+            zeros_q2(sol, hull=(2.0, 3.0))
+
+    def test_zero_outside_hull_is_kept_and_flagged(self):
+        with pytest.warns(PrecisionDiagnosticWarning, match="1 zero"):
+            zeros = zeros_q2(_solution_with_roots([2.2, 2.6, 3.3], 192), hull=(2.0, 3.0))
+        assert [round(float(z), 12) for z in zeros] == [2.2, 2.6, 3.3]
+
+    def test_long_f_all_zeros_at_start_precision(self, tmp_path):
+        # Q2 on a long F clusters its zeros at the left end, 1.5064 at order 10
+        from equilab.cli import run
+
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"problem": {"f_intervals": [[1.5, 40.0]]},
+                                 "hp": {"n_list": [5, 10], "precision_bits": 512}}))
+        out = tmp_path / "o"
+        assert run(["verify-prop2", "--config", str(p), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())["reports"][0]
+        assert rep["provenance"]["effective_precision_bits"] == {"5": 512, "10": 512}
+
     def test_order_one_single_zero(self):
         k = 4
         a = moments_f1(k, PREC)

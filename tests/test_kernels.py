@@ -242,6 +242,9 @@ class TestIntervalUnion:
             with pytest.raises(ValueError, match="disjoint"):
                 require_gap_to_e(IntervalUnion(ivs))
         require_gap_to_e(IntervalUnion([(1.0 + 2.0 * MIN_GAP, 2.0)]))
+        # 1.000001 - 1 rounds below MIN_GAP; the message shows the gap unrounded
+        with pytest.raises(ValueError, match=r"got gap 9\.999999999177334e-07$"):
+            require_gap_to_e(IntervalUnion([(1.000001, 1.5)]))
 
     def test_every_entry_point_uses_the_gap_check(self):
         from equilab.equilibrium import solve_reduced, solve_scalar, solve_vector

@@ -112,7 +112,7 @@ class TestZeroDistribution:
         sigma = arcsine_sigma(F23)
         gp = GridParams(n=100, grading=2.0)
         rep = verify_zero_distribution(
-            sigma, [2, 4], solve_scalar(F23, gp).measure, gp, 192, ks_final=0.5
+            sigma, [2, 4], solve_scalar(F23, gp).measure, gp, 192, Tolerances(ks_final=0.5)
         )
         assert rep.all_passed
         assert "ks_sequence" in rep.provenance
