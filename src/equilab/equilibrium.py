@@ -40,7 +40,7 @@ from .kernels import (
     require_gap_to_e,
     scalar_kernel_smooth,
 )
-from .measures import DiscreteMeasure, Grid, make_grid, neglog_cell_averages
+from .measures import DiscreteMeasure, Grid, _row_blocks, make_grid, neglog_cell_averages
 
 E_INTERVAL = IntervalUnion([(E_LEFT, E_RIGHT)])
 
@@ -111,13 +111,15 @@ def assemble_energy_matrix(grid: Grid, kernel: SingularKernel):
 
 def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
     """Evaluation-route integral of the kernel against the measure at z."""
-    z_in = z
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    P = kernel.sing_coeff * neglog_cell_averages(z, mu)
-    if kernel.smooth is not None:
-        P = P + kernel.smooth(z[:, None], mu.nodes[None, :])
-    out = P @ mu.weights
-    return float(out[0]) if np.ndim(z_in) == 0 else out
+
+    def kernel_block(zb, Q):
+        P = kernel.sing_coeff * Q
+        if kernel.smooth is not None:
+            P = P + kernel.smooth(zb[:, None], mu.nodes[None, :])
+        return P
+
+    out = _row_blocks(mu, np.asarray(z, dtype=float), kernel_block)
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +147,7 @@ class EquilibriumSolution:
             "residual_sup": float(self.residual_sup),
             "min_density": float(self.min_density),
             "method": self.method,
+            "iterations": int(self.iterations),
             "grid": {
                 "n_per_component": grid_params.n,
                 "grading": grid_params.grading,
@@ -283,7 +286,8 @@ def minimize_on_simplices(H, g, blocks, init=None):
                 res, _ = kkt_residual(H, g, x, blocks)
     if res > TOL:
         raise NonConvergenceError(
-            f"projected gradient did not reach tolerance {TOL:g}; achieved KKT residual {res:.3e}",
+            f"projected gradient did not reach tolerance {TOL:g} in {it} iterations; "
+            f"achieved KKT residual {res:.3e}",
             residual=res,
             iterations=it,
         )

@@ -13,6 +13,15 @@ relies on that.
 Zero-width cells are allowed and represent purely atomic measures (zero
 counting measures of polynomials); those only support midpoint evaluation
 and distribution comparisons.
+
+The near cells are found without a full (point, cell) mask: a sorted
+search of the evaluation points over each cell's window yields candidate
+rows, and the exact window test runs on those alone.  Evaluators that only
+need Q @ w (every potential here and ``equilibrium.kernel_potential``) build
+the kernel matrix in row blocks of at most BLOCK_ENTRIES entries, so their
+memory does not grow with the number of points.  Neither changes a value:
+the window decision is the same per (point, cell), and each block row sums
+the same products in the same order as one product over all points.
 """
 
 from __future__ import annotations
@@ -34,6 +43,9 @@ from .kernels import (
 # Cells whose node is within this many widths of the evaluation point are
 # integrated analytically; farther cells use the midpoint value.
 ANALYTIC_WINDOW = 6.0
+
+# Kernel entries per row block of a potential evaluation (512 KB of float64).
+BLOCK_ENTRIES = 1 << 16
 
 MASS_TOL = 1e-8
 
@@ -240,12 +252,38 @@ def _T(u):
     return out
 
 
+def _near_cells(z, mu: DiscreteMeasure, absD):
+    """Index pairs (row, cell) with |z_i - node_j| <= ANALYTIC_WINDOW h_j, h_j > 0.
+
+    ``absD`` holds |z_i - node_j|.  Each cell's candidate rows come from a
+    sorted search of z over the cell's window, widened by a relative margin
+    far above the rounding of z - node and node +- window; the exact test
+    then runs on the candidates only, so the pairs are those of the full mask.
+    """
+    cells = np.flatnonzero(mu.widths > 0.0)
+    reach = ANALYTIC_WINDOW * mu.widths[cells]
+    x = mu.nodes[cells]
+    margin = 1e-12 * (np.abs(x) + reach)
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    lo = np.searchsorted(zs, x - reach - margin, side="left")
+    hi = np.searchsorted(zs, x + reach + margin, side="right")
+    counts = hi - lo
+    cj = np.repeat(cells, counts)
+    offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    zi = order[offsets + np.arange(cj.size)]
+    keep = absD[zi, cj] <= ANALYTIC_WINDOW * mu.widths[cj]
+    return zi[keep], cj[keep]
+
+
 def neglog_cell_averages(z, mu: DiscreteMeasure):
     """Matrix Q[i, j]: average of -log|z_i - t| over cell j.
 
     Analytic within ANALYTIC_WINDOW widths of the node (exact for the
     piecewise-constant density, including the cell containing z), midpoint
-    beyond.  Complex or atomic input always takes the midpoint path.
+    beyond.  Complex or atomic input always takes the midpoint path.  The
+    matrix is built in one buffer; callers that need only Q @ w go through
+    :func:`_row_blocks`, which bounds its size.
     """
     z = np.atleast_1d(np.asarray(z))
     if np.iscomplexobj(z) and np.any(z.imag != 0.0):
@@ -254,18 +292,36 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
             raise ValueError("evaluation point coincides with a node")
         return -np.log(D)
     z = z.real.astype(float)
-    D = z[:, None] - mu.nodes[None, :]
-    h = mu.widths
+    Q = np.subtract(z[:, None], mu.nodes[None, :])
+    np.abs(Q, out=Q)
+    zi, cj = _near_cells(z, mu, Q)
     with np.errstate(divide="ignore"):
-        Q = -np.log(np.abs(D))
-    near = (np.abs(D) <= ANALYTIC_WINDOW * h[None, :]) & (h[None, :] > 0.0)
-    if near.any():
-        zi, cj = np.nonzero(near)
-        vals = _T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])
-        Q[zi, cj] = vals / h[cj]
+        np.log(Q, out=Q)
+    np.negative(Q, out=Q)
+    if zi.size:
+        h = mu.widths[cj]
+        Q[zi, cj] = (_T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])) / h
     if np.any(np.isinf(Q)):
         raise ValueError("evaluation point coincides with an atom")
     return Q
+
+
+def _row_blocks(mu: DiscreteMeasure, z, kernel_block):
+    """K(z) @ mu.weights, built BLOCK_ENTRIES kernel entries at a time.
+
+    ``kernel_block(zb, Q)`` returns the kernel matrix of the rows ``zb`` from
+    their ``Q = neglog_cell_averages(zb, mu)``.  Block rows are a multiple
+    of 8: OpenBLAS's single-threaded matrix-vector product sends the last
+    (rows mod 4) rows of a product through another kernel, so only then is
+    every row summed as in one product over all of z.
+    """
+    z = np.atleast_1d(np.asarray(z))
+    rows = max(8, BLOCK_ENTRIES // max(1, len(mu.nodes)) // 8 * 8)
+    out = np.empty(len(z))
+    for s in range(0, len(z), rows):
+        zb = z[s : s + rows]
+        out[s : s + rows] = kernel_block(zb, neglog_cell_averages(zb, mu)) @ mu.weights
+    return out
 
 
 def _scalarize(out, z_in):
@@ -278,7 +334,7 @@ def _scalarize(out, z_in):
 
 def log_potential(mu: DiscreteMeasure, z):
     """U(z) = integral of log(1/|z - t|) against the measure."""
-    out = neglog_cell_averages(z, mu) @ mu.weights
+    out = _row_blocks(mu, z, lambda zb, Q: Q)
     return _scalarize(out, z)
 
 
@@ -291,38 +347,43 @@ def green_potential_e(mu: DiscreteMeasure, z):
     points z in E are accepted (Phi there has modulus 1 and the potential
     vanishes identically).
     """
-    z_in = z
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    pz = zhukovskii_inverse(z)
     pt = _phi_real(mu.nodes)
-    smooth = (
-        2.0 * np.log(np.abs(1.0 - pz[:, None] * pt[None, :]))
-        - np.log(2.0)
-        - np.log(np.abs(pz))[:, None]
-        - np.log(np.abs(pt))[None, :]
-    )
-    out = (smooth + neglog_cell_averages(z, mu)) @ mu.weights
-    return _scalarize(out, z_in)
+
+    def kernel_block(zb, Q):
+        pz = zhukovskii_inverse(zb)
+        smooth = (
+            2.0 * np.log(np.abs(1.0 - pz[:, None] * pt[None, :]))
+            - np.log(2.0)
+            - np.log(np.abs(pz))[:, None]
+            - np.log(np.abs(pt))[None, :]
+        )
+        return smooth + Q
+
+    out = _row_blocks(mu, np.asarray(z, dtype=float), kernel_block)
+    return _scalarize(out, z)
 
 
 def _rs_potential_real(mu: DiscreteMeasure, z, sheet: int):
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     t = mu.nodes
     pt = _phi_real(t)
-    pz = zhukovskii_inverse(z)
-    Q = neglog_cell_averages(z, mu)
-    if sheet == 1:
-        smooth = np.log(np.abs(1.0 - pz[:, None] * pt[None, :]))
-        return (smooth + 2.0 * Q) @ mu.weights
-    D = z[:, None] - t[None, :]
-    diag = D == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(pz[:, None] - pt[None, :]) / np.abs(D)
-    if diag.any():
-        zi, cj = np.nonzero(diag)
-        ratio[zi, cj] = zhukovskii_derivative_abs(t[cj])
-    smooth = np.log(ratio) - np.log(np.abs(pz))[:, None]
-    return (smooth + Q) @ mu.weights
+
+    def sheet1_block(zb, Q):
+        pz = zhukovskii_inverse(zb)
+        return np.log(np.abs(1.0 - pz[:, None] * pt[None, :])) + 2.0 * Q
+
+    def sheet0_block(zb, Q):
+        pz = zhukovskii_inverse(zb)
+        D = zb[:, None] - t[None, :]
+        diag = D == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(pz[:, None] - pt[None, :]) / np.abs(D)
+        if diag.any():
+            zi, cj = np.nonzero(diag)
+            ratio[zi, cj] = zhukovskii_derivative_abs(t[cj])
+        return np.log(ratio) - np.log(np.abs(pz))[:, None] + Q
+
+    kernel_block = sheet1_block if sheet == 1 else sheet0_block
+    return _row_blocks(mu, np.asarray(z, dtype=float), kernel_block)
 
 
 def rs_potential(mu: DiscreteMeasure, p: RSPoint):

@@ -103,7 +103,8 @@ def test_solve_scalar_artifacts(cfg_path, tmp_path, capsys):
     assert run(["solve-scalar", "--config", cfg_path, "--out", str(out)]) == 0
     assert (out / "scalar_f.csv").exists()
     sidecar = json.loads((out / "scalar_f.json").read_text())
-    assert {"constant", "residual_sup", "min_density", "grid"} <= set(sidecar)
+    assert {"constant", "residual_sup", "min_density", "iterations", "grid"} <= set(sidecar)
+    assert (sidecar["method"], sidecar["iterations"]) == ("saddle", 0)
     assert sidecar["grid"]["n_per_component"] == 100
     summary = capsys.readouterr().out
     assert "[solve-scalar]" in summary
@@ -155,6 +156,21 @@ def test_hp_zeros_pinned(tmp_path):
         b"index,zero\n0,2.023110301934652\n1,2.2106727272242783\n"
         b"2,2.572180023012383\n3,2.9377498514116276\n"
     )
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("preset", ["sym-arcsine", "f23-arcsine"])
+def test_verify_theorem1_report_pinned(tmp_path, preset):
+    # the float layer's counterpart of test_hp_zeros_pinned: with one BLAS
+    # thread (tests/conftest.py) a change to the potentials, the solvers or
+    # balayage must reproduce report.json byte for byte; f23-arcsine runs
+    # the reduced route, sym-arcsine the two-component grid
+    out = tmp_path / "o"
+    assert run(["verify-theorem1", "--preset", preset, "--nodes", "64", "--out", str(out)]) == 1
+    with open(os.path.join(DATA, f"verify_theorem1_{preset}_n64.report.json"), "rb") as fh:
+        assert (out / "report.json").read_bytes() == fh.read()
 
 
 @pytest.mark.parametrize("n_list, ks_status", [([0, 2, 4], "pass"), ([0], "skipped")])

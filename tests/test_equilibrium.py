@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import equilab.equilibrium as equilibrium
 from equilab.equilibrium import (
     E_INTERVAL,
     GridParams,
@@ -19,6 +20,7 @@ from equilab.equilibrium import (
     surface_field,
     surface_kernel,
 )
+from equilab.errors import NonConvergenceError
 from equilab.kernels import IntervalUnion
 from equilab.measures import (
     DiscreteMeasure,
@@ -118,6 +120,23 @@ class TestScalarProblem:
         assert ks_distance(DiscreteMeasure.from_weights(grid, a),
                            DiscreteMeasure.from_weights(grid, b)) <= 1e-6
 
+    def test_projected_iterations_reach_sidecar(self):
+        # a steep field pushes the minimizer off part of F, so the saddle
+        # weights go negative and the projected gradient takes over
+        grid = make_grid(F23, 32, 2.0)
+        sol = solve_kernel_equilibrium(grid, LOG_KERNEL, lambda x: 4.0 * x)
+        sidecar = sol.sidecar_dict(GridParams(n=32, grading=2.0))
+        assert sidecar["method"] == "projected"
+        assert sidecar["iterations"] == sol.iterations > 0
+
+    def test_nonconvergence_names_iterations(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
+        grid, K, f = scalar_qp(64)
+        with pytest.raises(NonConvergenceError, match="in 3 iterations") as info:
+            minimize_on_simplices(K, f, [(grid.size, 1.0)])
+        assert info.value.iterations == 3
+        assert f"{info.value.residual:.3e}" in str(info.value)
+
     def test_grid_convergence(self):
         coarse = solve_scalar(F23, GridParams(n=100, grading=2.0))
         fine = solve_scalar(F23, GridParams(n=200, grading=2.0))
@@ -155,6 +174,11 @@ class TestCoupledProblem:
         sol_e, sol_f = solve_vector(F23, GP)
         assert sol_e.constants[0] == sol_f.constants[1]
         assert sol_e.constants[1] == sol_f.constants[0]
+
+    def test_collocation_sidecars_record_zero_iterations(self):
+        for sol in solve_vector(F23, GP):
+            sidecar = sol.sidecar_dict(GP)
+            assert (sidecar["method"], sidecar["iterations"]) == ("collocation", 0)
 
     def test_projected_form_meets_kkt_and_matches_collocation(self):
         # the guard routine on the symmetrized collocation blocks of [2, 3]

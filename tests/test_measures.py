@@ -1,17 +1,31 @@
 """Grids, discrete measures, potentials, and the KS metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilab.kernels import IntervalUnion, RSPoint
+from equilab.equilibrium import LOG_KERNEL, kernel_potential, surface_kernel
+from equilab.kernels import (
+    IntervalUnion,
+    RSPoint,
+    _phi_real,
+    zhukovskii_derivative_abs,
+    zhukovskii_inverse,
+)
 from equilab.measures import (
+    ANALYTIC_WINDOW,
+    BLOCK_ENTRIES,
     DiscreteMeasure,
+    _T,
+    green_potential_e,
     ks_distance,
     log_potential,
     make_grid,
     measure_from_csv,
+    neglog_cell_averages,
     rs_potential,
     rs_potential_sheet,
     surface_functional,
@@ -179,6 +193,164 @@ class TestRSPotential:
         z = 2.5
         expected = rs_potential_sheet(mu, z, 1) + np.log(abs(2.5 + np.sqrt(2.5**2 - 1)))
         assert surface_functional(mu, z) == pytest.approx(expected, abs=1e-13)
+
+
+def _neglog_oracle(z, mu):
+    """Full-mask reference for ``neglog_cell_averages``: every (point, cell)
+    pair is tested against the analytic window in one z x M boolean mask."""
+    z = np.atleast_1d(np.asarray(z))
+    if np.iscomplexobj(z) and np.any(z.imag != 0.0):
+        D = np.abs(z[:, None] - mu.nodes[None, :])
+        if np.any(D == 0.0):
+            raise ValueError("evaluation point coincides with a node")
+        return -np.log(D)
+    z = z.real.astype(float)
+    D = z[:, None] - mu.nodes[None, :]
+    h = mu.widths
+    with np.errstate(divide="ignore"):
+        Q = -np.log(np.abs(D))
+    near = (np.abs(D) <= ANALYTIC_WINDOW * h[None, :]) & (h[None, :] > 0.0)
+    if near.any():
+        zi, cj = np.nonzero(near)
+        vals = _T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])
+        Q[zi, cj] = vals / h[cj]
+    if np.any(np.isinf(Q)):
+        raise ValueError("evaluation point coincides with an atom")
+    return Q
+
+
+def _full_matrix_potentials(mu, z):
+    """Each blocked evaluator's reference: its kernel matrix over all of z at once."""
+    Q = _neglog_oracle(z, mu)
+    t, w = mu.nodes, mu.weights
+    pz, pt = zhukovskii_inverse(z), _phi_real(t)
+    green_smooth = (
+        2.0 * np.log(np.abs(1.0 - pz[:, None] * pt[None, :]))
+        - np.log(2.0)
+        - np.log(np.abs(pz))[:, None]
+        - np.log(np.abs(pt))[None, :]
+    )
+    D = z[:, None] - t[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(pz[:, None] - pt[None, :]) / np.abs(D)
+    zi, cj = np.nonzero(D == 0.0)
+    ratio[zi, cj] = zhukovskii_derivative_abs(t[cj])
+    sheet0_smooth = np.log(ratio) - np.log(np.abs(pz))[:, None]
+    surface = surface_kernel()
+    return {
+        "log": Q @ w,
+        "green_e": (green_smooth + Q) @ w,
+        "sheet0": (sheet0_smooth + Q) @ w,
+        "sheet1": (np.log(np.abs(1.0 - pz[:, None] * pt[None, :])) + 2.0 * Q) @ w,
+        "kernel_log": (LOG_KERNEL.sing_coeff * Q) @ w,
+        "kernel_surface": (surface.sing_coeff * Q + surface.smooth(z[:, None], t[None, :])) @ w,
+    }
+
+
+def _blocked_potentials(mu, z):
+    return {
+        "log": log_potential(mu, z),
+        "green_e": green_potential_e(mu, z),
+        "sheet0": rs_potential_sheet(mu, z, 0),
+        "sheet1": rs_potential_sheet(mu, z, 1),
+        "kernel_log": kernel_potential(mu, LOG_KERNEL, z),
+        "kernel_surface": kernel_potential(mu, surface_kernel(), z),
+    }
+
+
+NEAR_EDGE = IntervalUnion([(1.01, 1.5)])
+LONG_F = IntervalUnion([(1.5, 40.0)])
+FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
+
+
+class TestBandedWindow:
+    """The sorted-search window and the row blocks against the full-matrix oracle."""
+
+    @pytest.mark.parametrize(
+        "support, n, grading",
+        [(F23, 40, 2.0), (FSYM, 40, 2.0), (NEAR_EDGE, 40, 2.0), (LONG_F, 8, 1.0)],
+        ids=["f23", "sym", "near-edge", "long"],
+    )
+    def test_banded_equals_full_mask(self, support, n, grading):
+        g = make_grid(support, n, grading)
+        mu = DiscreteMeasure.from_weights(g, np.full(g.size, 1.0 / g.size))
+        fine = make_grid(support, 4 * n, grading).nodes
+        hi, lo = g.nodes + ANALYTIC_WINDOW * g.widths, g.nodes - ANALYTIC_WINDOW * g.widths
+        # on the long F, |z - node| still rounds into the window one ulp
+        # beyond the rounded window ends, so the search must reach past them
+        cases = {
+            "unsorted": RNG.permutation(np.concatenate([fine, RNG.uniform(-4.0, 4.0, 50)])),
+            "cell_edges": np.concatenate([g.cell_left, g.cell_right]),
+            "window_edges": np.concatenate([hi, lo]),
+            "window_edges_ulp": np.concatenate([np.nextafter(hi, np.inf),
+                                                np.nextafter(lo, -np.inf)]),
+            "nodes_repeated": np.repeat(g.nodes[::7], 3),
+            "complex": fine[:30] + 0.5j,
+            "complex_real_axis": fine[:30] + 0.0j,
+            "far": np.array([-1e6, 0.0, 1e6]),
+        }
+        for name, z in cases.items():
+            np.testing.assert_array_equal(neglog_cell_averages(z, mu), _neglog_oracle(z, mu),
+                                          err_msg=name)
+
+    def test_atoms(self):
+        mu = DiscreteMeasure.atoms([2.0, 2.5, 3.0], [0.25, 0.5, 0.25])
+        for z in (np.array([2.7, 1.0, 2.25, 10.0]), np.array([2.7, 2.5 + 1.0j])):
+            np.testing.assert_array_equal(neglog_cell_averages(z, mu), _neglog_oracle(z, mu))
+        for z in (np.array([2.7, 2.5]), np.array([2.5 + 0.0j])):
+            with pytest.raises(ValueError, match="coincides with an atom"):
+                _neglog_oracle(z, mu)
+            with pytest.raises(ValueError, match="coincides with an atom"):
+                neglog_cell_averages(z, mu)
+
+    def test_complex_on_node_raises(self):
+        mu = arcsine_cells(make_grid(F23, 16, 1.0))
+        z = np.array([complex(mu.nodes[3]), 1.0j])
+        for f in (_neglog_oracle, neglog_cell_averages):
+            with pytest.raises(ValueError, match="coincides with a node"):
+                f(z, mu)
+
+    @pytest.mark.parametrize("support, n", [(NEAR_EDGE, 100), (FSYM, 200)],
+                             ids=["near-edge", "sym"])
+    @pytest.mark.parametrize("rows", [13, 1038, 4039])
+    def test_blocked_potentials_equal_full_matrix(self, support, n, rows):
+        g = make_grid(support, n, 2.0)
+        w = RNG.random(g.size)
+        mu = DiscreteMeasure.from_weights(g, w / w.sum())
+        pool = np.concatenate([
+            make_grid(support, 8 * n, 2.0).nodes,
+            g.nodes,
+            g.cell_left,
+            np.geomspace(1.001, 1e6, 200) * np.sign(RNG.uniform(-1.0, 1.0, 200)),
+        ])
+        z = RNG.permutation(np.resize(RNG.permutation(pool), rows))
+        block_rows = BLOCK_ENTRIES // g.size // 8 * 8
+        assert rows % block_rows != 0
+        full = _full_matrix_potentials(mu, z)
+        blocked = _blocked_potentials(mu, z)
+        for name in full:
+            np.testing.assert_array_equal(blocked[name], full[name], err_msg=name)
+
+    def test_peak_memory_below_quarter_matrix(self):
+        g = make_grid(F23, 800, 2.0)
+        mu = arcsine_cells(g)
+        z = make_grid(F23, 3200, 2.0).nodes
+        bound = len(z) * g.size * 8 / 4
+        evaluators = {
+            "surface_functional": lambda: surface_functional(mu, z),
+            "log_potential": lambda: log_potential(mu, z),
+            "green_potential_e": lambda: green_potential_e(mu, z),
+            "rs_potential_sheet_0": lambda: rs_potential_sheet(mu, z, 0),
+            "kernel_potential": lambda: kernel_potential(mu, surface_kernel(), z),
+        }
+        for name, evaluate in evaluators.items():
+            tracemalloc.start()
+            try:
+                evaluate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"{name}: peak {peak} bytes, bound {bound:.0f}"
 
 
 class TestKSDistance:
