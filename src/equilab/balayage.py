@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .kernels import E_LEFT, E_RIGHT, IntervalUnion, green_e_at_infinity, is_real
-from .measures import DiscreteMeasure, Grid, log_potential, neglog_cell_averages
+from .measures import DiscreteMeasure, Grid, fill_cell_averages, log_potential
 from .equilibrium import minimize_on_simplices
 
 
@@ -100,11 +100,10 @@ def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> BalayageResult:
 
     mass = mu.mass
     tgt = DiscreteMeasure.from_weights(target, np.full(target.size, mass / target.size))
-    P = neglog_cell_averages(target.nodes, tgt)
-    rhs_u = log_potential(mu, target.nodes)
     n = target.size
     A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = P
+    P = fill_cell_averages(A[:n, :n], target.nodes, tgt)
+    rhs_u = log_potential(mu, target.nodes)
     A[:n, n] = -1.0
     A[n, :n] = 1.0
     rhs = np.concatenate([rhs_u, [mass]])

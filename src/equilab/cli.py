@@ -9,9 +9,10 @@ needs (the gap of F to E, the grid, the orders, the balayage point) is
 checked by the library's own function and reported under its config key.
 
 Every run writes its artifacts under the output directory plus a manifest
-with content hashes.  Serialized reports carry no wall-clock data (timings
-go to a sidecar and the only timestamp lives in the manifest), so reruns
-with the same config are byte-identical.  The verify commands solve the
+with content hashes and the BLAS thread settings of the run.  Serialized
+reports carry no wall-clock data (timings go to a sidecar and the only
+timestamp lives in the manifest), so reruns with the same config are
+byte-identical.  The verify commands solve the
 scalar problem (and, for ``verify-theorem1`` and ``verify-all``, the coupled
 problem) once per run and hand the solutions to every verifier and to the
 ``measures/`` writer.
@@ -61,6 +62,10 @@ PRESETS = {
 }
 
 DEFAULT_PRESET = "f23-arcsine"
+
+# the BLAS thread variables that ``run`` pins to 1 where unset
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +217,7 @@ class OutputDir:
         with open(self.path(rel), "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    def finalize(self, command, cfg):
+    def finalize(self, command, cfg, blas_threads):
         entries = []
         for rel in sorted(self.files):
             p = os.path.join(self.root, rel)
@@ -222,6 +227,7 @@ class OutputDir:
             "command": command,
             "config": cfg,
             "outputs": entries,
+            "blas_threads": blas_threads,
             "created_at": datetime.now(timezone.utc).isoformat(),
         }
         with open(os.path.join(self.root, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -461,9 +467,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the contract
         return int(exc.code or 0)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
+    # numpy reads the thread variables when it loads; in a process that loaded
+    # it first the pin does nothing, and threaded BLAS can change report bytes
+    blas_threads = {"numpy_preloaded": "numpy" in sys.modules}
+    for var in THREAD_VARS:
+        blas_threads[var] = os.environ.setdefault(var, "1")
     try:
         try:
             cfg = load_config(args)
@@ -481,7 +489,7 @@ def run(argv=None) -> int:
     except (EquilabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out.finalize(args.command, cfg)
+    out.finalize(args.command, cfg, blas_threads)
     return code
 
 

@@ -40,7 +40,14 @@ from .kernels import (
     require_gap_to_e,
     scalar_kernel_smooth,
 )
-from .measures import DiscreteMeasure, Grid, _row_blocks, make_grid, neglog_cell_averages
+from .measures import (
+    DiscreteMeasure,
+    Grid,
+    _row_blocks,
+    fill_cell_averages,
+    make_grid,
+    row_slices,
+)
 
 E_INTERVAL = IntervalUnion([(E_LEFT, E_RIGHT)])
 
@@ -91,21 +98,31 @@ def reduced_kernel(F: IntervalUnion) -> SingularKernel:
 # assembly and evaluation
 
 
-def assemble_energy_matrix(grid: Grid, kernel: SingularKernel):
+def assemble_energy_matrix(grid: Grid, kernel: SingularKernel, out=None):
     """Galerkin energy matrix: midpoint off-diagonal, exact self-cell diagonal.
 
     The self-cell double integral of -log|s-t| over a width-h cell is
-    h^2 (3/2 - log h).
+    h^2 (3/2 - log h).  The entries are written into ``out`` (the n x n slice
+    of a saddle matrix) when given, else into a new array, one
+    :func:`row_slices` block at a time; only the smooth part of a block
+    needs temporaries.
     """
     x = grid.nodes
-    h = grid.widths
-    D = x[:, None] - x[None, :]
-    with np.errstate(divide="ignore"):
-        K = -np.log(np.abs(D))
-    np.fill_diagonal(K, 1.5 - np.log(h))
-    K = kernel.sing_coeff * K
-    if kernel.smooth is not None:
-        K = K + kernel.smooth_matrix(x, x)
+    n = len(x)
+    K = np.empty((n, n)) if out is None else out
+    diag = 1.5 - np.log(grid.widths)
+    for rows in row_slices(n, n):
+        Kb = K[rows]
+        np.subtract(x[rows, None], x[None, :], out=Kb)
+        np.abs(Kb, out=Kb)
+        with np.errstate(divide="ignore"):
+            np.log(Kb, out=Kb)
+        np.negative(Kb, out=Kb)
+        i = np.arange(rows.start, rows.stop)
+        K[i, i] = diag[rows]
+        Kb *= kernel.sing_coeff
+        if kernel.smooth is not None:
+            Kb += kernel.smooth_matrix(x[rows], x)
     return K
 
 
@@ -315,12 +332,11 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
     is measured through the evaluation-route quadrature at the grid nodes,
     never through the energy matrix itself.
     """
-    K = assemble_energy_matrix(grid, kernel)
     f = np.zeros(grid.size) if fieldfn is None else np.asarray(fieldfn(grid.nodes), dtype=float)
     n = grid.size
 
     A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = K
+    K = assemble_energy_matrix(grid, kernel, out=A[:n, :n])
     A[:n, n] = 1.0
     A[n, :n] = 1.0
     rhs = np.concatenate([-f, [1.0]])
@@ -337,6 +353,9 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
         method = "projected"
 
     mu = DiscreteMeasure.from_weights(grid, np.maximum(w, 0.0))
+    energy = _energy(K, f, np.asarray(mu.weights))
+    # free the saddle matrix before the residual's row blocks are built
+    del A, K
     pe = kernel_potential(mu, kernel, grid.nodes) + f
     residual_sup = float(np.max(np.abs(pe - c)))
     min_density = float(np.min(mu.densities))
@@ -347,7 +366,7 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
         min_density=min_density,
         method=method,
         iterations=iterations,
-        energy=_energy(K, f, np.asarray(mu.weights)),
+        energy=energy,
     )
 
 
@@ -413,21 +432,19 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
     gf = make_grid(F, grid_params.n, grid_params.grading)
     me = DiscreteMeasure.from_weights(ge, np.full(ge.size, 1.0 / ge.size))
     mf = DiscreteMeasure.from_weights(gf, np.full(gf.size, 1.0 / gf.size))
-    QEE = neglog_cell_averages(ge.nodes, me)
-    QEF = neglog_cell_averages(ge.nodes, mf)
-    QFE = neglog_cell_averages(gf.nodes, me)
-    QFF = neglog_cell_averages(gf.nodes, mf)
     nE, nF = ge.size, gf.size
     N = nE + nF + 2
+    se, sf = slice(0, nE), slice(nE, nE + nF)
+    # each collocation block is written once, straight into A
     A = np.zeros((N, N))
-    A[:nE, :nE] = 4.0 * QEE
-    A[:nE, nE : nE + nF] = -QEF
-    A[:nE, nE + nF] = -1.0
-    A[nE : nE + nF, :nE] = -QFE
-    A[nE : nE + nF, nE : nE + nF] = QFF
-    A[nE : nE + nF, nE + nF + 1] = -1.0
-    A[nE + nF, :nE] = 1.0
-    A[nE + nF + 1, nE : nE + nF] = 1.0
+    fill_cell_averages(A[se, se], ge.nodes, me, 4.0)
+    fill_cell_averages(A[se, sf], ge.nodes, mf, -1.0)
+    fill_cell_averages(A[sf, se], gf.nodes, me, -1.0)
+    fill_cell_averages(A[sf, sf], gf.nodes, mf)
+    A[se, nE + nF] = -1.0
+    A[sf, nE + nF + 1] = -1.0
+    A[nE + nF, se] = 1.0
+    A[nE + nF + 1, sf] = 1.0
     rhs = np.zeros(N)
     rhs[nE + nF] = 1.0
     rhs[nE + nF + 1] = 1.0
@@ -441,15 +458,18 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
     iterations = 0
 
     if min(u.min(), v.min()) < -1e-12:
-        u, v, w1, w2, iterations = coupled_projected(QEE, QEF, QFE, QFF)
+        # the scalings by 4 and -1 are exact, so these are the plain blocks
+        u, v, w1, w2, iterations = coupled_projected(
+            A[se, se] / 4.0, -A[se, sf], -A[sf, se], A[sf, sf]
+        )
         method = "projected"
 
     lam_e = DiscreteMeasure.from_weights(ge, np.maximum(u, 0.0))
     lam_f = DiscreteMeasure.from_weights(gf, np.maximum(v, 0.0))
     # the blocks depend on the cells only, so they give the potentials of lam_e, lam_f
     ue, uf = lam_e.weights, lam_f.weights
-    r1 = float(np.max(np.abs(4.0 * (QEE @ ue) - QEF @ uf - w1)))
-    r2 = float(np.max(np.abs(-(QFE @ ue) + QFF @ uf - w2)))
+    r1 = float(np.max(np.abs(A[se, se] @ ue + A[se, sf] @ uf - w1)))
+    r2 = float(np.max(np.abs(A[sf, se] @ ue + A[sf, sf] @ uf - w2)))
     sol_e = EquilibriumSolution(
         measure=lam_e,
         constants=(w1, w2),

@@ -19,9 +19,11 @@ search of the evaluation points over each cell's window yields candidate
 rows, and the exact window test runs on those alone.  Evaluators that only
 need Q @ w (every potential here and ``equilibrium.kernel_potential``) build
 the kernel matrix in row blocks of at most BLOCK_ENTRIES entries, so their
-memory does not grow with the number of points.  Neither changes a value:
-the window decision is the same per (point, cell), and each block row sums
-the same products in the same order as one product over all points.
+memory does not grow with the number of points; the dense solvers fill their
+system matrices through the same row blocks (:func:`fill_cell_averages`).
+Neither changes a value: the window decision is the same per (point, cell),
+every entry is computed elementwise, and each block row sums the same
+products in the same order as one product over all points.
 """
 
 from __future__ import annotations
@@ -283,7 +285,8 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
     piecewise-constant density, including the cell containing z), midpoint
     beyond.  Complex or atomic input always takes the midpoint path.  The
     matrix is built in one buffer; callers that need only Q @ w go through
-    :func:`_row_blocks`, which bounds its size.
+    :func:`_row_blocks`, and callers that keep it through
+    :func:`fill_cell_averages`, which both bound that buffer's size.
     """
     z = np.atleast_1d(np.asarray(z))
     if np.iscomplexobj(z) and np.any(z.imag != 0.0):
@@ -306,21 +309,43 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
     return Q
 
 
+def row_slices(n_rows, n_cols):
+    """Consecutive row slices of an n_rows x n_cols matrix, BLOCK_ENTRIES entries at most.
+
+    Each slice but the last holds a multiple of 8 rows: OpenBLAS's
+    single-threaded matrix-vector product sends the last (rows mod 4) rows of
+    a product through another kernel, so only then is every row of a blocked
+    product summed as in one product over all rows.
+    """
+    rows = max(8, BLOCK_ENTRIES // max(1, n_cols) // 8 * 8)
+    for start in range(0, n_rows, rows):
+        yield slice(start, min(start + rows, n_rows))
+
+
 def _row_blocks(mu: DiscreteMeasure, z, kernel_block):
-    """K(z) @ mu.weights, built BLOCK_ENTRIES kernel entries at a time.
+    """K(z) @ mu.weights, built one :func:`row_slices` block of kernel entries at a time.
 
     ``kernel_block(zb, Q)`` returns the kernel matrix of the rows ``zb`` from
-    their ``Q = neglog_cell_averages(zb, mu)``.  Block rows are a multiple
-    of 8: OpenBLAS's single-threaded matrix-vector product sends the last
-    (rows mod 4) rows of a product through another kernel, so only then is
-    every row summed as in one product over all of z.
+    their ``Q = neglog_cell_averages(zb, mu)``.
     """
     z = np.atleast_1d(np.asarray(z))
-    rows = max(8, BLOCK_ENTRIES // max(1, len(mu.nodes)) // 8 * 8)
     out = np.empty(len(z))
-    for s in range(0, len(z), rows):
-        zb = z[s : s + rows]
-        out[s : s + rows] = kernel_block(zb, neglog_cell_averages(zb, mu)) @ mu.weights
+    for rows in row_slices(len(z), len(mu.nodes)):
+        zb = z[rows]
+        out[rows] = kernel_block(zb, neglog_cell_averages(zb, mu)) @ mu.weights
+    return out
+
+
+def fill_cell_averages(out, z, mu: DiscreteMeasure, scale=1.0):
+    """Write scale * neglog_cell_averages(z, mu) into ``out``, one row block at a time.
+
+    ``out`` is the len(z) x len(mu.nodes) slice of a system matrix, so the
+    matrix is the only full-size buffer.  Every entry is computed and scaled
+    elementwise, so the bits are those of scale * neglog_cell_averages over
+    all of z.
+    """
+    for rows in row_slices(len(z), len(mu.nodes)):
+        np.multiply(neglog_cell_averages(z[rows], mu), scale, out=out[rows])
     return out
 
 

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -122,6 +124,40 @@ def test_manifest_hashes(cfg_path, tmp_path):
         assert len(blob) == entry["bytes"]
 
 
+def test_manifest_records_blas_threads(cfg_path, tmp_path, monkeypatch):
+    # report.json bytes can depend on the BLAS thread count, so the manifest
+    # records the thread variables and whether numpy loaded before the pin
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    monkeypatch.setenv("NUMEXPR_NUM_THREADS", "1")
+    monkeypatch.delenv("NUMEXPR_NUM_THREADS")
+    out = tmp_path / "in_process"
+    assert run(["solve-scalar", "--config", cfg_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {
+        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "3",
+        "NUMEXPR_NUM_THREADS": "1",
+        "numpy_preloaded": True,
+    }
+    # a fresh process pins every variable before numpy loads
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = tmp_path / "fresh"
+    argv = ["solve-scalar", "--config", cfg_path, "--out", str(out)]
+    subprocess.run([sys.executable, "-m", "equilab.cli", *argv], env=env, check=True,
+                   capture_output=True, timeout=120)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {
+        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "NUMEXPR_NUM_THREADS": "1",
+        "numpy_preloaded": False,
+    }
+
+
 def test_hp_order_zero_closed_form(tmp_path):
     cfg = json.loads(json.dumps(SMALL_CFG))
     cfg["hp"] = {"n_list": [0], "precision_bits": 192}
@@ -171,6 +207,23 @@ def test_verify_theorem1_report_pinned(tmp_path, preset):
     assert run(["verify-theorem1", "--preset", preset, "--nodes", "64", "--out", str(out)]) == 1
     with open(os.path.join(DATA, f"verify_theorem1_{preset}_n64.report.json"), "rb") as fh:
         assert (out / "report.json").read_bytes() == fh.read()
+
+
+def test_verify_theorem1_pinned_on_multi_block_systems(tmp_path):
+    # at 200 nodes per component the dense systems of the two-component F
+    # are filled in several row blocks, the last one ragged; the report and
+    # the sidecars, whose coupled residuals sit at rounding level, must
+    # match files written by the one-shot matrix builders
+    out = tmp_path / "o"
+    argv = ["verify-theorem1", "--preset", "sym-arcsine", "--nodes", "200", "--out", str(out)]
+    assert run(argv) == 0
+    stem = os.path.join(DATA, "verify_theorem1_sym-arcsine_n200")
+    pinned = {"report.json": f"{stem}.report.json"}
+    for name in ("scalar_f", "coupled_e", "coupled_f"):
+        pinned[f"measures/{name}.json"] = f"{stem}.{name}.json"
+    for rel, path in pinned.items():
+        with open(path, "rb") as fh:
+            assert (out / rel).read_bytes() == fh.read(), rel
 
 
 @pytest.mark.parametrize("n_list, ks_status", [([0, 2, 4], "pass"), ([0], "skipped")])

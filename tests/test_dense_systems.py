@@ -1,0 +1,194 @@
+"""The dense float-layer systems against one-shot builders, and their memory.
+
+``solve_scalar``, ``solve_vector`` and ``balayage_numeric`` write every
+entry of their system matrix once, in row blocks, straight into the array
+that ``np.linalg.solve`` factors.  The oracles here build the same matrices
+from full-size blocks, as the solvers once did, and the matrix handed to
+LAPACK must equal them bit for bit, as must the recorded residuals.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from equilab.balayage import balayage_numeric, chebyshev_measure
+from equilab.equilibrium import (
+    E_INTERVAL,
+    GridParams,
+    LOG_KERNEL,
+    assemble_energy_matrix,
+    reduced_kernel,
+    solve_scalar,
+    solve_vector,
+    surface_field,
+    surface_kernel,
+)
+from equilab.kernels import IntervalUnion
+from equilab.measures import (
+    DiscreteMeasure,
+    log_potential,
+    make_grid,
+    neglog_cell_averages,
+    row_slices,
+)
+
+F23 = IntervalUnion([(2.0, 3.0)])
+FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
+SUPPORTS = pytest.mark.parametrize("F", [F23, FSYM], ids=["f23", "sym"])
+GP = GridParams(n=200, grading=2.0)
+
+
+def _energy_matrix_oracle(grid, kernel):
+    x = grid.nodes
+    D = x[:, None] - x[None, :]
+    with np.errstate(divide="ignore"):
+        K = -np.log(np.abs(D))
+    np.fill_diagonal(K, 1.5 - np.log(grid.widths))
+    K = kernel.sing_coeff * K
+    if kernel.smooth is not None:
+        K = K + kernel.smooth_matrix(x, x)
+    return K
+
+
+def _uniform(grid, mass=1.0):
+    return DiscreteMeasure.from_weights(grid, np.full(grid.size, mass / grid.size))
+
+
+def _collocation_oracle(F, gp):
+    ge = make_grid(E_INTERVAL, gp.n, gp.grading)
+    gf = make_grid(F, gp.n, gp.grading)
+    me, mf = _uniform(ge), _uniform(gf)
+    QEE = neglog_cell_averages(ge.nodes, me)
+    QEF = neglog_cell_averages(ge.nodes, mf)
+    QFE = neglog_cell_averages(gf.nodes, me)
+    QFF = neglog_cell_averages(gf.nodes, mf)
+    nE, nF = ge.size, gf.size
+    N = nE + nF + 2
+    A = np.zeros((N, N))
+    A[:nE, :nE] = 4.0 * QEE
+    A[:nE, nE : nE + nF] = -QEF
+    A[:nE, nE + nF] = -1.0
+    A[nE : nE + nF, :nE] = -QFE
+    A[nE : nE + nF, nE : nE + nF] = QFF
+    A[nE : nE + nF, nE + nF + 1] = -1.0
+    A[nE + nF, :nE] = 1.0
+    A[nE + nF + 1, nE : nE + nF] = 1.0
+    return A, (QEE, QEF, QFE, QFF)
+
+
+def _assert_bits_equal(a, b):
+    np.testing.assert_array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture()
+def solved_matrices(monkeypatch):
+    """Every matrix handed to np.linalg.solve during the test, in call order."""
+    seen = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        seen.append(np.array(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    return seen
+
+
+def test_sym_grid_fills_in_ragged_blocks():
+    # the F x F block of the two-component grid at n = 200: 400 rows of 400
+    # entries, 160 rows per block, so the oracles below cover the last
+    # (ragged) block; on [2, 3] each 200 x 200 block is a single row block
+    assert [s.stop - s.start for s in row_slices(400, 400)] == [160, 160, 80]
+    assert [s.stop - s.start for s in row_slices(200, 200)] == [200]
+
+
+@pytest.mark.parametrize("n", [8, 37, 300])
+@pytest.mark.parametrize("kernel", ["log", "surface", "reduced"])
+def test_energy_matrix_equals_one_shot(n, kernel):
+    support = E_INTERVAL if kernel != "surface" else FSYM
+    k = {"log": LOG_KERNEL, "surface": surface_kernel(), "reduced": reduced_kernel(F23)}[kernel]
+    grid = make_grid(support, n, 2.0)
+    oracle = _energy_matrix_oracle(grid, k)
+    _assert_bits_equal(assemble_energy_matrix(grid, k), oracle)
+    # written into the slice of a larger matrix, nothing outside it changes
+    A = np.full((grid.size + 1, grid.size + 1), 7.0)
+    assemble_energy_matrix(grid, k, out=A[: grid.size, : grid.size])
+    _assert_bits_equal(A[: grid.size, : grid.size], oracle)
+    assert np.all(A[grid.size] == 7.0) and np.all(A[:, grid.size] == 7.0)
+
+
+@SUPPORTS
+def test_saddle_matrix_equals_one_shot(F, solved_matrices):
+    sol = solve_scalar(F, GP)
+    (A,) = solved_matrices
+    grid = make_grid(F, GP.n, GP.grading)
+    n = grid.size
+    K = _energy_matrix_oracle(grid, surface_kernel())
+    oracle = np.zeros((n + 1, n + 1))
+    oracle[:n, :n] = K
+    oracle[:n, n] = 1.0
+    oracle[n, :n] = 1.0
+    _assert_bits_equal(A, oracle)
+    f = surface_field(grid.nodes)
+    w = np.linalg.solve(oracle, np.concatenate([-f, [1.0]]))[:n]
+    _assert_bits_equal(sol.measure.weights, np.maximum(w, 0.0))
+
+
+@SUPPORTS
+def test_collocation_matrix_and_residuals_equal_one_shot(F, solved_matrices):
+    sol_e, sol_f = solve_vector(F, GP)
+    (A,) = solved_matrices
+    oracle, (QEE, QEF, QFE, QFF) = _collocation_oracle(F, GP)
+    _assert_bits_equal(A, oracle)
+    ue, uf = sol_e.measure.weights, sol_f.measure.weights
+    w1, w2 = sol_e.constants
+    r1 = float(np.max(np.abs(4.0 * (QEE @ ue) - QEF @ uf - w1)))
+    r2 = float(np.max(np.abs(-(QFE @ ue) + QFF @ uf - w2)))
+    assert (sol_e.residual_sup, sol_f.residual_sup) == (r1, r2)
+
+
+@SUPPORTS
+def test_balayage_matrix_and_residual_equal_one_shot(F, solved_matrices):
+    src = chebyshev_measure(make_grid(E_INTERVAL, GP.n, GP.grading))
+    target = make_grid(F, GP.n, GP.grading)
+    res = balayage_numeric(src, target)
+    (A,) = solved_matrices
+    n = target.size
+    P = neglog_cell_averages(target.nodes, _uniform(target, src.mass))
+    oracle = np.zeros((n + 1, n + 1))
+    oracle[:n, :n] = P
+    oracle[:n, n] = -1.0
+    oracle[n, :n] = 1.0
+    _assert_bits_equal(A, oracle)
+    rhs_u = log_potential(src, target.nodes)
+    resid = float(np.max(np.abs(P @ res.measure.weights - rhs_u - res.shift_constant)))
+    assert res.residual_sup == resid
+
+
+def _system_bytes_and_call(name):
+    gp = GridParams(n=400, grading=2.0)
+    ge, gf = make_grid(E_INTERVAL, gp.n, gp.grading), make_grid(FSYM, gp.n, gp.grading)
+    if name == "solve_scalar":
+        return (gf.size + 1) ** 2 * 8, lambda: solve_scalar(FSYM, gp)
+    if name == "solve_vector":
+        return (ge.size + gf.size + 2) ** 2 * 8, lambda: solve_vector(FSYM, gp)
+    src = chebyshev_measure(ge)
+    return (gf.size + 1) ** 2 * 8, lambda: balayage_numeric(src, gf)
+
+
+@pytest.mark.parametrize("name", ["solve_scalar", "solve_vector", "balayage_numeric"])
+def test_peak_memory_is_one_system_matrix(name):
+    # np.linalg.solve factors a Fortran-order working copy of the matrix that
+    # LAPACK's wrapper allocates with malloc, which tracemalloc does not see;
+    # the bound is on everything else, so a second full-size array fails it
+    nbytes, call = _system_bytes_and_call(name)
+    call()  # one-time imports and caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * nbytes, f"{name}: peak {peak} bytes for a {nbytes}-byte system"
