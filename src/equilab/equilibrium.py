@@ -130,10 +130,10 @@ def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
     """Evaluation-route integral of the kernel against the measure at z."""
 
     def kernel_block(zb, Q):
-        P = kernel.sing_coeff * Q
+        Q *= kernel.sing_coeff
         if kernel.smooth is not None:
-            P = P + kernel.smooth(zb[:, None], mu.nodes[None, :])
-        return P
+            Q += kernel.smooth(zb[:, None], mu.nodes[None, :])
+        return Q
 
     out = _row_blocks(mu, np.asarray(z, dtype=float), kernel_block)
     return float(out[0]) if np.ndim(z) == 0 else out
@@ -151,7 +151,6 @@ class EquilibriumSolution:
     min_density: float
     method: str
     iterations: int = 0
-    energy: float = float("nan")
 
     @property
     def constant(self) -> float:
@@ -256,14 +255,14 @@ def minimize_on_simplices(H, g, blocks, init=None):
 
     ``blocks`` lists ``(size, mass)`` per simplex, in the order of x; H is
     symmetric and positive definite on the constraint set.  Accelerated steps
-    are accepted only when they do not increase the energy, so the recorded
-    energy trace is non-increasing by construction; step sizes come from
+    are accepted only when they do not increase the energy, so the iterates'
+    energies are non-increasing by construction; step sizes come from
     halving backtracking starting at 1.  Every few iterations the equality
     KKT system on the current support is solved directly; once the support
     is identified that lands exactly on the constrained minimizer
     (first-order methods alone crawl on these ill-conditioned kernels).
 
-    Returns ``(x, multipliers, iterations, energy_trace)``, one multiplier
+    Returns ``(x, multipliers, iterations)``, one multiplier
     per block.  Raises :class:`NonConvergenceError` when the KKT residual
     stays above ``TOL`` after ``MAX_ITER`` iterations.
     """
@@ -272,7 +271,6 @@ def minimize_on_simplices(H, g, blocks, init=None):
     x = _project(np.asarray(init, dtype=float), blocks)
     y, tk = x, 1.0
     J = _energy(H, g, x)
-    trace = [J]
     it = 0
     res = np.inf
     while it < MAX_ITER and res > TOL:
@@ -288,7 +286,6 @@ def minimize_on_simplices(H, g, blocks, init=None):
         x_prev = x
         if Jc <= J:
             x, J = cand, Jc
-        trace.append(J)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         y = x + (tk / t_next) * (cand - x) + ((tk - 1.0) / t_next) * (x - x_prev)
         tk = t_next
@@ -299,7 +296,6 @@ def minimize_on_simplices(H, g, blocks, init=None):
             if Jp <= J:
                 x, J = polished, Jp
                 y, tk = x, 1.0
-                trace.append(J)
                 res, _ = kkt_residual(H, g, x, blocks)
     if res > TOL:
         raise NonConvergenceError(
@@ -314,9 +310,8 @@ def minimize_on_simplices(H, g, blocks, init=None):
         Jp = _energy(H, g, polished)
         if Jp <= J + 1e-15 * abs(J):
             x = polished
-            trace.append(Jp)
     _, mult = kkt_residual(H, g, x, blocks)
-    return x, mult, it, trace
+    return x, mult, it
 
 
 # --------------------------------------------------------------------------
@@ -349,11 +344,10 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
     method = "saddle"
     iterations = 0
     if np.min(w) < -1e-12:
-        w, (c,), iterations, _ = minimize_on_simplices(K, f, [(n, 1.0)])
+        w, (c,), iterations = minimize_on_simplices(K, f, [(n, 1.0)])
         method = "projected"
 
     mu = DiscreteMeasure.from_weights(grid, np.maximum(w, 0.0))
-    energy = _energy(K, f, np.asarray(mu.weights))
     # free the saddle matrix before the residual's row blocks are built
     del A, K
     pe = kernel_potential(mu, kernel, grid.nodes) + f
@@ -366,7 +360,6 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
         min_density=min_density,
         method=method,
         iterations=iterations,
-        energy=energy,
     )
 
 
@@ -410,7 +403,7 @@ def coupled_projected(QEE, QEF, QFE, QFF):
     B = 0.5 * (QEF + QFE.T)
     H = np.block([[4.0 * AEE, -B], [-B.T, AFF]])
     nE, nF = len(QEE), len(QFF)
-    x, _, iterations, _ = minimize_on_simplices(H, np.zeros(nE + nF), [(nE, 1.0), (nF, 1.0)])
+    x, _, iterations = minimize_on_simplices(H, np.zeros(nE + nF), [(nE, 1.0), (nF, 1.0)])
     u, v = x[:nE], x[nE:]
     w1 = float(np.mean(4.0 * (QEE @ u) - QEF @ v))
     w2 = float(np.mean(-(QFE @ u) + QFF @ v))

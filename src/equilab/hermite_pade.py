@@ -34,15 +34,19 @@ to the requested precision only at the end; b_k uses the exact recursion
     c_0(t) = f1(t),   c_k(t) = t c_{k-1}(t) - a_{k-1},
     b_k = - sum_j omega_j c_k(t_j)
 
-over the per-component Gauss discretization (t_j, omega_j) of sigma, so the
+over the per-component discretization (t_j, omega_j) of sigma, so the
 only approximation in b_k is the quadrature of sigma, which is checked by
-doubling its order from QUAD_ORDER_START = 64.  The rule is placed in the
-variable u = sqrt(|t| - 1): a rule affine in t converges only at the rate
-set by the branch point of f1 at t = +-1, which needs order 1024 on
-F = [1.01, 1.5] at 512 bits, while in u the pole of f1 cancels against
-dt = 2u du and order 256 suffices.  The
-recursion runs on Python integers in fixed point (each value v held as
-floor(v * 2^P)) and converts to mpf once at the end.  After that rounding
+doubling its order from QUAD_ORDER_START = 64 up to QUAD_ORDER_MAX = 4096.
+Both rules share the order's Chebyshev points: Gauss-Chebyshev for an
+arcsine density, Fejer's first rule (explicit cosine-sum weights; L. N.
+Trefethen, SIAM Rev. 50, 2008) for a smooth one.  Fejer needs about one
+doubling more than Gauss-Legendre would, but no Newton solve for its nodes.
+The rule is placed in the variable u = sqrt(|t| - 1): a rule affine in t
+converges only at the rate set by the branch point of f1 at t = +-1, which
+needs order 1024 on F = [1.01, 1.5] at 512 bits, while in u the pole of f1
+cancels against dt = 2u du and order 256 suffices.  The recursion runs on
+Python integers in fixed point (each value v held as floor(v * 2^P)) and
+converts to mpf once at the end.  After that rounding
 it agrees bit for bit with the same recursion in mpf arithmetic at
 precision P, except where b_k vanishes exactly (the even b_k of a symmetric
 sigma): there both return rounding noise.
@@ -75,8 +79,10 @@ from .measures import DiscreteMeasure
 
 DEFAULT_PRECISION_BITS = 512
 MAX_PRECISION_BITS = 4096
-# the sigma quadrature doubles from this order until the moments settle
+# the sigma quadrature doubles from the start order until the moments
+# settle, and gives up after the cap
 QUAD_ORDER_START = 64
+QUAD_ORDER_MAX = 4096
 
 
 def require_n_list(n_list) -> list:
@@ -96,19 +102,20 @@ def require_n_list(n_list) -> list:
 class MarkovSpec:
     """A positive measure sigma on F given by a strictly positive density.
 
-    ``rule`` selects the per-component Gauss discretization: "legendre" for a
-    density smooth up to the endpoints, "chebyshev" for densities with
-    inverse-square-root endpoint factors (the nodes then absorb them).
+    ``rule`` selects the per-component quadrature on the Chebyshev points:
+    "fejer" (Fejer's first rule) for a density smooth up to the endpoints,
+    "chebyshev" (Gauss-Chebyshev) for densities with inverse-square-root
+    endpoint factors, which the rule's weight then absorbs.
     """
 
     support: IntervalUnion
     density: object
-    rule: str = "legendre"
+    rule: str = "fejer"
 
     def __post_init__(self):
         require_gap_to_e(self.support)
-        if self.rule not in ("legendre", "chebyshev"):
-            raise ValueError("rule must be 'legendre' or 'chebyshev'")
+        if self.rule not in ("fejer", "chebyshev"):
+            raise ValueError("rule must be 'fejer' or 'chebyshev'")
 
 
 def arcsine_sigma(support: IntervalUnion) -> MarkovSpec:
@@ -133,89 +140,71 @@ def constant_sigma(support: IntervalUnion) -> MarkovSpec:
     def density(t):
         return mp.mpf(1) / total
 
-    return MarkovSpec(support=support, density=density, rule="legendre")
+    return MarkovSpec(support=support, density=density, rule="fejer")
 
 
-_GL_CACHE = {}
+def _fejer_weights(order: int):
+    """Fejer's first-rule weights on [-1, 1] for the Chebyshev points x_k = cos(theta_k).
 
+    With N = order and theta_k = (2k - 1) pi / (2N),
 
-def _legendre(order: int, x):
-    """P_order(x) and its derivative, by the three-term recurrence."""
-    p0, p1 = mp.mpf(1), x
-    for k in range(2, order + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, order * (x * p1 - p0) / (x * x - 1)
+        w_k = (2/N) (1 - 2 sum_{j=1}^{N//2} cos(2j theta_k) / (4j^2 - 1)),
 
-
-def gauss_legendre(order: int, prec: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] at the given binary precision.
-
-    Newton's method runs on the nonnegative nodes only; the rule is symmetric,
-    so each negative node is the mirror -x of a positive one, with its weight.
+    and cos(2j theta_k) = cos(m pi / N) for m = j(2k - 1) mod 2N, read from a
+    table.  The weights are positive, symmetric and exact for polynomials of
+    degree N - 1.  The sums run on integers in fixed point at the working
+    precision plus guard bits for their N/2 truncations; x_{N+1-k} = -x_k
+    reads the same table entries, so each weight is computed once for a
+    mirrored pair.
     """
-    key = (order, prec)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
-    with mp.workprec(prec + 32):
-        xs, ws = [], []
-        seeds = np.polynomial.legendre.leggauss(order)[0][order // 2 :]
-        for seed in seeds:
-            x = mp.mpf(float(seed))
-            for _ in range(100):
-                p, dp = _legendre(order, x)
-                dx = p / dp
-                x = x - dx
-                if abs(dx) < mp.mpf(2) ** (-(prec + 16)):
-                    break
-            _, dp = _legendre(order, x)
-            xs.append(x)
-            ws.append(2 / ((1 - x * x) * dp * dp))
-    # the middle node x = 0 of an odd rule is its own mirror
-    mirrored = slice(order % 2, None)
-    with mp.workprec(prec):
-        xs = [+x for x in xs]
-        ws = [+w for w in ws]
-        out = ([-x for x in reversed(xs[mirrored])] + xs, ws[mirrored][::-1] + ws)
-    _GL_CACHE[key] = out
-    return out
+    N = order
+    P = mp.mp.prec + N.bit_length()
+    half = [_to_fixed(mp.cos(mp.pi * m / N), P) for m in range(N + 1)]
+    table = half + half[-2:0:-1]  # cos(m pi / N) for m = 0 .. 2N - 1
+    ws = []
+    for k in range(1, (N + 1) // 2 + 1):
+        r = 2 * k - 1
+        s = sum(table[j * r % (2 * N)] // (4 * j * j - 1) for j in range(1, N // 2 + 1))
+        ws.append((2 - 4 * mp.ldexp(s, -P)) / N)
+    return ws + ws[N // 2 - 1 :: -1]
 
 
 def discretize_sigma(spec: MarkovSpec, order: int, prec: int):
-    """Per-component Gauss nodes and weights (t_j, omega_j) for sigma.
+    """Per-component nodes and weights (t_j, omega_j) for sigma.
 
     Each component is mapped by u = sqrt(|t| - 1), t = +-(1 + u^2),
-    dt = 2u du, and the Gauss rule is placed on [u_c, u_d].  The pole 1/u of
+    dt = 2u du, and the rule is placed on [u_c, u_d].  The pole 1/u of
     f1(t) = 1/(u sqrt(u^2 + 2)) at the branch point then cancels against dt,
-    so f1 no longer limits the rule's convergence.  Since
+    so f1 no longer limits the rule's convergence.  Both rules use the
+    order's Chebyshev points cos((2j - 1) pi / (2 order)), computed once per
+    call at prec + 32 bits.  The "chebyshev" rule is Gauss-Chebyshev: since
     t - c = (u - u_c)(u + u_c), an arcsine endpoint factor of the density
-    stays an arcsine factor in u, which the Chebyshev nodes absorb; its
-    remaining factor 1/sqrt(u + u_c) is what still slows the rule as F
-    nears [-1, 1].
+    stays an arcsine factor in u, which the rule absorbs; its remaining
+    factor 1/sqrt(u + u_c) is what still slows the rule as F nears [-1, 1].
+    The "fejer" rule takes Fejer's first-rule weights for a density smooth up
+    to the endpoints.
     """
     ts, ws = [], []
     with mp.workprec(prec + 32):
+        points = [mp.cos(mp.pi * (2 * j - 1) / (2 * order)) for j in range(1, order + 1)]
+        if spec.rule == "fejer":
+            fejer = _fejer_weights(order)
         for (c, d) in spec.support.intervals:
             sign = 1 if c > 0 else -1
             cm, dm = mp.mpf(c), mp.mpf(d)
             uc, ud = sorted(mp.sqrt(abs(x) - 1) for x in (cm, dm))
             mid, half = (uc + ud) / 2, (ud - uc) / 2
-            if spec.rule == "chebyshev":
-                for j in range(1, order + 1):
-                    th = mp.pi * (2 * j - 1) / (2 * order)
-                    u = mid + half * mp.cos(th)
-                    t = sign * (1 + u * u)
+            for j, x in enumerate(points):
+                u = mid + half * x
+                t = sign * (1 + u * u)
+                if spec.rule == "fejer":
+                    w = fejer[j] * half * spec.density(t) * 2 * u
+                else:
                     # Gauss rule for the weight 1/sqrt((u-u_c)(u_d-u)):
                     # omega = (pi/order) * density(t) * sqrt((u-u_c)(u_d-u)) * 2u
                     w = (mp.pi / order) * spec.density(t) * mp.sqrt((u - uc) * (ud - u)) * 2 * u
-                    ts.append(t)
-                    ws.append(w)
-            else:
-                xs, gw = gauss_legendre(order, prec)
-                for x, g in zip(xs, gw):
-                    u = mid + half * x
-                    t = sign * (1 + u * u)
-                    ts.append(t)
-                    ws.append(g * half * spec.density(t) * 2 * u)
+                ts.append(t)
+                ws.append(w)
     return ts, ws
 
 
@@ -278,7 +267,7 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
     ts, ws = discretize_sigma(sigma, order, precision_bits)
     prev = _moments_f2_at_order(k_max, ts, ws, precision_bits)
     tol = mp.mpf(2) ** (-(precision_bits // 2))
-    while order <= 1024:
+    while order < QUAD_ORDER_MAX:
         order *= 2
         ts, ws = discretize_sigma(sigma, order, precision_bits)
         cur = _moments_f2_at_order(k_max, ts, ws, precision_bits)
@@ -288,7 +277,8 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
             return cur, order
         prev = cur
     raise QuadratureError(
-        f"sigma quadrature did not stabilize to 2^-{precision_bits // 2} by order 1024"
+        f"sigma quadrature did not stabilize to 2^-{precision_bits // 2} "
+        f"by order {QUAD_ORDER_MAX}"
     )
 
 

@@ -142,11 +142,12 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Distribution and residual tolerances, calibrated at 400 nodes.
+    """Distribution and residual tolerances, calibrated at F = [2, 3] and 400 nodes.
 
     The underlying identities are exact; these bounds encode discretization
-    error only and scale like 1/n with the grid, so ``scaled(400 / n)`` fits
-    them to n nodes.
+    error only.  The command line multiplies them by the config's
+    ``tolerance_scale`` through :meth:`scaled`, and by nothing else: they
+    are not refitted to the grid size or the geometry.
     """
 
     ks: float = 5e-3

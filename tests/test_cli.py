@@ -226,6 +226,27 @@ def test_verify_theorem1_pinned_on_multi_block_systems(tmp_path):
             assert (out / rel).read_bytes() == fh.read(), rel
 
 
+def test_verify_prop2_constant_sigma_pinned(tmp_path):
+    # written by the Gauss-Legendre rule that Fejer's first rule replaced:
+    # the moments agree to 2^-256, so every value of the report must stay
+    # the same; only the rule's name and its accepted quadrature orders may
+    # change.  Both sides go through one serializer, which writes each float
+    # as the shortest decimal that reads back to it.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]], "sigma": "constant"},
+                             "hp": {"n_list": [5, 10, 20]}}))
+    out = tmp_path / "o"
+    assert run(["verify-prop2", "--config", str(p), "--out", str(out)]) == 0
+    with open(os.path.join(DATA, "verify_prop2_f23-constant_n5-10-20.report.json"),
+              encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    got = json.loads((out / "report.json").read_text())
+    for doc in (pinned, got):
+        (rep,) = doc["reports"]
+        del rep["provenance"]["sigma_quad_orders"], rep["provenance"]["rule"]
+    assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(pinned, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("n_list, ks_status", [([0, 2, 4], "pass"), ([0], "skipped")])
 def test_verify_order_zero(tmp_path, n_list, ks_status):
     # order 0 has no zeros: it is checked for degree and count, and the KS

@@ -6,17 +6,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from equilab.errors import PrecisionDiagnosticWarning, PrecisionError
+from equilab.errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
 from equilab import hermite_pade
 from equilab.hermite_pade import (
     GATE_MARGIN_BITS,
+    QUAD_ORDER_MAX,
+    QUAD_ORDER_START,
     HPSolution,
     HPSweep,
     MarkovSpec,
     arcsine_sigma,
     constant_sigma,
     counting_measure,
-    gauss_legendre,
     moments_f1,
     moments_f2,
     moments_f2_from_cauchy,
@@ -169,45 +170,131 @@ class TestSigmaQuadratureConvergence:
         _, order = moments_f2(31, arcsine_sigma(IntervalUnion([(1.0001, 1.5)])), 512)
         assert order <= 1024
 
+    def test_unsettled_moments_raise_at_the_cap(self, monkeypatch):
+        # moments that change at every order: the doubling must try every
+        # order up to the cap and name the cap in its error
+        orders = []
+
+        def discretize(spec, order, prec):
+            orders.append(order)
+            return [mp.mpf(2)] * order, [mp.mpf(1)] * order
+
+        def unsettled(k_max, ts, ws, precision_bits):
+            return [mp.mpf(len(ts))] * (k_max + 1)
+
+        monkeypatch.setattr(hermite_pade, "discretize_sigma", discretize)
+        monkeypatch.setattr(hermite_pade, "_moments_f2_at_order", unsettled)
+        with pytest.raises(QuadratureError, match=f"by order {QUAD_ORDER_MAX}$"):
+            moments_f2(3, constant_sigma(F23), PREC)
+        assert orders[0] == QUAD_ORDER_START
+        assert orders[1:] == [2 * o for o in orders[:-1]]
+        assert max(orders) == QUAD_ORDER_MAX == 4096
+
 
 def _gauss_legendre_all_nodes(order, prec):
-    """Gauss-Legendre rule by Newton's method on every node (gauss_legendre's reference)."""
+    """Gauss-Legendre nodes and weights by Newton's method on every node: the Fejer rule's oracle."""
     with mp.workprec(prec + 32):
-        xs = []
+        xs, ws = [], []
         for seed in np.polynomial.legendre.leggauss(order)[0]:
             x = mp.mpf(float(seed))
             for _ in range(100):
                 p0, p1 = mp.mpf(1), x
                 for k in range(2, order + 1):
                     p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dx = p1 / (order * (x * p1 - p0) / (x * x - 1))
+                dp = order * (x * p1 - p0) / (x * x - 1)
+                dx = p1 / dp
                 x = x - dx
                 if abs(dx) < mp.mpf(2) ** (-(prec + 16)):
                     break
             xs.append(x)
-    return xs
+            ws.append(2 / ((1 - x * x) * dp * dp))
+    return xs, ws
 
 
-class TestGaussLegendre:
-    @pytest.mark.parametrize("order, prec", [(16, 256), (17, 256), (64, 512)])
-    def test_mirrored_nodes_match_newton_on_every_node(self, order, prec):
-        xs, ws = gauss_legendre(order, prec)
-        with mp.workprec(prec):
-            for x, y in zip(xs, _gauss_legendre_all_nodes(order, prec)):
-                assert abs(x - y) <= mp.mpf(2) ** (-(prec - 4))
-            assert ws == ws[::-1]
+def _gauss_legendre_sigma(spec, order, prec):
+    """discretize_sigma with the Gauss-Legendre rule in u = sqrt(|t| - 1) on each component."""
+    xs, gw = _gauss_legendre_all_nodes(order, prec)
+    ts, ws = [], []
+    with mp.workprec(prec + 32):
+        for (c, d) in spec.support.intervals:
+            sign = 1 if c > 0 else -1
+            uc, ud = sorted(mp.sqrt(abs(mp.mpf(x)) - 1) for x in (c, d))
+            mid, half = (uc + ud) / 2, (ud - uc) / 2
+            for x, g in zip(xs, gw):
+                u = mid + half * x
+                t = sign * (1 + u * u)
+                ts.append(t)
+                ws.append(g * half * spec.density(t) * 2 * u)
+    return ts, ws
 
-    def test_polynomial_exactness(self):
-        xs, ws = gauss_legendre(16, PREC)
+
+def _arcsine_rule_oracle(spec, order, prec):
+    """The Gauss-Chebyshev loop of discretize_sigma, one cosine per node and component."""
+    ts, ws = [], []
+    with mp.workprec(prec + 32):
+        for (c, d) in spec.support.intervals:
+            sign = 1 if c > 0 else -1
+            cm, dm = mp.mpf(c), mp.mpf(d)
+            uc, ud = sorted(mp.sqrt(abs(x) - 1) for x in (cm, dm))
+            mid, half = (uc + ud) / 2, (ud - uc) / 2
+            for j in range(1, order + 1):
+                th = mp.pi * (2 * j - 1) / (2 * order)
+                u = mid + half * mp.cos(th)
+                t = sign * (1 + u * u)
+                w = (mp.pi / order) * spec.density(t) * mp.sqrt((u - uc) * (ud - u)) * 2 * u
+                ts.append(t)
+                ws.append(w)
+    return ts, ws
+
+
+class TestFejerRule:
+    @pytest.mark.parametrize("order", [16, 17, 64])
+    def test_weights_symmetric_and_positive(self, order):
         with mp.workprec(PREC):
-            q = mp.fsum(w * x * x for x, w in zip(xs, ws))
-            assert abs(q - mp.mpf(2) / 3) <= mp.mpf(2) ** (-200)
-            assert abs(mp.fsum(ws) - 2) <= mp.mpf(2) ** (-200)
+            ws = hermite_pade._fejer_weights(order)
+            assert len(ws) == order
+            assert ws == ws[::-1]
+            assert min(ws) > 0
 
-    def test_nodes_symmetric(self):
-        xs, _ = gauss_legendre(8, 128)
-        with mp.workprec(128):
-            assert abs(xs[0] + xs[-1]) <= mp.mpf(2) ** (-100)
+    @pytest.mark.parametrize("order", [16, 17, 64])
+    def test_polynomial_exactness(self, order):
+        with mp.workprec(PREC):
+            ws = hermite_pade._fejer_weights(order)
+            xs = [mp.cos(mp.pi * (2 * j - 1) / (2 * order)) for j in range(1, order + 1)]
+            assert abs(mp.fsum(ws) - 2) <= mp.mpf(2) ** (-(PREC - 8))
+            for deg in range(order):
+                exact = mp.mpf(2) / (deg + 1) if deg % 2 == 0 else 0
+                quad = mp.fsum(w * x**deg for x, w in zip(xs, ws))
+                assert abs(quad - exact) <= mp.mpf(2) ** (-(PREC - 16)), deg
+
+    @pytest.mark.parametrize("F", [(2.0, 3.0), (1.01, 1.5), (-1.5, -1.01)])
+    def test_constant_sigma_closed_form(self, F):
+        # sigma = dt / (d - c): b_0 = -integral of f1, b_1 = -integral of
+        # t f1(t) - 1; on -F, b_k picks up the factor (-1)^(k+1)
+        b, _ = moments_f2(1, constant_sigma(IntervalUnion([F])), PREC)
+        with mp.workprec(PREC):
+            c, d = sorted(abs(mp.mpf(x)) for x in F)
+            b0 = -(mp.acosh(d) - mp.acosh(c)) / (d - c)
+            b1 = -((mp.sqrt(d * d - 1) - d) - (mp.sqrt(c * c - 1) - c)) / (d - c)
+            assert abs(b[0] - mp.sign(F[0]) * b0) <= mp.mpf(10) ** (-40)
+            assert abs(b[1] - b1) <= mp.mpf(10) ** (-40)
+
+    @pytest.mark.parametrize("F", [(2.0, 3.0), (1.01, 1.5)])
+    def test_constant_sigma_agrees_with_gauss_legendre(self, F):
+        bits, k_max = 512, 31
+        sigma = constant_sigma(IntervalUnion([F]))
+        b, _ = moments_f2(k_max, sigma, bits)
+        ts, ws = _gauss_legendre_sigma(sigma, 128, bits)
+        oracle = _moments_f2_at_order(k_max, ts, ws, bits)
+        with mp.workprec(bits):
+            scale = max(mp.mpf(1), max(abs(x) for x in oracle))
+            delta = max(abs(p - q) for p, q in zip(b, oracle))
+            assert delta <= mp.mpf(2) ** (-(bits // 2)) * scale
+
+    @pytest.mark.parametrize("support", [F23, IntervalUnion([(1.01, 1.5)]), SYM])
+    def test_arcsine_rule_unchanged(self, support):
+        spec = arcsine_sigma(support)
+        assert discretize_sigma(spec, 64, PREC) == _arcsine_rule_oracle(spec, 64, PREC)
 
 
 @pytest.fixture(scope="module")

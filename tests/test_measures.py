@@ -343,14 +343,19 @@ class TestBandedWindow:
             "rs_potential_sheet_0": lambda: rs_potential_sheet(mu, z, 0),
             "kernel_potential": lambda: kernel_potential(mu, surface_kernel(), z),
         }
+        peaks = {}
         for name, evaluate in evaluators.items():
             tracemalloc.start()
             try:
                 evaluate()
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bound, f"{name}: peak {peak} bytes, bound {bound:.0f}"
+            assert peaks[name] < bound, f"{name}: peak {peaks[name]} bytes, bound {bound:.0f}"
+        # the kernel is scaled and its smooth part added inside the row
+        # block of -log averages; only the smooth part needs a second block
+        ratio = peaks["kernel_potential"] / peaks["log_potential"]
+        assert ratio <= 2.75, f"kernel_potential peaks at {ratio:.2f} x log_potential"
 
 
 class TestKSDistance:
