@@ -256,6 +256,16 @@ class TestFejerRule:
             assert ws == ws[::-1]
             assert min(ws) > 0
 
+    def test_nodes_symmetric(self):
+        # the shared Chebyshev points sit mirrored about the midpoint of [u_c, u_d]
+        ts, _ = discretize_sigma(constant_sigma(F23), 8, 128)
+        with mp.workprec(128):
+            us = [mp.sqrt(abs(t) - 1) for t in ts]
+            uc, ud = sorted(mp.sqrt(abs(mp.mpf(x)) - 1) for x in F23.intervals[0])
+            assert len(us) == 8
+            for a, b in zip(us, us[::-1]):
+                assert abs((a + b) - (uc + ud)) <= mp.mpf(2) ** (-100)
+
     @pytest.mark.parametrize("order", [16, 17, 64])
     def test_polynomial_exactness(self, order):
         with mp.workprec(PREC):
