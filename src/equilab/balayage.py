@@ -7,9 +7,9 @@ are implemented: the closed form for a point mass swept onto E = [-1, 1]
 the arctan antiderivative), and a potential-matching linear solve for
 arbitrary discrete sources and targets.  The closed form doubles as the test
 oracle for the numeric route.  A numeric sweep with negative weights falls
-back to the least-squares fit over the simplex, solved by
-:func:`equilab.equilibrium.minimize_on_simplices` once the free constant is
-eliminated.
+back to the least-squares fit over the simplex: once the free constant is
+eliminated it is a quadratic program, which the active-set solve of
+:func:`equilab.equilibrium.minimize_on_simplices` settles exactly.
 """
 
 from __future__ import annotations

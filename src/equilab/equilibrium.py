@@ -15,8 +15,9 @@ w'Kw + 2f'w (cell-averaged diagonal, midpoint off-diagonal) through the
 linear saddle system.  The coupled problem is a potential-matching
 collocation system on the grid nodes.  Grids that produce negative weights
 fall back to :func:`minimize_on_simplices`, the one guard routine: a
-monotone accelerated projected gradient with an active-set polish for
-x'Hx + 2g'x over a product of simplices.  The scalar and reduced problems
+primal-dual active-set solve of x'Hx + 2g'x over a product of simplices,
+each step one dense equality KKT solve on the current support (Hintermuller,
+Ito and Kunisch, SIAM J. Optim. 13, 2002).  The scalar and reduced problems
 map onto it with H = K, g = f; the coupled problem with the symmetrized
 collocation blocks [[4 A_EE, -B], [-B', A_FF]] and g = 0; balayage (in
 :mod:`equilab.balayage`) after eliminating its free constant.  Residuals are
@@ -51,10 +52,10 @@ from .measures import (
 
 E_INTERVAL = IntervalUnion([(E_LEFT, E_RIGHT)])
 
-# stopping rule of the projected gradient: KKT residual and iteration cap
+# active-set guard: gradient slack that adds an index, and the cap on steps
+# (each step is one dense KKT solve)
 TOL = 1e-10
-MAX_ITER = 100_000
-POLISH_EVERY = 50
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -173,18 +174,7 @@ class EquilibriumSolution:
 
 
 # --------------------------------------------------------------------------
-# the projected-gradient guard
-
-
-def project_simplex(v, mass=1.0):
-    """Euclidean projection onto {w >= 0, sum w = mass}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - mass
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+# the active-set guard
 
 
 def _block_slices(blocks):
@@ -193,15 +183,6 @@ def _block_slices(blocks):
         out.append(slice(start, start + size))
         start += size
     return out
-
-
-def _project(x, blocks):
-    slices = _block_slices(blocks)
-    return np.concatenate([project_simplex(x[s], mass) for s, (_, mass) in zip(slices, blocks)])
-
-
-def _energy(H, g, x):
-    return float(x @ (H @ x) + 2.0 * g @ x)
 
 
 def kkt_residual(H, g, x, blocks):
@@ -223,13 +204,13 @@ def kkt_residual(H, g, x, blocks):
     return res, tuple(mult)
 
 
-def _active_set_polish(H, g, x, blocks):
-    """Re-solve the equality KKT system on the support, one multiplier per block.
+def _kkt_on_support(H, g, support, blocks):
+    """Solve the equality KKT system on the support, one multiplier per block.
 
-    Returns None when that system is singular or its solution leaves the
-    nonnegative orthant.
+    Returns x, zero off the support; raises ``np.linalg.LinAlgError`` when
+    the system is singular.
     """
-    act = np.flatnonzero(x > 0)
+    act = np.flatnonzero(support)
     m = len(blocks)
     ind = np.zeros((act.size, m))
     for b, s in enumerate(_block_slices(blocks)):
@@ -239,79 +220,50 @@ def _active_set_polish(H, g, x, blocks):
     A[: act.size, act.size :] = ind
     A[act.size :, : act.size] = ind.T
     rhs = np.concatenate([-g[act], [mass for _, mass in blocks]])
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if np.any(sol[: act.size] < 0):
-        return None
-    out = np.zeros_like(x)
+    sol = np.linalg.solve(A, rhs)
+    out = np.zeros(len(g))
     out[act] = sol[: act.size]
     return out
 
 
-def minimize_on_simplices(H, g, blocks, init=None):
-    """Minimize x'Hx + 2g'x over a product of simplices.
+def minimize_on_simplices(H, g, blocks):
+    """Minimize x'Hx + 2g'x over a product of simplices, by active sets.
 
     ``blocks`` lists ``(size, mass)`` per simplex, in the order of x; H is
-    symmetric and positive definite on the constraint set.  Accelerated steps
-    are accepted only when they do not increase the energy, so the iterates'
-    energies are non-increasing by construction; step sizes come from
-    halving backtracking starting at 1.  Every few iterations the equality
-    KKT system on the current support is solved directly; once the support
-    is identified that lands exactly on the constrained minimizer
-    (first-order methods alone crawl on these ill-conditioned kernels).
+    symmetric and positive definite on the constraint set.  Each step solves
+    the equality KKT system on the current support (every index at the
+    start).  Negative weights leave the support all at once; otherwise every
+    index whose gradient half (Hx + g)_i lies more than ``TOL`` below its
+    block's multiplier joins it.  The first step that adds nothing is the
+    constrained minimizer, exact to the rounding of one dense solve.
 
-    Returns ``(x, multipliers, iterations)``, one multiplier
-    per block.  Raises :class:`NonConvergenceError` when the KKT residual
-    stays above ``TOL`` after ``MAX_ITER`` iterations.
+    Returns ``(x, multipliers, steps)``, one multiplier per block.  Raises
+    :class:`NonConvergenceError` when a KKT system is singular or
+    ``MAX_ITER`` steps pass without a stable support.
     """
-    if init is None:
-        init = np.concatenate([np.full(size, mass / size) for size, mass in blocks])
-    x = _project(np.asarray(init, dtype=float), blocks)
-    y, tk = x, 1.0
-    J = _energy(H, g, x)
-    it = 0
-    res = np.inf
-    while it < MAX_ITER and res > TOL:
-        it += 1
-        grad = 2.0 * (H @ y + g)
-        step = 1.0
-        cand = _project(y - step * grad, blocks)
-        Jc = _energy(H, g, cand)
-        while Jc > J and step > 1e-20:
-            step *= 0.5
-            cand = _project(y - step * grad, blocks)
-            Jc = _energy(H, g, cand)
-        x_prev = x
-        if Jc <= J:
-            x, J = cand, Jc
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        y = x + (tk / t_next) * (cand - x) + ((tk - 1.0) / t_next) * (x - x_prev)
-        tk = t_next
-        res, _ = kkt_residual(H, g, x, blocks)
-        if res > TOL and it % POLISH_EVERY == 0:
-            polished = _active_set_polish(H, g, x, blocks)
-            Jp = np.inf if polished is None else _energy(H, g, polished)
-            if Jp <= J:
-                x, J = polished, Jp
-                y, tk = x, 1.0
-                res, _ = kkt_residual(H, g, x, blocks)
-    if res > TOL:
-        raise NonConvergenceError(
-            f"projected gradient did not reach tolerance {TOL:g} in {it} iterations; "
-            f"achieved KKT residual {res:.3e}",
-            residual=res,
-            iterations=it,
-        )
-    # the support is identified: land on the exact minimizer over it
-    polished = _active_set_polish(H, g, x, blocks)
-    if polished is not None:
-        Jp = _energy(H, g, polished)
-        if Jp <= J + 1e-15 * abs(J):
-            x = polished
-    _, mult = kkt_residual(H, g, x, blocks)
-    return x, mult, it
+    sizes = [size for size, _ in blocks]
+    support = np.ones(len(g), dtype=bool)
+    res, why = np.inf, f"step cap {MAX_ITER}"
+    for step in range(1, MAX_ITER + 1):
+        try:
+            x = _kkt_on_support(H, g, support, blocks)
+        except np.linalg.LinAlgError:
+            why = "singular KKT system"
+            break
+        res, mult = kkt_residual(H, g, x, blocks)
+        if np.any(x < 0):
+            support &= x >= 0
+            continue
+        add = ~support & (H @ x + g < np.repeat(mult, sizes) - TOL)
+        if not add.any():
+            return x, mult, step
+        support |= add
+    raise NonConvergenceError(
+        f"active-set solve did not reach tolerance {TOL:g} in {step} iterations ({why}); "
+        f"achieved KKT residual {res:.3e}",
+        residual=res,
+        iterations=step,
+    )
 
 
 # --------------------------------------------------------------------------

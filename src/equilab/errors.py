@@ -16,7 +16,9 @@ class ConfigError(EquilabError):
 
 
 class NonConvergenceError(EquilabError):
-    """Iterative solver stopped at max_iter; carries the achieved residual."""
+    """A solve did not finish: a singular system, or an active-set solve that
+    hit its step cap.  Carries the step count and the achieved KKT residual
+    when there is one."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

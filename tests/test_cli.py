@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import mpmath as mp
 import pytest
 
+import equilab.balayage as balayage
 import equilab.equilibrium as equilibrium
 from equilab.cli import run
 from equilab.errors import NonConvergenceError
@@ -400,3 +402,48 @@ def test_balayage_command(cfg_path, tmp_path):
     data = json.loads((out / "balayage.json").read_text())
     assert data["ks_closed_vs_numeric"] <= 5e-3
     assert data["potential_identity_sup"] <= 1e-8
+
+
+def test_balayage_near_e_point_exits_0(tmp_path, monkeypatch):
+    # a point 1e-7 outside E gives the 400-node sweep negative weights; the
+    # guard must land on the simplex minimizer instead of timing out
+    calls = []
+
+    def counted(*args):
+        result = equilibrium.minimize_on_simplices(*args)
+        calls.append(result[2])
+        return result
+
+    monkeypatch.setattr(balayage, "minimize_on_simplices", counted)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]]},
+                             "balayage": {"point": 1.0000001}}))
+    out = tmp_path / "o"
+    assert run(["balayage", "--config", str(p), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    data = json.loads((out / "balayage.json").read_text())
+    assert math.isfinite(data["numeric_residual_sup"])
+
+
+@pytest.mark.parametrize("command, names", [("solve-scalar", ["scalar_f"]),
+                                            ("solve-vector", ["coupled_e", "coupled_f"])])
+def test_projected_fallback_pinned(tmp_path, command, names):
+    # 8 cells on the long F = [1.001, 1000] give negative saddle and
+    # collocation weights, so both solves go through the guard; the files
+    # were written by the projected-gradient routine that the active-set
+    # solve replaced, and only the step count may differ
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[1.001, 1000.0]]},
+                             "grids": {"grading": 2.0}}))
+    out = tmp_path / "o"
+    assert run([command, "--config", str(p), "--nodes", "8", "--out", str(out)]) == 0
+    stem = os.path.join(DATA, "projected_f1.001-1000_n8")
+    for name in names:
+        with open(f"{stem}.{name}.csv", "rb") as fh:
+            assert (out / f"{name}.csv").read_bytes() == fh.read(), name
+        with open(f"{stem}.{name}.json", encoding="utf-8") as fh:
+            pinned = json.load(fh)
+        got = json.loads((out / f"{name}.json").read_text())
+        assert got["method"] == pinned["method"] == "projected"
+        del got["iterations"], pinned["iterations"]
+        assert got == pinned, name
