@@ -140,7 +140,7 @@ def projected_sweep(P, rhs_u, mass):
     b'Hb + 2g'b plus a constant for H = P'CP and g = -P'C rhs_u.
     """
     CP = P - P.mean(axis=0)
-    b, _, _ = minimize_on_simplices(CP.T @ CP, -CP.T @ rhs_u, [(len(rhs_u), mass)])
+    b, _, _ = minimize_on_simplices(CP.T @ CP, -CP.T @ rhs_u, mass)
     return b, float(np.mean(P @ b - rhs_u))
 
 

@@ -12,16 +12,16 @@ over simplex-constrained weight vectors:
 
 The scalar and reduced problems minimize the discretized quadratic energy
 w'Kw + 2f'w (cell-averaged diagonal, midpoint off-diagonal) through the
-linear saddle system.  The coupled problem is a potential-matching
-collocation system on the grid nodes.  Grids that produce negative weights
-fall back to :func:`minimize_on_simplices`, the one guard routine: a
-primal-dual active-set solve of x'Hx + 2g'x over a product of simplices,
-each step one dense equality KKT solve on the current support (Hintermuller,
-Ito and Kunisch, SIAM J. Optim. 13, 2002).  The scalar and reduced problems
-map onto it with H = K, g = f; the coupled problem with the symmetrized
-collocation blocks [[4 A_EE, -B], [-B', A_FF]] and g = 0; balayage (in
-:mod:`equilab.balayage`) after eliminating its free constant.  Residuals are
-always re-measured through the evaluation-route quadrature of
+linear saddle system.  Grids that give it negative weights fall back to
+:func:`minimize_on_simplices`, the one guard routine: a primal-dual
+active-set solve of x'Hx + 2g'x over one simplex, each step one dense
+equality KKT solve on the current support (Hintermuller, Ito and Kunisch,
+SIAM J. Optim. 13, 2002).  The scalar and reduced problems map onto it with
+H = K, g = f; balayage (in :mod:`equilab.balayage`) after eliminating its
+free constant.  The coupled problem is a potential-matching collocation
+system on the grid nodes; a negative collocation weight means the grid is
+too coarse and raises :class:`~equilab.errors.DiscretizationError`.
+Residuals are always re-measured through the evaluation-route quadrature of
 :mod:`equilab.measures` and recorded as observed.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import DiscretizationError, NonConvergenceError
 from .kernels import (
     E_LEFT,
     E_RIGHT,
@@ -177,84 +177,66 @@ class EquilibriumSolution:
 # the active-set guard
 
 
-def _block_slices(blocks):
-    out, start = [], 0
-    for size, _ in blocks:
-        out.append(slice(start, start + size))
-        start += size
-    return out
+def kkt_residual(H, g, x):
+    """Largest KKT violation, and the simplex multiplier.
 
-
-def kkt_residual(H, g, x, blocks):
-    """Largest KKT violation over the blocks, and each block's multiplier.
-
-    On the support of each block the gradient half Hx + g equals the block's
-    multiplier, and off the support it is at least that.
+    On the support the gradient half Hx + g equals the multiplier, and off
+    the support it is at least that.
     """
     G = H @ x + g
-    res, mult = 0.0, []
-    for s in _block_slices(blocks):
-        gs, xs = G[s], x[s]
-        active = xs > 0
-        c = float(np.sum(xs[active] * gs[active]) / np.sum(xs[active]))
-        r_eq = float(np.max(np.abs(gs[active] - c)))
-        r_in = float(np.max(np.maximum(c - gs[~active], 0.0), initial=0.0))
-        res = max(res, r_eq, r_in)
-        mult.append(c)
-    return res, tuple(mult)
+    active = x > 0
+    c = float(np.sum(x[active] * G[active]) / np.sum(x[active]))
+    r_eq = float(np.max(np.abs(G[active] - c)))
+    r_in = float(np.max(np.maximum(c - G[~active], 0.0), initial=0.0))
+    return max(r_eq, r_in), c
 
 
-def _kkt_on_support(H, g, support, blocks):
-    """Solve the equality KKT system on the support, one multiplier per block.
+def _kkt_on_support(H, g, support, mass):
+    """Solve the equality KKT system on the support, with the mass row.
 
     Returns x, zero off the support; raises ``np.linalg.LinAlgError`` when
     the system is singular.
     """
     act = np.flatnonzero(support)
-    m = len(blocks)
-    ind = np.zeros((act.size, m))
-    for b, s in enumerate(_block_slices(blocks)):
-        ind[(act >= s.start) & (act < s.stop), b] = 1.0
-    A = np.zeros((act.size + m, act.size + m))
-    A[: act.size, : act.size] = H[np.ix_(act, act)]
-    A[: act.size, act.size :] = ind
-    A[act.size :, : act.size] = ind.T
-    rhs = np.concatenate([-g[act], [mass for _, mass in blocks]])
+    k = act.size
+    A = np.zeros((k + 1, k + 1))
+    A[:k, :k] = H[np.ix_(act, act)]
+    A[:k, k] = 1.0
+    A[k, :k] = 1.0
+    rhs = np.concatenate([-g[act], [mass]])
     sol = np.linalg.solve(A, rhs)
     out = np.zeros(len(g))
-    out[act] = sol[: act.size]
+    out[act] = sol[:k]
     return out
 
 
-def minimize_on_simplices(H, g, blocks):
-    """Minimize x'Hx + 2g'x over a product of simplices, by active sets.
+def minimize_on_simplices(H, g, mass):
+    """Minimize x'Hx + 2g'x over the simplex {x >= 0, sum x = mass}, by active sets.
 
-    ``blocks`` lists ``(size, mass)`` per simplex, in the order of x; H is
-    symmetric and positive definite on the constraint set.  Each step solves
-    the equality KKT system on the current support (every index at the
-    start).  Negative weights leave the support all at once; otherwise every
-    index whose gradient half (Hx + g)_i lies more than ``TOL`` below its
-    block's multiplier joins it.  The first step that adds nothing is the
+    H is symmetric and positive definite on the constraint set.  Each step
+    solves the equality KKT system on the current support (every index at
+    the start).  Negative weights leave the support all at once; otherwise
+    every index whose gradient half (Hx + g)_i lies more than ``TOL`` below
+    the multiplier joins it.  The first step that adds nothing is the
     constrained minimizer, exact to the rounding of one dense solve.
 
-    Returns ``(x, multipliers, steps)``, one multiplier per block.  Raises
-    :class:`NonConvergenceError` when a KKT system is singular or
-    ``MAX_ITER`` steps pass without a stable support.
+    Returns ``(x, multiplier, steps)``.  Raises :class:`NonConvergenceError`
+    when a KKT system is singular or ``MAX_ITER`` steps pass without a
+    stable support.
     """
-    sizes = [size for size, _ in blocks]
     support = np.ones(len(g), dtype=bool)
     res, why = np.inf, f"step cap {MAX_ITER}"
     for step in range(1, MAX_ITER + 1):
         try:
-            x = _kkt_on_support(H, g, support, blocks)
+            x = _kkt_on_support(H, g, support, mass)
         except np.linalg.LinAlgError:
             why = "singular KKT system"
             break
-        res, mult = kkt_residual(H, g, x, blocks)
+        res, mult = kkt_residual(H, g, x)
         if np.any(x < 0):
             support &= x >= 0
             continue
-        add = ~support & (H @ x + g < np.repeat(mult, sizes) - TOL)
+        add = ~support & (H @ x + g < mult - TOL)
         if not add.any():
             return x, mult, step
         support |= add
@@ -296,7 +278,7 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
     method = "saddle"
     iterations = 0
     if np.min(w) < -1e-12:
-        w, (c,), iterations = minimize_on_simplices(K, f, [(n, 1.0)])
+        w, c, iterations = minimize_on_simplices(K, f, 1.0)
         method = "projected"
 
     mu = DiscreteMeasure.from_weights(grid, np.maximum(w, 0.0))
@@ -341,34 +323,13 @@ def solve_reduced(F: IntervalUnion, grid_params: GridParams = GridParams()) -> E
     return solve_kernel_equilibrium(grid, reduced_kernel(F), None)
 
 
-def coupled_projected(QEE, QEF, QFE, QFF):
-    """Coupled pair from :func:`minimize_on_simplices` on the symmetrized blocks.
-
-    The Galerkin symmetrizations A_EE, A_FF, B of the collocation blocks give
-    the energy 4 u'A_EE u - 2 u'Bv + v'A_FF v, positive definite on the
-    product of the two unit simplices because the interaction matrix
-    [[4, -1], [-1, 1]] is.  Returns ``(u, v, w1, w2, iterations)``, the
-    constants averaged from the collocation equations.
-    """
-    AEE = 0.5 * (QEE + QEE.T)
-    AFF = 0.5 * (QFF + QFF.T)
-    B = 0.5 * (QEF + QFE.T)
-    H = np.block([[4.0 * AEE, -B], [-B.T, AFF]])
-    nE, nF = len(QEE), len(QFF)
-    x, _, iterations = minimize_on_simplices(H, np.zeros(nE + nF), [(nE, 1.0), (nF, 1.0)])
-    u, v = x[:nE], x[nE:]
-    w1 = float(np.mean(4.0 * (QEE @ u) - QEF @ v))
-    w2 = float(np.mean(-(QFE @ u) + QFF @ v))
-    return u, v, w1, w2, iterations
-
-
 def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
     """Coupled pair problem: 4 U1 - U2 = w1 on E, -U1 + U2 = w2 on F.
 
     Solved as a collocation system on the grid nodes (potentials through the
     evaluation-route quadrature), so the recorded residuals measure only the
-    linear-algebra error.  Negative weights fall back to
-    :func:`coupled_projected`.
+    linear-algebra error.  A weight below -1e-12 means the grid is too coarse
+    for F and raises :class:`DiscretizationError`.
 
     Returns a pair of :class:`EquilibriumSolution`, for the E and F measures.
     """
@@ -397,17 +358,15 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
         sol = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"collocation system is singular: {exc}") from exc
+    i = int(np.argmin(sol[: nE + nF]))
+    if sol[i] < -1e-12:
+        node = float(ge.nodes[i] if i < nE else gf.nodes[i - nE])
+        raise DiscretizationError(
+            f"collocation weight {sol[i]:.3e} at node {node!r} with {grid_params.n} cells "
+            f"per component: the grid is too coarse for this F"
+        )
     u, v = sol[:nE], sol[nE : nE + nF]
     w1, w2 = float(sol[nE + nF]), float(sol[nE + nF + 1])
-    method = "collocation"
-    iterations = 0
-
-    if min(u.min(), v.min()) < -1e-12:
-        # the scalings by 4 and -1 are exact, so these are the plain blocks
-        u, v, w1, w2, iterations = coupled_projected(
-            A[se, se] / 4.0, -A[se, sf], -A[sf, se], A[sf, sf]
-        )
-        method = "projected"
 
     lam_e = DiscreteMeasure.from_weights(ge, np.maximum(u, 0.0))
     lam_f = DiscreteMeasure.from_weights(gf, np.maximum(v, 0.0))
@@ -420,15 +379,13 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
         constants=(w1, w2),
         residual_sup=r1,
         min_density=float(np.min(lam_e.densities)),
-        method=method,
-        iterations=iterations,
+        method="collocation",
     )
     sol_f = EquilibriumSolution(
         measure=lam_f,
         constants=(w2, w1),
         residual_sup=r2,
         min_density=float(np.min(lam_f.densities)),
-        method=method,
-        iterations=iterations,
+        method="collocation",
     )
     return sol_e, sol_f

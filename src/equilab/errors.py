@@ -16,14 +16,20 @@ class ConfigError(EquilabError):
 
 
 class NonConvergenceError(EquilabError):
-    """A solve did not finish: a singular system, or an active-set solve that
-    hit its step cap.  Carries the step count and the achieved KKT residual
-    when there is one."""
+    """A solve did not finish: a singular system, or an active-set solve on
+    one simplex (the saddle and balayage guard) that hit its step cap or a
+    singular KKT system.  Carries the step count and the achieved KKT
+    residual when there is one."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+class DiscretizationError(EquilabError):
+    """The grid is too coarse for the problem: its collocation system gives a
+    negative weight."""
 
 
 class QuadratureError(EquilabError):

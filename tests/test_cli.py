@@ -423,15 +423,35 @@ def test_balayage_near_e_point_exits_0(tmp_path, monkeypatch):
     assert len(calls) == 1
     data = json.loads((out / "balayage.json").read_text())
     assert math.isfinite(data["numeric_residual_sup"])
+    # the guard's output, pinned bit for bit; the files were written when
+    # the guard still took a list of simplices
+    stem = os.path.join(DATA, "balayage_a1.0000001_n400")
+    for got, pinned in [("balayage.json", ".json"), ("balayage_numeric.csv", ".numeric.csv")]:
+        with open(stem + pinned, "rb") as fh:
+            assert (out / got).read_bytes() == fh.read(), got
 
 
-@pytest.mark.parametrize("command, names", [("solve-scalar", ["scalar_f"]),
-                                            ("solve-vector", ["coupled_e", "coupled_f"])])
+@pytest.mark.parametrize("command", ["solve-vector", "verify-theorem1"])
+def test_coarse_collocation_grid_exits_2(tmp_path, capsys, command):
+    # 8 cells on the long F = [1.001, 1000] give a negative collocation
+    # weight: the run ends with the weight and its node, and writes nothing
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[1.001, 1000.0]]},
+                             "grids": {"grading": 2.0}}))
+    out = tmp_path / "o"
+    assert run([command, "--config", str(p), "--nodes", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "collocation weight -6.592e-02 at node 51.51" in err
+    assert "8 cells per component" in err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("command, names", [("solve-scalar", ["scalar_f"])])
 def test_projected_fallback_pinned(tmp_path, command, names):
-    # 8 cells on the long F = [1.001, 1000] give negative saddle and
-    # collocation weights, so both solves go through the guard; the files
-    # were written by the projected-gradient routine that the active-set
-    # solve replaced, and only the step count may differ
+    # 8 cells on the long F = [1.001, 1000] give negative saddle weights, so
+    # the solve goes through the guard; the files were written by the
+    # projected-gradient routine that the active-set solve replaced, and
+    # only the step count may differ
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"problem": {"f_intervals": [[1.001, 1000.0]]},
                              "grids": {"grading": 2.0}}))

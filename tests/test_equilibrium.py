@@ -9,9 +9,7 @@ from equilab.equilibrium import (
     GridParams,
     LOG_KERNEL,
     assemble_energy_matrix,
-    coupled_projected,
     kernel_potential,
-    kkt_residual,
     minimize_on_simplices,
     solve_kernel_equilibrium,
     solve_reduced,
@@ -27,10 +25,8 @@ from equilab.measures import (
     ks_distance,
     log_potential,
     make_grid,
-    neglog_cell_averages,
     surface_functional,
 )
-from equilab.verify import Tolerances
 
 F23 = IntervalUnion([(2.0, 3.0)])
 FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
@@ -103,7 +99,7 @@ class TestScalarProblem:
     def test_dual_paths_agree(self):
         saddle = solve_scalar(F23, GridParams(n=100, grading=2.0))
         grid, K, f = scalar_qp(100)
-        w, _, _ = minimize_on_simplices(K, f, [(grid.size, 1.0)])
+        w, _, _ = minimize_on_simplices(K, f, 1.0)
         fallback = DiscreteMeasure.from_weights(grid, w)
         assert ks_distance(saddle.measure, fallback) <= 1e-6
         ws = saddle.measure.weights
@@ -116,12 +112,11 @@ class TestScalarProblem:
         # solves; the minimizer, which has zero weights here, must follow
         # the labels to rounding
         grid, H, g = steep_qp(64)
-        blocks = [(grid.size, 1.0)]
         p = np.random.default_rng(3).permutation(grid.size)
-        x, mult, _ = minimize_on_simplices(H, g, blocks)
-        xp, mult_p, _ = minimize_on_simplices(H[p][:, p], g[p], blocks)
+        x, mult, _ = minimize_on_simplices(H, g, 1.0)
+        xp, mult_p, _ = minimize_on_simplices(H[p][:, p], g[p], 1.0)
         assert np.max(np.abs(xp - x[p])) <= 1e-12
-        assert mult_p[0] == pytest.approx(mult[0], abs=1e-12)
+        assert mult_p == pytest.approx(mult, abs=1e-12)
         assert x.min() == 0.0 < x.max()
 
     def test_projected_iterations_reach_sidecar(self):
@@ -134,18 +129,17 @@ class TestScalarProblem:
         assert sidecar["iterations"] == sol.iterations > 0
 
     def test_nonconvergence_names_iterations(self, monkeypatch):
-        grid, H, g = steep_qp(32)
-        blocks = [(grid.size, 1.0)]
-        assert minimize_on_simplices(H, g, blocks)[2] == 5
+        _, H, g = steep_qp(32)
+        assert minimize_on_simplices(H, g, 1.0)[2] == 5
         monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
         with pytest.raises(NonConvergenceError, match="in 3 iterations") as info:
-            minimize_on_simplices(H, g, blocks)
+            minimize_on_simplices(H, g, 1.0)
         assert info.value.iterations == 3
         assert f"{info.value.residual:.3e}" in str(info.value)
 
     def test_singular_kkt_system_raises(self):
         with pytest.raises(NonConvergenceError, match="singular KKT system") as info:
-            minimize_on_simplices(np.zeros((2, 2)), np.zeros(2), [(2, 1.0)])
+            minimize_on_simplices(np.zeros((2, 2)), np.zeros(2), 1.0)
         assert info.value.iterations == 1
 
     def test_grid_convergence(self):
@@ -190,26 +184,6 @@ class TestCoupledProblem:
         for sol in solve_vector(F23, GP):
             sidecar = sol.sidecar_dict(GP)
             assert (sidecar["method"], sidecar["iterations"]) == ("collocation", 0)
-
-    def test_projected_form_meets_kkt_and_matches_collocation(self):
-        # the guard routine on the symmetrized collocation blocks of [2, 3]
-        ge, gf = make_grid(E_INTERVAL, GP.n, GP.grading), make_grid(F23, GP.n, GP.grading)
-        me = DiscreteMeasure.from_weights(ge, np.full(ge.size, 1.0 / ge.size))
-        mf = DiscreteMeasure.from_weights(gf, np.full(gf.size, 1.0 / gf.size))
-        QEE, QEF = neglog_cell_averages(ge.nodes, me), neglog_cell_averages(ge.nodes, mf)
-        QFE, QFF = neglog_cell_averages(gf.nodes, me), neglog_cell_averages(gf.nodes, mf)
-        u, v, _, _, _ = coupled_projected(QEE, QEF, QFE, QFF)
-        B = 0.5 * (QEF + QFE.T)
-        H = np.block([[2.0 * (QEE + QEE.T), -B], [-B.T, 0.5 * (QFF + QFF.T)]])
-        blocks = [(ge.size, 1.0), (gf.size, 1.0)]
-        res, _ = kkt_residual(H, np.zeros(len(H)), np.concatenate([u, v]), blocks)
-        assert res <= 1e-10
-        assert u.sum() == pytest.approx(1.0, abs=1e-12) and v.sum() == pytest.approx(1.0, abs=1e-12)
-        assert min(u.min(), v.min()) >= 0.0
-        sol_e, sol_f = solve_vector(F23, GP)
-        ks = Tolerances().ks
-        assert ks_distance(DiscreteMeasure.from_weights(ge, u), sol_e.measure) <= ks
-        assert ks_distance(DiscreteMeasure.from_weights(gf, v), sol_f.measure) <= ks
 
 
 class TestReducedProblem:
