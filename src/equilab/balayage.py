@@ -6,10 +6,11 @@ are implemented: the closed form for a point mass swept onto E = [-1, 1]
 (density sqrt(a^2-1) / (pi |x-a| sqrt(1-x^2)), with exact cell masses from
 the arctan antiderivative), and a potential-matching linear solve for
 arbitrary discrete sources and targets.  The closed form doubles as the test
-oracle for the numeric route.  A numeric sweep with negative weights falls
-back to the least-squares fit over the simplex: once the free constant is
-eliminated it is a quadratic program, which the active-set solve of
-:func:`equilab.equilibrium.minimize_on_simplices` settles exactly.
+oracle for the numeric route.  The numeric sweep is the one-grid case of
+:func:`equilab.equilibrium.collocate`, the collocation solve that the coupled
+problem also uses; a target grid too coarse for the source (a point within
+about 1e-5 of E on 400 cells) gives a negative weight and raises
+:class:`~equilab.errors.DiscretizationError`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
 from .kernels import E_LEFT, E_RIGHT, IntervalUnion, green_e_at_infinity, is_real
-from .measures import DiscreteMeasure, Grid, fill_cell_averages, log_potential
-from .equilibrium import minimize_on_simplices
+from .measures import DiscreteMeasure, Grid, log_potential
+from .equilibrium import collocate
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ def balayage_point_to_e(a: float, grid: Grid) -> BalayageResult:
 def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> BalayageResult:
     """Sweep a discrete measure onto the target grid by potential matching.
 
-    Solves for nonnegative target weights b and a constant c with
-    U_b(x_i) = U_mu(x_i) + c at every target node and total mass preserved.
+    Solves for target weights b and a constant c with U_b(x_i) = U_mu(x_i) + c
+    at every target node and total mass preserved, by one :func:`collocate`
+    call; a negative weight raises :class:`~equilab.errors.DiscretizationError`.
     A source already supported on the target set is returned unchanged with
     c = 0; a partially overlapping source is rejected.
     """
@@ -98,28 +99,11 @@ def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> BalayageResult:
     if rel == "overlap":
         raise ValueError("source support must be disjoint from the target (or equal to it)")
 
-    mass = mu.mass
-    tgt = DiscreteMeasure.from_weights(target, np.full(target.size, mass / target.size))
-    n = target.size
-    A = np.zeros((n + 1, n + 1))
-    P = fill_cell_averages(A[:n, :n], target.nodes, tgt)
-    rhs_u = log_potential(mu, target.nodes)
-    A[:n, n] = -1.0
-    A[n, :n] = 1.0
-    rhs = np.concatenate([rhs_u, [mass]])
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"balayage system is singular: {exc}") from exc
-    b, c = sol[:n], float(sol[n])
-
-    if b.min() < -1e-8:
-        b, c = projected_sweep(P, rhs_u, mass)
-
-    swept = DiscreteMeasure.from_weights(target, np.maximum(b, 0.0))
-    # P depends on the target cells only, so P @ weights is the potential of swept
-    resid = float(np.max(np.abs(P @ swept.weights - rhs_u - c)))
-    return BalayageResult(measure=swept, shift_constant=c, residual_sup=resid)
+    rhs = log_potential(mu, target.nodes)
+    (b,), (c,), (resid,) = collocate([target], [[1.0]], [rhs], [mu.mass])
+    return BalayageResult(
+        measure=DiscreteMeasure.from_weights(target, b), shift_constant=c, residual_sup=resid
+    )
 
 
 def _support_relation(a: IntervalUnion, b: IntervalUnion) -> str:
@@ -130,18 +114,6 @@ def _support_relation(a: IntervalUnion, b: IntervalUnion) -> str:
             if max(l1, l2) <= min(r1, r2):
                 return "overlap"
     return "disjoint"
-
-
-def projected_sweep(P, rhs_u, mass):
-    """Least-squares fallback: min over the simplex of ||P b - c - rhs_u||^2, c free.
-
-    For fixed b the best c is the mean of P b - rhs_u, so with the centering
-    matrix C = I - 11'/n the objective is ||C (P b - rhs_u)||^2, which is
-    b'Hb + 2g'b plus a constant for H = P'CP and g = -P'C rhs_u.
-    """
-    CP = P - P.mean(axis=0)
-    b, _, _ = minimize_on_simplices(CP.T @ CP, -CP.T @ rhs_u, mass)
-    return b, float(np.mean(P @ b - rhs_u))
 
 
 def reconstruct_e_measure(lam: DiscreteMeasure, e_grid: Grid) -> DiscreteMeasure:

@@ -199,7 +199,6 @@ class OutputDir:
     def __init__(self, root):
         self.root = root
         self.files = []
-        os.makedirs(root, exist_ok=True)
 
     def path(self, rel):
         p = os.path.join(self.root, rel)

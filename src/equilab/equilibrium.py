@@ -14,13 +14,13 @@ The scalar and reduced problems minimize the discretized quadratic energy
 w'Kw + 2f'w (cell-averaged diagonal, midpoint off-diagonal) through the
 linear saddle system.  Grids that give it negative weights fall back to
 :func:`minimize_on_simplices`, the one guard routine: a primal-dual
-active-set solve of x'Hx + 2g'x over one simplex, each step one dense
+active-set solve of x'Hx + 2g'x over the unit simplex, each step one dense
 equality KKT solve on the current support (Hintermuller, Ito and Kunisch,
-SIAM J. Optim. 13, 2002).  The scalar and reduced problems map onto it with
-H = K, g = f; balayage (in :mod:`equilab.balayage`) after eliminating its
-free constant.  The coupled problem is a potential-matching collocation
-system on the grid nodes; a negative collocation weight means the grid is
-too coarse and raises :class:`~equilab.errors.DiscretizationError`.
+SIAM J. Optim. 13, 2002), with H = K, g = f.  The coupled problem, like
+balayage in :mod:`equilab.balayage`, is a potential-matching collocation
+system on the grid nodes, built and solved by :func:`collocate` alone; a
+negative collocation weight means the grid is too coarse and raises
+:class:`~equilab.errors.DiscretizationError`.
 Residuals are always re-measured through the evaluation-route quadrature of
 :mod:`equilab.measures` and recorded as observed.
 """
@@ -191,8 +191,8 @@ def kkt_residual(H, g, x):
     return max(r_eq, r_in), c
 
 
-def _kkt_on_support(H, g, support, mass):
-    """Solve the equality KKT system on the support, with the mass row.
+def _kkt_on_support(H, g, support):
+    """Solve the equality KKT system on the support, with the unit-mass row.
 
     Returns x, zero off the support; raises ``np.linalg.LinAlgError`` when
     the system is singular.
@@ -203,15 +203,15 @@ def _kkt_on_support(H, g, support, mass):
     A[:k, :k] = H[np.ix_(act, act)]
     A[:k, k] = 1.0
     A[k, :k] = 1.0
-    rhs = np.concatenate([-g[act], [mass]])
+    rhs = np.concatenate([-g[act], [1.0]])
     sol = np.linalg.solve(A, rhs)
     out = np.zeros(len(g))
     out[act] = sol[:k]
     return out
 
 
-def minimize_on_simplices(H, g, mass):
-    """Minimize x'Hx + 2g'x over the simplex {x >= 0, sum x = mass}, by active sets.
+def minimize_on_simplices(H, g):
+    """Minimize x'Hx + 2g'x over the unit simplex {x >= 0, sum x = 1}, by active sets.
 
     H is symmetric and positive definite on the constraint set.  Each step
     solves the equality KKT system on the current support (every index at
@@ -228,7 +228,7 @@ def minimize_on_simplices(H, g, mass):
     res, why = np.inf, f"step cap {MAX_ITER}"
     for step in range(1, MAX_ITER + 1):
         try:
-            x = _kkt_on_support(H, g, support, mass)
+            x = _kkt_on_support(H, g, support)
         except np.linalg.LinAlgError:
             why = "singular KKT system"
             break
@@ -246,6 +246,57 @@ def minimize_on_simplices(H, g, mass):
         residual=res,
         iterations=step,
     )
+
+
+# --------------------------------------------------------------------------
+# collocation
+
+
+def collocate(grids, coeffs, rhs, masses):
+    """Potential matching on the nodes of several grids, in one dense solve.
+
+    Finds weights u_j on ``grids[j]`` and constants c_i such that, at every
+    node of ``grids[i]``, sum_j coeffs[i][j] U(u_j) - c_i = rhs[i], and
+    sum u_i = masses[i].  Each block coeffs[i][j] * Q is filled straight into
+    the system matrix, Q being the -log cell averages of ``grids[j]`` at the
+    nodes of ``grids[i]`` (:func:`fill_cell_averages`); one -1 column per
+    constant and one mass row per grid border it.  A weight below -1e-12
+    means a grid is too coarse for the problem and raises
+    :class:`DiscretizationError`.
+
+    Returns ``(weights, constants, residuals)``: the weights per grid clipped
+    at zero, the constants, and each block row's sup residual.  The blocks
+    depend on the cells only, so the residuals are read from the matrix
+    slices times the clipped weights.
+    """
+    edges = np.cumsum([0] + [g.size for g in grids])
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    n, m = int(edges[-1]), len(grids)
+    A = np.zeros((n + m, n + m))
+    for i, si in enumerate(blocks):
+        for j, sj in enumerate(blocks):
+            fill_cell_averages(A[si, sj], grids[i].nodes, grids[j], coeffs[i][j])
+        A[si, n + i] = -1.0
+        A[n + i, si] = 1.0
+    try:
+        sol = np.linalg.solve(A, np.concatenate([*rhs, masses]))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"collocation system is singular: {exc}") from exc
+    k = int(np.argmin(sol[:n]))
+    if sol[k] < -1e-12:
+        i = int(np.searchsorted(edges, k, side="right")) - 1
+        node = float(grids[i].nodes[k - edges[i]])
+        raise DiscretizationError(
+            f"collocation weight {sol[k]:.3e} at node {node!r} with {grids[i].n_per_component} "
+            f"cells per component: the grid is too coarse for this problem"
+        )
+    weights = [np.maximum(sol[s], 0.0) for s in blocks]
+    constants = [float(c) for c in sol[n:]]
+    residuals = [
+        float(np.max(np.abs(sum(A[si, sj] @ u for sj, u in zip(blocks, weights)) - r - c)))
+        for si, r, c in zip(blocks, rhs, constants)
+    ]
+    return weights, constants, residuals
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +329,7 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
     method = "saddle"
     iterations = 0
     if np.min(w) < -1e-12:
-        w, c, iterations = minimize_on_simplices(K, f, 1.0)
+        w, c, iterations = minimize_on_simplices(K, f)
         method = "projected"
 
     mu = DiscreteMeasure.from_weights(grid, np.maximum(w, 0.0))
@@ -326,66 +377,22 @@ def solve_reduced(F: IntervalUnion, grid_params: GridParams = GridParams()) -> E
 def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
     """Coupled pair problem: 4 U1 - U2 = w1 on E, -U1 + U2 = w2 on F.
 
-    Solved as a collocation system on the grid nodes (potentials through the
-    evaluation-route quadrature), so the recorded residuals measure only the
-    linear-algebra error.  A weight below -1e-12 means the grid is too coarse
-    for F and raises :class:`DiscretizationError`.
+    One :func:`collocate` call on the E and F grids, so the recorded
+    residuals measure only the linear-algebra error, and a grid too coarse
+    for F raises :class:`DiscretizationError`.
 
     Returns a pair of :class:`EquilibriumSolution`, for the E and F measures.
     """
     require_gap_to_e(F)
-    ge = make_grid(E_INTERVAL, grid_params.n, grid_params.grading)
-    gf = make_grid(F, grid_params.n, grid_params.grading)
-    me = DiscreteMeasure.from_weights(ge, np.full(ge.size, 1.0 / ge.size))
-    mf = DiscreteMeasure.from_weights(gf, np.full(gf.size, 1.0 / gf.size))
-    nE, nF = ge.size, gf.size
-    N = nE + nF + 2
-    se, sf = slice(0, nE), slice(nE, nE + nF)
-    # each collocation block is written once, straight into A
-    A = np.zeros((N, N))
-    fill_cell_averages(A[se, se], ge.nodes, me, 4.0)
-    fill_cell_averages(A[se, sf], ge.nodes, mf, -1.0)
-    fill_cell_averages(A[sf, se], gf.nodes, me, -1.0)
-    fill_cell_averages(A[sf, sf], gf.nodes, mf)
-    A[se, nE + nF] = -1.0
-    A[sf, nE + nF + 1] = -1.0
-    A[nE + nF, se] = 1.0
-    A[nE + nF + 1, sf] = 1.0
-    rhs = np.zeros(N)
-    rhs[nE + nF] = 1.0
-    rhs[nE + nF + 1] = 1.0
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"collocation system is singular: {exc}") from exc
-    i = int(np.argmin(sol[: nE + nF]))
-    if sol[i] < -1e-12:
-        node = float(ge.nodes[i] if i < nE else gf.nodes[i - nE])
-        raise DiscretizationError(
-            f"collocation weight {sol[i]:.3e} at node {node!r} with {grid_params.n} cells "
-            f"per component: the grid is too coarse for this F"
-        )
-    u, v = sol[:nE], sol[nE : nE + nF]
-    w1, w2 = float(sol[nE + nF]), float(sol[nE + nF + 1])
-
-    lam_e = DiscreteMeasure.from_weights(ge, np.maximum(u, 0.0))
-    lam_f = DiscreteMeasure.from_weights(gf, np.maximum(v, 0.0))
-    # the blocks depend on the cells only, so they give the potentials of lam_e, lam_f
-    ue, uf = lam_e.weights, lam_f.weights
-    r1 = float(np.max(np.abs(A[se, se] @ ue + A[se, sf] @ uf - w1)))
-    r2 = float(np.max(np.abs(A[sf, se] @ ue + A[sf, sf] @ uf - w2)))
-    sol_e = EquilibriumSolution(
-        measure=lam_e,
-        constants=(w1, w2),
-        residual_sup=r1,
-        min_density=float(np.min(lam_e.densities)),
-        method="collocation",
+    grids = [make_grid(E_INTERVAL, grid_params.n, grid_params.grading),
+             make_grid(F, grid_params.n, grid_params.grading)]
+    weights, (w1, w2), residuals = collocate(
+        grids, [[4.0, -1.0], [-1.0, 1.0]], [np.zeros(g.size) for g in grids], [1.0, 1.0]
     )
-    sol_f = EquilibriumSolution(
-        measure=lam_f,
-        constants=(w2, w1),
-        residual_sup=r2,
-        min_density=float(np.min(lam_f.densities)),
-        method="collocation",
-    )
-    return sol_e, sol_f
+    sols = []
+    for grid, u, constants, r in zip(grids, weights, [(w1, w2), (w2, w1)], residuals):
+        mu = DiscreteMeasure.from_weights(grid, u)
+        sols.append(EquilibriumSolution(measure=mu, constants=constants, residual_sup=r,
+                                        min_density=float(np.min(mu.densities)),
+                                        method="collocation"))
+    return tuple(sols)

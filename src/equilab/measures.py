@@ -279,7 +279,7 @@ def _near_cells(z, mu: DiscreteMeasure, absD):
 
 
 def neglog_cell_averages(z, mu: DiscreteMeasure):
-    """Matrix Q[i, j]: average of -log|z_i - t| over cell j.
+    """Matrix Q[i, j]: average of -log|z_i - t| over cell j of ``mu`` (a measure or a Grid).
 
     Analytic within ANALYTIC_WINDOW widths of the node (exact for the
     piecewise-constant density, including the cell containing z), midpoint
@@ -336,16 +336,17 @@ def _row_blocks(mu: DiscreteMeasure, z, kernel_block):
     return out
 
 
-def fill_cell_averages(out, z, mu: DiscreteMeasure, scale=1.0):
-    """Write scale * neglog_cell_averages(z, mu) into ``out``, one row block at a time.
+def fill_cell_averages(out, z, cells, scale=1.0):
+    """Write scale * neglog_cell_averages(z, cells) into ``out``, one row block at a time.
 
-    ``out`` is the len(z) x len(mu.nodes) slice of a system matrix, so the
-    matrix is the only full-size buffer.  Every entry is computed and scaled
-    elementwise, so the bits are those of scale * neglog_cell_averages over
-    all of z.
+    ``cells`` is a :class:`Grid` or a measure: the averages read only its
+    nodes and cell edges, never weights.  ``out`` is the
+    len(z) x len(cells.nodes) slice of a system matrix, so the matrix is the
+    only full-size buffer.  Every entry is computed and scaled elementwise,
+    so the bits are those of scale * neglog_cell_averages over all of z.
     """
-    for rows in row_slices(len(z), len(mu.nodes)):
-        np.multiply(neglog_cell_averages(z[rows], mu), scale, out=out[rows])
+    for rows in row_slices(len(z), len(cells.nodes)):
+        np.multiply(neglog_cell_averages(z[rows], cells), scale, out=out[rows])
     return out
 
 

@@ -8,7 +8,6 @@ from equilab.balayage import (
     balayage_point_to_e,
     chebyshev_measure,
     point_balayage_density,
-    projected_sweep,
     reconstruct_e_measure,
 )
 from equilab.equilibrium import E_INTERVAL
@@ -18,7 +17,6 @@ from equilab.measures import (
     ks_distance,
     log_potential,
     make_grid,
-    neglog_cell_averages,
 )
 
 F23 = IntervalUnion([(2.0, 3.0)])
@@ -159,25 +157,6 @@ class TestNumericBalayage:
         half_joint = b_joint.scaled(0.5)
         half_sum = DiscreteMeasure.from_weights(grid, 0.5 * b_sum)
         assert ks_distance(half_joint, half_sum) <= 1e-8
-
-
-class TestProjectedSweep:
-    @pytest.mark.parametrize("direction", ["point onto E", "E onto F"])
-    def test_reproduces_linear_solve(self, direction):
-        # where the linear solve gives nonnegative weights, the guard routine
-        # on the centered least-squares form lands on the same weights and constant
-        if direction == "point onto E":
-            src, grid = narrow_cell_measure(2.0).scaled(2.5), make_grid(E_INTERVAL, 128, 2.0)
-        else:
-            src, grid = chebyshev_measure(make_grid(E_INTERVAL, 100, 2.0)), make_grid(F23, 100, 2.0)
-        linear = balayage_numeric(src, grid)
-        assert linear.measure.weights.min() >= 0.0
-        uniform = DiscreteMeasure.from_weights(grid, np.full(grid.size, 1.0 / grid.size))
-        P = neglog_cell_averages(grid.nodes, uniform)
-        rhs_u = neglog_cell_averages(grid.nodes, src) @ src.weights
-        b, c = projected_sweep(P, rhs_u, src.mass)
-        np.testing.assert_allclose(b, linear.measure.weights, rtol=0, atol=1e-10)
-        assert c == pytest.approx(linear.shift_constant, abs=1e-10)
 
 
 class TestPotentialShiftIdentity:

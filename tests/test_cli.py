@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,7 +9,6 @@ import sys
 import mpmath as mp
 import pytest
 
-import equilab.balayage as balayage
 import equilab.equilibrium as equilibrium
 from equilab.cli import run
 from equilab.errors import NonConvergenceError
@@ -404,46 +402,38 @@ def test_balayage_command(cfg_path, tmp_path):
     assert data["potential_identity_sup"] <= 1e-8
 
 
-def test_balayage_near_e_point_exits_0(tmp_path, monkeypatch):
-    # a point 1e-7 outside E gives the 400-node sweep negative weights; the
-    # guard must land on the simplex minimizer instead of timing out
-    calls = []
+LONG_F_8_CELLS = {"problem": {"f_intervals": [[1.001, 1000.0]]},
+                  "grids": {"n_per_component": 8, "grading": 2.0}}
+NEAR_E_POINT = {"problem": {"f_intervals": [[2.0, 3.0]]}, "balayage": {"point": 1.0000001}}
 
-    def counted(*args):
-        result = equilibrium.minimize_on_simplices(*args)
-        calls.append(result[2])
-        return result
 
-    monkeypatch.setattr(balayage, "minimize_on_simplices", counted)
+@pytest.mark.parametrize(
+    "command, cfg, fragments",
+    [
+        # 8 cells on the long F = [1.001, 1000] give a negative coupled weight
+        pytest.param("solve-vector", LONG_F_8_CELLS,
+                     ["collocation weight -6.592e-02 at node 51.51", "8 cells per component"],
+                     id="solve-vector"),
+        pytest.param("verify-theorem1", LONG_F_8_CELLS,
+                     ["collocation weight -6.592e-02 at node 51.51", "8 cells per component"],
+                     id="verify-theorem1"),
+        # the 400-cell E grid cannot resolve the sweep of a point 1e-7 outside E
+        pytest.param("balayage", NEAR_E_POINT,
+                     ["collocation weight -7.704e-02 at node 0.99997", "400 cells per component"],
+                     id="balayage"),
+    ],
+)
+def test_coarse_collocation_grid_exits_2(tmp_path, capsys, command, cfg, fragments):
+    # a collocation system with a negative weight ends the run with the
+    # weight, its node and the cells per component, and writes nothing
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]]},
-                             "balayage": {"point": 1.0000001}}))
+    p.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    assert run(["balayage", "--config", str(p), "--out", str(out)]) == 0
-    assert len(calls) == 1
-    data = json.loads((out / "balayage.json").read_text())
-    assert math.isfinite(data["numeric_residual_sup"])
-    # the guard's output, pinned bit for bit; the files were written when
-    # the guard still took a list of simplices
-    stem = os.path.join(DATA, "balayage_a1.0000001_n400")
-    for got, pinned in [("balayage.json", ".json"), ("balayage_numeric.csv", ".numeric.csv")]:
-        with open(stem + pinned, "rb") as fh:
-            assert (out / got).read_bytes() == fh.read(), got
-
-
-@pytest.mark.parametrize("command", ["solve-vector", "verify-theorem1"])
-def test_coarse_collocation_grid_exits_2(tmp_path, capsys, command):
-    # 8 cells on the long F = [1.001, 1000] give a negative collocation
-    # weight: the run ends with the weight and its node, and writes nothing
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"problem": {"f_intervals": [[1.001, 1000.0]]},
-                             "grids": {"grading": 2.0}}))
-    out = tmp_path / "o"
-    assert run([command, "--config", str(p), "--nodes", "8", "--out", str(out)]) == 2
+    assert run([command, "--config", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "collocation weight -6.592e-02 at node 51.51" in err
-    assert "8 cells per component" in err
-    assert not out.exists() or not os.listdir(out)
+    for fragment in fragments:
+        assert fragment in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, names", [("solve-scalar", ["scalar_f"])])

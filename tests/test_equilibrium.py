@@ -99,7 +99,7 @@ class TestScalarProblem:
     def test_dual_paths_agree(self):
         saddle = solve_scalar(F23, GridParams(n=100, grading=2.0))
         grid, K, f = scalar_qp(100)
-        w, _, _ = minimize_on_simplices(K, f, 1.0)
+        w, _, _ = minimize_on_simplices(K, f)
         fallback = DiscreteMeasure.from_weights(grid, w)
         assert ks_distance(saddle.measure, fallback) <= 1e-6
         ws = saddle.measure.weights
@@ -113,8 +113,8 @@ class TestScalarProblem:
         # the labels to rounding
         grid, H, g = steep_qp(64)
         p = np.random.default_rng(3).permutation(grid.size)
-        x, mult, _ = minimize_on_simplices(H, g, 1.0)
-        xp, mult_p, _ = minimize_on_simplices(H[p][:, p], g[p], 1.0)
+        x, mult, _ = minimize_on_simplices(H, g)
+        xp, mult_p, _ = minimize_on_simplices(H[p][:, p], g[p])
         assert np.max(np.abs(xp - x[p])) <= 1e-12
         assert mult_p == pytest.approx(mult, abs=1e-12)
         assert x.min() == 0.0 < x.max()
@@ -130,16 +130,16 @@ class TestScalarProblem:
 
     def test_nonconvergence_names_iterations(self, monkeypatch):
         _, H, g = steep_qp(32)
-        assert minimize_on_simplices(H, g, 1.0)[2] == 5
+        assert minimize_on_simplices(H, g)[2] == 5
         monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
         with pytest.raises(NonConvergenceError, match="in 3 iterations") as info:
-            minimize_on_simplices(H, g, 1.0)
+            minimize_on_simplices(H, g)
         assert info.value.iterations == 3
         assert f"{info.value.residual:.3e}" in str(info.value)
 
     def test_singular_kkt_system_raises(self):
         with pytest.raises(NonConvergenceError, match="singular KKT system") as info:
-            minimize_on_simplices(np.zeros((2, 2)), np.zeros(2), 1.0)
+            minimize_on_simplices(np.zeros((2, 2)), np.zeros(2))
         assert info.value.iterations == 1
 
     def test_grid_convergence(self):
