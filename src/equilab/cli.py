@@ -308,6 +308,8 @@ def _cmd_balayage(rc: RunConfig, out):
     src = DiscreteMeasure([a], [1.0], [a - half], [a + half], IntervalUnion([(a - half, a + half)]))
     numeric = balayage_numeric(src, grid)
     ks = ks_distance(closed.measure, numeric.measure)
+    # the closed form is exact, so the distance is the sweep's discretization error
+    passed = ks <= rc.tolerances.ks
     closed.measure.to_csv(out.path("balayage_closed.csv"))
     numeric.measure.to_csv(out.path("balayage_numeric.csv"))
     out.write_json(
@@ -318,13 +320,15 @@ def _cmd_balayage(rc: RunConfig, out):
             "shift_constant_numeric": numeric.shift_constant,
             "green_at_infinity": float(green_e_at_infinity(a)),
             "ks_closed_vs_numeric": ks,
+            "ks_tolerance": rc.tolerances.ks,
             # the sweep's residual is this identity on the grid nodes, bit for bit
             "potential_identity_sup": numeric.residual_sup,
             "numeric_residual_sup": numeric.residual_sup,
         },
     )
-    print(f"[balayage] a={a} ks={ks:.3e} shift={numeric.shift_constant:.6f}")
-    return 0
+    print(f"[balayage] a={a} ks={ks:.3e} (tolerance {rc.tolerances.ks:.3e}, "
+          f"{'pass' if passed else 'fail'}) shift={numeric.shift_constant:.6f}")
+    return 0 if passed else 1
 
 
 def _cmd_hp(rc: RunConfig, out):

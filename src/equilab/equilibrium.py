@@ -1,7 +1,7 @@
-"""Convex equilibrium solvers.
+"""Equilibrium solvers.
 
-Three problems are solved here, all as finite-dimensional convex programs
-over simplex-constrained weight vectors:
+Three problems are solved here, each as one dense linear system for the
+cell weights of fully supported measures of given mass:
 
 - the weighted scalar problem on F with the surface kernel
   log(|1 - Phi(s) Phi(t)| / |s - t|^2) and external field log|Phi|,
@@ -12,15 +12,12 @@ over simplex-constrained weight vectors:
 
 The scalar and reduced problems minimize the discretized quadratic energy
 w'Kw + 2f'w (cell-averaged diagonal, midpoint off-diagonal) through the
-linear saddle system.  Grids that give it negative weights fall back to
-:func:`minimize_on_simplices`, the one guard routine: a primal-dual
-active-set solve of x'Hx + 2g'x over the unit simplex, each step one dense
-equality KKT solve on the current support (Hintermuller, Ito and Kunisch,
-SIAM J. Optim. 13, 2002), with H = K, g = f.  The coupled problem, like
-balayage in :mod:`equilab.balayage`, is a potential-matching collocation
-system on the grid nodes, built and solved by :func:`collocate` alone; a
-negative collocation weight means the grid is too coarse and raises
-:class:`~equilab.errors.DiscretizationError`.
+linear saddle system.  The coupled problem, like balayage in
+:mod:`equilab.balayage`, is a potential-matching collocation system on the
+grid nodes, built and solved by :func:`collocate` alone.  Every one of these
+dense systems is solved once by :func:`_solve_bordered`: the measures they
+approximate have full support, so a weight below -1e-12 means the grid is
+too coarse and raises :class:`~equilab.errors.DiscretizationError`.
 Residuals are always re-measured through the evaluation-route quadrature of
 :mod:`equilab.measures` and recorded as observed.
 """
@@ -51,11 +48,6 @@ from .measures import (
 )
 
 E_INTERVAL = IntervalUnion([(E_LEFT, E_RIGHT)])
-
-# active-set guard: gradient slack that adds an index, and the cap on steps
-# (each step is one dense KKT solve)
-TOL = 1e-10
-MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -151,7 +143,6 @@ class EquilibriumSolution:
     residual_sup: float
     min_density: float
     method: str
-    iterations: int = 0
 
     @property
     def constant(self) -> float:
@@ -164,7 +155,8 @@ class EquilibriumSolution:
             "residual_sup": float(self.residual_sup),
             "min_density": float(self.min_density),
             "method": self.method,
-            "iterations": int(self.iterations),
+            # every solve is one dense factorization; the key stays for the file format
+            "iterations": 0,
             "grid": {
                 "n_per_component": grid_params.n,
                 "grading": grid_params.grading,
@@ -174,78 +166,32 @@ class EquilibriumSolution:
 
 
 # --------------------------------------------------------------------------
-# the active-set guard
+# dense solves
 
 
-def kkt_residual(H, g, x):
-    """Largest KKT violation, and the simplex multiplier.
+def _solve_bordered(A, rhs, grids, kind):
+    """Solve a bordered system whose first unknowns are weights on ``grids``, in one dense solve.
 
-    On the support the gradient half Hx + g equals the multiplier, and off
-    the support it is at least that.
+    A singular system raises :class:`NonConvergenceError`.  A weight below
+    -1e-12 means a grid is too coarse for the problem and raises
+    :class:`DiscretizationError`, naming the weight, its node and the cells
+    per component; ``kind`` (``saddle`` or ``collocation``) starts both
+    messages.  Returns the whole solution vector.
     """
-    G = H @ x + g
-    active = x > 0
-    c = float(np.sum(x[active] * G[active]) / np.sum(x[active]))
-    r_eq = float(np.max(np.abs(G[active] - c)))
-    r_in = float(np.max(np.maximum(c - G[~active], 0.0), initial=0.0))
-    return max(r_eq, r_in), c
-
-
-def _kkt_on_support(H, g, support):
-    """Solve the equality KKT system on the support, with the unit-mass row.
-
-    Returns x, zero off the support; raises ``np.linalg.LinAlgError`` when
-    the system is singular.
-    """
-    act = np.flatnonzero(support)
-    k = act.size
-    A = np.zeros((k + 1, k + 1))
-    A[:k, :k] = H[np.ix_(act, act)]
-    A[:k, k] = 1.0
-    A[k, :k] = 1.0
-    rhs = np.concatenate([-g[act], [1.0]])
-    sol = np.linalg.solve(A, rhs)
-    out = np.zeros(len(g))
-    out[act] = sol[:k]
-    return out
-
-
-def minimize_on_simplices(H, g):
-    """Minimize x'Hx + 2g'x over the unit simplex {x >= 0, sum x = 1}, by active sets.
-
-    H is symmetric and positive definite on the constraint set.  Each step
-    solves the equality KKT system on the current support (every index at
-    the start).  Negative weights leave the support all at once; otherwise
-    every index whose gradient half (Hx + g)_i lies more than ``TOL`` below
-    the multiplier joins it.  The first step that adds nothing is the
-    constrained minimizer, exact to the rounding of one dense solve.
-
-    Returns ``(x, multiplier, steps)``.  Raises :class:`NonConvergenceError`
-    when a KKT system is singular or ``MAX_ITER`` steps pass without a
-    stable support.
-    """
-    support = np.ones(len(g), dtype=bool)
-    res, why = np.inf, f"step cap {MAX_ITER}"
-    for step in range(1, MAX_ITER + 1):
-        try:
-            x = _kkt_on_support(H, g, support)
-        except np.linalg.LinAlgError:
-            why = "singular KKT system"
-            break
-        res, mult = kkt_residual(H, g, x)
-        if np.any(x < 0):
-            support &= x >= 0
-            continue
-        add = ~support & (H @ x + g < mult - TOL)
-        if not add.any():
-            return x, mult, step
-        support |= add
-    raise NonConvergenceError(
-        f"active-set solve did not reach tolerance {TOL:g} in {step} iterations ({why}); "
-        f"achieved KKT residual {res:.3e}",
-        residual=res,
-        iterations=step,
-    )
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"{kind} system is singular: {exc}") from exc
+    edges = np.cumsum([0] + [g.size for g in grids])
+    k = int(np.argmin(sol[:edges[-1]]))
+    if sol[k] < -1e-12:
+        i = int(np.searchsorted(edges, k, side="right")) - 1
+        node = float(grids[i].nodes[k - edges[i]])
+        raise DiscretizationError(
+            f"{kind} weight {sol[k]:.3e} at node {node!r} with {grids[i].n_per_component} "
+            f"cells per component: the grid is too coarse for this problem"
+        )
+    return sol
 
 
 # --------------------------------------------------------------------------
@@ -260,9 +206,8 @@ def collocate(grids, coeffs, rhs, masses):
     sum u_i = masses[i].  Each block coeffs[i][j] * Q is filled straight into
     the system matrix, Q being the -log cell averages of ``grids[j]`` at the
     nodes of ``grids[i]`` (:func:`fill_cell_averages`); one -1 column per
-    constant and one mass row per grid border it.  A weight below -1e-12
-    means a grid is too coarse for the problem and raises
-    :class:`DiscretizationError`.
+    constant and one mass row per grid border it, and
+    :func:`_solve_bordered` solves it once.
 
     Returns ``(weights, constants, residuals)``: the weights per grid clipped
     at zero, the constants, and each block row's sup residual.  The blocks
@@ -278,18 +223,7 @@ def collocate(grids, coeffs, rhs, masses):
             fill_cell_averages(A[si, sj], grids[i].nodes, grids[j], coeffs[i][j])
         A[si, n + i] = -1.0
         A[n + i, si] = 1.0
-    try:
-        sol = np.linalg.solve(A, np.concatenate([*rhs, masses]))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"collocation system is singular: {exc}") from exc
-    k = int(np.argmin(sol[:n]))
-    if sol[k] < -1e-12:
-        i = int(np.searchsorted(edges, k, side="right")) - 1
-        node = float(grids[i].nodes[k - edges[i]])
-        raise DiscretizationError(
-            f"collocation weight {sol[k]:.3e} at node {node!r} with {grids[i].n_per_component} "
-            f"cells per component: the grid is too coarse for this problem"
-        )
+    sol = _solve_bordered(A, np.concatenate([*rhs, masses]), grids, "collocation")
     weights = [np.maximum(sol[s], 0.0) for s in blocks]
     constants = [float(c) for c in sol[n:]]
     residuals = [
@@ -306,35 +240,25 @@ def collocate(grids, coeffs, rhs, masses):
 def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -> EquilibriumSolution:
     """Unit-mass minimizer of the discretized energy w'Kw + 2f'w.
 
-    Primal path: the saddle system [K 1; 1' 0] (w, -c) = (-f, 1).  Negative
-    weights (discretization artifacts on coarse grids) trigger
-    :func:`minimize_on_simplices` with H = K, g = f.  The returned residual
-    is measured through the evaluation-route quadrature at the grid nodes,
-    never through the energy matrix itself.
+    One :func:`_solve_bordered` call on the saddle system
+    [K 1; 1' 0] (w, -c) = (-f, 1), so a grid too coarse for a fully
+    supported minimizer raises :class:`DiscretizationError`.  The returned
+    residual is measured through the evaluation-route quadrature at the grid
+    nodes, never through the energy matrix itself.
     """
     f = np.zeros(grid.size) if fieldfn is None else np.asarray(fieldfn(grid.nodes), dtype=float)
     n = grid.size
 
     A = np.zeros((n + 1, n + 1))
-    K = assemble_energy_matrix(grid, kernel, out=A[:n, :n])
+    assemble_energy_matrix(grid, kernel, out=A[:n, :n])
     A[:n, n] = 1.0
     A[n, :n] = 1.0
-    rhs = np.concatenate([-f, [1.0]])
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"saddle system is singular: {exc}") from exc
-    w = sol[:n]
+    sol = _solve_bordered(A, np.concatenate([-f, [1.0]]), [grid], "saddle")
     c = float(-sol[n])
-    method = "saddle"
-    iterations = 0
-    if np.min(w) < -1e-12:
-        w, c, iterations = minimize_on_simplices(K, f)
-        method = "projected"
 
-    mu = DiscreteMeasure.from_weights(grid, np.maximum(w, 0.0))
+    mu = DiscreteMeasure.from_weights(grid, np.maximum(sol[:n], 0.0))
     # free the saddle matrix before the residual's row blocks are built
-    del A, K
+    del A
     pe = kernel_potential(mu, kernel, grid.nodes) + f
     residual_sup = float(np.max(np.abs(pe - c)))
     min_density = float(np.min(mu.densities))
@@ -343,8 +267,7 @@ def solve_kernel_equilibrium(grid: Grid, kernel: SingularKernel, fieldfn=None) -
         constants=(float(c),),
         residual_sup=residual_sup,
         min_density=min_density,
-        method=method,
-        iterations=iterations,
+        method="saddle",
     )
 
 

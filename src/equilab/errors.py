@@ -16,20 +16,12 @@ class ConfigError(EquilabError):
 
 
 class NonConvergenceError(EquilabError):
-    """A solve did not finish: a singular system, or an active-set solve on
-    the unit simplex (the saddle guard) that hit its step cap or a singular
-    KKT system.  Carries the step count and the achieved KKT
-    residual when there is one."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """A solve did not finish: a singular dense system."""
 
 
 class DiscretizationError(EquilabError):
-    """The grid is too coarse for the problem: its collocation system (the
-    coupled problem's or a balayage's) gives a negative weight."""
+    """The grid is too coarse for the problem: any dense system (a saddle or
+    a collocation system) gives a negative weight."""
 
 
 class QuadratureError(EquilabError):

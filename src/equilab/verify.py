@@ -38,7 +38,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balayage import balayage_numeric, reconstruct_e_measure
-from .equilibrium import E_INTERVAL, EquilibriumSolution, GridParams, solve_reduced
+from .equilibrium import (
+    E_INTERVAL,
+    EquilibriumSolution,
+    GridParams,
+    SingularKernel,
+    kernel_potential,
+    solve_reduced,
+)
 from .errors import EquilabError
 from .hermite_pade import (
     HPSweep,
@@ -47,7 +54,7 @@ from .hermite_pade import (
     require_n_list,
     solve_with_escalation,
 )
-from .kernels import IntervalUnion, green_e_at_infinity, require_gap_to_e
+from .kernels import IntervalUnion, green_e_at_infinity, green_single_interval, require_gap_to_e
 from .measures import (
     DiscreteMeasure,
     green_potential_e,
@@ -294,9 +301,6 @@ def verify_mixed_potential(
                   "sup - inf of the mixed potential over F nodes")
 
     if lam.support.m == 1:
-        from .kernels import green_single_interval
-        from .equilibrium import kernel_potential, SingularKernel
-
         x = lam_e.nodes
         u1 = log_potential(lam_e, x)
         gf = green_single_interval(lam.support)

@@ -400,6 +400,21 @@ def test_balayage_command(cfg_path, tmp_path):
     data = json.loads((out / "balayage.json").read_text())
     assert data["ks_closed_vs_numeric"] <= 5e-3
     assert data["potential_identity_sup"] <= 1e-8
+    # the bound is the run's KS tolerance, 5e-3 times the config's scale of 4
+    assert data["ks_tolerance"] == 2e-2
+
+
+def test_balayage_unresolved_peak_exits_1(tmp_path):
+    # the 400-cell E grid cannot resolve the closed form's peak of width
+    # about 1e-5: the sweep solves, but its KS distance misses the bound
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]]},
+                             "balayage": {"point": 1.00001}}))
+    out = tmp_path / "o"
+    assert run(["balayage", "--config", str(p), "--out", str(out)]) == 1
+    data = json.loads((out / "balayage.json").read_text())
+    assert data["ks_tolerance"] == 5e-3
+    assert data["ks_closed_vs_numeric"] > 10 * data["ks_tolerance"]
 
 
 LONG_F_8_CELLS = {"problem": {"f_intervals": [[1.001, 1000.0]]},
@@ -410,12 +425,19 @@ NEAR_E_POINT = {"problem": {"f_intervals": [[2.0, 3.0]]}, "balayage": {"point": 
 @pytest.mark.parametrize(
     "command, cfg, fragments",
     [
-        # 8 cells on the long F = [1.001, 1000] give a negative coupled weight
+        # 8 cells on the long F = [1.001, 1000] give a negative saddle weight
+        # in the scalar problem and a negative coupled weight
+        pytest.param("solve-scalar", LONG_F_8_CELLS,
+                     ["saddle weight -6.848e-03 at node 51.51218539325843",
+                      "8 cells per component"],
+                     id="solve-scalar"),
         pytest.param("solve-vector", LONG_F_8_CELLS,
                      ["collocation weight -6.592e-02 at node 51.51", "8 cells per component"],
                      id="solve-vector"),
+        # the scalar problem is solved first, so the run ends there
         pytest.param("verify-theorem1", LONG_F_8_CELLS,
-                     ["collocation weight -6.592e-02 at node 51.51", "8 cells per component"],
+                     ["saddle weight -6.848e-03 at node 51.51218539325843",
+                      "8 cells per component"],
                      id="verify-theorem1"),
         # the 400-cell E grid cannot resolve the sweep of a point 1e-7 outside E
         pytest.param("balayage", NEAR_E_POINT,
@@ -424,8 +446,9 @@ NEAR_E_POINT = {"problem": {"f_intervals": [[2.0, 3.0]]}, "balayage": {"point": 
     ],
 )
 def test_coarse_collocation_grid_exits_2(tmp_path, capsys, command, cfg, fragments):
-    # a collocation system with a negative weight ends the run with the
-    # weight, its node and the cells per component, and writes nothing
+    # a saddle or collocation system with a negative weight ends the run
+    # with the weight, its node and the cells per component, and writes
+    # nothing
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "o"
@@ -434,26 +457,3 @@ def test_coarse_collocation_grid_exits_2(tmp_path, capsys, command, cfg, fragmen
     for fragment in fragments:
         assert fragment in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command, names", [("solve-scalar", ["scalar_f"])])
-def test_projected_fallback_pinned(tmp_path, command, names):
-    # 8 cells on the long F = [1.001, 1000] give negative saddle weights, so
-    # the solve goes through the guard; the files were written by the
-    # projected-gradient routine that the active-set solve replaced, and
-    # only the step count may differ
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"problem": {"f_intervals": [[1.001, 1000.0]]},
-                             "grids": {"grading": 2.0}}))
-    out = tmp_path / "o"
-    assert run([command, "--config", str(p), "--nodes", "8", "--out", str(out)]) == 0
-    stem = os.path.join(DATA, "projected_f1.001-1000_n8")
-    for name in names:
-        with open(f"{stem}.{name}.csv", "rb") as fh:
-            assert (out / f"{name}.csv").read_bytes() == fh.read(), name
-        with open(f"{stem}.{name}.json", encoding="utf-8") as fh:
-            pinned = json.load(fh)
-        got = json.loads((out / f"{name}.json").read_text())
-        assert got["method"] == pinned["method"] == "projected"
-        del got["iterations"], pinned["iterations"]
-        assert got == pinned, name

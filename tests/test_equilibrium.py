@@ -1,24 +1,21 @@
-"""Equilibrium solver tests: classical oracles, dual solver paths, coupled system."""
+"""Equilibrium solver tests: classical oracles, the negative-weight rule, coupled system."""
 
 import numpy as np
 import pytest
 
-import equilab.equilibrium as equilibrium
 from equilab.equilibrium import (
     E_INTERVAL,
     GridParams,
     LOG_KERNEL,
     assemble_energy_matrix,
     kernel_potential,
-    minimize_on_simplices,
     solve_kernel_equilibrium,
     solve_reduced,
     solve_scalar,
     solve_vector,
-    surface_field,
     surface_kernel,
 )
-from equilab.errors import NonConvergenceError
+from equilab.errors import DiscretizationError
 from equilab.kernels import IntervalUnion
 from equilab.measures import (
     DiscreteMeasure,
@@ -31,18 +28,6 @@ from equilab.measures import (
 F23 = IntervalUnion([(2.0, 3.0)])
 FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 GP = GridParams(n=200, grading=2.0)
-
-
-def scalar_qp(n):
-    """The scalar problem on F23 as the quadratic program w'Kw + 2f'w."""
-    grid = make_grid(F23, n, 2.0)
-    return grid, assemble_energy_matrix(grid, surface_kernel()), surface_field(grid.nodes)
-
-
-def steep_qp(n):
-    """The log kernel on F23 with field 4x: the minimizer leaves part of F."""
-    grid = make_grid(F23, n, 2.0)
-    return grid, assemble_energy_matrix(grid, LOG_KERNEL), 4.0 * grid.nodes
 
 
 def arcsine_cells(grid):
@@ -96,51 +81,13 @@ class TestScalarProblem:
         with pytest.raises(ValueError):
             solve_scalar(IntervalUnion([(1.0 + 1e-9, 2.0)]), GP)
 
-    def test_dual_paths_agree(self):
-        saddle = solve_scalar(F23, GridParams(n=100, grading=2.0))
-        grid, K, f = scalar_qp(100)
-        w, _, _ = minimize_on_simplices(K, f)
-        fallback = DiscreteMeasure.from_weights(grid, w)
-        assert ks_distance(saddle.measure, fallback) <= 1e-6
-        ws = saddle.measure.weights
-        saddle_energy = ws @ K @ ws + 2.0 * f @ ws
-        energy = w @ K @ w + 2.0 * f @ w
-        assert abs(saddle_energy - energy) <= 1e-8 * max(1.0, abs(saddle_energy))
-
-    def test_minimizer_independent_of_index_order(self):
-        # relabelling the unknowns reorders every KKT system the active set
-        # solves; the minimizer, which has zero weights here, must follow
-        # the labels to rounding
-        grid, H, g = steep_qp(64)
-        p = np.random.default_rng(3).permutation(grid.size)
-        x, mult, _ = minimize_on_simplices(H, g)
-        xp, mult_p, _ = minimize_on_simplices(H[p][:, p], g[p])
-        assert np.max(np.abs(xp - x[p])) <= 1e-12
-        assert mult_p == pytest.approx(mult, abs=1e-12)
-        assert x.min() == 0.0 < x.max()
-
-    def test_projected_iterations_reach_sidecar(self):
+    def test_steep_field_raises_discretization_error(self):
         # a steep field pushes the minimizer off part of F, so the saddle
-        # weights go negative and the active-set guard takes over
+        # weights go negative: the grid cannot carry a fully supported measure
         grid = make_grid(F23, 32, 2.0)
-        sol = solve_kernel_equilibrium(grid, LOG_KERNEL, lambda x: 4.0 * x)
-        sidecar = sol.sidecar_dict(GridParams(n=32, grading=2.0))
-        assert sidecar["method"] == "projected"
-        assert sidecar["iterations"] == sol.iterations > 0
-
-    def test_nonconvergence_names_iterations(self, monkeypatch):
-        _, H, g = steep_qp(32)
-        assert minimize_on_simplices(H, g)[2] == 5
-        monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
-        with pytest.raises(NonConvergenceError, match="in 3 iterations") as info:
-            minimize_on_simplices(H, g)
-        assert info.value.iterations == 3
-        assert f"{info.value.residual:.3e}" in str(info.value)
-
-    def test_singular_kkt_system_raises(self):
-        with pytest.raises(NonConvergenceError, match="singular KKT system") as info:
-            minimize_on_simplices(np.zeros((2, 2)), np.zeros(2))
-        assert info.value.iterations == 1
+        with pytest.raises(DiscretizationError, match=r"saddle weight -\d\.\d{3}e[-+]\d\d at node ") as info:
+            solve_kernel_equilibrium(grid, LOG_KERNEL, lambda x: 4.0 * x)
+        assert "32 cells per component" in str(info.value)
 
     def test_grid_convergence(self):
         coarse = solve_scalar(F23, GridParams(n=100, grading=2.0))
