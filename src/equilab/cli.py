@@ -126,7 +126,7 @@ def _expect(ok, what):
 def _parsers():
     """Config key -> function that checks the value and returns what the run uses."""
     from .balayage import require_outside_e
-    from .hermite_pade import require_n_list
+    from .hermite_pade import require_n_list, require_precision_bits
     from .kernels import IntervalUnion, is_integer, is_real, require_gap_to_e
     from .measures import require_grading, require_node_count
 
@@ -136,7 +136,7 @@ def _parsers():
         "grids.n_per_component": require_node_count,
         "grids.grading": require_grading,
         "hp.n_list": require_n_list,
-        "hp.precision_bits": _expect(lambda b: is_integer(b) and b >= 64, "an integer >= 64"),
+        "hp.precision_bits": require_precision_bits,
         "balayage.point": require_outside_e,
         "tolerance_scale": _expect(lambda s: is_real(s) and 0 < s < math.inf,
                                    "a positive finite number"),
@@ -337,8 +337,8 @@ def _cmd_hp(rc: RunConfig, out):
     sweep = HPSweep(rc.sigma, rc.n_list)
     summary = []
     for n in rc.n_list:
-        sol, zeros = solve_with_escalation(n, rc.sigma, rc.precision_bits, sweep=sweep)
-        sol.save_json(out.path(f"hp_n{n}.json"))
+        sol, zeros = solve_with_escalation(n, sweep, rc.precision_bits)
+        out.write_json(f"hp_n{n}.json", sol.to_json_dict())
         with open(out.path(f"hp_zeros_n{n}.csv"), "w", encoding="utf-8") as fh:
             fh.write("index,zero\n")
             for i, z in enumerate(zeros):

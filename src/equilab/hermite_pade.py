@@ -23,10 +23,13 @@ F = [2, 3], and once it nears the working precision the solution degrades
 although the residual check may still pass.  The escalation driver therefore
 doubles the working precision (up to a cap) until log2 cond stays
 GATE_MARGIN_BITS below it and the real-zero count is full.  The orders of
-one run form a nonempty, strictly increasing list of nonnegative integers
-(require_n_list, the one check of it, shared with the CLI); across them an
-HPSweep keeps one moment table per precision and starts each order at the
-precision predicted from the previous order's conditioning growth.
+one run form a nonempty, strictly increasing list of nonnegative integers,
+and the run starts from an integer precision in [64, MAX_PRECISION_BITS]
+(require_n_list and require_precision_bits, the one checks of them, shared
+with the CLI).  One HPSweep per run carries sigma and the precision ladder:
+it keeps one moment table per precision and starts each order at the rung
+predicted from the previous order's conditioning growth, capped at
+MAX_PRECISION_BITS.
 
 All moment arithmetic runs at an elevated working precision and is rounded
 to the requested precision only at the end; b_k uses the exact recursion
@@ -63,7 +66,6 @@ neighbouring zeros prove deg Q2 distinct real zeros, one per cell.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from math import comb
@@ -92,6 +94,14 @@ def require_n_list(n_list) -> list:
         raise ValueError("orders must form a nonempty, strictly increasing list of "
                          f"nonnegative integers, got {n_list!r}")
     return list(n_list)
+
+
+def require_precision_bits(bits) -> int:
+    """The one check of a run's starting precision; returns it."""
+    if not is_integer(bits) or not 64 <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"precision must be an integer in [64, {MAX_PRECISION_BITS}] bits, "
+                         f"got {bits!r}")
+    return bits
 
 
 # --------------------------------------------------------------------------
@@ -299,15 +309,18 @@ def moments_f2_from_cauchy(k_max: int, atoms, precision_bits: int = DEFAULT_PREC
 
 @dataclass(frozen=True)
 class HPSolution:
-    """Normalized type-I solution at order n with residual metadata.
+    """Type-I solution at order n, Q2 monic, with residual metadata.
 
-    ``residual_order`` is the index of the first Laurent coefficient of the
-    combination that fails to vanish at the working precision; the order
-    condition demands residual_order >= 2n+2.  ``nullspace_dim`` counts the
-    numerically null directions observed (1 for a normal index).
-    ``log2_cond`` is log2 of the condition number of the system that was
-    solved, and ``method`` names the solve: "lu" for the square system with
-    the leading coefficient of Q2 fixed to 1, "svd" for the fallback.
+    ``residual_max`` is the largest of the Laurent coefficients 1..2n+1 of
+    Q1 f1 + Q2 f2, which the order condition makes vanish, and
+    ``residual_order`` the index of the first coefficient that does not
+    vanish at the working precision: 2n+2, or 2n+3 when coefficient 2n+2
+    vanishes too.  ``log2_cond`` is log2 of the condition number of the system that
+    was solved, and ``method`` names the solve: "lu" for the square system
+    with the leading coefficient of Q2 fixed to 1, "svd" for the fallback.
+    :meth:`to_json_dict` gives these fields, ``n``, ``precision_bits`` and
+    ``degree_q2``, and the coefficients of Q0, Q1, Q2 in ascending order as
+    decimal strings at the working precision.
     """
 
     n: int
@@ -317,7 +330,6 @@ class HPSolution:
     precision_bits: int
     residual_order: int
     residual_max: float
-    nullspace_dim: int
     degree_q2: int
     log2_cond: float
     method: str
@@ -329,7 +341,6 @@ class HPSolution:
             "precision_bits": self.precision_bits,
             "residual_order": self.residual_order,
             "residual_max": float(self.residual_max),
-            "nullspace_dim": self.nullspace_dim,
             "degree_q2": self.degree_q2,
             "log2_cond": self.log2_cond,
             "method": self.method,
@@ -337,11 +348,6 @@ class HPSolution:
             "q1": [mp.nstr(c, dps) for c in self.q1],
             "q2": [mp.nstr(c, dps) for c in self.q2],
         }
-
-    def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSolution:
@@ -368,12 +374,9 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
         if max(abs(v) for v in x) > mp.mpf(2) ** (precision_bits // 2):
             return _solve_hp_svd(n, a, b, precision_bits)
         log2_cond = _log2_cond1(A, LU, perm)
-        # a condition number this close to the rounding floor leaves a second
-        # numerically null direction, as a singular value would in the SVD
-        nullspace_dim = 2 if log2_cond > precision_bits - 20 else 1
         p = [x[i] for i in range(n + 1)]
         q = [x[n + 1 + i] for i in range(n)] + [mp.mpf(1)]
-        return _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond, "lu")
+        return _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, "lu")
 
 
 def _moment_matrix(n, a, b):
@@ -415,13 +418,10 @@ def _solve_hp_svd(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) ->
         sigma_min = S[m - 1]
         sigma_max = S[0]
         log2_cond = float(mp.log(sigma_max / sigma_min, 2)) if sigma_min > 0 else float("inf")
-        # singular values this close to the rounding floor are numerically null
-        null_floor = sigma_max * mp.mpf(2) ** (-(precision_bits - 20))
-        nullspace_dim = 1 + sum(1 for i in range(m) if S[i] < null_floor)
         vec = [V[m, j] for j in range(m + 1)]
         p = vec[: n + 1]
         q = vec[n + 1 :]
-        return _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond, "svd")
+        return _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, "svd")
 
 
 def _log2_cond1(A, LU, perm) -> float:
@@ -481,26 +481,14 @@ def _laurent_residuals(n, a, b, p, q, count):
     return out
 
 
-def _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond, method):
-    """Verify the order condition for (p, q), normalize Q2 and complete Q0."""
-    qmax = max(abs(x) for x in q)
-    pmax = max(abs(x) for x in p)
-    if qmax == 0 and pmax == 0:
-        raise PrecisionError("null vector vanished at working precision")
-    residuals = _laurent_residuals(n, a, b, p, q, 2 * n + 2)
-    tol_vanish = mp.mpf(2) ** (-(precision_bits // 4))
-    if max(residuals[: 2 * n + 1], default=mp.mpf(0)) > tol_vanish:
-        raise PrecisionError(
-            f"order condition residual {mp.nstr(max(residuals[:2 * n + 1]), 5)} exceeds "
-            f"2^-{precision_bits // 4} at {precision_bits} bits"
-        )
-    for j, r in enumerate(residuals, start=1):
-        if r > tol_vanish:
-            residual_order = j
-            break
-    else:
-        residual_order = 2 * n + 3  # capped: all computable coefficients vanish
+def _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, method):
+    """Make Q2 monic, verify the order condition for (p, q) and complete Q0.
 
+    The residuals are those of the normalized pair.  On the LU path Q2 is
+    monic already; on the SVD path (p, q) is a unit vector, so |lead| <= 1
+    and normalizing never shrinks a residual.
+    """
+    qmax = max(abs(x) for x in q)
     deg_tol = qmax * mp.mpf(2) ** (-(precision_bits // 2))
     degree_q2 = max((i for i, x in enumerate(q) if abs(x) > deg_tol), default=-1)
     if degree_q2 < 0:
@@ -508,6 +496,18 @@ def _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond
     lead = q[degree_q2]
     p = [x / lead for x in p]
     q = [x / lead for x in q]
+
+    residuals = _laurent_residuals(n, a, b, p, q, 2 * n + 2)
+    residual_max = max(residuals[: 2 * n + 1])
+    tol_vanish = mp.mpf(2) ** (-(precision_bits // 4))
+    if residual_max > tol_vanish:
+        raise PrecisionError(
+            f"order condition residual {mp.nstr(residual_max, 5)} exceeds "
+            f"2^-{precision_bits // 4} at {precision_bits} bits"
+        )
+    # capped at 2n+3: all computable coefficients vanish
+    residual_order = next((j for j, r in enumerate(residuals, start=1) if r > tol_vanish),
+                          2 * n + 3)
 
     # polynomial part of Q1 f1 + Q2 f2 has degree <= n-1; Q0 cancels it
     q0 = []
@@ -521,12 +521,6 @@ def _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond
     if not q0:
         q0 = [mp.mpf(0)]
 
-    residual_max = max(_laurent_residuals(n, a, b, p, q, 2 * n + 1), default=mp.mpf(0))
-    if residual_max > tol_vanish:
-        raise PrecisionError(
-            f"normalized residual {mp.nstr(residual_max, 5)} exceeds 2^-{precision_bits // 4}"
-        )
-
     return HPSolution(
         n=n,
         q0=tuple(q0),
@@ -535,7 +529,6 @@ def _normalized_solution(n, a, b, p, q, precision_bits, nullspace_dim, log2_cond
         precision_bits=precision_bits,
         residual_order=residual_order,
         residual_max=float(residual_max),
-        nullspace_dim=nullspace_dim,
         degree_q2=degree_q2,
         log2_cond=log2_cond,
         method=method,
@@ -639,9 +632,10 @@ GATE_MARGIN_BITS = 32
 
 
 class HPSweep:
-    """Work shared by the orders of one run over a fixed sigma and n_list.
+    """Sigma and the precision ladder of one run, shared by its orders.
 
-    Holds one table of moments a_k, b_k up to index 3 * max(n_list) + 1 per
+    The one carrier of sigma for :func:`solve_with_escalation`.  Holds one
+    table of moments a_k, b_k up to index 3 * max(n_list) + 1 per
     precision, each computed once and sliced for every order, and the
     conditioning growth rate ``bits_per_order`` = log2 cond / n of the last
     accepted order, which predicts the starting precision of the next.
@@ -665,43 +659,32 @@ class HPSweep:
         a, b = self._tables[bits]
         return a[: 3 * n + 2], b[: 3 * n + 2]
 
-    def start_bits(self, n: int, precision_bits: int, max_bits: int) -> int:
-        """The smallest rung precision_bits * 2^k predicted to pass the condition gate."""
+    def start_bits(self, n: int, precision_bits: int) -> int:
+        """The smallest rung precision_bits * 2^k predicted to pass the condition gate.
+
+        Never above MAX_PRECISION_BITS, nor below precision_bits.
+        """
         bits = precision_bits
-        while self.bits_per_order * n + GATE_MARGIN_BITS > bits and 2 * bits <= max_bits:
+        while self.bits_per_order * n + GATE_MARGIN_BITS > bits and 2 * bits <= MAX_PRECISION_BITS:
             bits *= 2
         return bits
 
 
-def solve_with_escalation(
-    n: int,
-    sigma: MarkovSpec,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    *,
-    max_bits: int = MAX_PRECISION_BITS,
-    sweep: HPSweep | None = None,
-):
-    """Moments, solve, condition gate and zeros, doubling the precision until all pass.
+def solve_with_escalation(n: int, sweep: HPSweep, precision_bits: int):
+    """Moments, solve, condition gate and zeros for order n, doubling the precision until all pass.
 
-    An attempt fails when the solve or the zero count raises PrecisionError,
-    or when log2 cond + GATE_MARGIN_BITS exceeds its precision.  Attempts
-    start at the precision that ``sweep`` predicts from the previous order,
-    never below ``precision_bits``.  Pass one ``sweep`` to every order of a
-    run to share its moment tables.  Returns (solution, zeros); escalation
-    exhaustion, or a start precision above ``max_bits``, raises PrecisionError.
+    Sigma and the moment tables come from ``sweep``; pass the run's one sweep
+    to every order.  ``precision_bits`` is the run's starting precision,
+    checked by :func:`require_precision_bits`.  An attempt fails when the
+    solve or the zero count raises PrecisionError, or when
+    log2 cond + GATE_MARGIN_BITS exceeds its precision.  Attempts start at
+    the rung that the sweep predicts from the previous order and double up
+    to MAX_PRECISION_BITS.  Returns (solution, zeros); escalation exhaustion
+    raises PrecisionError.
     """
-    if sweep is None:
-        sweep = HPSweep(sigma, [n])
-    elif sweep.sigma is not sigma:
-        raise ValueError("sweep was built for a different sigma")
-    bits = sweep.start_bits(n, precision_bits, max_bits)
-    if bits > max_bits:
-        raise PrecisionError(
-            f"no attempt for order {n}: the start precision {bits} bits exceeds "
-            f"the cap of {max_bits} bits"
-        )
+    bits = sweep.start_bits(n, require_precision_bits(precision_bits))
     last_exc = None
-    while bits <= max_bits:
+    while bits <= MAX_PRECISION_BITS:
         try:
             a, b = sweep.moments(n, bits)
             sol = solve_hp(n, a, b, bits)
@@ -709,7 +692,7 @@ def solve_with_escalation(
                 raise PrecisionError(
                     f"log2 cond {sol.log2_cond:.1f} + {GATE_MARGIN_BITS} exceeds {bits} bits"
                 )
-            zeros = zeros_q2(sol, sigma.support.hull)
+            zeros = zeros_q2(sol, sweep.sigma.support.hull)
         except PrecisionError as exc:
             last_exc = exc
             bits *= 2
@@ -718,5 +701,5 @@ def solve_with_escalation(
             sweep.bits_per_order = sol.log2_cond / n
         return sol, zeros
     raise PrecisionError(
-        f"escalation exhausted at {max_bits} bits for order {n}: {last_exc}"
+        f"escalation exhausted at {MAX_PRECISION_BITS} bits for order {n}: {last_exc}"
     )

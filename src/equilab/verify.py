@@ -434,7 +434,7 @@ def verify_zero_distribution(
     precisions = {}
     for n in n_list:
         try:
-            sol, zeros = solve_with_escalation(n, sigma, precision_bits, sweep=sweep)
+            sol, zeros = solve_with_escalation(n, sweep, precision_bits)
         except EquilabError as exc:
             rep.add(f"zeros.order_{n}", float("nan"), 0.0, False, f"failure: {exc}")
             continue

@@ -12,7 +12,6 @@ import pytest
 import equilab.equilibrium as equilibrium
 from equilab.cli import run
 from equilab.errors import NonConvergenceError
-from equilab.hermite_pade import MAX_PRECISION_BITS
 
 SMALL_CFG = {
     "problem": {"f_intervals": [[2.0, 3.0]], "sigma": "arcsine"},
@@ -63,6 +62,7 @@ def test_invalid_config_lists_violations(tmp_path, capsys):
         ("problem.sigma", ["arcsine"]),
         ("grids.grading", "2"),
         ("hp.precision_bits", 256.0),
+        ("hp.precision_bits", 8192),
         ("positivity_samples", 0),
         ("seed", -1),
         ("tolerance_scale", float("inf")),
@@ -195,6 +195,22 @@ def test_hp_zeros_pinned(tmp_path):
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_hp_lu_and_svd_solutions_pinned(tmp_path):
+    # on a symmetric F order 4 runs the LU solve and order 5 the SVD
+    # fallback (Q2 drops to degree 4); coefficients and zeros must match
+    # byte for byte
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[-3.0, -2.0], [2.0, 3.0]]},
+                             "hp": {"n_list": [4, 5], "precision_bits": 256}}))
+    out = tmp_path / "o"
+    assert run(["hp", "--config", str(p), "--out", str(out)]) == 0
+    methods = [json.loads((out / f"hp_n{n}.json").read_text())["method"] for n in (4, 5)]
+    assert methods == ["lu", "svd"]
+    for name in ("hp_n4.json", "hp_n5.json", "hp_zeros_n4.csv", "hp_zeros_n5.csv"):
+        with open(os.path.join(DATA, f"hp_sym-arcsine_n4-5_b256.{name}"), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
 
 
 @pytest.mark.parametrize("preset", ["sym-arcsine", "f23-arcsine"])
@@ -347,8 +363,6 @@ def test_check_failure_exits_1(tmp_path):
         # symmetric F: Q2 of odd order has degree n - 1, so no unit counting measure
         ({"f_intervals": [[-3.0, -2.0], [2.0, 3.0]], "sigma": "arcsine"},
          {"n_list": [3, 4], "precision_bits": 128}, "zeros.order_3"),
-        # a starting precision above the escalation cap: no attempt at all
-        (SMALL_CFG["problem"], {"n_list": [2], "precision_bits": 8192}, "zeros.order_2"),
     ],
 )
 def test_failed_order_exits_1_with_report(tmp_path, problem, hp, failed_order):
@@ -363,13 +377,6 @@ def test_failed_order_exits_1_with_report(tmp_path, problem, hp, failed_order):
     assert checks[failed_order]["status"] == "fail"
     assert checks[failed_order]["value"] is None
     assert checks["zeros.ks_final"]["status"] == "skipped"
-    above_cap = hp["precision_bits"] > MAX_PRECISION_BITS
-    assert ("no attempt for order" in checks[failed_order]["note"]) == above_cap
-    if above_cap:
-        assert checks[failed_order]["note"].endswith(
-            f"start precision {hp['precision_bits']} bits exceeds the cap of "
-            f"{MAX_PRECISION_BITS} bits"
-        )
 
 
 def test_preset_with_overrides(tmp_path):

@@ -338,7 +338,6 @@ class TestSolveHP:
             assert sol.residual_max <= 2.0 ** (-(PREC // 4))
             assert sol.residual_order >= 2 * n + 2
             assert sol.degree_q2 == n
-            assert sol.nullspace_dim == 1
 
     def test_insufficient_moments(self, moments):
         a, b = moments
@@ -372,14 +371,10 @@ class TestSolveHP:
         assert orders[0] <= orders[1] <= orders[2]
         assert orders[0] == 2 * 4 + 2
 
-    def test_json_roundtrip(self, moments, tmp_path):
+    def test_json_roundtrip(self, moments):
         a, b = moments
         sol = solve_hp(2, a, b, PREC)
-        path = tmp_path / "hp.json"
-        sol.save_json(path)
-        import json
-
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(sol.to_json_dict(), allow_nan=False))
         assert data["n"] == 2
         assert data["degree_q2"] == 2
         assert data["q2"][-1] == "1.0"
@@ -432,13 +427,15 @@ class TestSquareSolve:
 
 
 class TestConditionGate:
-    def test_order_ten_never_accepted_at_128_bits(self):
+    def test_order_ten_never_accepted_at_128_bits(self, monkeypatch):
         # at 128 bits the n = 10 LU solve passes the residual contract and
         # the zero count, but log2 cond is about 131.6: its zeros are wrong
         sigma = arcsine_sigma(F23)
-        with pytest.raises(PrecisionError, match="log2 cond"):
-            solve_with_escalation(10, sigma, 128, max_bits=128)
-        sol, zeros = solve_with_escalation(10, sigma, 128)
+        with monkeypatch.context() as m:
+            m.setattr(hermite_pade, "MAX_PRECISION_BITS", 128)
+            with pytest.raises(PrecisionError, match="log2 cond"):
+                solve_with_escalation(10, HPSweep(sigma, [10]), 128)
+        sol, zeros = solve_with_escalation(10, HPSweep(sigma, [10]), 128)
         assert sol.precision_bits == 256
         assert sol.log2_cond + GATE_MARGIN_BITS <= sol.precision_bits
         assert len(zeros) == 10
@@ -457,7 +454,7 @@ class TestConditionGate:
         sweep = HPSweep(sigma, n_list)
         bits = {}
         for n in n_list:
-            sol, zeros = solve_with_escalation(n, sigma, 128, sweep=sweep)
+            sol, zeros = solve_with_escalation(n, sweep, 128)
             assert len(zeros) == n
             bits[n] = sol.precision_bits
         # n = 10 starts at 256 bits from the rate measured at n = 6
@@ -465,11 +462,6 @@ class TestConditionGate:
         assert calls == [(31, 128), (31, 256)]
         assert sweep.quad_orders == {128: 128, 256: 128}
         assert sweep.bits_per_order == pytest.approx(sol.log2_cond / 10)
-
-    def test_sweep_rejects_other_sigma(self):
-        sweep = HPSweep(arcsine_sigma(F23), [2])
-        with pytest.raises(ValueError):
-            solve_with_escalation(2, constant_sigma(F23), 128, sweep=sweep)
 
 
 def _solution_with_roots(roots, bits):
@@ -483,7 +475,7 @@ def _solution_with_roots(roots, bits):
     deg = len(roots)
     return HPSolution(n=deg, q0=(mp.mpf(0),), q1=(mp.mpf(0),) * (deg + 1), q2=q2,
                       precision_bits=bits, residual_order=2 * deg + 2, residual_max=0.0,
-                      nullspace_dim=1, degree_q2=deg, log2_cond=0.0, method="lu")
+                      degree_q2=deg, log2_cond=0.0, method="lu")
 
 
 class TestZeros:
@@ -548,7 +540,6 @@ class TestZeros:
             precision_bits=sol5.precision_bits,
             residual_order=sol5.residual_order,
             residual_max=sol5.residual_max,
-            nullspace_dim=sol5.nullspace_dim,
             degree_q2=sol5.degree_q2,
             log2_cond=sol5.log2_cond,
             method=sol5.method,
@@ -568,23 +559,25 @@ class TestZeros:
 
 class TestConstantDensityPreset:
     def test_hull_containment(self):
-        sol, zeros = solve_with_escalation(8, constant_sigma(F23), PREC)
+        sol, zeros = solve_with_escalation(8, HPSweep(constant_sigma(F23), [8]), PREC)
         assert len(zeros) == 8
         assert all(2.0 <= float(z) <= 3.0 for z in zeros)
         assert sol.degree_q2 == 8
 
 
 class TestEscalation:
-    def test_escalates_to_full_zero_count(self):
+    def test_escalates_to_full_zero_count(self, monkeypatch):
         # at 64 bits even small orders are precision-starved; the driver
         # must climb until the zero count matches the degree
-        sol, zeros = solve_with_escalation(4, arcsine_sigma(F23), 64, max_bits=1024)
+        monkeypatch.setattr(hermite_pade, "MAX_PRECISION_BITS", 1024)
+        sol, zeros = solve_with_escalation(4, HPSweep(arcsine_sigma(F23), [4]), 64)
         assert len(zeros) == 4
         assert sol.degree_q2 == 4
 
-    def test_exhaustion_raises(self):
+    def test_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(hermite_pade, "MAX_PRECISION_BITS", 64)
         with pytest.raises(PrecisionError):
-            solve_with_escalation(12, arcsine_sigma(F23), 64, max_bits=64)
+            solve_with_escalation(12, HPSweep(arcsine_sigma(F23), [12]), 64)
 
 
 class TestMarkovSpec:
