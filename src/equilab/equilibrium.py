@@ -18,8 +18,10 @@ grid nodes, built and solved by :func:`collocate` alone.  Every one of these
 dense systems is solved once by :func:`_solve_bordered`: the measures they
 approximate have full support, so a weight below -1e-12 means the grid is
 too coarse and raises :class:`~equilab.errors.DiscretizationError`.
-Residuals are always re-measured through the evaluation-route quadrature of
-:mod:`equilab.measures` and recorded as observed.
+The kernels are :class:`~equilab.measures.SingularKernel` values; the
+energy matrix evaluates their smooth part at node pairs, and residuals are
+re-measured through the one potential evaluator,
+:func:`equilab.measures.kernel_potential`, and recorded as observed.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from .kernels import (
 from .measures import (
     DiscreteMeasure,
     Grid,
-    _row_blocks,
+    SingularKernel,
     fill_cell_averages,
+    kernel_potential,
     make_grid,
     row_slices,
 )
@@ -54,22 +57,6 @@ E_INTERVAL = IntervalUnion([(E_LEFT, E_RIGHT)])
 class GridParams:
     n: int = 400
     grading: float = 2.0
-
-
-@dataclass(frozen=True)
-class SingularKernel:
-    """Kernel smooth(s,t) - sing_coeff * log|s - t| with bounded smooth part."""
-
-    sing_coeff: float
-    smooth: object = None          # vectorized (s, t) -> array, or None for zero
-
-    def smooth_matrix(self, s, t):
-        if self.smooth is None:
-            return 0.0
-        return self.smooth(s[:, None], t[None, :])
-
-
-LOG_KERNEL = SingularKernel(sing_coeff=1.0)
 
 
 def surface_kernel() -> SingularKernel:
@@ -88,7 +75,7 @@ def reduced_kernel(F: IntervalUnion) -> SingularKernel:
 
 
 # --------------------------------------------------------------------------
-# assembly and evaluation
+# assembly
 
 
 def assemble_energy_matrix(grid: Grid, kernel: SingularKernel, out=None):
@@ -115,21 +102,8 @@ def assemble_energy_matrix(grid: Grid, kernel: SingularKernel, out=None):
         K[i, i] = diag[rows]
         Kb *= kernel.sing_coeff
         if kernel.smooth is not None:
-            Kb += kernel.smooth_matrix(x[rows], x)
+            Kb += kernel.smooth(x[rows, None], x[None, :])
     return K
-
-
-def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
-    """Evaluation-route integral of the kernel against the measure at z."""
-
-    def kernel_block(zb, Q):
-        Q *= kernel.sing_coeff
-        if kernel.smooth is not None:
-            Q += kernel.smooth(zb[:, None], mu.nodes[None, :])
-        return Q
-
-    out = _row_blocks(mu, np.asarray(z, dtype=float), kernel_block)
-    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 # --------------------------------------------------------------------------

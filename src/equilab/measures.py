@@ -1,14 +1,15 @@
 """Discrete measures on interval unions and their potentials.
 
 A measure is stored as quadrature cells with one node per cell and a
-piecewise-constant density (weight / width) on each cell.  All potential
-evaluators share one quadrature convention: the smooth part of a kernel is
-evaluated at the nodes (midpoint rule), while every -log|z - t| singular
-factor is integrated in closed form over any cell whose node lies within a
-few widths of the evaluation point.  Because the analytic-or-midpoint choice
-depends only on (point, cell) and never on the kernel, algebraic identities
-between kernels survive discretization exactly; the verification module
-relies on that.
+piecewise-constant density (weight / width) on each cell.  Every potential
+is one evaluator, :func:`kernel_potential`, with a named
+:class:`SingularKernel` smooth(z, t) - c log|z - t|: the smooth part is
+evaluated at the nodes (midpoint rule), while the -log|z - t| factor is
+integrated in closed form over any cell whose node lies within a few widths
+of the evaluation point.  Because the analytic-or-midpoint choice depends
+only on (point, cell) and never on the kernel, algebraic identities between
+kernels survive discretization exactly; the verification module relies on
+that.  Evaluation points are real; a complex z raises TypeError.
 
 Zero-width cells are allowed and represent purely atomic measures (zero
 counting measures of polynomials); those only support midpoint evaluation
@@ -16,9 +17,8 @@ and distribution comparisons.
 
 The near cells are found without a full (point, cell) mask: a sorted
 search of the evaluation points over each cell's window yields candidate
-rows, and the exact window test runs on those alone.  Evaluators that only
-need Q @ w (every potential here and ``equilibrium.kernel_potential``) build
-the kernel matrix in row blocks of at most BLOCK_ENTRIES entries, so their
+rows, and the exact window test runs on those alone.  The evaluator builds
+the kernel matrix in row blocks of at most BLOCK_ENTRIES entries, so its
 memory does not grow with the number of points; the dense solvers fill their
 system matrices through the same row blocks (:func:`fill_cell_averages`).
 Neither changes a value: the window decision is the same per (point, cell),
@@ -34,8 +34,8 @@ import numpy as np
 
 from .kernels import (
     IntervalUnion,
-    RSPoint,
     _phi_real,
+    green_e_at_infinity,
     is_integer,
     is_real,
     zhukovskii_derivative_abs,
@@ -183,62 +183,16 @@ class DiscreteMeasure:
         return self.cell_right - self.cell_left
 
     @property
-    def is_atomic(self) -> bool:
-        return bool(np.all(self.widths == 0.0))
-
-    @property
     def densities(self):
         h = self.widths
         with np.errstate(divide="ignore"):
             return np.where(h > 0, self.weights / np.where(h > 0, h, 1.0), np.inf)
-
-    def scaled(self, factor: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            self.nodes, self.weights * factor, self.cell_left, self.cell_right, self.support
-        )
-
-    def cdf(self, x):
-        """Right-continuous CDF with each cell's mass assigned at its node."""
-        x = np.asarray(x, dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        idx = np.searchsorted(self.nodes, x, side="right")
-        out = cum[idx]
-        return out if out.shape else float(out)
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("node,weight,cell_left,cell_right\n")
             for x, w, l, r in zip(self.nodes, self.weights, self.cell_left, self.cell_right):
                 fh.write(f"{float(x)!r},{float(w)!r},{float(l)!r},{float(r)!r}\n")
-
-
-def measure_from_csv(path) -> DiscreteMeasure:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "node,weight,cell_left,cell_right":
-            raise ValueError(f"unexpected CSV header: {header}")
-        for line in fh:
-            if line.strip():
-                rows.append([float(v) for v in line.split(",")])
-    arr = np.asarray(rows, dtype=float)
-    nodes, weights, cl, cr = arr.T
-    support = _support_from_cells(cl, cr)
-    return DiscreteMeasure(nodes, weights, cl, cr, support)
-
-
-def _support_from_cells(cl, cr):
-    intervals = []
-    start = cl[0]
-    for i in range(len(cl) - 1):
-        if not np.isclose(cr[i], cl[i + 1], rtol=0.0, atol=1e-9 * max(1.0, abs(cr[i]))):
-            intervals.append((start, cr[i]))
-            start = cl[i + 1]
-    intervals.append((start, cr[-1]))
-    if all(r > l for (l, r) in intervals):
-        return IntervalUnion(intervals)
-    # atomic fallback: synthesize a hull support
-    return IntervalUnion([(cl[0] - 0.5, cr[-1] + 0.5)])
 
 
 # --------------------------------------------------------------------------
@@ -283,18 +237,16 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
 
     Analytic within ANALYTIC_WINDOW widths of the node (exact for the
     piecewise-constant density, including the cell containing z), midpoint
-    beyond.  Complex or atomic input always takes the midpoint path.  The
-    matrix is built in one buffer; callers that need only Q @ w go through
-    :func:`_row_blocks`, and callers that keep it through
-    :func:`fill_cell_averages`, which both bound that buffer's size.
+    beyond; atoms always take the midpoint path.  The points must be real:
+    a complex z raises TypeError.  The matrix is built in one buffer;
+    callers that need only Q @ w go through :func:`kernel_potential`, and
+    callers that keep it through :func:`fill_cell_averages`, which both
+    bound that buffer's size.
     """
     z = np.atleast_1d(np.asarray(z))
-    if np.iscomplexobj(z) and np.any(z.imag != 0.0):
-        D = np.abs(z[:, None] - mu.nodes[None, :])
-        if np.any(D == 0.0):
-            raise ValueError("evaluation point coincides with a node")
-        return -np.log(D)
-    z = z.real.astype(float)
+    if np.iscomplexobj(z):
+        raise TypeError("evaluation points must be real, got a complex array")
+    z = z.astype(float)
     Q = np.subtract(z[:, None], mu.nodes[None, :])
     np.abs(Q, out=Q)
     zi, cj = _near_cells(z, mu, Q)
@@ -322,20 +274,6 @@ def row_slices(n_rows, n_cols):
         yield slice(start, min(start + rows, n_rows))
 
 
-def _row_blocks(mu: DiscreteMeasure, z, kernel_block):
-    """K(z) @ mu.weights, built one :func:`row_slices` block of kernel entries at a time.
-
-    ``kernel_block(zb, Q)`` returns the kernel matrix of the rows ``zb`` from
-    their ``Q = neglog_cell_averages(zb, mu)``.
-    """
-    z = np.atleast_1d(np.asarray(z))
-    out = np.empty(len(z))
-    for rows in row_slices(len(z), len(mu.nodes)):
-        zb = z[rows]
-        out[rows] = kernel_block(zb, neglog_cell_averages(zb, mu)) @ mu.weights
-    return out
-
-
 def fill_cell_averages(out, z, cells, scale=1.0):
     """Write scale * neglog_cell_averages(z, cells) into ``out``, one row block at a time.
 
@@ -350,8 +288,73 @@ def fill_cell_averages(out, z, cells, scale=1.0):
     return out
 
 
-def _scalarize(out, z_in):
+# --------------------------------------------------------------------------
+# kernels and the one potential evaluator
+
+
+@dataclass(frozen=True)
+class SingularKernel:
+    """Kernel smooth(s,t) - sing_coeff * log|s - t| with bounded smooth part."""
+
+    sing_coeff: float
+    smooth: object = None          # vectorized (s, t) -> array, or None for zero
+
+
+LOG_KERNEL = SingularKernel(sing_coeff=1.0)
+
+
+def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
+    """Integral of the kernel against the measure at real z.
+
+    Built one :func:`row_slices` block at a time: the block's -log cell
+    averages Q are scaled by ``sing_coeff`` in place, the smooth part at
+    (z, node) pairs is added, and the block is applied to the weights.
+    """
+    z_in = z
+    z = np.atleast_1d(np.asarray(z))
+    out = np.empty(len(z))
+    for rows in row_slices(len(z), len(mu.nodes)):
+        zb = z[rows]
+        Q = neglog_cell_averages(zb, mu)
+        Q *= kernel.sing_coeff
+        if kernel.smooth is not None:
+            Q += kernel.smooth(zb[:, None], mu.nodes[None, :])
+        out[rows] = Q @ mu.weights
     return float(out[0]) if np.ndim(z_in) == 0 else out
+
+
+def _green_e_smooth(s, t):
+    # g_E(s, t) + log|s - t|, for t outside E
+    ps = zhukovskii_inverse(s)
+    pt = _phi_real(t)
+    return (
+        2.0 * np.log(np.abs(1.0 - ps * pt))
+        - np.log(2.0)
+        - np.log(np.abs(ps))
+        - np.log(np.abs(pt))
+    )
+
+
+def _sheet0_smooth(s, t):
+    # log(|Phi(s) - Phi(t)| / |s - t|) - log|Phi(s)|, with |Phi'(t)| on s == t
+    ps = zhukovskii_inverse(s)
+    D = s - t
+    diag = D == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(ps - _phi_real(t)) / np.abs(D)
+    if diag.any():
+        ratio[diag] = zhukovskii_derivative_abs(np.broadcast_to(t, D.shape)[diag])
+    return np.log(ratio) - np.log(np.abs(ps))
+
+
+def _sheet1_smooth(s, t):
+    # log|1 - Phi(s) Phi(t)|, for t outside E
+    return np.log(np.abs(1.0 - zhukovskii_inverse(s) * _phi_real(t)))
+
+
+GREEN_E_KERNEL = SingularKernel(sing_coeff=1.0, smooth=_green_e_smooth)
+SHEET0_KERNEL = SingularKernel(sing_coeff=1.0, smooth=_sheet0_smooth)
+SHEET1_KERNEL = SingularKernel(sing_coeff=2.0, smooth=_sheet1_smooth)
 
 
 # --------------------------------------------------------------------------
@@ -360,8 +363,7 @@ def _scalarize(out, z_in):
 
 def log_potential(mu: DiscreteMeasure, z):
     """U(z) = integral of log(1/|z - t|) against the measure."""
-    out = _row_blocks(mu, z, lambda zb, Q: Q)
-    return _scalarize(out, z)
+    return kernel_potential(mu, LOG_KERNEL, z)
 
 
 def green_potential_e(mu: DiscreteMeasure, z):
@@ -373,66 +375,16 @@ def green_potential_e(mu: DiscreteMeasure, z):
     points z in E are accepted (Phi there has modulus 1 and the potential
     vanishes identically).
     """
-    pt = _phi_real(mu.nodes)
-
-    def kernel_block(zb, Q):
-        pz = zhukovskii_inverse(zb)
-        smooth = (
-            2.0 * np.log(np.abs(1.0 - pz[:, None] * pt[None, :]))
-            - np.log(2.0)
-            - np.log(np.abs(pz))[:, None]
-            - np.log(np.abs(pt))[None, :]
-        )
-        return smooth + Q
-
-    out = _row_blocks(mu, np.asarray(z, dtype=float), kernel_block)
-    return _scalarize(out, z)
+    return kernel_potential(mu, GREEN_E_KERNEL, z)
 
 
-def _rs_potential_real(mu: DiscreteMeasure, z, sheet: int):
-    t = mu.nodes
-    pt = _phi_real(t)
-
-    def sheet1_block(zb, Q):
-        pz = zhukovskii_inverse(zb)
-        return np.log(np.abs(1.0 - pz[:, None] * pt[None, :])) + 2.0 * Q
-
-    def sheet0_block(zb, Q):
-        pz = zhukovskii_inverse(zb)
-        D = zb[:, None] - t[None, :]
-        diag = D == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(pz[:, None] - pt[None, :]) / np.abs(D)
-        if diag.any():
-            zi, cj = np.nonzero(diag)
-            ratio[zi, cj] = zhukovskii_derivative_abs(t[cj])
-        return np.log(ratio) - np.log(np.abs(pz))[:, None] + Q
-
-    kernel_block = sheet1_block if sheet == 1 else sheet0_block
-    return _row_blocks(mu, np.asarray(z, dtype=float), kernel_block)
-
-
-def rs_potential(mu: DiscreteMeasure, p: RSPoint):
-    """Potential of a measure on F lifted to sheet 1, at a surface point.
+def rs_potential_sheet(mu: DiscreteMeasure, z, sheet: int):
+    """Potential of a measure on F lifted to sheet 1, over real z on the given sheet.
 
     Sheet 1 over real z reduces to the scalar kernel route; sheet 0 carries
     the -1 net logarithmic charge (the slope tests pin the -2 / -1 rates).
     """
-    z = p.z
-    if isinstance(z, complex) and z.imag != 0.0:
-        t = mu.nodes
-        fp = zhukovskii_inverse(z) if p.sheet == 0 else 1.0 / zhukovskii_inverse(z)
-        ft = 1.0 / _phi_real(t)
-        ker = np.log(np.abs(1.0 - 1.0 / (fp * ft)) / np.abs(z - t) ** 2)
-        return float(ker @ mu.weights)
-    out = _rs_potential_real(mu, float(np.real(z)), p.sheet)
-    return float(out[0])
-
-
-def rs_potential_sheet(mu: DiscreteMeasure, z, sheet: int):
-    """Vectorized ``rs_potential`` over real projections."""
-    out = _rs_potential_real(mu, z, sheet)
-    return _scalarize(out, z)
+    return kernel_potential(mu, SHEET1_KERNEL if sheet == 1 else SHEET0_KERNEL, z)
 
 
 def surface_functional(mu: DiscreteMeasure, z):
@@ -441,10 +393,7 @@ def surface_functional(mu: DiscreteMeasure, z):
     Equals the cell-integrated scalar kernel integral plus log|Phi(z)|; this
     is the quantity that is constant on F at equilibrium.
     """
-    z_in = z
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = _rs_potential_real(mu, z, 1) + np.log(np.abs(zhukovskii_inverse(z)))
-    return _scalarize(out, z_in)
+    return kernel_potential(mu, SHEET1_KERNEL, z) + green_e_at_infinity(z)
 
 
 # --------------------------------------------------------------------------

@@ -42,8 +42,6 @@ from .equilibrium import (
     E_INTERVAL,
     EquilibriumSolution,
     GridParams,
-    SingularKernel,
-    kernel_potential,
     solve_reduced,
 )
 from .errors import EquilabError
@@ -57,7 +55,9 @@ from .hermite_pade import (
 from .kernels import IntervalUnion, green_e_at_infinity, green_single_interval, require_gap_to_e
 from .measures import (
     DiscreteMeasure,
+    SingularKernel,
     green_potential_e,
+    kernel_potential,
     ks_distance,
     log_potential,
     make_grid,
@@ -77,10 +77,6 @@ class CheckResult:
     tolerance: float
     status: str  # "pass" | "fail" | "skipped"
     note: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 @dataclass

@@ -19,7 +19,6 @@ from equilab.cli import run as cli_run
 from equilab.equilibrium import (
     E_INTERVAL,
     GridParams,
-    LOG_KERNEL,
     solve_kernel_equilibrium,
     solve_reduced,
     solve_scalar,
@@ -36,6 +35,7 @@ from equilab.kernels import (
     zhukovskii_inverse,
 )
 from equilab.measures import (
+    LOG_KERNEL,
     DiscreteMeasure,
     ks_distance,
     log_potential,

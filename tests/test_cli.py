@@ -263,6 +263,22 @@ def test_verify_prop2_constant_sigma_pinned(tmp_path):
     assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(pinned, indent=2, sort_keys=True)
 
 
+def test_verify_all_potential_reports_pinned(tmp_path):
+    # mixed-potential, positivity and charge-slopes read every potential
+    # evaluator (logarithmic, Green of E, both sheets, the surface functional
+    # and a named kernel); at 64 nodes three discretization bounds fail, so
+    # the run exits 1, and report.json must match byte for byte
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]]},
+                             "grids": {"n_per_component": 64},
+                             "hp": {"n_list": [2, 4], "precision_bits": 128},
+                             "positivity_samples": 200}))
+    out = tmp_path / "o"
+    assert run(["verify-all", "--config", str(p), "--out", str(out)]) == 1
+    with open(os.path.join(DATA, "verify_all_f23-arcsine_n64.report.json"), "rb") as fh:
+        assert (out / "report.json").read_bytes() == fh.read()
+
+
 @pytest.mark.parametrize("n_list, ks_status", [([0, 2, 4], "pass"), ([0], "skipped")])
 def test_verify_order_zero(tmp_path, n_list, ks_status):
     # order 0 has no zeros: it is checked for degree and count, and the KS

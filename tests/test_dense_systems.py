@@ -16,7 +16,6 @@ from equilab.balayage import balayage_numeric, chebyshev_measure
 from equilab.equilibrium import (
     E_INTERVAL,
     GridParams,
-    LOG_KERNEL,
     assemble_energy_matrix,
     reduced_kernel,
     solve_scalar,
@@ -26,6 +25,7 @@ from equilab.equilibrium import (
 )
 from equilab.kernels import IntervalUnion
 from equilab.measures import (
+    LOG_KERNEL,
     DiscreteMeasure,
     log_potential,
     make_grid,
@@ -47,7 +47,7 @@ def _energy_matrix_oracle(grid, kernel):
     np.fill_diagonal(K, 1.5 - np.log(grid.widths))
     K = kernel.sing_coeff * K
     if kernel.smooth is not None:
-        K = K + kernel.smooth_matrix(x, x)
+        K = K + kernel.smooth(x[:, None], x[None, :])
     return K
 
 

@@ -6,9 +6,7 @@ import pytest
 from equilab.equilibrium import (
     E_INTERVAL,
     GridParams,
-    LOG_KERNEL,
     assemble_energy_matrix,
-    kernel_potential,
     solve_kernel_equilibrium,
     solve_reduced,
     solve_scalar,
@@ -18,7 +16,9 @@ from equilab.equilibrium import (
 from equilab.errors import DiscretizationError
 from equilab.kernels import IntervalUnion
 from equilab.measures import (
+    LOG_KERNEL,
     DiscreteMeasure,
+    kernel_potential,
     ks_distance,
     log_potential,
     make_grid,
