@@ -46,13 +46,6 @@ def chebyshev_measure(grid: Grid) -> DiscreteMeasure:
     return DiscreteMeasure.from_weights(grid, w)
 
 
-def point_balayage_density(a: float, x):
-    """Density at x in (-1, 1) of the balayage of a unit point mass at a, |a| > 1."""
-    x = np.asarray(x, dtype=float)
-    out = np.sqrt(a * a - 1.0) / (np.pi * np.abs(x - a) * np.sqrt(1.0 - x * x))
-    return out if out.shape else float(out)
-
-
 def _point_cdf_from_left(a: float, x):
     """Mass of [-1, x] under the point balayage, a > 1, via the arctan antiderivative."""
     k = np.sqrt((a + 1.0) / (a - 1.0))

@@ -292,17 +292,6 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
     )
 
 
-def moments_f2_from_cauchy(k_max: int, atoms, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Moments of f2 for an explicitly discrete sigma = sum of point masses.
-
-    ``atoms`` is a sequence of (t_j, omega_j) pairs; exact up to rounding,
-    used as the closed-form oracle path in tests.
-    """
-    ts = [mp.mpf(t) for (t, _) in atoms]
-    ws = [mp.mpf(w) for (_, w) in atoms]
-    return _moments_f2_at_order(k_max, ts, ws, precision_bits)
-
-
 # --------------------------------------------------------------------------
 # the order-condition solve
 

@@ -11,13 +11,13 @@ the sheet product is identically 1.
 
 The kernels exposed here:
 
-- ``scalar_kernel(s, t) = log(|1 - Phi(s) Phi(t)| / |s - t|^2)``, the
-  restriction to sheet 1 over real points of the surface kernel; its smooth
-  and singular (-2 log|s-t|) parts are exposed separately so measures can
-  integrate the singular part in closed form over cells.
-- ``green_e(z, t)``, the Green function of the complement of E, in two
-  algebraically equivalent forms (quotient of Phi expressions, and a product
-  form obtained from the factorization of z - t through Phi).
+- ``scalar_kernel_smooth(s, t) = log|1 - Phi(s) Phi(t)|``, the bounded part
+  of the sheet-1 surface kernel log(|1 - Phi(s) Phi(t)| / |s - t|^2) over
+  real points; measures integrate its singular part -2 log|s - t| in closed
+  form over cells.
+- ``green_e_smooth(z, t)``, the bounded part of the Green function g_E of the
+  complement of E, whose singular part is -log|z - t|; ``IntervalGreen``
+  carries it to the complement of any single interval.
 - ``green_e_at_infinity(z) = log|Phi(z)|``, the Green function with pole at
   infinity.
 
@@ -118,24 +118,8 @@ def require_gap_to_e(F: IntervalUnion) -> IntervalUnion:
     return F
 
 
-@dataclass(frozen=True)
-class RSPoint:
-    """A point of the two-sheeted surface: complex projection plus sheet index."""
-
-    z: complex
-    sheet: int
-
-    def __post_init__(self):
-        if self.sheet not in (0, 1):
-            raise ValueError("sheet must be 0 or 1")
-
-    def involution(self) -> "RSPoint":
-        """The sheet-swapping involution fixing the projection."""
-        return RSPoint(self.z, 1 - self.sheet)
-
-
 # --------------------------------------------------------------------------
-# the inverse Zhukovskii map and sheet functions
+# the inverse Zhukovskii map
 
 
 def zhukovskii_inverse(z):
@@ -158,26 +142,6 @@ def _phi_real(t):
     return out if out.shape else float(out)
 
 
-def phi_sheet(z, sheet: int):
-    """phi over the point(s) of the surface with projection z on the given sheet."""
-    base = zhukovskii_inverse(z)
-    if sheet == 0:
-        return base
-    if sheet == 1:
-        return 1.0 / base
-    raise ValueError("sheet must be 0 or 1")
-
-
-def phi_on_sheet(p: RSPoint) -> complex:
-    """phi at a surface point; the product over the two sheets is exactly 1."""
-    return complex(phi_sheet(p.z, p.sheet))
-
-
-def external_field(p: RSPoint) -> float:
-    """-log|phi| at a surface point; antisymmetric under the involution."""
-    return float(-np.log(np.abs(phi_on_sheet(p))))
-
-
 def zhukovskii_derivative_abs(t):
     """|Phi'(t)| = |Phi(t)| / sqrt(t^2 - 1) for real |t| > 1."""
     t = np.asarray(t, dtype=float)
@@ -196,70 +160,16 @@ def scalar_kernel_smooth(s, t):
     out = np.log(np.abs(1.0 - ps * pt))
     return out if np.ndim(out) else float(out)
 
-def scalar_kernel(s, t):
-    """log(|1 - Phi(s) Phi(t)| / |s - t|^2) for real s != t outside E.
-
-    Diverges like -2 log|s - t| on the diagonal; the diagonal itself is the
-    measures module's job (cell integration), so s == t is rejected here.
-    """
-    if np.any(np.asarray(s) == np.asarray(t)):
-        raise ValueError("scalar_kernel is singular on the diagonal s == t")
-    out = scalar_kernel_smooth(s, t) - 2.0 * np.log(np.abs(np.asarray(s, dtype=float) - t))
-    return out if np.ndim(out) else float(out)
-
-
-def rs_kernel(p: RSPoint, t):
-    """The surface kernel log(|1 - 1/(phi(p) phi(t^(1)))| / |z - t|^2).
-
-    Literal two-sheet form; for p on sheet 1 over real z it coincides with
-    ``scalar_kernel(z, t)``, which is the identity the tests pin down.
-    """
-    fp = phi_on_sheet(p)
-    ft = phi_sheet(np.asarray(t, dtype=complex), 1)
-    num = np.abs(1.0 - 1.0 / (fp * ft))
-    den = np.abs(p.z - np.asarray(t, dtype=complex)) ** 2
-    out = np.log(num / den)
-    return out if np.ndim(out) else float(out)
-
 
 # --------------------------------------------------------------------------
 # Green function of the complement of E
 
 
-def green_e(z, t):
-    """g_E(z, t) = log(|1 - Phi(z) Phi(t)| / |Phi(z) - Phi(t)|), z, t real, z != t.
-
-    Boundary points inside [-1, 1] are accepted through the upper-limit
-    convention for Phi; the value there is exactly zero.
-    """
-    if np.any(np.asarray(z) == np.asarray(t)):
-        raise ValueError("green_e has a logarithmic pole at z == t")
-    pz = zhukovskii_inverse(z)
-    pt = zhukovskii_inverse(t)
-    out = np.log(np.abs(1.0 - pz * pt) / np.abs(pz - pt))
-    return out if np.ndim(out) else float(out)
-
-
-def green_e_product_form(z, t):
-    """Equivalent product form log(|1 - Phi(z) Phi(t)|^2 / (2 |z - t| |Phi(z) Phi(t)|)).
-
-    Must agree with ``green_e`` to working precision; the pair is kept as a
-    dual route for the kernel-identity test suite.
-    """
-    if np.any(np.asarray(z) == np.asarray(t)):
-        raise ValueError("green_e has a logarithmic pole at z == t")
-    pz = zhukovskii_inverse(z)
-    pt = zhukovskii_inverse(t)
-    num = np.abs(1.0 - pz * pt) ** 2
-    den = 2.0 * np.abs(np.asarray(z, dtype=float) - t) * np.abs(pz * pt)
-    out = np.log(num / den)
-    return out if np.ndim(out) else float(out)
-
-
 def green_e_smooth(z, t):
     """Smooth part of g_E in the split g_E(z,t) = smooth(z,t) - log|z - t|.
 
-    From the product form: 2 log|1 - Phi(z) Phi(t)| - log 2 - log|Phi(z) Phi(t)|.
+    From the product form g_E = log(|1 - Phi(z) Phi(t)|^2 / (2 |z - t| |Phi(z) Phi(t)|)):
+    2 log|1 - Phi(z) Phi(t)| - log 2 - log|Phi(z) Phi(t)|.
     Finite on the diagonal, which is what the cell-integrated Green potential
     needs.
     """
@@ -296,9 +206,6 @@ class IntervalGreen:
 
     def map_to_unit(self, x):
         return (2.0 * np.asarray(x, dtype=float) - (self.c + self.d)) / (self.d - self.c)
-
-    def value(self, z, t):
-        return green_e(self.map_to_unit(z), self.map_to_unit(t))
 
     def smooth(self, z, t):
         """Smooth part in the split g(z,t) = smooth(z,t) - log|z - t|."""

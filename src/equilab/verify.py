@@ -3,9 +3,9 @@
 Each verifier returns a :class:`VerificationReport` listing every configured
 check with its measured value, tolerance and status; skipped checks are
 recorded as skipped with a reason, never silently dropped.  Reports carry a
-full configuration echo and are deterministic for a fixed seed; wall-clock
-timings live in a separate structure so the serialized reports stay
-byte-stable across runs.
+full configuration echo and are deterministic for a fixed seed; they hold
+no wall-clock data (the command line times each verifier call), so the
+serialized reports stay byte-stable across runs.
 
 Verifiers take solved measures and solve nothing themselves, except the
 reduced one-measure problem, which only the equivalence suite uses; each run
@@ -32,7 +32,6 @@ Checks implemented:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +83,6 @@ class VerificationReport:
     name: str
     checks: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
 
     def add(self, check_id, value, tolerance, ok, note=""):
         self.checks.append(
@@ -193,7 +191,6 @@ def verify_equivalence(
     ``solve_vector(F, grid_params)``.
     """
     require_gap_to_e(F)
-    t0 = time.perf_counter()
     rep = VerificationReport(
         name="equivalence",
         provenance={
@@ -253,7 +250,6 @@ def verify_equivalence(
         "w1": sol_e.constants[0],
         "w2": sol_f.constants[0],
     }
-    rep.timings["total"] = time.perf_counter() - t0
     return rep
 
 
@@ -271,7 +267,6 @@ def verify_mixed_potential(
     ``lam`` is the unit equilibrium measure on F (scalar route), ``lam_e``
     the first coupled measure on E.
     """
-    t0 = time.perf_counter()
     rep = VerificationReport(
         name="mixed-potential",
         provenance={
@@ -323,7 +318,6 @@ def verify_mixed_potential(
         rep.skip("mixed.constancy_on_e", "E-side chain needs a single-interval F")
         rep.skip("mixed.constant_agreement", "E-side chain needs a single-interval F")
 
-    rep.timings["total"] = time.perf_counter() - t0
     return rep
 
 
@@ -341,7 +335,6 @@ def sheet1_comparison(lam: DiscreteMeasure, z):
 
 def verify_positivity(lam: DiscreteMeasure, samples: int, seed: int) -> VerificationReport:
     """Positivity and growth of the sheet-1 comparison function."""
-    t0 = time.perf_counter()
     rep = VerificationReport(
         name="positivity",
         provenance={"samples": samples, "seed": seed,
@@ -368,7 +361,6 @@ def verify_positivity(lam: DiscreteMeasure, samples: int, seed: int) -> Verifica
     rep.add("positivity.far_lower_bound", far, 3.0 * float(np.log(1e6)),
             far >= 3.0 * np.log(1e6), "value at 1e6 at least 3 log(1e6)")
 
-    rep.timings["total"] = time.perf_counter() - t0
     return rep
 
 
@@ -378,7 +370,6 @@ def verify_positivity(lam: DiscreteMeasure, samples: int, seed: int) -> Verifica
 
 def verify_charge_slopes(lam: DiscreteMeasure) -> VerificationReport:
     """Fitted growth rates of the surface potential on the two sheets."""
-    t0 = time.perf_counter()
     rep = VerificationReport(
         name="charge-slopes",
         provenance={"F": [[l, r] for (l, r) in lam.support.intervals]},
@@ -388,7 +379,6 @@ def verify_charge_slopes(lam: DiscreteMeasure) -> VerificationReport:
     s1 = float(np.polyfit(np.log(zs), rs_potential_sheet(lam, zs, 1), 1)[0])
     rep.add_bound("slopes.sheet0", abs(s0 + 2.0), 1e-3, "sheet-0 rate is -2")
     rep.add_bound("slopes.sheet1", abs(s1 + 1.0), 1e-3, "sheet-1 rate is -1")
-    rep.timings["total"] = time.perf_counter() - t0
     return rep
 
 
@@ -412,7 +402,6 @@ def verify_zero_distribution(
     in the provenance, not a claim about rates.
     """
     n_list = require_n_list(n_list)
-    t0 = time.perf_counter()
     rep = VerificationReport(
         name="zero-distribution",
         provenance={
@@ -467,5 +456,4 @@ def verify_zero_distribution(
     rep.provenance["ks_sequence"] = {str(n): float(v) for n, v in ks_seq.items()}
     rep.provenance["effective_precision_bits"] = {str(n): p for n, p in precisions.items()}
     rep.provenance["sigma_quad_orders"] = {str(b): o for b, o in sweep.quad_orders.items()}
-    rep.timings["total"] = time.perf_counter() - t0
     return rep

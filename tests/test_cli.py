@@ -323,9 +323,13 @@ def test_verify_all_idempotent(cfg_path, tmp_path):
 
 
 def test_threads_other_than_1_exits_2(cfg_path, tmp_path, capsys):
-    assert run(["solve-scalar", "--threads", "2", "--config", cfg_path,
-                "--out", str(tmp_path / "o")]) == 2
-    assert "--threads" in capsys.readouterr().err
+    # there is no thread flag: the run always pins one BLAS thread, and any
+    # --threads, 1 included, is an unknown argument
+    for value in ("2", "1"):
+        assert run(["solve-scalar", "--threads", value, "--config", cfg_path,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -425,6 +429,15 @@ def test_balayage_command(cfg_path, tmp_path):
     assert data["potential_identity_sup"] <= 1e-8
     # the bound is the run's KS tolerance, 5e-3 times the config's scale of 4
     assert data["ks_tolerance"] == 2e-2
+
+
+def test_balayage_pinned(tmp_path):
+    # the closed-form sweep, the numeric sweep and their comparison, byte for byte
+    out = tmp_path / "o"
+    assert run(["balayage", "--preset", "f23-arcsine", "--nodes", "64", "--out", str(out)]) == 0
+    for name in ("balayage.json", "balayage_closed.csv", "balayage_numeric.csv"):
+        with open(os.path.join(DATA, f"balayage_f23-arcsine_n64.{name}"), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
 
 
 def test_balayage_unresolved_peak_exits_1(tmp_path):

@@ -20,7 +20,6 @@ from equilab.hermite_pade import (
     counting_measure,
     moments_f1,
     moments_f2,
-    moments_f2_from_cauchy,
     solve_hp,
     solve_with_escalation,
     zeros_q2,
@@ -65,13 +64,13 @@ class TestMomentsF2:
         # h(x) = 1/(x - t0): b_0 = -1/sqrt(t0^2 - 1) for t0 > 1
         with mp.workprec(PREC):
             for t0 in (mp.mpf(2), mp.mpf(3), mp.mpf("1.5")):
-                b = moments_f2_from_cauchy(0, [(t0, mp.mpf(1))], PREC)
+                b = _moments_f2_at_order(0, [t0], [mp.mpf(1)], PREC)
                 oracle = -1 / mp.sqrt(t0 * t0 - 1)
                 assert abs(b[0] - oracle) <= abs(oracle) * mp.mpf(2) ** (-(PREC - 16))
 
     def test_point_mass_negative_side(self):
         with mp.workprec(PREC):
-            b = moments_f2_from_cauchy(0, [(mp.mpf(-2), mp.mpf(1))], PREC)
+            b = _moments_f2_at_order(0, [mp.mpf(-2)], [mp.mpf(1)], PREC)
             assert abs(b[0] - 1 / mp.sqrt(3)) <= mp.mpf(2) ** (-(PREC - 16))
 
     def test_sign_for_right_support(self):
@@ -154,8 +153,8 @@ class TestIntegerKernel:
 
     def test_cauchy_atoms_share_the_kernel(self):
         atoms = [(mp.mpf(-2), mp.mpf("0.25")), (mp.mpf("1.5"), mp.mpf("0.75"))]
-        b = moments_f2_from_cauchy(9, atoms, PREC)
-        assert b == _mpf_moments_oracle(9, [t for t, _ in atoms], [w for _, w in atoms], PREC)
+        ts, ws = [t for t, _ in atoms], [w for _, w in atoms]
+        assert _moments_f2_at_order(9, ts, ws, PREC) == _mpf_moments_oracle(9, ts, ws, PREC)
 
 
 class TestSigmaQuadratureConvergence:

@@ -1,4 +1,4 @@
-"""Kernel-level tests: branch conventions, involution, Green function identities."""
+"""Kernel-level tests: branch conventions, the split kernels, Green function identities."""
 
 import mpmath as mp
 import numpy as np
@@ -9,23 +9,26 @@ from hypothesis import strategies as st
 from equilab.kernels import (
     MIN_GAP,
     IntervalUnion,
-    RSPoint,
-    external_field,
-    green_e,
     green_e_at_infinity,
-    green_e_product_form,
     green_e_smooth,
     green_single_interval,
-    phi_on_sheet,
-    phi_sheet,
     require_gap_to_e,
-    rs_kernel,
-    scalar_kernel,
     scalar_kernel_smooth,
     zhukovskii_inverse,
 )
+from equilab.measures import GREEN_E_KERNEL
 
 RNG = np.random.default_rng(20240801)
+
+
+def scalar_kernel(s, t):
+    """The sheet-1 kernel over real s != t outside E, from its live split."""
+    return scalar_kernel_smooth(s, t) - 2.0 * np.log(np.abs(np.asarray(s, dtype=float) - t))
+
+
+def green_e(z, t):
+    """g_E(z, t) for real z != t, from its live split."""
+    return green_e_smooth(z, t) - np.log(np.abs(np.asarray(z, dtype=float) - t))
 
 
 def random_outside_e(rng, size):
@@ -65,55 +68,6 @@ class TestZhukovskiiInverse:
             assert zhukovskii_inverse(z) / z == pytest.approx(2.0, rel=1e-5)
 
 
-class TestSheets:
-    def test_sheet_values(self):
-        s3 = np.sqrt(3.0)
-        assert phi_on_sheet(RSPoint(2.0, 0)) == pytest.approx(2.0 + s3)
-        assert phi_on_sheet(RSPoint(2.0, 1)) == pytest.approx(2.0 - s3)
-        assert phi_on_sheet(RSPoint(1.25, 1)) == pytest.approx(0.5)
-
-    def test_involution_product(self):
-        z = np.concatenate(
-            [
-                random_outside_e(RNG, 5000),
-                RNG.standard_normal(5000) + 1j * (RNG.standard_normal(5000) + 0.5),
-            ]
-        )
-        prod = phi_sheet(z, 0) * phi_sheet(z, 1)
-        assert np.max(np.abs(prod - 1.0)) <= 1e-12
-
-    def test_bad_sheet_rejected(self):
-        with pytest.raises(ValueError):
-            RSPoint(2.0, 2)
-
-    def test_involution_swaps(self):
-        p = RSPoint(3.0, 0)
-        q = p.involution()
-        assert q.sheet == 1 and q.z == p.z
-
-
-class TestExternalField:
-    def test_reciprocal_value(self):
-        assert external_field(RSPoint(1.25, 1)) == pytest.approx(np.log(2.0))
-
-    def test_zero_on_branch_curve(self):
-        for x in (-0.9, 0.0, 0.73):
-            assert external_field(RSPoint(x, 0)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_log_value_oracle(self):
-        # independent high-precision evaluation of log(2 + sqrt 3)
-        with mp.workprec(200):
-            oracle = float(mp.log(2 + mp.sqrt(3)))
-        assert external_field(RSPoint(2.0, 1)) == pytest.approx(oracle, abs=1e-14)
-        assert round(external_field(RSPoint(2.0, 1)), 4) == 1.3170
-
-    def test_antisymmetry(self):
-        z = random_outside_e(RNG, 100)
-        for zz in z[:20]:
-            p = RSPoint(float(zz), 0)
-            assert external_field(p) == pytest.approx(-external_field(p.involution()), abs=1e-12)
-
-
 class TestScalarKernel:
     def test_value_oracle(self):
         with mp.workprec(200):
@@ -130,44 +84,41 @@ class TestScalarKernel:
             scalar_kernel(s[keep], t[keep]), scalar_kernel(t[keep], s[keep]), rtol=0, atol=1e-12
         )
 
-    def test_diagonal_divergence(self):
+    def test_diagonal_divergence(self, kernel_oracles):
         # K(t, t+eps) + 2 log eps converges to the bounded smooth part
         t = 2.5
         for eps in (1e-3, 1e-6, 1e-9):
-            val = scalar_kernel(t, t + eps) + 2.0 * np.log(eps)
+            val = kernel_oracles(t, t + eps)[1] + 2.0 * np.log(eps)
             assert val == pytest.approx(scalar_kernel_smooth(t, t), abs=1e-2)
 
-    def test_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            scalar_kernel(2.0, 2.0)
-
-    def test_sheet1_form_matches(self):
+    def test_sheet1_form_matches(self, kernel_oracles):
         # the two-sheet kernel on sheet 1 equals the Phi-product form
         z = np.abs(random_outside_e(RNG, 1000)) + 1.0
         t = np.abs(random_outside_e(RNG, 1000)) + 1.0
         keep = np.abs(z - t) > 1e-9
         z, t = z[keep], t[keep]
-        lit = np.array([rs_kernel(RSPoint(float(zz), 1), float(tt)) for zz, tt in zip(z[:300], t[:300])])
+        lit = kernel_oracles(z[:300], t[:300])[1]
         split = scalar_kernel(z[:300], t[:300])
         assert np.max(np.abs(lit - split)) <= 1e-12
 
 
 class TestGreenE:
-    def test_value_oracle_both_forms(self):
+    def test_value_oracle_both_forms(self, kernel_oracles):
         with mp.workprec(200):
             p2 = 2 + mp.sqrt(3)
             p3 = 3 + 2 * mp.sqrt(2)
             oracle = float(mp.log((p2 * p3 - 1) / (p3 - p2)))
         assert green_e(2.0, 3.0) == pytest.approx(oracle, abs=1e-13)
-        assert green_e_product_form(2.0, 3.0) == pytest.approx(oracle, abs=1e-13)
+        assert float(kernel_oracles(2.0, 3.0)[0]) == pytest.approx(oracle, abs=1e-13)
         assert round(green_e(2.0, 3.0), 4) == 2.2924
 
     def test_forms_agree_randomized(self):
+        # the smooth part that the Green potentials use (real Phi at the
+        # nodes) against the complex-Phi one that IntervalGreen uses
         z = random_outside_e(RNG, 10_000)
         t = random_outside_e(RNG, 10_000)
-        keep = np.abs(z - t) > 1e-9
-        a = green_e(z[keep], t[keep])
-        b = green_e_product_form(z[keep], t[keep])
+        a = green_e_smooth(z, t)
+        b = GREEN_E_KERNEL.smooth(z, t)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_boundary_vanishing(self):
@@ -182,16 +133,12 @@ class TestGreenE:
         assert np.all(g > 0.0)
         np.testing.assert_allclose(g, green_e(t[keep], z[keep]), rtol=0, atol=1e-12)
 
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            green_e(2.0, 2.0)
-
-    def test_smooth_split_reconstructs(self):
+    def test_smooth_split_reconstructs(self, kernel_oracles):
         z = random_outside_e(RNG, 300)
         t = random_outside_e(RNG, 300)
         keep = np.abs(z - t) > 1e-9
         rec = green_e_smooth(z[keep], t[keep]) - np.log(np.abs(z[keep] - t[keep]))
-        assert np.max(np.abs(rec - green_e(z[keep], t[keep]))) <= 1e-12
+        assert np.max(np.abs(rec - kernel_oracles(z[keep], t[keep])[0])) <= 1e-12
 
 
 class TestFactorizationIdentity:
@@ -278,26 +225,19 @@ class TestIntervalGreen:
         x = RNG.uniform(-1.0, 1.0, 200)
         y = RNG.uniform(-1.0, 1.0, 200)
         keep = np.abs(x - y) > 1e-9
-        assert np.all(gf.value(x[keep], y[keep]) > 0.0)
+        g = gf.smooth(x[keep], y[keep]) - np.log(np.abs(x[keep] - y[keep]))
+        assert np.all(g > 0.0)
 
-    def test_split_reconstructs(self):
+    def test_split_reconstructs(self, kernel_oracles):
         gf = green_single_interval(IntervalUnion([(2.0, 3.0)]))
         x = RNG.uniform(-1.0, 1.0, 200)
         y = RNG.uniform(-1.0, 1.0, 200)
         keep = np.abs(x - y) > 1e-6
         rec = gf.smooth(x[keep], y[keep]) - np.log(np.abs(x[keep] - y[keep]))
-        assert np.max(np.abs(rec - gf.value(x[keep], y[keep]))) <= 1e-11
+        oracle = kernel_oracles(gf.map_to_unit(x[keep]), gf.map_to_unit(y[keep]))[0]
+        assert np.max(np.abs(rec - oracle)) <= 1e-11
 
     def test_multi_interval_rejected(self):
         with pytest.raises(ValueError):
             green_single_interval(IntervalUnion([(-3.0, -2.0), (2.0, 3.0)]))
 
-
-@given(st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False))
-@settings(max_examples=300, deadline=None)
-def test_involution_product_property(z):
-    # stay off the branch cut where the two limits legitimately differ
-    if abs(z.imag) < 1e-9 and abs(z.real) <= 1.0 + 1e-9:
-        return
-    prod = phi_sheet(np.array([z]), 0)[0] * phi_sheet(np.array([z]), 1)[0]
-    assert abs(prod - 1.0) <= 1e-11
