@@ -39,7 +39,8 @@ to the requested precision only at the end; b_k uses the exact recursion
 
 over the per-component discretization (t_j, omega_j) of sigma, so the
 only approximation in b_k is the quadrature of sigma, which is checked by
-doubling its order from QUAD_ORDER_START = 64 up to QUAD_ORDER_MAX = 4096.
+doubling its order from QUAD_ORDER_START = 64 (or, in a sweep, from half the
+order accepted at the next-lower precision) up to QUAD_ORDER_MAX = 4096.
 Both rules share the order's Chebyshev points: Gauss-Chebyshev for an
 arcsine density, Fejer's first rule (explicit cosine-sum weights; L. N.
 Trefethen, SIAM Rev. 50, 2008) for a smooth one.  Fejer needs about one
@@ -62,6 +63,14 @@ clustered at an end of a long F (10 zeros within [1.5064, 31.37] on
 F = [1.5, 40]) are found as easily as spread ones.  The result is
 certified, not trusted: deg Q2 sign changes of Q2 over the cells between
 neighbouring zeros prove deg Q2 distinct real zeros, one per cell.
+
+The inner loops run on raw mpf values (mpmath.libmp tuples) in Python lists:
+the LU factorization and its triangular solves, the condition estimate, the
+Laurent sums, the Aberth sweeps, the sigma nodes and weights and the density
+closures.  Each performs, op for op, what mp.LU_decomp, mp.L_solve,
+mp.U_solve, mp.fsum, mp.polyval and the mpf operators do at the same
+precision with round-to-nearest, so every result keeps its bits; what goes
+is mp.matrix indexing and one wrapper object per intermediate value.
 """
 
 from __future__ import annotations
@@ -73,7 +82,11 @@ from operator import mul
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (
+    fnone, fone, fzero, from_float, from_int, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_ge, mpf_gt,
+    mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_rdiv_int, mpf_sqrt, mpf_sub,
+    mpf_sum, round_nearest as RND, to_fixed,
+)
 
 from .errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
 from .kernels import IntervalUnion, is_integer, require_gap_to_e
@@ -131,24 +144,29 @@ class MarkovSpec:
 def arcsine_sigma(support: IntervalUnion) -> MarkovSpec:
     """Unit measure with arcsine density on each component (equal masses)."""
     m = support.m
-    comps = support.intervals
+    comps = [(from_float(c), from_float(d)) for (c, d) in support.intervals]
 
     def density(t):
-        t = mp.mpf(t)
+        # 1 / (m pi sqrt((t - c)(d - t))), op for op in mpf arithmetic
+        prec = mp.mp.prec
+        t = mp.mpf(t)._mpf_
         for (c, d) in comps:
-            if c <= t <= d:
-                return 1 / (m * mp.pi * mp.sqrt((t - c) * (d - t)))
-        raise ValueError(f"{t} is outside the support")
+            if mpf_le(c, t) and mpf_le(t, d):
+                root = mpf_sqrt(mpf_mul(mpf_sub(t, c, prec, RND), mpf_sub(d, t, prec, RND), prec, RND),
+                                prec, RND)
+                den = mpf_mul(mpf_mul_int(mpf_pi(prec, RND), m, prec, RND), root, prec, RND)
+                return mp.make_mpf(mpf_rdiv_int(1, den, prec, RND))
+        raise ValueError(f"{mp.make_mpf(t)} is outside the support")
 
     return MarkovSpec(support=support, density=density, rule="chebyshev")
 
 
 def constant_sigma(support: IntervalUnion) -> MarkovSpec:
     """Unit measure with constant density over the whole support."""
-    total = support.total_length
+    total = from_float(support.total_length)
 
     def density(t):
-        return mp.mpf(1) / total
+        return mp.make_mpf(mpf_div(fone, total, mp.mp.prec, RND))
 
     return MarkovSpec(support=support, density=density, rule="fejer")
 
@@ -195,26 +213,35 @@ def discretize_sigma(spec: MarkovSpec, order: int, prec: int):
     to the endpoints.
     """
     ts, ws = [], []
-    with mp.workprec(prec + 32):
-        points = [mp.cos(mp.pi * (2 * j - 1) / (2 * order)) for j in range(1, order + 1)]
+    wp = prec + 32
+    with mp.workprec(wp):
+        pi = mpf_pi(wp, RND)
+        points = [mpf_cos(mpf_div(mpf_mul_int(pi, 2 * j - 1, wp, RND), from_int(2 * order), wp, RND),
+                          wp, RND) for j in range(1, order + 1)]
         if spec.rule == "fejer":
-            fejer = _fejer_weights(order)
+            fejer = [w._mpf_ for w in _fejer_weights(order)]
+        else:
+            pi_n = mpf_div(pi, from_int(order), wp, RND)
         for (c, d) in spec.support.intervals:
             sign = 1 if c > 0 else -1
             cm, dm = mp.mpf(c), mp.mpf(d)
             uc, ud = sorted(mp.sqrt(abs(x) - 1) for x in (cm, dm))
-            mid, half = (uc + ud) / 2, (ud - uc) / 2
+            mid, half = ((uc + ud) / 2)._mpf_, ((ud - uc) / 2)._mpf_
+            uc, ud = uc._mpf_, ud._mpf_
             for j, x in enumerate(points):
-                u = mid + half * x
-                t = sign * (1 + u * u)
+                u = mpf_add(mid, mpf_mul(half, x, wp, RND), wp, RND)
+                t = mpf_mul_int(mpf_add(mpf_mul(u, u, wp, RND), fone, wp, RND), sign, wp, RND)
+                dens = spec.density(mp.make_mpf(t))._mpf_
                 if spec.rule == "fejer":
-                    w = fejer[j] * half * spec.density(t) * 2 * u
+                    w = mpf_mul(mpf_mul(fejer[j], half, wp, RND), dens, wp, RND)
                 else:
                     # Gauss rule for the weight 1/sqrt((u-u_c)(u_d-u)):
                     # omega = (pi/order) * density(t) * sqrt((u-u_c)(u_d-u)) * 2u
-                    w = (mp.pi / order) * spec.density(t) * mp.sqrt((u - uc) * (ud - u)) * 2 * u
-                ts.append(t)
-                ws.append(w)
+                    root = mpf_sqrt(mpf_mul(mpf_sub(u, uc, wp, RND), mpf_sub(ud, u, wp, RND), wp, RND),
+                                    wp, RND)
+                    w = mpf_mul(mpf_mul(pi_n, dens, wp, RND), root, wp, RND)
+                ts.append(mp.make_mpf(t))
+                ws.append(mp.make_mpf(mpf_mul(mpf_mul_int(w, 2, wp, RND), u, wp, RND)))
     return ts, ws
 
 
@@ -237,9 +264,10 @@ def moments_f1(k_max: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     return out
 
 
-def _cauchy_value_f1(t):
+def _cauchy_value_f1(t, prec):
     # f1(t) for real |t| > 1 on the exterior branch: sign(t) / sqrt(t^2 - 1)
-    return mp.sign(t) / mp.sqrt(t * t - 1)
+    root = mpf_sqrt(mpf_sub(mpf_mul(t, t, prec, RND), fone, prec, RND), prec, RND)
+    return mpf_div(fnone if t[0] else fone, root, prec, RND)
 
 
 def _to_fixed(x, scale_bits):
@@ -252,8 +280,7 @@ def _moments_f2_at_order(k_max, ts, ws, precision_bits):
     tmax = max(abs(t) for t in ts)
     pad = int(k_max * mp.log(tmax, 2)) + 64
     P = precision_bits + pad
-    with mp.workprec(P):
-        ck = [_to_fixed(_cauchy_value_f1(t), P) for t in ts]
+    ck = [to_fixed(_cauchy_value_f1(t._mpf_, P), P) for t in ts]
     a = [_to_fixed(x, P) for x in moments_f1(k_max, P)]
     tj = [_to_fixed(t, P) for t in ts]
     wj = [_to_fixed(w, P) for w in ws]
@@ -265,15 +292,16 @@ def _moments_f2_at_order(k_max, ts, ws, precision_bits):
         return [mp.ldexp(mp.mpf(s), -2 * P) for s in sums]
 
 
-def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
+def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PRECISION_BITS,
+               start_order: int = QUAD_ORDER_START):
     """Laurent moments b_k of f2, with quadrature-order doubling until stable.
 
-    Successive orders must agree to 2^(-precision_bits/2) in the sup norm;
-    failure to stabilize within the order cap raises, it is never hidden.
-    Returns (b, order): the moments at the accepted quadrature order, and
-    that order.
+    The doubling runs from ``start_order``.  Successive orders must agree to
+    2^(-precision_bits/2) in the sup norm; failure to stabilize within the
+    order cap raises, it is never hidden.  Returns (b, order): the moments
+    at the accepted quadrature order, and that order.
     """
-    order = QUAD_ORDER_START
+    order = start_order
     ts, ws = discretize_sigma(sigma, order, precision_bits)
     prev = _moments_f2_at_order(k_max, ts, ws, precision_bits)
     tol = mp.mpf(2) ** (-(precision_bits // 2))
@@ -353,19 +381,25 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
     to 2^(-precision_bits/4), the precision is declared insufficient.
     """
     _check_moments(n, a, b)
-    with mp.workprec(precision_bits):
-        A, rhs = _square_system(n, a, b)
+    prec = precision_bits
+    with mp.workprec(prec):
+        # the order condition with Q2[n] = 1: unknowns Q1[0..n], Q2[0..n-1]
+        A = [[x._mpf_ for x in a[r : r + n + 1]] + [x._mpf_ for x in b[r : r + n]]
+             for r in range(2 * n + 1)]
+        rhs = [mpf_mul_int(x._mpf_, -1, prec, RND) for x in b[n : 3 * n + 1]]
+        LU = [row[:] for row in A]
         try:
-            LU, perm = mp.mp.LU_decomp(A)
+            perm = _lu_decomp(LU, prec)
         except ZeroDivisionError:
             return _solve_hp_svd(n, a, b, precision_bits)
-        x = mp.mp.U_solve(LU, mp.mp.L_solve(LU, rhs, perm))
-        if max(abs(v) for v in x) > mp.mpf(2) ** (precision_bits // 2):
+        x = _lu_solve(LU, perm, rhs, prec)
+        limit = (mp.mpf(2) ** (precision_bits // 2))._mpf_
+        if any(mpf_gt(mpf_abs(v, prec, RND), limit) for v in x):
             return _solve_hp_svd(n, a, b, precision_bits)
-        log2_cond = _log2_cond1(A, LU, perm)
-        p = [x[i] for i in range(n + 1)]
-        q = [x[n + 1 + i] for i in range(n)] + [mp.mpf(1)]
-        return _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, "lu")
+        log2_cond = _log2_cond1(A, LU, perm, prec)
+        x = [mp.make_mpf(v) for v in x]
+        return _normalized_solution(n, a, b, x[: n + 1], x[n + 1 :] + [mp.mpf(1)], precision_bits,
+                                    log2_cond, "lu")
 
 
 def _moment_matrix(n, a, b):
@@ -377,13 +411,6 @@ def _moment_matrix(n, a, b):
             M[r, i] = a[i + r]
             M[r, n + 1 + i] = b[i + r]
     return M
-
-
-def _square_system(n, a, b):
-    """The order condition with Q2[n] = 1: unknowns Q1[0..n], Q2[0..n-1]."""
-    M = _moment_matrix(n, a, b)
-    m = 2 * n + 1
-    return M[:, 0:m], -M.column(m)
 
 
 def _check_moments(n, a, b):
@@ -413,61 +440,131 @@ def _solve_hp_svd(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) ->
         return _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, "svd")
 
 
-def _log2_cond1(A, LU, perm) -> float:
+# The square solve, on raw mpf values in lists of rows at precision prec,
+# op for op as its mpmath original (see the module docstring).
+
+
+def _max(values):
+    """The largest of nonempty raw mpf values, as max() picks it among mpf."""
+    best = values[0]
+    for v in values[1:]:
+        if mpf_gt(v, best):
+            best = v
+    return best
+
+
+def _lu_decomp(A, prec):
+    """mp.LU_decomp, in place: P A = L U with unit L below the diagonal; returns the pivots.
+
+    Pivots on the largest |entry| times the reciprocal row sum over the
+    remaining columns, and raises ZeroDivisionError once a row sum or a
+    pivot is at most the 1-norm of A times eps.
+    """
+    m = len(A)
+    norm = _max([mpf_sum([mpf_abs(row[j]) for row in A], prec, RND, True) for j in range(m)])
+    tol = mpf_abs(mpf_mul(norm, (0, 1, 1 - prec, 1), prec, RND), prec, RND)
+    perm = [None] * (m - 1)
+    for j in range(m - 1):
+        biggest = fzero
+        for k in range(j, m):
+            s = mpf_sum([mpf_abs(v, prec, RND) for v in A[k][j:]], prec, RND)
+            if mpf_le(mpf_abs(s, prec, RND), tol):
+                raise ZeroDivisionError("matrix is numerically singular")
+            current = mpf_mul(mpf_rdiv_int(1, s, prec, RND), mpf_abs(A[k][j], prec, RND), prec, RND)
+            if mpf_gt(current, biggest):
+                biggest, perm[j] = current, k
+        A[j], A[perm[j]] = A[perm[j]], A[j]
+        pivot = A[j]
+        if mpf_le(mpf_abs(pivot[j], prec, RND), tol):
+            raise ZeroDivisionError("matrix is numerically singular")
+        for row in A[j + 1 :]:
+            f = row[j] = mpf_div(row[j], pivot[j], prec, RND)
+            row[j + 1 :] = [mpf_sub(v, mpf_mul(f, w, prec, RND), prec, RND)
+                            for v, w in zip(row[j + 1 :], pivot[j + 1 :])]
+    if mpf_le(mpf_abs(A[m - 1][m - 1], prec, RND), tol):
+        raise ZeroDivisionError("matrix is numerically singular")
+    return perm
+
+
+def _lu_solve(LU, perm, rhs, prec):
+    """mp.L_solve, then mp.U_solve: the solution of A x = rhs given P A = L U."""
+    x = list(rhs)
+    for k, p in enumerate(perm):
+        x[k], x[p] = x[p], x[k]
+    m = len(x)
+    for i in range(1, m):
+        s, row = x[i], LU[i]
+        for j in range(i):
+            s = mpf_sub(s, mpf_mul(row[j], x[j], prec, RND), prec, RND)
+        x[i] = s
+    for i in range(m - 1, -1, -1):
+        s, row = x[i], LU[i]
+        for j in range(i + 1, m):
+            s = mpf_sub(s, mpf_mul(row[j], x[j], prec, RND), prec, RND)
+        x[i] = mpf_div(s, row[i], prec, RND)
+    return x
+
+
+def _solve_transposed(LU, perm, c, prec):
+    """Solve A^T x = c given P A = L U."""
+    m = len(LU)
+    w = list(c)
+    for i in range(m):  # U^T w = c
+        s = mpf_sum([mpf_mul(LU[j][i], w[j], prec, RND) for j in range(i)], prec, RND)
+        w[i] = mpf_div(mpf_sub(w[i], s, prec, RND), LU[i][i], prec, RND)
+    for i in range(m - 1, -1, -1):  # L^T v = w
+        s = mpf_sum([mpf_mul(LU[j][i], w[j], prec, RND) for j in range(i + 1, m)], prec, RND)
+        w[i] = mpf_sub(w[i], s, prec, RND)
+    for k in reversed(range(len(perm))):  # x = P^T v
+        w[k], w[perm[k]] = w[perm[k]], w[k]
+    return w
+
+
+def _log2_cond1(A, LU, perm, prec) -> float:
     """log2 of the 1-norm condition number of A from its LU factors.
 
     ||A^-1||_1 comes from Hager's estimator (SIAM J. Sci. Stat. Comput. 5,
     1984) with Higham's extra test vector (ACM TOMS 14, 1988): a few
     triangular solves with A and A^T, never the inverse itself.
     """
-    m = A.rows
-    norm_a = max(mp.fsum(abs(A[i, j]) for i in range(m)) for j in range(m))
+    m = len(A)
 
-    def solve(v):
-        return mp.mp.U_solve(LU, mp.mp.L_solve(LU, mp.matrix(v), perm))
+    def norm1(v):
+        return mpf_sum([mpf_abs(x, prec, RND) for x in v], prec, RND)
 
-    x = [mp.mpf(1) / m] * m
-    est = mp.mpf(0)
+    norm_a = _max([norm1([row[j] for row in A]) for j in range(m)])
+    x = [mpf_div(fone, from_int(m), prec, RND)] * m
+    est = fzero
     for _ in range(5):
-        y = solve(x)
-        est_new = mp.fsum(abs(v) for v in y)
-        if est_new <= est:
+        y = _lu_solve(LU, perm, x, prec)
+        est_new = norm1(y)
+        if mpf_le(est_new, est):
             break
         est = est_new
-        z = _solve_transposed(LU, perm, [1 if v >= 0 else -1 for v in y])
-        j = max(range(m), key=lambda i: abs(z[i]))
-        if abs(z[j]) <= mp.fsum(zi * xi for zi, xi in zip(z, x)):
+        z = _solve_transposed(LU, perm, [fone if mpf_ge(v, fzero) else fnone for v in y], prec)
+        az = [mpf_abs(v, prec, RND) for v in z]
+        j = az.index(_max(az))
+        if mpf_le(az[j], mpf_sum([mpf_mul(zi, xi, prec, RND) for zi, xi in zip(z, x)], prec, RND)):
             break
-        x = [mp.mpf(0)] * m
-        x[j] = mp.mpf(1)
+        x = [fzero] * m
+        x[j] = fone
     if m > 1:
-        alt = [(-1) ** i * (1 + mp.mpf(i) / (m - 1)) for i in range(m)]
-        est = max(est, 2 * mp.fsum(abs(v) for v in solve(alt)) / (3 * m))
-    return float(mp.log(norm_a * est, 2))
+        alt = [mpf_mul_int(mpf_add(mpf_div(from_int(i), from_int(m - 1), prec, RND), fone, prec, RND),
+                           (-1) ** i, prec, RND) for i in range(m)]
+        t = mpf_div(mpf_mul_int(norm1(_lu_solve(LU, perm, alt, prec)), 2, prec, RND),
+                    from_int(3 * m), prec, RND)
+        if mpf_gt(t, est):
+            est = t
+    return float(mp.log(mp.make_mpf(mpf_mul(norm_a, est, prec, RND)), 2))
 
 
-def _solve_transposed(LU, perm, c):
-    """Solve A^T x = c given P A = L U in mpmath's packed form (unit L below the diagonal)."""
-    m = LU.rows
-    w = list(c)
-    for i in range(m):  # U^T w = c
-        w[i] = (w[i] - mp.fsum(LU[j, i] * w[j] for j in range(i))) / LU[i, i]
-    for i in range(m - 1, -1, -1):  # L^T v = w
-        w[i] = w[i] - mp.fsum(LU[j, i] * w[j] for j in range(i + 1, m))
-    for k in reversed(range(len(perm))):  # x = P^T v
-        w[k], w[perm[k]] = w[perm[k]], w[k]
-    return w
-
-
-def _laurent_residuals(n, a, b, p, q, count):
-    """|coefficient of z^-j| of Q1 f1 + Q2 f2, for j = 1..count."""
-    out = []
-    for j in range(1, count + 1):
-        s = mp.mpf(0)
-        for i in range(n + 1):
-            s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
-        out.append(abs(s))
-    return out
+def _laurent_sum(p, q, a, b, lo, prec):
+    """sum_i p_i a_{i-lo} + q_i b_{i-lo} over i >= max(lo, 0), added left to right on raw values."""
+    s = fzero
+    for i in range(max(lo, 0), len(p)):
+        s = mpf_add(s, mpf_add(mpf_mul(p[i], a[i - lo], prec, RND), mpf_mul(q[i], b[i - lo], prec, RND),
+                               prec, RND), prec, RND)
+    return s
 
 
 def _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, method):
@@ -486,7 +583,12 @@ def _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, method):
     p = [x / lead for x in p]
     q = [x / lead for x in q]
 
-    residuals = _laurent_residuals(n, a, b, p, q, 2 * n + 2)
+    prec = precision_bits
+    pr, qr = [x._mpf_ for x in p], [x._mpf_ for x in q]
+    ar, br = [x._mpf_ for x in a], [x._mpf_ for x in b]
+    # |coefficient of z^-j| of Q1 f1 + Q2 f2, for j = 1..2n+2
+    residuals = [mp.make_mpf(mpf_abs(_laurent_sum(pr, qr, ar, br, 1 - j, prec), prec, RND))
+                 for j in range(1, 2 * n + 3)]
     residual_max = max(residuals[: 2 * n + 1])
     tol_vanish = mp.mpf(2) ** (-(precision_bits // 4))
     if residual_max > tol_vanish:
@@ -499,16 +601,10 @@ def _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, method):
                           2 * n + 3)
 
     # polynomial part of Q1 f1 + Q2 f2 has degree <= n-1; Q0 cancels it
-    q0 = []
-    for mdeg in range(n):
-        s = mp.mpf(0)
-        for i in range(mdeg + 1, n + 1):
-            s += p[i] * a[i - mdeg - 1] + q[i] * b[i - mdeg - 1]
-        q0.append(-s)
-    while q0 and q0[-1] == 0:
+    q0 = [mpf_neg(_laurent_sum(pr, qr, ar, br, mdeg + 1, prec), prec, RND) for mdeg in range(n)]
+    while q0 and q0[-1] == fzero:
         q0.pop()
-    if not q0:
-        q0 = [mp.mpf(0)]
+    q0 = [mp.make_mpf(x) for x in q0] or [mp.mpf(0)]
 
     return HPSolution(
         n=n,
@@ -552,23 +648,24 @@ def zeros_q2(sol: HPSolution, hull):
         hi = mp.mpf(hull[1]) + width / 2
         mid, half = (lo + hi) / 2, mp.mpf(width) / 2
         xs = [mid + half * mp.cos(mp.pi * (2 * k + 1) / (2 * deg)) for k in range(deg)]
-        tol = half * mp.mpf(2) ** (-(bits // 2))
+        tol = (half * mp.mpf(2) ** (-(bits // 2)))._mpf_
+        raw, xs = [c._mpf_ for c in coeffs], [x._mpf_ for x in xs]
         # measured: at most 68 sweeps up to degree 40, and 151 at degree 80
         max_sweeps = 20 + 4 * deg
         settled = False
         for _ in range(max_sweeps):
             try:
-                moved = _aberth_sweep(coeffs, xs)
+                moved = _aberth_sweep(raw, xs, bits)
             except ZeroDivisionError:
                 raise PrecisionError(f"Aberth iteration for degree {deg} divided by zero") from None
             if settled:
                 break
-            settled = moved < tol
+            settled = mpf_lt(moved, tol)
         else:
             raise PrecisionError(
                 f"Aberth iteration for degree {deg} did not settle in {max_sweeps} sweeps"
             )
-        xs.sort()
+        xs = sorted(mp.make_mpf(x) for x in xs)
         cuts = [lo] + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [hi]
         signs = [mp.sign(mp.polyval(coeffs, c)) for c in cuts]
         # cell k = [cuts[k], cuts[k+1]] holds the k-th zero, and a sign change
@@ -588,18 +685,27 @@ def zeros_q2(sol: HPSolution, hull):
     return xs
 
 
-def _aberth_sweep(coeffs, xs):
+def _aberth_sweep(coeffs, xs, prec):
     """One Gauss-Seidel sweep of x_k -= r / (1 - r sum_{j != k} 1/(x_k - x_j)), r = Q/Q'.
 
-    Updates ``xs`` in place and returns the largest move.
+    Runs on raw mpf values at precision prec, op for op as mp.polyval with
+    the derivative and mp.fsum would.  Updates ``xs`` in place and returns
+    the largest move.
     """
-    moved = 0
+    moved = fzero
     for k, x in enumerate(xs):
-        q, dq = mp.polyval(coeffs, x, derivative=True)
-        r = q / dq
-        step = r / (1 - r * mp.fsum(1 / (x - y) for j, y in enumerate(xs) if j != k))
-        xs[k] = x - step
-        moved = max(moved, abs(step))
+        q, dq = coeffs[0], fzero
+        for c in coeffs[1:]:
+            dq = mpf_add(q, mpf_mul(x, dq, prec, RND), prec, RND)
+            q = mpf_add(c, mpf_mul(x, q, prec, RND), prec, RND)
+        r = mpf_div(q, dq, prec, RND)
+        s = mpf_sum([mpf_rdiv_int(1, mpf_sub(x, y, prec, RND), prec, RND)
+                     for j, y in enumerate(xs) if j != k], prec, RND)
+        step = mpf_div(r, mpf_sub(fone, mpf_mul(r, s, prec, RND), prec, RND), prec, RND)
+        xs[k] = mpf_sub(x, step, prec, RND)
+        step = mpf_abs(step, prec, RND)
+        if mpf_gt(step, moved):
+            moved = step
     return moved
 
 
@@ -629,7 +735,11 @@ class HPSweep:
     conditioning growth rate ``bits_per_order`` = log2 cond / n of the last
     accepted order, which predicts the starting precision of the next.
     ``quad_orders`` maps each precision to the sigma-quadrature order at
-    which its moments b_k were accepted.
+    which its moments b_k were accepted.  A precision above one already
+    computed starts its quadrature doubling at half the order that the
+    next-lower precision accepted: every pair of orders below that was
+    rejected there, and the quadrature error that rejected it does not
+    shrink with the precision, while the tolerance does.
     """
 
     def __init__(self, sigma: MarkovSpec, n_list):
@@ -643,7 +753,9 @@ class HPSweep:
         """Moments a_k, b_k for k <= 3n+1 at the given precision."""
         if bits not in self._tables:
             a = moments_f1(self.k_max, bits)
-            b, self.quad_orders[bits] = moments_f2(self.k_max, self.sigma, bits)
+            lower = [b for b in self.quad_orders if b < bits]
+            start = self.quad_orders[max(lower)] // 2 if lower else QUAD_ORDER_START
+            b, self.quad_orders[bits] = moments_f2(self.k_max, self.sigma, bits, start)
             self._tables[bits] = (a, b)
         a, b = self._tables[bits]
         return a[: 3 * n + 2], b[: 3 * n + 2]

@@ -168,7 +168,10 @@ class DiscreteMeasure:
         w = np.asarray(weights, dtype=float)
         order = np.argsort(pos, kind="stable")
         pos, w = pos[order], w[order]
-        uniq, inverse = np.unique(pos, return_inverse=True)
+        # merge equal neighbours with a mask: some np.unique paths import
+        # numpy.ma, about 17 ms on its first call
+        first = np.concatenate([[True], pos[1:] != pos[:-1]])
+        uniq, inverse = pos[first], np.cumsum(first) - 1
         merged = np.zeros(len(uniq))
         np.add.at(merged, inverse, w)
         support = IntervalUnion([(uniq[0] - 0.5, uniq[-1] + 0.5)])
@@ -405,11 +408,12 @@ def ks_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
 
     Right-continuous convention with cell mass at the node; the supremum over
     the whole line is attained at a node or immediately before one, so both
-    one-sided limits are checked on the merged node set.
+    one-sided limits are checked at both node sets (duplicates do not change
+    a maximum).
     """
     if abs(a.mass - 1.0) > MASS_TOL or abs(b.mass - 1.0) > MASS_TOL:
         raise ValueError("ks_distance expects unit measures")
-    allx = np.union1d(a.nodes, b.nodes)
+    allx = np.concatenate([a.nodes, b.nodes])
     ca = np.concatenate([[0.0], np.cumsum(a.weights)])
     cb = np.concatenate([[0.0], np.cumsum(b.weights)])
     right = np.abs(

@@ -213,6 +213,34 @@ def test_hp_lu_and_svd_solutions_pinned(tmp_path):
             assert (out / name).read_bytes() == fh.read(), name
 
 
+def test_hp_escalated_lu_solutions_pinned(tmp_path):
+    # on F = [2, 3] order 10 fails the condition gate at 128 bits and is
+    # accepted at 256, and order 20 starts at 512: a 41 x 41 LU solve, whose
+    # coefficients and zeros must match the files written by the mp.matrix
+    # solve byte for byte
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]]},
+                             "hp": {"n_list": [10, 20], "precision_bits": 128}}))
+    out = tmp_path / "o"
+    assert run(["hp", "--config", str(p), "--out", str(out)]) == 0
+    for name in ("hp_n10.json", "hp_n20.json", "hp_zeros_n10.csv", "hp_zeros_n20.csv",
+                 "hp_summary.json"):
+        with open(os.path.join(DATA, f"hp_f23-arcsine_n10-20_b128.{name}"), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
+
+
+def test_verify_all_leaves_numpy_ma_unloaded(tmp_path, cfg_path):
+    # numpy.ma costs a run about 17 ms to import; no command needs it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from equilab.cli import run; "
+            f"rc = run(['verify-all', '--config', {cfg_path!r}, '--out', {str(tmp_path / 'o')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 @pytest.mark.parametrize("preset", ["sym-arcsine", "f23-arcsine"])
 def test_verify_theorem1_report_pinned(tmp_path, preset):
     # the float layer's counterpart of test_hp_zeros_pinned: with one BLAS

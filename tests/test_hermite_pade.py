@@ -23,10 +23,13 @@ from equilab.hermite_pade import (
     solve_hp,
     solve_with_escalation,
     zeros_q2,
+    _aberth_sweep,
     _log2_cond1,
+    _lu_decomp,
+    _lu_solve,
+    _moment_matrix,
     _moments_f2_at_order,
     _solve_hp_svd,
-    _square_system,
     discretize_sigma,
 )
 from equilab.kernels import IntervalUnion
@@ -123,7 +126,7 @@ def _mpf_moments_oracle(k_max, ts, ws, precision_bits):
     pad = int(k_max * mp.log(tmax, 2)) + 64
     with mp.workprec(precision_bits + pad):
         a = moments_f1(k_max, precision_bits + pad)
-        ck = [hermite_pade._cauchy_value_f1(t) for t in ts]
+        ck = [mp.sign(t) / mp.sqrt(t * t - 1) for t in ts]
         b = [mp.mpf(0)] * (k_max + 1)
         for k in range(k_max + 1):
             s = mp.mpf(0)
@@ -227,10 +230,12 @@ def _gauss_legendre_sigma(spec, order, prec):
     return ts, ws
 
 
-def _arcsine_rule_oracle(spec, order, prec):
-    """The Gauss-Chebyshev loop of discretize_sigma, one cosine per node and component."""
+def _mpf_rule_oracle(spec, order, prec):
+    """The loop of discretize_sigma in mpf arithmetic, one cosine per node and component."""
     ts, ws = [], []
     with mp.workprec(prec + 32):
+        if spec.rule == "fejer":
+            fejer = hermite_pade._fejer_weights(order)
         for (c, d) in spec.support.intervals:
             sign = 1 if c > 0 else -1
             cm, dm = mp.mpf(c), mp.mpf(d)
@@ -240,7 +245,10 @@ def _arcsine_rule_oracle(spec, order, prec):
                 th = mp.pi * (2 * j - 1) / (2 * order)
                 u = mid + half * mp.cos(th)
                 t = sign * (1 + u * u)
-                w = (mp.pi / order) * spec.density(t) * mp.sqrt((u - uc) * (ud - u)) * 2 * u
+                if spec.rule == "fejer":
+                    w = fejer[j - 1] * half * spec.density(t) * 2 * u
+                else:
+                    w = (mp.pi / order) * spec.density(t) * mp.sqrt((u - uc) * (ud - u)) * 2 * u
                 ts.append(t)
                 ws.append(w)
     return ts, ws
@@ -303,7 +311,28 @@ class TestFejerRule:
     @pytest.mark.parametrize("support", [F23, IntervalUnion([(1.01, 1.5)]), SYM])
     def test_arcsine_rule_unchanged(self, support):
         spec = arcsine_sigma(support)
-        assert discretize_sigma(spec, 64, PREC) == _arcsine_rule_oracle(spec, 64, PREC)
+        assert discretize_sigma(spec, 64, PREC) == _mpf_rule_oracle(spec, 64, PREC)
+
+    @pytest.mark.parametrize("support", [F23, IntervalUnion([(-1.5, -1.01)]), SYM])
+    def test_fejer_rule_bit_for_bit(self, support):
+        # the node loop runs on raw mpf values; every node and weight keeps
+        # the bits of the same loop in mpf arithmetic
+        spec = constant_sigma(support)
+        assert discretize_sigma(spec, 64, PREC) == _mpf_rule_oracle(spec, 64, PREC)
+
+    @pytest.mark.parametrize("bits", [128, 544])
+    def test_densities_bit_for_bit(self, bits):
+        # the density closures keep the bits of their formulas in mpf arithmetic
+        comps = SYM.intervals
+        arcsine, constant = arcsine_sigma(SYM).density, constant_sigma(SYM).density
+        with mp.workprec(bits):
+            for t in [mp.mpf(-2.75), mp.mpf(2) + mp.mpf(1) / 3, mp.mpf(3) - mp.mpf(2) ** -40, 2.5]:
+                c, d = next((c, d) for (c, d) in comps if c <= t <= d)
+                oracle = 1 / (2 * mp.pi * mp.sqrt((mp.mpf(t) - c) * (d - mp.mpf(t))))
+                assert arcsine(t)._mpf_ == oracle._mpf_
+                assert constant(t)._mpf_ == (mp.mpf(1) / SYM.total_length)._mpf_
+            with pytest.raises(ValueError, match="outside the support"):
+                arcsine(mp.mpf(0))
 
 
 @pytest.fixture(scope="module")
@@ -403,11 +432,11 @@ class TestSquareSolve:
         b, _ = moments_f2(k, arcsine_sigma(F23), bits)
         with mp.workprec(bits):
             for n in (5, 10, 20):
-                A, _ = _square_system(n, a, b)
+                A, _ = _square_system_oracle(n, a, b)
                 S = mp.svd_r(A, compute_uv=False)
                 exact = float(mp.log(S[0] / S[A.rows - 1], 2))
-                LU, perm = mp.mp.LU_decomp(A)
-                assert abs(_log2_cond1(A, LU, perm) - exact) <= 2.0
+                rows, LU, perm = _raw_lu(A, bits)
+                assert abs(_log2_cond1(rows, LU, perm, bits) - exact) <= 2.0
                 assert abs(solve_hp(n, a, b, bits).log2_cond - exact) <= 2.0
 
     def test_symmetric_support_odd_order_falls_back_to_svd(self):
@@ -423,6 +452,179 @@ class TestSquareSolve:
             assert sol.residual_order >= 2 * n + 2
         even = solve_hp(4, a, b, PREC)
         assert (even.method, even.degree_q2) == ("lu", 4)
+
+
+# The mp.matrix route that the raw-value solve replaced, kept as its oracle:
+# mp.LU_decomp, mp.L_solve and mp.U_solve, the Hager estimate, the transposed
+# solve, the Laurent sums and the Aberth sweep in mpf arithmetic.
+
+
+def _square_system_oracle(n, a, b):
+    """The order condition with Q2[n] = 1 as an mp.matrix and its right-hand side."""
+    M = _moment_matrix(n, a, b)
+    m = 2 * n + 1
+    return M[:, 0:m], -M.column(m)
+
+
+def _solve_transposed_oracle(LU, perm, c):
+    m = LU.rows
+    w = list(c)
+    for i in range(m):  # U^T w = c
+        w[i] = (w[i] - mp.fsum(LU[j, i] * w[j] for j in range(i))) / LU[i, i]
+    for i in range(m - 1, -1, -1):  # L^T v = w
+        w[i] = w[i] - mp.fsum(LU[j, i] * w[j] for j in range(i + 1, m))
+    for k in reversed(range(len(perm))):  # x = P^T v
+        w[k], w[perm[k]] = w[perm[k]], w[k]
+    return w
+
+
+def _log2_cond1_oracle(A, LU, perm):
+    m = A.rows
+    norm_a = max(mp.fsum(abs(A[i, j]) for i in range(m)) for j in range(m))
+
+    def solve(v):
+        return mp.mp.U_solve(LU, mp.mp.L_solve(LU, mp.matrix(v), perm))
+
+    x = [mp.mpf(1) / m] * m
+    est = mp.mpf(0)
+    for _ in range(5):
+        y = solve(x)
+        est_new = mp.fsum(abs(v) for v in y)
+        if est_new <= est:
+            break
+        est = est_new
+        z = _solve_transposed_oracle(LU, perm, [1 if v >= 0 else -1 for v in y])
+        j = max(range(m), key=lambda i: abs(z[i]))
+        if abs(z[j]) <= mp.fsum(zi * xi for zi, xi in zip(z, x)):
+            break
+        x = [mp.mpf(0)] * m
+        x[j] = mp.mpf(1)
+    if m > 1:
+        alt = [(-1) ** i * (1 + mp.mpf(i) / (m - 1)) for i in range(m)]
+        est = max(est, 2 * mp.fsum(abs(v) for v in solve(alt)) / (3 * m))
+    return float(mp.log(norm_a * est, 2))
+
+
+def _laurent_oracle(n, a, b, p, q):
+    """Residuals 1..2n+2 and Q0 of the pair (p, q), in mpf arithmetic."""
+    residuals = []
+    for j in range(1, 2 * n + 3):
+        s = mp.mpf(0)
+        for i in range(n + 1):
+            s += p[i] * a[i + j - 1] + q[i] * b[i + j - 1]
+        residuals.append(abs(s))
+    q0 = []
+    for mdeg in range(n):
+        s = mp.mpf(0)
+        for i in range(mdeg + 1, n + 1):
+            s += p[i] * a[i - mdeg - 1] + q[i] * b[i - mdeg - 1]
+        q0.append(-s)
+    while q0 and q0[-1] == 0:
+        q0.pop()
+    return residuals, q0 or [mp.mpf(0)]
+
+
+def _aberth_sweep_oracle(coeffs, xs):
+    moved = 0
+    for k, x in enumerate(xs):
+        q, dq = mp.polyval(coeffs, x, derivative=True)
+        r = q / dq
+        step = r / (1 - r * mp.fsum(1 / (x - y) for j, y in enumerate(xs) if j != k))
+        xs[k] = x - step
+        moved = max(moved, abs(step))
+    return moved
+
+
+def _raw_lu(A, bits):
+    """The rows of an mp.matrix as raw values, and their factors from _lu_decomp."""
+    rows = [[A[i, j]._mpf_ for j in range(A.cols)] for i in range(A.rows)]
+    LU = [row[:] for row in rows]
+    return rows, LU, _lu_decomp(LU, bits)
+
+
+F_NEAR = IntervalUnion([(1.01, 1.5)])
+
+
+class TestRawSolveMatchesMpmath:
+    """The raw-value solve keeps every bit of the mp.matrix route it replaced."""
+
+    @pytest.mark.parametrize("support, n, bits, singular", [
+        pytest.param(F23, 5, 128, False, id="f23-n5-b128"),
+        pytest.param(F23, 10, 256, False, id="f23-n10-b256"),
+        pytest.param(F23, 20, 512, False, id="f23-n20-b512"),
+        pytest.param(F23, 40, 1024, False, id="f23-n40-b1024"),
+        pytest.param(F23, 20, 128, True, id="f23-n20-b128"),
+        pytest.param(F_NEAR, 5, 1024, False, id="near-n5-b1024"),
+        pytest.param(F_NEAR, 10, 128, False, id="near-n10-b128"),
+        pytest.param(F_NEAR, 20, 256, False, id="near-n20-b256"),
+        pytest.param(SYM, 5, 128, True, id="sym-n5-b128"),
+        pytest.param(SYM, 5, 1024, True, id="sym-n5-b1024"),
+        pytest.param(SYM, 10, 512, False, id="sym-n10-b512"),
+        pytest.param(SYM, 20, 128, False, id="sym-n20-b128"),
+    ])
+    def test_lu_condition_and_zeros_bit_for_bit(self, support, n, bits, singular):
+        # singular: odd n on a symmetric F (deg Q2 = n - 1), or a system
+        # that is numerically singular at this precision
+        a = moments_f1(3 * n + 1, bits)
+        b, _ = moments_f2(3 * n + 1, arcsine_sigma(support), bits)
+        with mp.workprec(bits):
+            A, rhs = _square_system_oracle(n, a, b)
+            if singular:
+                with pytest.raises(ZeroDivisionError):
+                    mp.mp.LU_decomp(A)
+                with pytest.raises(ZeroDivisionError):
+                    _raw_lu(A, bits)
+                return
+            LU, perm = mp.mp.LU_decomp(A)
+            rows, LU_r, perm_r = _raw_lu(A, bits)
+            assert perm_r == perm
+            assert LU_r == [[LU[i, j]._mpf_ for j in range(LU.cols)] for i in range(LU.rows)]
+            x = mp.mp.U_solve(LU, mp.mp.L_solve(LU, rhs, perm))
+            assert _lu_solve(LU_r, perm_r, [v._mpf_ for v in rhs], bits) == [v._mpf_ for v in x]
+            log2_cond = _log2_cond1_oracle(A, LU, perm)
+            assert _log2_cond1(rows, LU_r, perm_r, bits) == log2_cond
+
+        sol = solve_hp(n, a, b, bits)
+        assert sol.method == "lu"
+        with mp.workprec(bits):
+            assert sol.q1 + sol.q2[:-1] == tuple(x)
+            assert sol.log2_cond == log2_cond
+            residuals, q0 = _laurent_oracle(n, a, b, sol.q1, sol.q2)
+            assert sol.q0 == tuple(q0)
+            assert sol.residual_max == float(max(residuals[: 2 * n + 1]))
+
+            # ten Aberth sweeps from the Chebyshev points of the hull
+            coeffs = list(reversed(sol.q2))
+            lo, hi = support.hull
+            xs = [mp.mpf(lo + hi) / 2 + mp.mpf(hi - lo) / 2 * mp.cos(mp.pi * (2 * k + 1) / (2 * n))
+                  for k in range(n)]
+            xs_r, coeffs_r = [v._mpf_ for v in xs], [c._mpf_ for c in coeffs]
+            for _ in range(10):
+                moved = _aberth_sweep_oracle(coeffs, xs)
+                assert _aberth_sweep(coeffs_r, xs_r, bits) == mp.mpf(moved)._mpf_
+                assert xs_r == [v._mpf_ for v in xs]
+
+
+class TestQuadratureRestart:
+    def test_higher_precision_starts_at_half_the_lower_accepted_order(self, monkeypatch):
+        # constant sigma on [2, 3] accepts order 256 at 512 bits, so the
+        # 1024-bit table skips orders 64 and 128 and keeps the same moments
+        orders = []
+        original = hermite_pade.discretize_sigma
+
+        def recording(spec, order, prec):
+            orders.append((prec, order))
+            return original(spec, order, prec)
+
+        sigma = constant_sigma(F23)
+        sweep = HPSweep(sigma, [20])
+        with monkeypatch.context() as m:
+            m.setattr(hermite_pade, "discretize_sigma", recording)
+            sweep.moments(20, 512)
+            _, b = sweep.moments(20, 1024)
+        assert sweep.quad_orders == {512: 256, 1024: 256}
+        assert [o for p, o in orders if p == 1024] == [128, 256]
+        assert (b, 256) == moments_f2(sweep.k_max, sigma, 1024)
 
 
 class TestConditionGate:
@@ -443,9 +645,10 @@ class TestConditionGate:
         calls = []
         original = hermite_pade.moments_f2
 
-        def counting(k_max, sigma, precision_bits=hermite_pade.DEFAULT_PRECISION_BITS):
+        def counting(k_max, sigma, precision_bits=hermite_pade.DEFAULT_PRECISION_BITS,
+                     start_order=QUAD_ORDER_START):
             calls.append((k_max, precision_bits))
-            return original(k_max, sigma, precision_bits)
+            return original(k_max, sigma, precision_bits, start_order)
 
         monkeypatch.setattr(hermite_pade, "moments_f2", counting)
         sigma = arcsine_sigma(F23)

@@ -1,0 +1,97 @@
+"""Compare the outputs of two source trees, file by file, on the reference runs.
+
+    python3 tools/compare_runs.py OLD_TREE NEW_TREE [--work DIR]
+
+Each tree is a checkout of this repository (a directory holding ``src/``).
+Both trees run the same commands, each in a fresh interpreter with
+``PYTHONPATH=<tree>/src`` and one BLAS thread:
+
+- ``verify-all`` and ``hp`` on each bundled preset;
+- each workload of ``perfbench/workloads.json`` (its own command on its
+  config, seed 1).
+
+Every output file other than ``manifest.json`` and ``timings.json`` must be
+byte-identical between the trees, and every exit code equal.  The script
+prints each difference and exits 1 if there is any, else 0.  Outputs go to
+``--work`` (a new temporary directory by default).
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+UNSTABLE = {"manifest.json", "timings.json"}
+
+
+def cases(new_tree, work):
+    """(label, argv) for every run; the workload configs are written to ``work``."""
+    sys.path[:0] = [os.path.join(new_tree, "src"), os.path.join(ROOT, "perfbench")]
+    from equilab.cli import PRESETS
+    from workloads import load_workloads, workload_config
+
+    for preset in sorted(PRESETS):
+        for command in ("verify-all", "hp"):
+            yield f"{command}_{preset}", [command, "--preset", preset]
+    for name, workload in sorted(load_workloads().items()):
+        path = os.path.join(work, f"{name}.config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(workload_config(workload, 1), fh, indent=2, sort_keys=True)
+        yield f"{workload['command']}_{name}", [workload["command"], "--config", path]
+
+
+def run(tree, argv, out):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **PINS)
+    proc = subprocess.run([sys.executable, "-m", "equilab.cli", *argv, "--out", out],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stderr
+
+
+def differing_files(a, b):
+    """Relative paths under a or b that are missing on one side or differ in bytes."""
+    files = set()
+    for top in (a, b):
+        for dirpath, _, names in os.walk(top):
+            files.update(os.path.relpath(os.path.join(dirpath, n), top) for n in names)
+    return sorted(f for f in files if os.path.basename(f) not in UNSTABLE and not (
+        os.path.isfile(os.path.join(a, f)) and os.path.isfile(os.path.join(b, f))
+        and filecmp.cmp(os.path.join(a, f), os.path.join(b, f), shallow=False)))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_tree")
+    ap.add_argument("new_tree")
+    ap.add_argument("--work", help="output directory (default: a new temporary directory)")
+    args = ap.parse_args(argv)
+    work = args.work or tempfile.mkdtemp(prefix="compare_runs_")
+    os.makedirs(work, exist_ok=True)
+    problems = 0
+    for label, cmd in cases(os.path.abspath(args.new_tree), work):
+        outs, codes = [], []
+        for side, tree in (("old", args.old_tree), ("new", args.new_tree)):
+            out = os.path.join(work, side, label)
+            code, err = run(os.path.abspath(tree), cmd, out)
+            outs.append(out)
+            codes.append(code)
+            if code not in (0, 1):
+                print(f"{label}: {side} exited {code}: {err.strip()}")
+        diffs = differing_files(*outs)
+        problems += len(diffs) + (codes[0] != codes[1])
+        status = "same" if not diffs and codes[0] == codes[1] else "DIFFERENT"
+        print(f"{label}: exit {codes[0]} / {codes[1]}, {status}", flush=True)
+        for f in diffs:
+            print(f"  differs: {f}")
+    print(f"{problems} difference(s); outputs in {work}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
