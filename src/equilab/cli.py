@@ -125,13 +125,13 @@ def _expect(ok, what):
 def _parsers():
     """Config key -> function that checks the value and returns what the run uses."""
     from .balayage import require_outside_e
-    from .hermite_pade import require_n_list, require_precision_bits
+    from .hermite_pade import require_n_list, require_precision_bits, require_sigma_density
     from .kernels import IntervalUnion, is_integer, is_real, require_gap_to_e
     from .measures import require_grading, require_node_count
 
     return {
         "problem.f_intervals": lambda ivs: require_gap_to_e(IntervalUnion(ivs)),
-        "problem.sigma": _expect(lambda s: s in ("arcsine", "constant"), "'arcsine' or 'constant'"),
+        "problem.sigma": require_sigma_density,
         "grids.n_per_component": require_node_count,
         "grids.grading": require_grading,
         "hp.n_list": require_n_list,
@@ -151,7 +151,7 @@ def validate_config(cfg: dict) -> RunConfig:
     the run's objects.
     """
     from .equilibrium import GridParams
-    from .hermite_pade import arcsine_sigma, constant_sigma
+    from .hermite_pade import MarkovSpec
     from .verify import Tolerances
 
     if not isinstance(cfg, dict):
@@ -176,12 +176,11 @@ def validate_config(cfg: dict) -> RunConfig:
         raise ConfigError(problems)
 
     F = values["problem.f_intervals"]
-    make_sigma = arcsine_sigma if values["problem.sigma"] == "arcsine" else constant_sigma
     return RunConfig(
         F=F,
         grid=GridParams(n=values["grids.n_per_component"], grading=values["grids.grading"]),
         tolerances=Tolerances().scaled(float(values["tolerance_scale"])),
-        sigma=make_sigma(F),
+        sigma=MarkovSpec(F, values["problem.sigma"]),
         n_list=values["hp.n_list"],
         precision_bits=values["hp.precision_bits"],
         positivity_samples=values["positivity_samples"],
@@ -338,7 +337,7 @@ def _cmd_hp(rc: RunConfig, out):
         with open(out.path(f"hp_zeros_n{n}.csv"), "w", encoding="utf-8") as fh:
             fh.write("index,zero\n")
             for i, z in enumerate(zeros):
-                fh.write(f"{i},{float(z)!r}\n")
+                fh.write(f"{i},{z!r}\n")
         summary.append(
             {
                 "n": n,

@@ -26,10 +26,10 @@ GATE_MARGIN_BITS below it and the real-zero count is full.  The orders of
 one run form a nonempty, strictly increasing list of nonnegative integers,
 and the run starts from an integer precision in [64, MAX_PRECISION_BITS]
 (require_n_list and require_precision_bits, the one checks of them, shared
-with the CLI).  One HPSweep per run carries sigma and the precision ladder:
-it keeps one moment table per precision and starts each order at the rung
-predicted from the previous order's conditioning growth, capped at
-MAX_PRECISION_BITS.
+with the CLI, as is require_sigma_density for the name of sigma's density).
+One HPSweep per run carries sigma and the precision ladder: it keeps one
+moment table per precision and starts each order at the rung predicted from
+the previous order's conditioning growth, capped at MAX_PRECISION_BITS.
 
 All moment arithmetic runs at an elevated working precision and is rounded
 to the requested precision only at the end; b_k uses the exact recursion
@@ -41,17 +41,17 @@ over the per-component discretization (t_j, omega_j) of sigma, so the
 only approximation in b_k is the quadrature of sigma, which is checked by
 doubling its order from QUAD_ORDER_START = 64 (or, in a sweep, from half the
 order accepted at the next-lower precision) up to QUAD_ORDER_MAX = 4096.
-Both rules share the order's Chebyshev points: Gauss-Chebyshev for an
+Both rules share the order's Chebyshev points: Gauss-Chebyshev for the
 arcsine density, Fejer's first rule (explicit cosine-sum weights; L. N.
-Trefethen, SIAM Rev. 50, 2008) for a smooth one.  Fejer needs about one
+Trefethen, SIAM Rev. 50, 2008) for the constant one.  Fejer needs about one
 doubling more than Gauss-Legendre would, but no Newton solve for its nodes.
 The rule is placed in the variable u = sqrt(|t| - 1): a rule affine in t
 converges only at the rate set by the branch point of f1 at t = +-1, which
 needs order 1024 on F = [1.01, 1.5] at 512 bits, while in u the pole of f1
 cancels against dt = 2u du and order 256 suffices.  The recursion runs on
 Python integers in fixed point (each value v held as floor(v * 2^P)) and
-converts to mpf once at the end.  After that rounding
-it agrees bit for bit with the same recursion in mpf arithmetic at
+rounds to the requested precision once at the end.  After that rounding it
+agrees bit for bit with the same recursion in mpf arithmetic at
 precision P, except where b_k vanishes exactly (the even b_k of a symmetric
 sigma): there both return rounding noise.
 
@@ -64,28 +64,32 @@ F = [1.5, 40]) are found as easily as spread ones.  The result is
 certified, not trusted: deg Q2 sign changes of Q2 over the cells between
 neighbouring zeros prove deg Q2 distinct real zeros, one per cell.
 
-The inner loops run on raw mpf values (mpmath.libmp tuples) in Python lists:
-the LU factorization and its triangular solves, the condition estimate, the
-Laurent sums, the Aberth sweeps, the sigma nodes and weights and the density
-closures.  Each performs, op for op, what mp.LU_decomp, mp.L_solve,
-mp.U_solve, mp.fsum, mp.polyval and the mpf operators do at the same
-precision with round-to-nearest, so every result keeps its bits; what goes
-is mp.matrix indexing and one wrapper object per intermediate value.
+One number format runs through the layer, from the sigma nodes to the
+zeros: raw mpf values (mpmath.libmp tuples) in Python lists, each operation
+at an explicit precision with round-to-nearest, so no result depends on
+mpmath's global precision.  Each operation is, op for op, what
+mp.LU_decomp, mp.L_solve, mp.U_solve, mp.fsum, mp.polyval and the mpf
+operators do at the same precision, so every result keeps its bits.  mpf
+objects appear only where mpmath needs them: the SVD fallback (mp.matrix and
+mp.svd_r) and the log of a condition number.  The moments, the solution
+coefficients and the zeros' search are raw; the zeros leave as Python floats.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cmp_to_key
 from math import comb
 from operator import mul
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
-    fnone, fone, fzero, from_float, from_int, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_ge, mpf_gt,
-    mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_rdiv_int, mpf_sqrt, mpf_sub,
-    mpf_sum, round_nearest as RND, to_fixed,
+    fnone, fone, fzero, from_float, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_cos, mpf_div, mpf_ge,
+    mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_rdiv_int, mpf_shift,
+    mpf_sign, mpf_sqrt, mpf_sub, mpf_sum, round_nearest as RND, to_fixed, to_float, to_str,
 )
 
 from .errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
@@ -117,62 +121,47 @@ def require_precision_bits(bits) -> int:
     return bits
 
 
+def require_sigma_density(name) -> str:
+    """The one check of the name of a sigma density; returns it."""
+    if name not in ("arcsine", "constant"):
+        raise ValueError(f"sigma density must be 'arcsine' or 'constant', got {name!r}")
+    return name
+
+
 # --------------------------------------------------------------------------
 # sigma specifications
 
 
 @dataclass(frozen=True)
 class MarkovSpec:
-    """A positive measure sigma on F given by a strictly positive density.
+    """A unit measure sigma on F with one of two named densities.
 
-    ``rule`` selects the per-component quadrature on the Chebyshev points:
-    "fejer" (Fejer's first rule) for a density smooth up to the endpoints,
-    "chebyshev" (Gauss-Chebyshev) for densities with inverse-square-root
-    endpoint factors, which the rule's weight then absorbs.
+    "arcsine" gives each of the m components of F mass 1/m with density
+    1/(m pi sqrt((t - c)(d - t))) on [c, d]; "constant" is the density 1/|F|
+    over the whole support.
     """
 
     support: IntervalUnion
-    density: object
-    rule: str = "fejer"
+    density: str
 
     def __post_init__(self):
         require_gap_to_e(self.support)
-        if self.rule not in ("fejer", "chebyshev"):
-            raise ValueError("rule must be 'fejer' or 'chebyshev'")
+        require_sigma_density(self.density)
+
+    @property
+    def rule(self) -> str:
+        """The per-component quadrature on the Chebyshev points.
+
+        "chebyshev" (Gauss-Chebyshev) for the arcsine density, whose
+        inverse-square-root endpoint factors the rule's weight absorbs;
+        "fejer" (Fejer's first rule) for the constant one, smooth up to the
+        endpoints.
+        """
+        return "chebyshev" if self.density == "arcsine" else "fejer"
 
 
-def arcsine_sigma(support: IntervalUnion) -> MarkovSpec:
-    """Unit measure with arcsine density on each component (equal masses)."""
-    m = support.m
-    comps = [(from_float(c), from_float(d)) for (c, d) in support.intervals]
-
-    def density(t):
-        # 1 / (m pi sqrt((t - c)(d - t))), op for op in mpf arithmetic
-        prec = mp.mp.prec
-        t = mp.mpf(t)._mpf_
-        for (c, d) in comps:
-            if mpf_le(c, t) and mpf_le(t, d):
-                root = mpf_sqrt(mpf_mul(mpf_sub(t, c, prec, RND), mpf_sub(d, t, prec, RND), prec, RND),
-                                prec, RND)
-                den = mpf_mul(mpf_mul_int(mpf_pi(prec, RND), m, prec, RND), root, prec, RND)
-                return mp.make_mpf(mpf_rdiv_int(1, den, prec, RND))
-        raise ValueError(f"{mp.make_mpf(t)} is outside the support")
-
-    return MarkovSpec(support=support, density=density, rule="chebyshev")
-
-
-def constant_sigma(support: IntervalUnion) -> MarkovSpec:
-    """Unit measure with constant density over the whole support."""
-    total = from_float(support.total_length)
-
-    def density(t):
-        return mp.make_mpf(mpf_div(fone, total, mp.mp.prec, RND))
-
-    return MarkovSpec(support=support, density=density, rule="fejer")
-
-
-def _fejer_weights(order: int):
-    """Fejer's first-rule weights on [-1, 1] for the Chebyshev points x_k = cos(theta_k).
+def _fejer_weights(order: int, prec: int):
+    """Fejer's first-rule weights on [-1, 1] for the Chebyshev points x_k = cos(theta_k), at prec.
 
     With N = order and theta_k = (2k - 1) pi / (2N),
 
@@ -180,20 +169,23 @@ def _fejer_weights(order: int):
 
     and cos(2j theta_k) = cos(m pi / N) for m = j(2k - 1) mod 2N, read from a
     table.  The weights are positive, symmetric and exact for polynomials of
-    degree N - 1.  The sums run on integers in fixed point at the working
-    precision plus guard bits for their N/2 truncations; x_{N+1-k} = -x_k
-    reads the same table entries, so each weight is computed once for a
-    mirrored pair.
+    degree N - 1.  The sums run on integers in fixed point at prec plus
+    guard bits for their N/2 truncations; x_{N+1-k} = -x_k reads the same
+    table entries, so each weight is computed once for a mirrored pair.
     """
     N = order
-    P = mp.mp.prec + N.bit_length()
-    half = [_to_fixed(mp.cos(mp.pi * m / N), P) for m in range(N + 1)]
+    P = prec + N.bit_length()
+    pi = mpf_pi(prec, RND)
+    half = [to_fixed(mpf_cos(mpf_div(mpf_mul_int(pi, m, prec, RND), from_int(N), prec, RND),
+                             prec, RND), P) for m in range(N + 1)]
     table = half + half[-2:0:-1]  # cos(m pi / N) for m = 0 .. 2N - 1
     ws = []
     for k in range(1, (N + 1) // 2 + 1):
         r = 2 * k - 1
         s = sum(table[j * r % (2 * N)] // (4 * j * j - 1) for j in range(1, N // 2 + 1))
-        ws.append((2 - 4 * mp.ldexp(s, -P)) / N)
+        # (2 - 4 s 2^-P) / N
+        w = mpf_sub(from_int(2), mpf_mul_int(mpf_shift(from_int(s), -P), 4, prec, RND), prec, RND)
+        ws.append(mpf_div(w, from_int(N), prec, RND))
     return ws + ws[N // 2 - 1 :: -1]
 
 
@@ -204,44 +196,49 @@ def discretize_sigma(spec: MarkovSpec, order: int, prec: int):
     dt = 2u du, and the rule is placed on [u_c, u_d].  The pole 1/u of
     f1(t) = 1/(u sqrt(u^2 + 2)) at the branch point then cancels against dt,
     so f1 no longer limits the rule's convergence.  Both rules use the
-    order's Chebyshev points cos((2j - 1) pi / (2 order)), computed once per
-    call at prec + 32 bits.  The "chebyshev" rule is Gauss-Chebyshev: since
-    t - c = (u - u_c)(u + u_c), an arcsine endpoint factor of the density
-    stays an arcsine factor in u, which the rule absorbs; its remaining
-    factor 1/sqrt(u + u_c) is what still slows the rule as F nears [-1, 1].
-    The "fejer" rule takes Fejer's first-rule weights for a density smooth up
-    to the endpoints.
+    order's Chebyshev points cos((2j - 1) pi / (2 order)), and all values
+    are computed at prec + 32 bits.  The arcsine density takes
+    Gauss-Chebyshev: since t - c = (u - u_c)(u + u_c), its arcsine endpoint
+    factor stays an arcsine factor in u, which the rule absorbs; its
+    remaining factor 1/sqrt(u + u_c) is what still slows the rule as F nears
+    [-1, 1].  The constant density takes Fejer's first-rule weights.
     """
     ts, ws = [], []
     wp = prec + 32
-    with mp.workprec(wp):
-        pi = mpf_pi(wp, RND)
-        points = [mpf_cos(mpf_div(mpf_mul_int(pi, 2 * j - 1, wp, RND), from_int(2 * order), wp, RND),
-                          wp, RND) for j in range(1, order + 1)]
-        if spec.rule == "fejer":
-            fejer = [w._mpf_ for w in _fejer_weights(order)]
-        else:
-            pi_n = mpf_div(pi, from_int(order), wp, RND)
-        for (c, d) in spec.support.intervals:
-            sign = 1 if c > 0 else -1
-            cm, dm = mp.mpf(c), mp.mpf(d)
-            uc, ud = sorted(mp.sqrt(abs(x) - 1) for x in (cm, dm))
-            mid, half = ((uc + ud) / 2)._mpf_, ((ud - uc) / 2)._mpf_
-            uc, ud = uc._mpf_, ud._mpf_
-            for j, x in enumerate(points):
-                u = mpf_add(mid, mpf_mul(half, x, wp, RND), wp, RND)
-                t = mpf_mul_int(mpf_add(mpf_mul(u, u, wp, RND), fone, wp, RND), sign, wp, RND)
-                dens = spec.density(mp.make_mpf(t))._mpf_
-                if spec.rule == "fejer":
-                    w = mpf_mul(mpf_mul(fejer[j], half, wp, RND), dens, wp, RND)
-                else:
-                    # Gauss rule for the weight 1/sqrt((u-u_c)(u_d-u)):
-                    # omega = (pi/order) * density(t) * sqrt((u-u_c)(u_d-u)) * 2u
-                    root = mpf_sqrt(mpf_mul(mpf_sub(u, uc, wp, RND), mpf_sub(ud, u, wp, RND), wp, RND),
-                                    wp, RND)
-                    w = mpf_mul(mpf_mul(pi_n, dens, wp, RND), root, wp, RND)
-                ts.append(mp.make_mpf(t))
-                ws.append(mp.make_mpf(mpf_mul(mpf_mul_int(w, 2, wp, RND), u, wp, RND)))
+    pi = mpf_pi(wp, RND)
+    points = [mpf_cos(mpf_div(mpf_mul_int(pi, 2 * j - 1, wp, RND), from_int(2 * order), wp, RND),
+                      wp, RND) for j in range(1, order + 1)]
+    arcsine = spec.density == "arcsine"
+    if arcsine:
+        pi_n = mpf_div(pi, from_int(order), wp, RND)
+        m_pi = mpf_mul_int(pi, spec.support.m, wp, RND)
+    else:
+        fejer = _fejer_weights(order, wp)
+        dens = mpf_div(fone, from_float(spec.support.total_length), wp, RND)
+    for (c, d) in spec.support.intervals:
+        sign = 1 if c > 0 else -1
+        cm, dm = from_float(c), from_float(d)
+        uc, ud = (mpf_sqrt(mpf_sub(from_float(x), fone, wp, RND), wp, RND)
+                  for x in sorted((abs(c), abs(d))))
+        mid = mpf_shift(mpf_add(uc, ud, wp, RND), -1)
+        half = mpf_shift(mpf_sub(ud, uc, wp, RND), -1)
+        for j, x in enumerate(points):
+            u = mpf_add(mid, mpf_mul(half, x, wp, RND), wp, RND)
+            t = mpf_mul_int(mpf_add(mpf_mul(u, u, wp, RND), fone, wp, RND), sign, wp, RND)
+            if arcsine:
+                # density 1 / (m pi sqrt((t - c)(d - t))); Gauss rule for the
+                # weight 1/sqrt((u-u_c)(u_d-u)):
+                # omega = (pi/order) * density(t) * sqrt((u-u_c)(u_d-u)) * 2u
+                tc, dt = mpf_sub(t, cm, wp, RND), mpf_sub(dm, t, wp, RND)
+                dens = mpf_rdiv_int(1, mpf_mul(m_pi, mpf_sqrt(mpf_mul(tc, dt, wp, RND), wp, RND),
+                                               wp, RND), wp, RND)
+                root = mpf_sqrt(mpf_mul(mpf_sub(u, uc, wp, RND), mpf_sub(ud, u, wp, RND), wp, RND),
+                                wp, RND)
+                w = mpf_mul(mpf_mul(pi_n, dens, wp, RND), root, wp, RND)
+            else:
+                w = mpf_mul(mpf_mul(fejer[j], half, wp, RND), dens, wp, RND)
+            ts.append(t)
+            ws.append(mpf_mul(mpf_mul_int(w, 2, wp, RND), u, wp, RND))
     return ts, ws
 
 
@@ -257,10 +254,9 @@ def moments_f1(k_max: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    with mp.workprec(precision_bits):
-        out = [mp.mpf(0)] * (k_max + 1)
-        for j in range(0, k_max + 1, 2):
-            out[j] = mp.mpf(comb(j, j // 2)) / mp.mpf(4) ** (j // 2)
+    out = [fzero] * (k_max + 1)
+    for j in range(0, k_max + 1, 2):
+        out[j] = mpf_shift(from_int(comb(j, j // 2), precision_bits, RND), -j)
     return out
 
 
@@ -270,26 +266,20 @@ def _cauchy_value_f1(t, prec):
     return mpf_div(fnone if t[0] else fone, root, prec, RND)
 
 
-def _to_fixed(x, scale_bits):
-    """floor(x * 2^scale_bits) for an mpf x, as a Python integer."""
-    return to_fixed(x._mpf_, scale_bits)
-
-
 def _moments_f2_at_order(k_max, ts, ws, precision_bits):
-    # fixed point: each value v is held as the integer floor(v * 2^P)
-    tmax = max(abs(t) for t in ts)
-    pad = int(k_max * mp.log(tmax, 2)) + 64
-    P = precision_bits + pad
-    ck = [to_fixed(_cauchy_value_f1(t._mpf_, P), P) for t in ts]
-    a = [_to_fixed(x, P) for x in moments_f1(k_max, P)]
-    tj = [_to_fixed(t, P) for t in ts]
-    wj = [_to_fixed(w, P) for w in ws]
+    # fixed point: each value v is held as the integer floor(v * 2^P), with
+    # guard bits for the growth of t^k
+    tmax = _max([mpf_abs(t) for t in ts])
+    P = precision_bits + int(k_max * math.log2(to_float(tmax, rnd=RND))) + 64
+    ck = [to_fixed(_cauchy_value_f1(t, P), P) for t in ts]
+    a = [to_fixed(x, P) for x in moments_f1(k_max, P)]
+    tj = [to_fixed(t, P) for t in ts]
+    wj = [to_fixed(w, P) for w in ws]
     sums = []
     for k in range(k_max + 1):
         sums.append(-sum(map(mul, wj, ck)))
         ck = [(t * c >> P) - a[k] for t, c in zip(tj, ck)]
-    with mp.workprec(precision_bits):
-        return [mp.ldexp(mp.mpf(s), -2 * P) for s in sums]
+    return [mpf_shift(from_int(s, precision_bits, RND), -2 * P) for s in sums]
 
 
 def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -304,14 +294,13 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
     order = start_order
     ts, ws = discretize_sigma(sigma, order, precision_bits)
     prev = _moments_f2_at_order(k_max, ts, ws, precision_bits)
-    tol = mp.mpf(2) ** (-(precision_bits // 2))
     while order < QUAD_ORDER_MAX:
         order *= 2
         ts, ws = discretize_sigma(sigma, order, precision_bits)
         cur = _moments_f2_at_order(k_max, ts, ws, precision_bits)
-        scale = max(mp.mpf(1), max(abs(x) for x in cur))
-        delta = max(abs(p - q) for p, q in zip(prev, cur))
-        if delta <= tol * scale:
+        scale = _max([fone] + [mpf_abs(x) for x in cur])
+        delta = _max([mpf_abs(mpf_sub(p, q, precision_bits, RND)) for p, q in zip(prev, cur)])
+        if mpf_le(delta, mpf_shift(scale, -(precision_bits // 2))):
             return cur, order
         prev = cur
     raise QuadratureError(
@@ -328,16 +317,17 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
 class HPSolution:
     """Type-I solution at order n, Q2 monic, with residual metadata.
 
-    ``residual_max`` is the largest of the Laurent coefficients 1..2n+1 of
-    Q1 f1 + Q2 f2, which the order condition makes vanish, and
-    ``residual_order`` the index of the first coefficient that does not
-    vanish at the working precision: 2n+2, or 2n+3 when coefficient 2n+2
-    vanishes too.  ``log2_cond`` is log2 of the condition number of the system that
-    was solved, and ``method`` names the solve: "lu" for the square system
-    with the leading coefficient of Q2 fixed to 1, "svd" for the fallback.
-    :meth:`to_json_dict` gives these fields, ``n``, ``precision_bits`` and
-    ``degree_q2``, and the coefficients of Q0, Q1, Q2 in ascending order as
-    decimal strings at the working precision.
+    ``q0``, ``q1`` and ``q2`` hold the coefficients in ascending order as
+    raw mpf values at ``precision_bits``.  ``residual_max`` is the largest
+    of the Laurent coefficients 1..2n+1 of Q1 f1 + Q2 f2, which the order
+    condition makes vanish, and ``residual_order`` the index of the first
+    coefficient that does not vanish at the working precision: 2n+2, or
+    2n+3 when coefficient 2n+2 vanishes too.  ``log2_cond`` is log2 of the
+    condition number of the system that was solved, and ``method`` names the
+    solve: "lu" for the square system with the leading coefficient of Q2
+    fixed to 1, "svd" for the fallback.  :meth:`to_json_dict` gives these
+    fields, ``n``, ``precision_bits`` and ``degree_q2``, and the
+    coefficients as decimal strings at the working precision.
     """
 
     n: int
@@ -357,24 +347,24 @@ class HPSolution:
             "n": self.n,
             "precision_bits": self.precision_bits,
             "residual_order": self.residual_order,
-            "residual_max": float(self.residual_max),
+            "residual_max": self.residual_max,
             "degree_q2": self.degree_q2,
             "log2_cond": self.log2_cond,
             "method": self.method,
-            "q0": [mp.nstr(c, dps) for c in self.q0],
-            "q1": [mp.nstr(c, dps) for c in self.q1],
-            "q2": [mp.nstr(c, dps) for c in self.q2],
+            "q0": [to_str(c, dps) for c in self.q0],
+            "q1": [to_str(c, dps) for c in self.q1],
+            "q2": [to_str(c, dps) for c in self.q2],
         }
 
 
 def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSolution:
     """Solve the order condition at order n from moment sequences a, b.
 
-    Moments must be supplied at least up to index 3n+1.  The leading
-    coefficient of Q2 is fixed to 1 (for F on one side of [-1, 1] the pair
-    is a perfect Nikishin system, so Q2 has full degree) and the remaining
-    2n+1 coefficients come from an LU solve of the square system.  When the
-    LU finds that system singular, or its solution exceeds
+    Moments are raw mpf values, supplied at least up to index 3n+1.  The
+    leading coefficient of Q2 is fixed to 1 (for F on one side of [-1, 1]
+    the pair is a perfect Nikishin system, so Q2 has full degree) and the
+    remaining 2n+1 coefficients come from an LU solve of the square system.
+    When the LU finds that system singular, or its solution exceeds
     2^(precision_bits/2) (the leading coefficient is numerically zero, as at
     odd n on a symmetric F), the nullspace direction is taken from the SVD
     instead.  If the re-verified Laurent coefficients 1..2n+1 do not vanish
@@ -382,35 +372,26 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
     """
     _check_moments(n, a, b)
     prec = precision_bits
-    with mp.workprec(prec):
-        # the order condition with Q2[n] = 1: unknowns Q1[0..n], Q2[0..n-1]
-        A = [[x._mpf_ for x in a[r : r + n + 1]] + [x._mpf_ for x in b[r : r + n]]
-             for r in range(2 * n + 1)]
-        rhs = [mpf_mul_int(x._mpf_, -1, prec, RND) for x in b[n : 3 * n + 1]]
-        LU = [row[:] for row in A]
-        try:
-            perm = _lu_decomp(LU, prec)
-        except ZeroDivisionError:
-            return _solve_hp_svd(n, a, b, precision_bits)
-        x = _lu_solve(LU, perm, rhs, prec)
-        limit = (mp.mpf(2) ** (precision_bits // 2))._mpf_
-        if any(mpf_gt(mpf_abs(v, prec, RND), limit) for v in x):
-            return _solve_hp_svd(n, a, b, precision_bits)
-        log2_cond = _log2_cond1(A, LU, perm, prec)
-        x = [mp.make_mpf(v) for v in x]
-        return _normalized_solution(n, a, b, x[: n + 1], x[n + 1 :] + [mp.mpf(1)], precision_bits,
-                                    log2_cond, "lu")
+    # the order condition with Q2[n] = 1: unknowns Q1[0..n], Q2[0..n-1]
+    A = [a[r : r + n + 1] + b[r : r + n] for r in range(2 * n + 1)]
+    rhs = [mpf_neg(x, prec, RND) for x in b[n : 3 * n + 1]]
+    LU = [row[:] for row in A]
+    try:
+        perm = _lu_decomp(LU, prec)
+    except ZeroDivisionError:
+        return _solve_hp_svd(n, a, b, precision_bits)
+    x = _lu_solve(LU, perm, rhs, prec)
+    limit = mpf_shift(fone, precision_bits // 2)
+    if any(mpf_gt(mpf_abs(v), limit) for v in x):
+        return _solve_hp_svd(n, a, b, precision_bits)
+    return _normalized_solution(n, a, b, x[: n + 1], x[n + 1 :] + [fone], precision_bits,
+                                _log2_cond1(A, LU, perm, prec), "lu")
 
 
 def _moment_matrix(n, a, b):
-    """The (2n+1) x (2n+2) order-condition matrix on (Q1[0..n], Q2[0..n])."""
-    m = 2 * n + 1
-    M = mp.matrix(m, m + 1)
-    for r in range(m):
-        for i in range(n + 1):
-            M[r, i] = a[i + r]
-            M[r, n + 1 + i] = b[i + r]
-    return M
+    """The (2n+1) x (2n+2) order-condition matrix on (Q1[0..n], Q2[0..n]), as an mp.matrix."""
+    return mp.matrix([[mp.make_mpf(x) for x in a[r : r + n + 1] + b[r : r + n + 1]]
+                      for r in range(2 * n + 1)])
 
 
 def _check_moments(n, a, b):
@@ -429,15 +410,13 @@ def _solve_hp_svd(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) ->
     _check_moments(n, a, b)
     m = 2 * n + 1
     with mp.workprec(precision_bits):
-        M = _moment_matrix(n, a, b)
-        U, S, V = mp.svd_r(M, full_matrices=True, compute_uv=True)
+        U, S, V = mp.svd_r(_moment_matrix(n, a, b), full_matrices=True, compute_uv=True)
         sigma_min = S[m - 1]
         sigma_max = S[0]
         log2_cond = float(mp.log(sigma_max / sigma_min, 2)) if sigma_min > 0 else float("inf")
-        vec = [V[m, j] for j in range(m + 1)]
-        p = vec[: n + 1]
-        q = vec[n + 1 :]
-        return _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, "svd")
+    vec = [V[m, j]._mpf_ for j in range(m + 1)]
+    return _normalized_solution(n, a, b, vec[: n + 1], vec[n + 1 :], precision_bits, log2_cond,
+                                "svd")
 
 
 # The square solve, on raw mpf values in lists of rows at precision prec,
@@ -555,7 +534,9 @@ def _log2_cond1(A, LU, perm, prec) -> float:
                     from_int(3 * m), prec, RND)
         if mpf_gt(t, est):
             est = t
-    return float(mp.log(mp.make_mpf(mpf_mul(norm_a, est, prec, RND)), 2))
+    # mp.log evaluates at the global precision: pin it to the solve's
+    with mp.workprec(prec):
+        return float(mp.log(mp.make_mpf(mpf_mul(norm_a, est, prec, RND)), 2))
 
 
 def _laurent_sum(p, q, a, b, lo, prec):
@@ -574,46 +555,41 @@ def _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, method):
     monic already; on the SVD path (p, q) is a unit vector, so |lead| <= 1
     and normalizing never shrinks a residual.
     """
-    qmax = max(abs(x) for x in q)
-    deg_tol = qmax * mp.mpf(2) ** (-(precision_bits // 2))
-    degree_q2 = max((i for i, x in enumerate(q) if abs(x) > deg_tol), default=-1)
+    prec = precision_bits
+    deg_tol = mpf_shift(_max([mpf_abs(x) for x in q]), -(prec // 2))
+    degree_q2 = max((i for i, x in enumerate(q) if mpf_gt(mpf_abs(x), deg_tol)), default=-1)
     if degree_q2 < 0:
         raise PrecisionError("Q2 vanished at working precision")
     lead = q[degree_q2]
-    p = [x / lead for x in p]
-    q = [x / lead for x in q]
+    p = [mpf_div(x, lead, prec, RND) for x in p]
+    q = [mpf_div(x, lead, prec, RND) for x in q]
 
-    prec = precision_bits
-    pr, qr = [x._mpf_ for x in p], [x._mpf_ for x in q]
-    ar, br = [x._mpf_ for x in a], [x._mpf_ for x in b]
     # |coefficient of z^-j| of Q1 f1 + Q2 f2, for j = 1..2n+2
-    residuals = [mp.make_mpf(mpf_abs(_laurent_sum(pr, qr, ar, br, 1 - j, prec), prec, RND))
-                 for j in range(1, 2 * n + 3)]
-    residual_max = max(residuals[: 2 * n + 1])
-    tol_vanish = mp.mpf(2) ** (-(precision_bits // 4))
-    if residual_max > tol_vanish:
+    residuals = [mpf_abs(_laurent_sum(p, q, a, b, 1 - j, prec)) for j in range(1, 2 * n + 3)]
+    residual_max = _max(residuals[: 2 * n + 1])
+    tol_vanish = mpf_shift(fone, -(prec // 4))
+    if mpf_gt(residual_max, tol_vanish):
         raise PrecisionError(
-            f"order condition residual {mp.nstr(residual_max, 5)} exceeds "
-            f"2^-{precision_bits // 4} at {precision_bits} bits"
+            f"order condition residual {to_str(residual_max, 5)} exceeds "
+            f"2^-{prec // 4} at {prec} bits"
         )
     # capped at 2n+3: all computable coefficients vanish
-    residual_order = next((j for j, r in enumerate(residuals, start=1) if r > tol_vanish),
+    residual_order = next((j for j, r in enumerate(residuals, start=1) if mpf_gt(r, tol_vanish)),
                           2 * n + 3)
 
     # polynomial part of Q1 f1 + Q2 f2 has degree <= n-1; Q0 cancels it
-    q0 = [mpf_neg(_laurent_sum(pr, qr, ar, br, mdeg + 1, prec), prec, RND) for mdeg in range(n)]
+    q0 = [mpf_neg(_laurent_sum(p, q, a, b, mdeg + 1, prec)) for mdeg in range(n)]
     while q0 and q0[-1] == fzero:
         q0.pop()
-    q0 = [mp.make_mpf(x) for x in q0] or [mp.mpf(0)]
 
     return HPSolution(
         n=n,
-        q0=tuple(q0),
+        q0=tuple(q0) or (fzero,),
         q1=tuple(p),
         q2=tuple(q),
         precision_bits=precision_bits,
         residual_order=residual_order,
-        residual_max=float(residual_max),
+        residual_max=to_float(residual_max, rnd=RND),
         degree_q2=degree_q2,
         log2_cond=log2_cond,
         method=method,
@@ -635,69 +611,78 @@ def zeros_q2(sol: HPSolution, hull):
     zeros, one per cell.  Fewer sign changes, an iteration that does not
     settle within ``20 + 4 * degree`` sweeps, or a division by zero is a
     precision failure, reported for escalation.  Zeros found outside the
-    hull are kept and flagged with a warning.
+    hull are kept and flagged with a warning.  Returns the zeros in
+    ascending order as Python floats.
     """
     deg = sol.degree_q2
     if deg == 0:
         return []
     bits = sol.precision_bits
-    with mp.workprec(bits):
-        coeffs = list(reversed(sol.q2[: deg + 1]))
-        width = hull[1] - hull[0]
-        lo = mp.mpf(hull[0]) - width / 2
-        hi = mp.mpf(hull[1]) + width / 2
-        mid, half = (lo + hi) / 2, mp.mpf(width) / 2
-        xs = [mid + half * mp.cos(mp.pi * (2 * k + 1) / (2 * deg)) for k in range(deg)]
-        tol = (half * mp.mpf(2) ** (-(bits // 2)))._mpf_
-        raw, xs = [c._mpf_ for c in coeffs], [x._mpf_ for x in xs]
-        # measured: at most 68 sweeps up to degree 40, and 151 at degree 80
-        max_sweeps = 20 + 4 * deg
-        settled = False
-        for _ in range(max_sweeps):
-            try:
-                moved = _aberth_sweep(raw, xs, bits)
-            except ZeroDivisionError:
-                raise PrecisionError(f"Aberth iteration for degree {deg} divided by zero") from None
-            if settled:
-                break
-            settled = mpf_lt(moved, tol)
-        else:
-            raise PrecisionError(
-                f"Aberth iteration for degree {deg} did not settle in {max_sweeps} sweeps"
-            )
-        xs = sorted(mp.make_mpf(x) for x in xs)
-        cuts = [lo] + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [hi]
-        signs = [mp.sign(mp.polyval(coeffs, c)) for c in cuts]
-        # cell k = [cuts[k], cuts[k+1]] holds the k-th zero, and a sign change
-        # there proves a zero of Q2 in it; a cell counts only when its zero
-        # lies in the window, which keeps the counted cells disjoint
-        found = sum(1 for k, x in enumerate(xs) if lo < x < hi and signs[k] * signs[k + 1] < 0)
-        if found < deg:
-            raise PrecisionError(
-                f"found {found} real zeros for degree {deg}; escalation required"
-            )
-        outside = [x for x in xs if x < hull[0] or x > hull[1]]
-        if outside:
-            warnings.warn(
-                f"{len(outside)} zero(s) outside the hull {hull}: precision diagnostic",
-                PrecisionDiagnosticWarning,
-            )
-    return xs
+    coeffs = list(reversed(sol.q2[: deg + 1]))
+    half = from_float((hull[1] - hull[0]) / 2)
+    lo = mpf_sub(from_float(hull[0]), half, bits, RND)
+    hi = mpf_add(from_float(hull[1]), half, bits, RND)
+    mid = mpf_shift(mpf_add(lo, hi, bits, RND), -1)
+    pi = mpf_pi(bits, RND)
+    xs = [mpf_add(mid, mpf_mul(half, mpf_cos(mpf_div(mpf_mul_int(pi, 2 * k + 1, bits, RND),
+                                                     from_int(2 * deg), bits, RND), bits, RND),
+                               bits, RND), bits, RND) for k in range(deg)]
+    tol = mpf_shift(half, -(bits // 2))
+    # measured: at most 68 sweeps up to degree 40, and 151 at degree 80
+    max_sweeps = 20 + 4 * deg
+    settled = False
+    for _ in range(max_sweeps):
+        try:
+            moved = _aberth_sweep(coeffs, xs, bits)
+        except ZeroDivisionError:
+            raise PrecisionError(f"Aberth iteration for degree {deg} divided by zero") from None
+        if settled:
+            break
+        settled = mpf_lt(moved, tol)
+    else:
+        raise PrecisionError(
+            f"Aberth iteration for degree {deg} did not settle in {max_sweeps} sweeps"
+        )
+    xs.sort(key=cmp_to_key(mpf_cmp))
+    cuts = [lo] + [mpf_shift(mpf_add(x, y, bits, RND), -1) for x, y in zip(xs, xs[1:])] + [hi]
+    signs = [mpf_sign(_horner(coeffs, c, bits)[0]) for c in cuts]
+    # cell k = [cuts[k], cuts[k+1]] holds the k-th zero, and a sign change
+    # there proves a zero of Q2 in it; a cell counts only when its zero
+    # lies in the window, which keeps the counted cells disjoint
+    found = sum(1 for k, x in enumerate(xs)
+                if mpf_lt(lo, x) and mpf_lt(x, hi) and signs[k] * signs[k + 1] < 0)
+    if found < deg:
+        raise PrecisionError(
+            f"found {found} real zeros for degree {deg}; escalation required"
+        )
+    ends = from_float(hull[0]), from_float(hull[1])
+    outside = [x for x in xs if mpf_lt(x, ends[0]) or mpf_gt(x, ends[1])]
+    if outside:
+        warnings.warn(
+            f"{len(outside)} zero(s) outside the hull {hull}: precision diagnostic",
+            PrecisionDiagnosticWarning,
+        )
+    return [to_float(x, rnd=RND) for x in xs]
+
+
+def _horner(coeffs, x, prec):
+    """(Q(x), Q'(x)) for the coefficients of Q in descending order, as mp.polyval computes them."""
+    q, dq = coeffs[0], fzero
+    for c in coeffs[1:]:
+        dq = mpf_add(q, mpf_mul(x, dq, prec, RND), prec, RND)
+        q = mpf_add(c, mpf_mul(x, q, prec, RND), prec, RND)
+    return q, dq
 
 
 def _aberth_sweep(coeffs, xs, prec):
     """One Gauss-Seidel sweep of x_k -= r / (1 - r sum_{j != k} 1/(x_k - x_j)), r = Q/Q'.
 
-    Runs on raw mpf values at precision prec, op for op as mp.polyval with
-    the derivative and mp.fsum would.  Updates ``xs`` in place and returns
-    the largest move.
+    Runs at precision prec, op for op as mp.polyval with the derivative and
+    mp.fsum would.  Updates ``xs`` in place and returns the largest move.
     """
     moved = fzero
     for k, x in enumerate(xs):
-        q, dq = coeffs[0], fzero
-        for c in coeffs[1:]:
-            dq = mpf_add(q, mpf_mul(x, dq, prec, RND), prec, RND)
-            q = mpf_add(c, mpf_mul(x, q, prec, RND), prec, RND)
+        q, dq = _horner(coeffs, x, prec)
         r = mpf_div(q, dq, prec, RND)
         s = mpf_sum([mpf_rdiv_int(1, mpf_sub(x, y, prec, RND), prec, RND)
                      for j, y in enumerate(xs) if j != k], prec, RND)
@@ -710,11 +695,10 @@ def _aberth_sweep(coeffs, xs, prec):
 
 
 def counting_measure(zeros, n: int) -> DiscreteMeasure:
-    """Normalized zero-counting measure: mass 1/n at each zero (as floats)."""
+    """Normalized zero-counting measure: mass 1/n at each zero."""
     if not zeros:
         raise ValueError("no zeros to count")
-    pos = [float(z) for z in zeros]
-    return DiscreteMeasure.atoms(pos, np.full(len(pos), 1.0 / n))
+    return DiscreteMeasure.atoms(zeros, np.full(len(zeros), 1.0 / n))
 
 
 # --------------------------------------------------------------------------

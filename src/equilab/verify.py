@@ -424,8 +424,7 @@ def verify_zero_distribution(
             rep.add(f"zeros.order_{n}", float("nan"), 0.0, False, f"failure: {exc}")
             continue
         precisions[n] = sol.precision_bits
-        zf = [float(z) for z in zeros]
-        excursion = max(0.0, hull[0] - min(zf), max(zf) - hull[1]) if zf else 0.0
+        excursion = max(0.0, hull[0] - min(zeros), max(zeros) - hull[1]) if zeros else 0.0
         rep.add_bound(f"zeros.hull_containment_n{n}", excursion, 1e-9,
                       f"max excursion outside [{hull[0]}, {hull[1]}]")
         rep.add(f"zeros.degree_n{n}", sol.degree_q2, n, sol.degree_q2 == n,

@@ -24,7 +24,7 @@ from equilab.equilibrium import (
     solve_scalar,
     solve_vector,
 )
-from equilab.hermite_pade import arcsine_sigma, moments_f1, moments_f2, solve_hp
+from equilab.hermite_pade import MarkovSpec, moments_f1, moments_f2, solve_hp
 from equilab.kernels import (
     IntervalUnion,
     green_e_smooth,
@@ -232,7 +232,7 @@ def zero_distribution_report(scalar23):
     """The report and the wall time of its verifier call."""
     t0 = time.perf_counter()
     rep = verify_zero_distribution(
-        arcsine_sigma(F23), [5, 10, 20, 40], scalar23.measure, GP400, 512
+        MarkovSpec(F23, "arcsine"), [5, 10, 20, 40], scalar23.measure, GP400, 512
     )
     return rep, time.perf_counter() - t0
 
@@ -256,7 +256,7 @@ def hp_batch():
     bits = 512
     k = 3 * 40 + 1
     a = moments_f1(k, bits)
-    b, _ = moments_f2(k, arcsine_sigma(F23), bits)
+    b, _ = moments_f2(k, MarkovSpec(F23, "arcsine"), bits)
     return {n: solve_hp(n, a, b, bits) for n in (5, 10, 20, 40)}
 
 

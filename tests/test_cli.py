@@ -60,6 +60,7 @@ def test_invalid_config_lists_violations(tmp_path, capsys):
         ("problem", [1]),
         ("grids", "fine"),
         ("problem.sigma", ["arcsine"]),
+        ("problem.sigma", "uniform"),
         ("grids.grading", "2"),
         ("hp.precision_bits", 256.0),
         ("hp.precision_bits", 8192),
@@ -169,12 +170,12 @@ def test_hp_order_zero_closed_form(tmp_path):
     assert data["q2"] == ["1.0"]
     assert data["residual_order"] == 2
     # q1 must match the independently recomputed first moment of f2
-    from equilab.hermite_pade import arcsine_sigma, moments_f2
+    from equilab.hermite_pade import MarkovSpec, moments_f2
     from equilab.kernels import IntervalUnion
 
-    b, _ = moments_f2(0, arcsine_sigma(IntervalUnion([(2.0, 3.0)])), 192)
+    b, _ = moments_f2(0, MarkovSpec(IntervalUnion([(2.0, 3.0)]), "arcsine"), 192)
     with mp.workprec(192):
-        assert abs(mp.mpf(data["q1"][0]) - (-b[0])) <= mp.mpf(10) ** (-40)
+        assert abs(mp.mpf(data["q1"][0]) - (-mp.make_mpf(b[0]))) <= mp.mpf(10) ** (-40)
 
 
 def test_hp_zeros_pinned(tmp_path):
@@ -213,11 +214,7 @@ def test_hp_lu_and_svd_solutions_pinned(tmp_path):
             assert (out / name).read_bytes() == fh.read(), name
 
 
-def test_hp_escalated_lu_solutions_pinned(tmp_path):
-    # on F = [2, 3] order 10 fails the condition gate at 128 bits and is
-    # accepted at 256, and order 20 starts at 512: a 41 x 41 LU solve, whose
-    # coefficients and zeros must match the files written by the mp.matrix
-    # solve byte for byte
+def _assert_escalated_lu_solutions_pinned(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]]},
                              "hp": {"n_list": [10, 20], "precision_bits": 128}}))
@@ -227,6 +224,26 @@ def test_hp_escalated_lu_solutions_pinned(tmp_path):
                  "hp_summary.json"):
         with open(os.path.join(DATA, f"hp_f23-arcsine_n10-20_b128.{name}"), "rb") as fh:
             assert (out / name).read_bytes() == fh.read(), name
+
+
+def test_hp_escalated_lu_solutions_pinned(tmp_path):
+    # on F = [2, 3] order 10 fails the condition gate at 128 bits and is
+    # accepted at 256, and order 20 starts at 512: a 41 x 41 LU solve, whose
+    # coefficients and zeros must match the files written by the mp.matrix
+    # solve byte for byte
+    _assert_escalated_lu_solutions_pinned(tmp_path)
+
+
+@pytest.mark.parametrize("global_prec", [12, 2000])
+def test_hp_output_ignores_global_precision(tmp_path, global_prec):
+    # every HP operation runs at its own precision, so a caller's setting of
+    # mpmath's global precision must not move a bit of the output
+    saved = mp.mp.prec
+    mp.mp.prec = global_prec
+    try:
+        _assert_escalated_lu_solutions_pinned(tmp_path)
+    finally:
+        mp.mp.prec = saved
 
 
 def test_verify_all_leaves_numpy_ma_unloaded(tmp_path, cfg_path):

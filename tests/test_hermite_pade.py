@@ -15,11 +15,10 @@ from equilab.hermite_pade import (
     HPSolution,
     HPSweep,
     MarkovSpec,
-    arcsine_sigma,
-    constant_sigma,
     counting_measure,
     moments_f1,
     moments_f2,
+    require_sigma_density,
     solve_hp,
     solve_with_escalation,
     zeros_q2,
@@ -33,20 +32,25 @@ from equilab.hermite_pade import (
     discretize_sigma,
 )
 from equilab.kernels import IntervalUnion
+from mpmath.libmp import fone, from_int, fzero, mpf_mul_int, round_nearest
 
 F23 = IntervalUnion([(2.0, 3.0)])
 SYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 PREC = 256
 
 
+def _mpf(values):
+    """Raw mpf values as mpf objects, for the oracles written in mpf arithmetic."""
+    return [mp.make_mpf(v) for v in values]
+
+
+def _raw(values):
+    return [v._mpf_ for v in values]
+
+
 class TestMomentsF1:
     def test_first_values(self):
-        a = moments_f1(4, PREC)
-        assert a[0] == 1
-        assert a[1] == 0
-        assert a[2] == mp.mpf(1) / 2
-        assert a[3] == 0
-        assert a[4] == mp.mpf(3) / 8
+        assert moments_f1(4, PREC) == _raw(mp.mpf(x) for x in (1, 0, 0.5, 0, 0.375))
 
     def test_gauss_chebyshev_oracle(self):
         # (1/pi) integral of x^k / sqrt(1-x^2) via the exact N-point rule
@@ -55,7 +59,7 @@ class TestMomentsF1:
             nodes = [mp.cos(mp.pi * (2 * j - 1) / (2 * N)) for j in range(1, N + 1)]
             for k in (2, 4, 6):
                 quad = mp.fsum(x**k for x in nodes) / N
-                assert abs(quad - moments_f1(k, PREC)[k]) <= mp.mpf(2) ** (-200)
+                assert abs(quad - mp.make_mpf(moments_f1(k, PREC)[k])) <= mp.mpf(2) ** (-200)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -67,26 +71,26 @@ class TestMomentsF2:
         # h(x) = 1/(x - t0): b_0 = -1/sqrt(t0^2 - 1) for t0 > 1
         with mp.workprec(PREC):
             for t0 in (mp.mpf(2), mp.mpf(3), mp.mpf("1.5")):
-                b = _moments_f2_at_order(0, [t0], [mp.mpf(1)], PREC)
+                b = _mpf(_moments_f2_at_order(0, [t0._mpf_], [fone], PREC))
                 oracle = -1 / mp.sqrt(t0 * t0 - 1)
                 assert abs(b[0] - oracle) <= abs(oracle) * mp.mpf(2) ** (-(PREC - 16))
 
     def test_point_mass_negative_side(self):
         with mp.workprec(PREC):
-            b = _moments_f2_at_order(0, [mp.mpf(-2)], [mp.mpf(1)], PREC)
-            assert abs(b[0] - 1 / mp.sqrt(3)) <= mp.mpf(2) ** (-(PREC - 16))
+            b = _moments_f2_at_order(0, [mp.mpf(-2)._mpf_], [fone], PREC)
+            assert abs(mp.make_mpf(b[0]) - 1 / mp.sqrt(3)) <= mp.mpf(2) ** (-(PREC - 16))
 
     def test_sign_for_right_support(self):
-        for sigma in (arcsine_sigma(F23), constant_sigma(F23)):
-            b, _ = moments_f2(2, sigma, PREC)
-            assert b[0] < 0
+        for density in ("arcsine", "constant"):
+            b, _ = moments_f2(2, MarkovSpec(F23, density), PREC)
+            assert mp.make_mpf(b[0]) < 0
 
     def test_quadrature_doubling_stable(self):
-        sigma = arcsine_sigma(F23)
+        sigma = MarkovSpec(F23, "arcsine")
         ts1, ws1 = discretize_sigma(sigma, 64, PREC)
         ts2, ws2 = discretize_sigma(sigma, 128, PREC)
-        b1 = _moments_f2_at_order(8, ts1, ws1, PREC)
-        b2 = _moments_f2_at_order(8, ts2, ws2, PREC)
+        b1 = _mpf(_moments_f2_at_order(8, ts1, ws1, PREC))
+        b2 = _mpf(_moments_f2_at_order(8, ts2, ws2, PREC))
         with mp.workprec(PREC):
             delta = max(abs(p - q) for p, q in zip(b1, b2))
             assert delta <= mp.mpf(2) ** (-(PREC // 2))
@@ -95,8 +99,7 @@ class TestMomentsF2:
         # the Cauchy transform of the arcsine measure of [2, 3] is, after the
         # affine rescale y = 2x - 5, h(x) = 2 f1(y) = -2/sqrt(y^2 - 1); so
         # b_0 follows from the exact arcsine-weighted quadrature of h
-        sigma_c = arcsine_sigma(F23)
-        b_c, _ = moments_f2(3, sigma_c, PREC)
+        b_c, _ = moments_f2(3, MarkovSpec(F23, "arcsine"), PREC)
         with mp.workprec(PREC):
             def h(x):
                 y = 2 * x - 5
@@ -105,27 +108,28 @@ class TestMomentsF2:
             N = 256
             nodes = [mp.cos(mp.pi * (2 * j - 1) / (2 * N)) for j in range(1, N + 1)]
             b0 = mp.fsum(h(x) for x in nodes) / N
-            assert abs(b_c[0] - b0) <= mp.mpf(10) ** (-40)
+            assert abs(mp.make_mpf(b_c[0]) - b0) <= mp.mpf(10) ** (-40)
 
         # b_0 = -integral of f1 against sigma; for the arcsine measure of
         # [c, d] (1 < c < d) that is a complete elliptic integral (Byrd and
         # Friedman 256.00): b_0 = -2 K(m) / (pi sqrt((d-1)(c+1))),
         # m = 2(d-c) / ((d-1)(c+1)); f1 is odd, so b_0 flips sign on -F
         for F in ((2.0, 3.0), (1.01, 1.5), (1.001, 1.5), (-1.5, -1.01)):
-            b, _ = moments_f2(0, arcsine_sigma(IntervalUnion([F])), PREC)
+            b, _ = moments_f2(0, MarkovSpec(IntervalUnion([F]), "arcsine"), PREC)
             with mp.workprec(PREC):
                 c, d = sorted(abs(mp.mpf(x)) for x in F)
                 m = 2 * (d - c) / ((d - 1) * (c + 1))
                 b0 = -mp.sign(F[0]) * 2 * mp.ellipk(m) / (mp.pi * mp.sqrt((d - 1) * (c + 1)))
-                assert abs(b[0] - b0) <= mp.mpf(10) ** (-40)
+                assert abs(mp.make_mpf(b[0]) - b0) <= mp.mpf(10) ** (-40)
 
 
 def _mpf_moments_oracle(k_max, ts, ws, precision_bits):
     """The b_k recursion in mpf arithmetic at precision P: the integer kernel's reference."""
+    ts, ws = _mpf(ts), _mpf(ws)
     tmax = max(abs(t) for t in ts)
     pad = int(k_max * mp.log(tmax, 2)) + 64
     with mp.workprec(precision_bits + pad):
-        a = moments_f1(k_max, precision_bits + pad)
+        a = _mpf(moments_f1(k_max, precision_bits + pad))
         ck = [mp.sign(t) / mp.sqrt(t * t - 1) for t in ts]
         b = [mp.mpf(0)] * (k_max + 1)
         for k in range(k_max + 1):
@@ -135,14 +139,14 @@ def _mpf_moments_oracle(k_max, ts, ws, precision_bits):
                 ck[j] = t * ck[j] - a[k]
             b[k] = -s
     with mp.workprec(precision_bits):
-        return [+x for x in b]
+        return [(+x)._mpf_ for x in b]
 
 
 class TestIntegerKernel:
     @pytest.mark.parametrize("bits", [128, 512, 1024])
     @pytest.mark.parametrize("support", [F23, IntervalUnion([(1.01, 1.5)]), SYM])
     def test_equals_mpf_recursion(self, support, bits):
-        ts, ws = discretize_sigma(arcsine_sigma(support), 64, bits)
+        ts, ws = discretize_sigma(MarkovSpec(support, "arcsine"), 64, bits)
         fixed = _moments_f2_at_order(31, ts, ws, bits)
         oracle = _mpf_moments_oracle(31, ts, ws, bits)
         if support is not SYM:
@@ -152,11 +156,10 @@ class TestIntegerKernel:
         # return rounding noise there, which need not agree bit for bit
         assert fixed[1::2] == oracle[1::2]
         with mp.workprec(bits):
-            assert max(abs(x) for x in fixed[::2] + oracle[::2]) <= mp.mpf(2) ** (-bits)
+            assert max(abs(x) for x in _mpf(fixed[::2] + oracle[::2])) <= mp.mpf(2) ** (-bits)
 
     def test_cauchy_atoms_share_the_kernel(self):
-        atoms = [(mp.mpf(-2), mp.mpf("0.25")), (mp.mpf("1.5"), mp.mpf("0.75"))]
-        ts, ws = [t for t, _ in atoms], [w for _, w in atoms]
+        ts, ws = _raw([mp.mpf(-2), mp.mpf("1.5")]), _raw([mp.mpf("0.25"), mp.mpf("0.75")])
         assert _moments_f2_at_order(9, ts, ws, PREC) == _mpf_moments_oracle(9, ts, ws, PREC)
 
 
@@ -164,12 +167,12 @@ class TestSigmaQuadratureConvergence:
     def test_near_branch_point_accepted_by_order_256(self):
         # the substitution u = sqrt(|t| - 1) makes the integrand analytic at
         # t = 1; a rule affine in t needed order 1024 here
-        _, order = moments_f2(31, arcsine_sigma(IntervalUnion([(1.01, 1.5)])), 512)
+        _, order = moments_f2(31, MarkovSpec(IntervalUnion([(1.01, 1.5)]), "arcsine"), 512)
         assert order <= 256
 
     def test_very_near_branch_point_converges(self):
         # the rule affine in t raised QuadratureError here after order 2048
-        _, order = moments_f2(31, arcsine_sigma(IntervalUnion([(1.0001, 1.5)])), 512)
+        _, order = moments_f2(31, MarkovSpec(IntervalUnion([(1.0001, 1.5)]), "arcsine"), 512)
         assert order <= 1024
 
     def test_unsettled_moments_raise_at_the_cap(self, monkeypatch):
@@ -179,15 +182,15 @@ class TestSigmaQuadratureConvergence:
 
         def discretize(spec, order, prec):
             orders.append(order)
-            return [mp.mpf(2)] * order, [mp.mpf(1)] * order
+            return [from_int(2)] * order, [fone] * order
 
         def unsettled(k_max, ts, ws, precision_bits):
-            return [mp.mpf(len(ts))] * (k_max + 1)
+            return [from_int(len(ts))] * (k_max + 1)
 
         monkeypatch.setattr(hermite_pade, "discretize_sigma", discretize)
         monkeypatch.setattr(hermite_pade, "_moments_f2_at_order", unsettled)
         with pytest.raises(QuadratureError, match=f"by order {QUAD_ORDER_MAX}$"):
-            moments_f2(3, constant_sigma(F23), PREC)
+            moments_f2(3, MarkovSpec(F23, "constant"), PREC)
         assert orders[0] == QUAD_ORDER_START
         assert orders[1:] == [2 * o for o in orders[:-1]]
         assert max(orders) == QUAD_ORDER_MAX == 4096
@@ -213,6 +216,14 @@ def _gauss_legendre_all_nodes(order, prec):
     return xs, ws
 
 
+def _mpf_density(spec, t):
+    """The density of sigma at t, in mpf arithmetic at the working precision."""
+    if spec.density == "constant":
+        return 1 / mp.mpf(spec.support.total_length)
+    c, d = next((c, d) for (c, d) in spec.support.intervals if c <= t <= d)
+    return 1 / (spec.support.m * mp.pi * mp.sqrt((t - c) * (d - t)))
+
+
 def _gauss_legendre_sigma(spec, order, prec):
     """discretize_sigma with the Gauss-Legendre rule in u = sqrt(|t| - 1) on each component."""
     xs, gw = _gauss_legendre_all_nodes(order, prec)
@@ -225,8 +236,8 @@ def _gauss_legendre_sigma(spec, order, prec):
             for x, g in zip(xs, gw):
                 u = mid + half * x
                 t = sign * (1 + u * u)
-                ts.append(t)
-                ws.append(g * half * spec.density(t) * 2 * u)
+                ts.append(t._mpf_)
+                ws.append((g * half * _mpf_density(spec, t) * 2 * u)._mpf_)
     return ts, ws
 
 
@@ -235,7 +246,7 @@ def _mpf_rule_oracle(spec, order, prec):
     ts, ws = [], []
     with mp.workprec(prec + 32):
         if spec.rule == "fejer":
-            fejer = hermite_pade._fejer_weights(order)
+            fejer = _mpf(hermite_pade._fejer_weights(order, prec + 32))
         for (c, d) in spec.support.intervals:
             sign = 1 if c > 0 else -1
             cm, dm = mp.mpf(c), mp.mpf(d)
@@ -245,29 +256,29 @@ def _mpf_rule_oracle(spec, order, prec):
                 th = mp.pi * (2 * j - 1) / (2 * order)
                 u = mid + half * mp.cos(th)
                 t = sign * (1 + u * u)
+                density = _mpf_density(spec, t)
                 if spec.rule == "fejer":
-                    w = fejer[j - 1] * half * spec.density(t) * 2 * u
+                    w = fejer[j - 1] * half * density * 2 * u
                 else:
-                    w = (mp.pi / order) * spec.density(t) * mp.sqrt((u - uc) * (ud - u)) * 2 * u
-                ts.append(t)
-                ws.append(w)
+                    w = (mp.pi / order) * density * mp.sqrt((u - uc) * (ud - u)) * 2 * u
+                ts.append(t._mpf_)
+                ws.append(w._mpf_)
     return ts, ws
 
 
 class TestFejerRule:
     @pytest.mark.parametrize("order", [16, 17, 64])
     def test_weights_symmetric_and_positive(self, order):
-        with mp.workprec(PREC):
-            ws = hermite_pade._fejer_weights(order)
-            assert len(ws) == order
-            assert ws == ws[::-1]
-            assert min(ws) > 0
+        ws = hermite_pade._fejer_weights(order, PREC)
+        assert len(ws) == order
+        assert ws == ws[::-1]
+        assert min(_mpf(ws)) > 0
 
     def test_nodes_symmetric(self):
         # the shared Chebyshev points sit mirrored about the midpoint of [u_c, u_d]
-        ts, _ = discretize_sigma(constant_sigma(F23), 8, 128)
+        ts, _ = discretize_sigma(MarkovSpec(F23, "constant"), 8, 128)
         with mp.workprec(128):
-            us = [mp.sqrt(abs(t) - 1) for t in ts]
+            us = [mp.sqrt(abs(t) - 1) for t in _mpf(ts)]
             uc, ud = sorted(mp.sqrt(abs(mp.mpf(x)) - 1) for x in F23.intervals[0])
             assert len(us) == 8
             for a, b in zip(us, us[::-1]):
@@ -275,8 +286,8 @@ class TestFejerRule:
 
     @pytest.mark.parametrize("order", [16, 17, 64])
     def test_polynomial_exactness(self, order):
+        ws = _mpf(hermite_pade._fejer_weights(order, PREC))
         with mp.workprec(PREC):
-            ws = hermite_pade._fejer_weights(order)
             xs = [mp.cos(mp.pi * (2 * j - 1) / (2 * order)) for j in range(1, order + 1)]
             assert abs(mp.fsum(ws) - 2) <= mp.mpf(2) ** (-(PREC - 8))
             for deg in range(order):
@@ -288,7 +299,8 @@ class TestFejerRule:
     def test_constant_sigma_closed_form(self, F):
         # sigma = dt / (d - c): b_0 = -integral of f1, b_1 = -integral of
         # t f1(t) - 1; on -F, b_k picks up the factor (-1)^(k+1)
-        b, _ = moments_f2(1, constant_sigma(IntervalUnion([F])), PREC)
+        b, _ = moments_f2(1, MarkovSpec(IntervalUnion([F]), "constant"), PREC)
+        b = _mpf(b)
         with mp.workprec(PREC):
             c, d = sorted(abs(mp.mpf(x)) for x in F)
             b0 = -(mp.acosh(d) - mp.acosh(c)) / (d - c)
@@ -299,10 +311,10 @@ class TestFejerRule:
     @pytest.mark.parametrize("F", [(2.0, 3.0), (1.01, 1.5)])
     def test_constant_sigma_agrees_with_gauss_legendre(self, F):
         bits, k_max = 512, 31
-        sigma = constant_sigma(IntervalUnion([F]))
+        sigma = MarkovSpec(IntervalUnion([F]), "constant")
         b, _ = moments_f2(k_max, sigma, bits)
         ts, ws = _gauss_legendre_sigma(sigma, 128, bits)
-        oracle = _moments_f2_at_order(k_max, ts, ws, bits)
+        b, oracle = _mpf(b), _mpf(_moments_f2_at_order(k_max, ts, ws, bits))
         with mp.workprec(bits):
             scale = max(mp.mpf(1), max(abs(x) for x in oracle))
             delta = max(abs(p - q) for p, q in zip(b, oracle))
@@ -310,42 +322,28 @@ class TestFejerRule:
 
     @pytest.mark.parametrize("support", [F23, IntervalUnion([(1.01, 1.5)]), SYM])
     def test_arcsine_rule_unchanged(self, support):
-        spec = arcsine_sigma(support)
+        spec = MarkovSpec(support, "arcsine")
         assert discretize_sigma(spec, 64, PREC) == _mpf_rule_oracle(spec, 64, PREC)
 
     @pytest.mark.parametrize("support", [F23, IntervalUnion([(-1.5, -1.01)]), SYM])
     def test_fejer_rule_bit_for_bit(self, support):
         # the node loop runs on raw mpf values; every node and weight keeps
         # the bits of the same loop in mpf arithmetic
-        spec = constant_sigma(support)
+        spec = MarkovSpec(support, "constant")
         assert discretize_sigma(spec, 64, PREC) == _mpf_rule_oracle(spec, 64, PREC)
-
-    @pytest.mark.parametrize("bits", [128, 544])
-    def test_densities_bit_for_bit(self, bits):
-        # the density closures keep the bits of their formulas in mpf arithmetic
-        comps = SYM.intervals
-        arcsine, constant = arcsine_sigma(SYM).density, constant_sigma(SYM).density
-        with mp.workprec(bits):
-            for t in [mp.mpf(-2.75), mp.mpf(2) + mp.mpf(1) / 3, mp.mpf(3) - mp.mpf(2) ** -40, 2.5]:
-                c, d = next((c, d) for (c, d) in comps if c <= t <= d)
-                oracle = 1 / (2 * mp.pi * mp.sqrt((mp.mpf(t) - c) * (d - mp.mpf(t))))
-                assert arcsine(t)._mpf_ == oracle._mpf_
-                assert constant(t)._mpf_ == (mp.mpf(1) / SYM.total_length)._mpf_
-            with pytest.raises(ValueError, match="outside the support"):
-                arcsine(mp.mpf(0))
 
 
 @pytest.fixture(scope="module")
 def moments():
     k = 3 * 6 + 1
-    return moments_f1(k, PREC), moments_f2(k, arcsine_sigma(F23), PREC)[0]
+    return moments_f1(k, PREC), moments_f2(k, MarkovSpec(F23, "arcsine"), PREC)[0]
 
 
 @pytest.fixture(scope="module")
 def sol5():
     k = 3 * 5 + 1
     a = moments_f1(k, PREC)
-    b, _ = moments_f2(k, arcsine_sigma(F23), PREC)
+    b, _ = moments_f2(k, MarkovSpec(F23, "arcsine"), PREC)
     return solve_hp(5, a, b, PREC)
 
 
@@ -353,10 +351,10 @@ class TestSolveHP:
     def test_order_zero_closed_form(self, moments):
         a, b = moments
         sol = solve_hp(0, a, b, PREC)
+        assert sol.q2 == (fone,)
+        assert sol.q0 == (fzero,)
         with mp.workprec(PREC):
-            assert sol.q2 == (mp.mpf(1),)
-            assert abs(sol.q1[0] - (-b[0])) <= mp.mpf(2) ** (-200)
-            assert sol.q0 == (mp.mpf(0),)
+            assert abs(mp.make_mpf(sol.q1[0]) + mp.make_mpf(b[0])) <= mp.mpf(2) ** (-200)
         assert sol.residual_order == 2
 
     def test_residual_contract(self, moments):
@@ -374,23 +372,23 @@ class TestSolveHP:
 
     def test_scale_invariance(self, moments):
         a, b = moments
+        a3 = [mpf_mul_int(x, 3, PREC, round_nearest) for x in a]
+        b3 = [mpf_mul_int(x, 3, PREC, round_nearest) for x in b]
+        s1 = solve_hp(3, a, b, PREC)
+        s3 = solve_hp(3, a3, b3, PREC)
         with mp.workprec(PREC):
-            a3 = [3 * x for x in a]
-            b3 = [3 * x for x in b]
-            s1 = solve_hp(3, a, b, PREC)
-            s3 = solve_hp(3, a3, b3, PREC)
-            for x, y in zip(s1.q1, s3.q1):
+            for x, y in zip(_mpf(s1.q1), _mpf(s3.q1)):
                 assert abs(x - y) <= mp.mpf(2) ** (-180)
-            for x, y in zip(s1.q2, s3.q2):
+            for x, y in zip(_mpf(s1.q2), _mpf(s3.q2)):
                 assert abs(x - y) <= mp.mpf(2) ** (-180)
-            for x, y in zip(s1.q0, s3.q0):
+            for x, y in zip(_mpf(s1.q0), _mpf(s3.q0)):
                 assert abs(3 * x - y) <= mp.mpf(2) ** (-180)
 
     def test_precision_monotonicity(self, moments):
         # once the vanishing threshold resolves the first genuine Laurent
         # coefficient, the verified order stays put under more precision
         k = 3 * 4 + 1
-        sig = arcsine_sigma(F23)
+        sig = MarkovSpec(F23, "arcsine")
         orders = []
         for bits in (256, 512, 1024):
             a = moments_f1(k, bits)
@@ -411,25 +409,25 @@ class TestSolveHP:
 
 
 class TestSquareSolve:
-    @pytest.mark.parametrize("make_sigma", [arcsine_sigma, constant_sigma])
-    def test_lu_matches_svd_oracle(self, make_sigma):
+    @pytest.mark.parametrize("density", ["arcsine", "constant"], ids=lambda d: f"{d}_sigma")
+    def test_lu_matches_svd_oracle(self, density):
         k = 3 * 10 + 1
         a = moments_f1(k, PREC)
-        b, _ = moments_f2(k, make_sigma(F23), PREC)
+        b, _ = moments_f2(k, MarkovSpec(F23, density), PREC)
         for n in (2, 5, 10):
             lu = solve_hp(n, a, b, PREC)
             svd = _solve_hp_svd(n, a, b, PREC)
             assert (lu.method, svd.method) == ("lu", "svd")
             assert lu.degree_q2 == svd.degree_q2 == n
             with mp.workprec(PREC):
-                for x, y in zip(lu.q0 + lu.q1 + lu.q2, svd.q0 + svd.q1 + svd.q2):
+                for x, y in zip(_mpf(lu.q0 + lu.q1 + lu.q2), _mpf(svd.q0 + svd.q1 + svd.q2)):
                     assert abs(x - y) <= mp.mpf(2) ** (-(PREC // 4))
 
     def test_condition_estimate_matches_singular_values(self):
         bits = 512
         k = 3 * 20 + 1
         a = moments_f1(k, bits)
-        b, _ = moments_f2(k, arcsine_sigma(F23), bits)
+        b, _ = moments_f2(k, MarkovSpec(F23, "arcsine"), bits)
         with mp.workprec(bits):
             for n in (5, 10, 20):
                 A, _ = _square_system_oracle(n, a, b)
@@ -444,7 +442,7 @@ class TestSquareSolve:
         # so the square system with Q2[n] = 1 has no solution
         k = 3 * 5 + 1
         a = moments_f1(k, PREC)
-        b, _ = moments_f2(k, arcsine_sigma(SYM), PREC)
+        b, _ = moments_f2(k, MarkovSpec(SYM, "arcsine"), PREC)
         for n in (3, 5):
             sol = solve_hp(n, a, b, PREC)
             assert sol.method == "svd"
@@ -566,7 +564,7 @@ class TestRawSolveMatchesMpmath:
         # singular: odd n on a symmetric F (deg Q2 = n - 1), or a system
         # that is numerically singular at this precision
         a = moments_f1(3 * n + 1, bits)
-        b, _ = moments_f2(3 * n + 1, arcsine_sigma(support), bits)
+        b, _ = moments_f2(3 * n + 1, MarkovSpec(support, "arcsine"), bits)
         with mp.workprec(bits):
             A, rhs = _square_system_oracle(n, a, b)
             if singular:
@@ -580,29 +578,30 @@ class TestRawSolveMatchesMpmath:
             assert perm_r == perm
             assert LU_r == [[LU[i, j]._mpf_ for j in range(LU.cols)] for i in range(LU.rows)]
             x = mp.mp.U_solve(LU, mp.mp.L_solve(LU, rhs, perm))
-            assert _lu_solve(LU_r, perm_r, [v._mpf_ for v in rhs], bits) == [v._mpf_ for v in x]
+            assert _lu_solve(LU_r, perm_r, _raw(rhs), bits) == _raw(x)
             log2_cond = _log2_cond1_oracle(A, LU, perm)
             assert _log2_cond1(rows, LU_r, perm_r, bits) == log2_cond
 
         sol = solve_hp(n, a, b, bits)
         assert sol.method == "lu"
+        assert sol.q1 + sol.q2[:-1] == tuple(_raw(x))
+        assert sol.log2_cond == log2_cond
         with mp.workprec(bits):
-            assert sol.q1 + sol.q2[:-1] == tuple(x)
-            assert sol.log2_cond == log2_cond
-            residuals, q0 = _laurent_oracle(n, a, b, sol.q1, sol.q2)
-            assert sol.q0 == tuple(q0)
+            residuals, q0 = _laurent_oracle(n, _mpf(a), _mpf(b), _mpf(sol.q1), _mpf(sol.q2))
+            assert sol.q0 == tuple(_raw(q0))
             assert sol.residual_max == float(max(residuals[: 2 * n + 1]))
 
             # ten Aberth sweeps from the Chebyshev points of the hull
-            coeffs = list(reversed(sol.q2))
+            coeffs_r = list(reversed(sol.q2))
+            coeffs = _mpf(coeffs_r)
             lo, hi = support.hull
             xs = [mp.mpf(lo + hi) / 2 + mp.mpf(hi - lo) / 2 * mp.cos(mp.pi * (2 * k + 1) / (2 * n))
                   for k in range(n)]
-            xs_r, coeffs_r = [v._mpf_ for v in xs], [c._mpf_ for c in coeffs]
+            xs_r = _raw(xs)
             for _ in range(10):
                 moved = _aberth_sweep_oracle(coeffs, xs)
                 assert _aberth_sweep(coeffs_r, xs_r, bits) == mp.mpf(moved)._mpf_
-                assert xs_r == [v._mpf_ for v in xs]
+                assert xs_r == _raw(xs)
 
 
 class TestQuadratureRestart:
@@ -616,7 +615,7 @@ class TestQuadratureRestart:
             orders.append((prec, order))
             return original(spec, order, prec)
 
-        sigma = constant_sigma(F23)
+        sigma = MarkovSpec(F23, "constant")
         sweep = HPSweep(sigma, [20])
         with monkeypatch.context() as m:
             m.setattr(hermite_pade, "discretize_sigma", recording)
@@ -631,7 +630,7 @@ class TestConditionGate:
     def test_order_ten_never_accepted_at_128_bits(self, monkeypatch):
         # at 128 bits the n = 10 LU solve passes the residual contract and
         # the zero count, but log2 cond is about 131.6: its zeros are wrong
-        sigma = arcsine_sigma(F23)
+        sigma = MarkovSpec(F23, "arcsine")
         with monkeypatch.context() as m:
             m.setattr(hermite_pade, "MAX_PRECISION_BITS", 128)
             with pytest.raises(PrecisionError, match="log2 cond"):
@@ -651,7 +650,7 @@ class TestConditionGate:
             return original(k_max, sigma, precision_bits, start_order)
 
         monkeypatch.setattr(hermite_pade, "moments_f2", counting)
-        sigma = arcsine_sigma(F23)
+        sigma = MarkovSpec(F23, "arcsine")
         n_list = [3, 6, 10]
         sweep = HPSweep(sigma, n_list)
         bits = {}
@@ -673,9 +672,9 @@ def _solution_with_roots(roots, bits):
         for r in roots:
             r = mp.mpc(r)
             q = [-r * q[0]] + [q[i - 1] - r * q[i] for i in range(1, len(q))] + [q[-1]]
-        q2 = tuple(c.real for c in q)
+        q2 = tuple(c.real._mpf_ for c in q)
     deg = len(roots)
-    return HPSolution(n=deg, q0=(mp.mpf(0),), q1=(mp.mpf(0),) * (deg + 1), q2=q2,
+    return HPSolution(n=deg, q0=(fzero,), q1=(fzero,) * (deg + 1), q2=q2,
                       precision_bits=bits, residual_order=2 * deg + 2, residual_max=0.0,
                       degree_q2=deg, log2_cond=0.0, method="lu")
 
@@ -683,10 +682,9 @@ def _solution_with_roots(roots, bits):
 class TestZeros:
     def test_clustered_zeros_all_found(self):
         roots = ["2.000001", "2.00001", "2.0001", "2.5", "2.9"]
+        # each zero is within 2^-150 of its root, so it rounds to the root's float
         zeros = zeros_q2(_solution_with_roots(roots, 192), hull=(2.0, 3.0))
-        assert len(zeros) == 5
-        with mp.workprec(192):
-            assert max(abs(z - mp.mpf(r)) for z, r in zip(zeros, roots)) <= mp.mpf(2) ** -150
+        assert zeros == [float(r) for r in roots]
 
     def test_complex_pair_is_a_precision_failure(self):
         sol = _solution_with_roots([2.2, mp.mpc(2.5, 0.1), mp.mpc(2.5, -0.1), 2.8], 192)
@@ -696,7 +694,7 @@ class TestZeros:
     def test_zero_outside_hull_is_kept_and_flagged(self):
         with pytest.warns(PrecisionDiagnosticWarning, match="1 zero"):
             zeros = zeros_q2(_solution_with_roots([2.2, 2.6, 3.3], 192), hull=(2.0, 3.0))
-        assert [round(float(z), 12) for z in zeros] == [2.2, 2.6, 3.3]
+        assert [round(z, 12) for z in zeros] == [2.2, 2.6, 3.3]
 
     def test_long_f_all_zeros_at_start_precision(self, tmp_path):
         # Q2 on a long F clusters its zeros at the left end, 1.5064 at order 10
@@ -713,27 +711,26 @@ class TestZeros:
     def test_order_one_single_zero(self):
         k = 4
         a = moments_f1(k, PREC)
-        b, _ = moments_f2(k, arcsine_sigma(F23), PREC)
+        b, _ = moments_f2(k, MarkovSpec(F23, "arcsine"), PREC)
         sol = solve_hp(1, a, b, PREC)
         zeros = zeros_q2(sol, hull=(2.0, 3.0))
         assert len(zeros) == 1
-        assert 2.0 <= float(zeros[0]) <= 3.0
+        assert 2.0 <= zeros[0] <= 3.0
 
     def test_zero_count_and_hull(self, sol5):
         zeros = zeros_q2(sol5, hull=(2.0, 3.0))
         assert len(zeros) == 5
-        assert all(2.0 <= float(z) <= 3.0 for z in zeros)
+        assert all(2.0 <= z <= 3.0 for z in zeros)
 
     def test_zeros_are_roots(self, sol5):
+        # the zeros are mpmath's roots of Q2, rounded to floats
         zeros = zeros_q2(sol5, hull=(2.0, 3.0))
         with mp.workprec(PREC):
-            coeffs = list(reversed(sol5.q2))
-            for z in zeros:
-                assert abs(mp.polyval(coeffs, z)) <= mp.mpf(2) ** (-(PREC // 3))
+            roots = mp.polyroots(list(reversed(_mpf(sol5.q2))), maxsteps=100, extraprec=PREC)
+        assert zeros == sorted(float(mp.re(r)) for r in roots)
 
     def test_scale_invariance_of_zeros(self, sol5):
-        with mp.workprec(PREC):
-            q2_scaled = tuple(5 * c for c in sol5.q2)
+        q2_scaled = tuple(mpf_mul_int(c, 5, PREC, round_nearest) for c in sol5.q2)
         scaled = HPSolution(
             n=sol5.n,
             q0=sol5.q0,
@@ -746,10 +743,7 @@ class TestZeros:
             log2_cond=sol5.log2_cond,
             method=sol5.method,
         )
-        z1 = zeros_q2(sol5, hull=(2.0, 3.0))
-        z2 = zeros_q2(scaled, hull=(2.0, 3.0))
-        with mp.workprec(PREC):
-            assert max(abs(a - b) for a, b in zip(z1, z2)) <= mp.mpf(2) ** (-100)
+        assert zeros_q2(scaled, hull=(2.0, 3.0)) == zeros_q2(sol5, hull=(2.0, 3.0))
 
     def test_counting_measure_mass(self, sol5):
         zeros = zeros_q2(sol5, hull=(2.0, 3.0))
@@ -761,9 +755,9 @@ class TestZeros:
 
 class TestConstantDensityPreset:
     def test_hull_containment(self):
-        sol, zeros = solve_with_escalation(8, HPSweep(constant_sigma(F23), [8]), PREC)
+        sol, zeros = solve_with_escalation(8, HPSweep(MarkovSpec(F23, "constant"), [8]), PREC)
         assert len(zeros) == 8
-        assert all(2.0 <= float(z) <= 3.0 for z in zeros)
+        assert all(2.0 <= z <= 3.0 for z in zeros)
         assert sol.degree_q2 == 8
 
 
@@ -772,30 +766,34 @@ class TestEscalation:
         # at 64 bits even small orders are precision-starved; the driver
         # must climb until the zero count matches the degree
         monkeypatch.setattr(hermite_pade, "MAX_PRECISION_BITS", 1024)
-        sol, zeros = solve_with_escalation(4, HPSweep(arcsine_sigma(F23), [4]), 64)
+        sol, zeros = solve_with_escalation(4, HPSweep(MarkovSpec(F23, "arcsine"), [4]), 64)
         assert len(zeros) == 4
         assert sol.degree_q2 == 4
 
     def test_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(hermite_pade, "MAX_PRECISION_BITS", 64)
         with pytest.raises(PrecisionError):
-            solve_with_escalation(12, HPSweep(arcsine_sigma(F23), [12]), 64)
+            solve_with_escalation(12, HPSweep(MarkovSpec(F23, "arcsine"), [12]), 64)
 
 
 class TestMarkovSpec:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            MarkovSpec(IntervalUnion([(0.5, 2.0)]), lambda t: 1.0)
+            MarkovSpec(IntervalUnion([(0.5, 2.0)]), "arcsine")
 
     def test_bad_rule_rejected(self):
-        with pytest.raises(ValueError):
-            MarkovSpec(F23, lambda t: 1.0, rule="simpson")
+        # the density's name selects its rule; require_sigma_density is its one check
+        assert [MarkovSpec(F23, d).rule for d in ("arcsine", "constant")] == ["chebyshev", "fejer"]
+        for name in ("uniform", "Arcsine", ["arcsine"], None):
+            with pytest.raises(ValueError, match="'arcsine' or 'constant'"):
+                require_sigma_density(name)
+            with pytest.raises(ValueError, match="'arcsine' or 'constant'"):
+                MarkovSpec(F23, name)
 
     def test_preset_masses(self):
         with mp.workprec(PREC):
-            for spec in (arcsine_sigma(F23), constant_sigma(F23)):
-                ts, ws = discretize_sigma(spec, 64, PREC)
-                assert abs(mp.fsum(ws) - 1) <= mp.mpf(2) ** (-100)
-            sym = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
-            ts, ws = discretize_sigma(arcsine_sigma(sym), 32, PREC)
-            assert abs(mp.fsum(ws) - 1) <= mp.mpf(2) ** (-100)
+            for density in ("arcsine", "constant"):
+                ts, ws = discretize_sigma(MarkovSpec(F23, density), 64, PREC)
+                assert abs(mp.fsum(_mpf(ws)) - 1) <= mp.mpf(2) ** (-100)
+            ts, ws = discretize_sigma(MarkovSpec(SYM, "arcsine"), 32, PREC)
+            assert abs(mp.fsum(_mpf(ws)) - 1) <= mp.mpf(2) ** (-100)

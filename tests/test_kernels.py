@@ -195,11 +195,12 @@ class TestIntervalUnion:
 
     def test_every_entry_point_uses_the_gap_check(self):
         from equilab.equilibrium import solve_reduced, solve_scalar, solve_vector
-        from equilab.hermite_pade import arcsine_sigma
+        from equilab.hermite_pade import MarkovSpec
         from equilab.verify import verify_equivalence
 
         near = IntervalUnion([(1.0 + 0.5 * MIN_GAP, 2.0)])
-        for call in (solve_scalar, solve_vector, solve_reduced, arcsine_sigma,
+        for call in (solve_scalar, solve_vector, solve_reduced,
+                     lambda F: MarkovSpec(F, "arcsine"),
                      lambda F: verify_equivalence(F, None, None)):
             with pytest.raises(ValueError, match="disjoint"):
                 call(near)

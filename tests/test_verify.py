@@ -3,7 +3,7 @@
 import pytest
 
 from equilab.equilibrium import GridParams, solve_scalar, solve_vector
-from equilab.hermite_pade import arcsine_sigma
+from equilab.hermite_pade import MarkovSpec
 from equilab.kernels import IntervalUnion
 from equilab.verify import (
     Tolerances,
@@ -109,7 +109,7 @@ class TestSlopes:
 
 class TestZeroDistribution:
     def test_small_orders(self):
-        sigma = arcsine_sigma(F23)
+        sigma = MarkovSpec(F23, "arcsine")
         gp = GridParams(n=100, grading=2.0)
         rep = verify_zero_distribution(
             sigma, [2, 4], solve_scalar(F23, gp).measure, gp, 192, Tolerances(ks_final=0.5)
@@ -122,7 +122,7 @@ class TestZeroDistribution:
     def test_n_list_must_increase(self, solutions):
         scalar, _, _ = solutions
         with pytest.raises(ValueError):
-            verify_zero_distribution(arcsine_sigma(F23), [4, 2], scalar.measure, GP, 192)
+            verify_zero_distribution(MarkovSpec(F23, "arcsine"), [4, 2], scalar.measure, GP, 192)
 
 
 class TestReportStructure:

@@ -12,8 +12,10 @@ Both trees run the same commands, each in a fresh interpreter with
 
 Every output file other than ``manifest.json`` and ``timings.json`` must be
 byte-identical between the trees, and every exit code equal.  The script
-prints each difference and exits 1 if there is any, else 0.  Outputs go to
-``--work`` (a new temporary directory by default).
+prints each difference, with the first differing line of each side for a
+file both trees wrote (every output is JSON, CSV or Markdown text), and
+exits 1 if there is any difference, else 0.  Outputs go to ``--work`` (a new
+temporary directory by default).
 """
 
 from __future__ import annotations
@@ -65,6 +67,21 @@ def differing_files(a, b):
         and filecmp.cmp(os.path.join(a, f), os.path.join(b, f), shallow=False)))
 
 
+def first_difference(a, b):
+    """(line number, old line, new line) of the first line where two text files differ.
+
+    A side that ends first reads as "<end of file>".
+    """
+    with open(a, encoding="utf-8", errors="replace") as fa, \
+            open(b, encoding="utf-8", errors="replace") as fb:
+        old, new = fa.read().splitlines(), fb.read().splitlines()
+    end = ["<end of file>"]
+    for number, (x, y) in enumerate(zip(old + end, new + end), start=1):
+        if x != y:
+            return number, x, y
+    return None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_tree")
@@ -89,6 +106,13 @@ def main(argv=None) -> int:
         print(f"{label}: exit {codes[0]} / {codes[1]}, {status}", flush=True)
         for f in diffs:
             print(f"  differs: {f}")
+            paths = [os.path.join(out, f) for out in outs]
+            if all(os.path.isfile(path) for path in paths):
+                first = first_difference(*paths)
+                if first is not None:
+                    number, x, y = first
+                    print(f"    line {number} old: {x}")
+                    print(f"    line {number} new: {y}")
     print(f"{problems} difference(s); outputs in {work}")
     return 1 if problems else 0
 
