@@ -14,8 +14,11 @@ Every output file other than ``manifest.json`` and ``timings.json`` must be
 byte-identical between the trees, and every exit code equal.  The script
 prints each difference, with the first differing line of each side for a
 file both trees wrote (every output is JSON, CSV or Markdown text), and
-exits 1 if there is any difference, else 0.  Outputs go to ``--work`` (a new
-temporary directory by default).
+exits 1 if there is any difference, else 0.  It also prints each run's peak
+RSS on both trees (the child's ``ru_maxrss`` from ``os.wait4``, in MiB, as
+``perfbench`` reports ``peak_rss_mb``); that is information only and never
+changes the exit status.  Outputs go to ``--work`` (a new temporary
+directory by default).
 """
 
 from __future__ import annotations
@@ -50,10 +53,15 @@ def cases(new_tree, work):
 
 
 def run(tree, argv, out):
+    """(exit code, standard error, peak RSS in MiB) of one run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **PINS)
-    proc = subprocess.run([sys.executable, "-m", "equilab.cli", *argv, "--out", out],
-                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    return proc.returncode, proc.stderr
+    proc = subprocess.Popen([sys.executable, "-m", "equilab.cli", *argv, "--out", out],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    with proc.stderr:
+        err = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, err, usage.ru_maxrss / 1024.0
 
 
 def differing_files(a, b):
@@ -92,18 +100,20 @@ def main(argv=None) -> int:
     os.makedirs(work, exist_ok=True)
     problems = 0
     for label, cmd in cases(os.path.abspath(args.new_tree), work):
-        outs, codes = [], []
+        outs, codes, rss = [], [], []
         for side, tree in (("old", args.old_tree), ("new", args.new_tree)):
             out = os.path.join(work, side, label)
-            code, err = run(os.path.abspath(tree), cmd, out)
+            code, err, peak = run(os.path.abspath(tree), cmd, out)
             outs.append(out)
             codes.append(code)
+            rss.append(peak)
             if code not in (0, 1):
                 print(f"{label}: {side} exited {code}: {err.strip()}")
         diffs = differing_files(*outs)
         problems += len(diffs) + (codes[0] != codes[1])
         status = "same" if not diffs and codes[0] == codes[1] else "DIFFERENT"
-        print(f"{label}: exit {codes[0]} / {codes[1]}, {status}", flush=True)
+        print(f"{label}: exit {codes[0]} / {codes[1]}, {status}, "
+              f"peak RSS {rss[0]:.1f} / {rss[1]:.1f} MiB", flush=True)
         for f in diffs:
             print(f"  differs: {f}")
             paths = [os.path.join(out, f) for out in outs]
