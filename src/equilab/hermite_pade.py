@@ -9,24 +9,37 @@ For order n the polynomials (Q0, Q1, Q2), deg <= n, not all zero, satisfy
 
 With the Laurent moments a_k of f1 (Chebyshev moments, known exactly) and
 b_k of f2, the order condition is a (2n+1) x (2n+2) homogeneous linear
-system.  When F lies on one side of [-1, 1], (f1, f2) is a Nikishin system,
-and Nikishin systems are perfect (Fidalgo Prieto and Lopez Lagomasino,
-Constr. Approx. 34, 2011), so Q2 can be normalized to leading coefficient 1
-before solving: the solver runs an LU solve of the remaining (2n+1)-square
-system, estimates its 1-norm condition number from the LU factors (Hager's
-estimator), and re-verifies the vanishing Laurent coefficients before
-returning.  When the normalization fails numerically (a singular square
-system, as at odd n on a symmetric F, where deg Q2 = n - 1), it falls back
-to the last right-singular direction of the full system.  These systems are
-severely ill-conditioned: log2 cond grows by about 13 bits per order on
-F = [2, 3], and once it nears the working precision the solution degrades
-although the residual check may still pass.  The escalation driver therefore
-doubles the working precision (up to a cap) until log2 cond stays
-GATE_MARGIN_BITS below it and the real-zero count is full.  The orders of
-one run form a nonempty, strictly increasing list of nonnegative integers,
-and the run starts from an integer precision in [64, MAX_PRECISION_BITS]
-(require_n_list and require_precision_bits, the one checks of them, shared
-with the CLI, as is require_sigma_density for the name of sigma's density).
+system in (Q1, Q2); row r reads sum_i Q1[i] a_{r+i} + Q2[i] b_{r+i} = 0.
+The solver fixes the leading coefficient of Q2 to 1 and runs one LU solve
+of the square system left.  When F lies on one side of [-1, 1], (f1, f2) is
+a Nikishin system, and Nikishin systems are perfect (Fidalgo Prieto and
+Lopez Lagomasino, Constr. Approx. 34, 2011), so deg Q2 = n and all 2n+1
+rows are solved ("lu").  When F = -F, sigma is even, so f1 is odd and f2
+even: a_k vanishes at odd k and b_k at even k, and moments_f2 returns
+those b_k as exact zeros.  Then (Q0(-z), -Q1(-z), Q2(-z)) solves the
+condition too, and the solutions split by parity.  With Q1 even and Q2 odd
+only the n+1 even rows remain, a square homogeneous system measured to
+have only the zero solution.  With Q1 odd and Q2 even the even rows vanish
+identically, deg Q2 = 2 floor(n/2), and with that coefficient fixed to 1
+the n odd rows form an n-square system ("lu_parity"; at order 0 no row is
+left, and Q2 = 1, Q1 = 0).  Open point: no theorem is cited for the
+normality of the folded pair, that is, for that system being nonsingular.
+In zeta = z^2 it becomes a pair of Cauchy transforms on [0, 1], one through
+a Markov function of the one-sided F^2, and whether its weights meet the
+cited theorem's hypotheses is not shown.  So every solution passes the same
+checks: the system's 1-norm condition number is estimated from the LU
+factors (Hager's estimator), all 2n+1 vanishing Laurent coefficients of the
+unfolded condition are re-verified, and a singular LU is a precision
+failure.  These systems are severely ill-conditioned: log2 cond grows by
+about 13 bits per order on F = [2, 3], and once it nears the working
+precision the solution degrades although the residual check may still
+pass.  The escalation driver therefore doubles the working precision (up
+to a cap) until log2 cond stays GATE_MARGIN_BITS below it and the real-zero
+count is full.  The orders of one run form a nonempty, strictly increasing
+list of nonnegative integers, and the run starts from an integer precision
+in [64, MAX_PRECISION_BITS] (require_n_list and require_precision_bits, the
+one checks of them, shared with the CLI, as is require_sigma_density for
+the name of sigma's density).
 One HPSweep per run carries sigma and the precision ladder: it keeps one
 moment table per precision and starts each order at the rung predicted from
 the previous order's conditioning growth, capped at MAX_PRECISION_BITS.
@@ -53,7 +66,8 @@ Python integers in fixed point (each value v held as floor(v * 2^P)) and
 rounds to the requested precision once at the end.  After that rounding it
 agrees bit for bit with the same recursion in mpf arithmetic at
 precision P, except where b_k vanishes exactly (the even b_k of a symmetric
-sigma): there both return rounding noise.
+sigma): there both return rounding noise, which moments_f2 replaces by exact
+zeros.
 
 The real zeros of Q2 come from the Aberth-Ehrlich iteration (O. Aberth,
 Math. Comp. 27, 1973; D. A. Bini, Numer. Algorithms 13, 1996), simultaneous
@@ -70,9 +84,9 @@ at an explicit precision with round-to-nearest, so no result depends on
 mpmath's global precision.  Each operation is, op for op, what
 mp.LU_decomp, mp.L_solve, mp.U_solve, mp.fsum, mp.polyval and the mpf
 operators do at the same precision, so every result keeps its bits.  mpf
-objects appear only where mpmath needs them: the SVD fallback (mp.matrix and
-mp.svd_r) and the log of a condition number.  The moments, the solution
-coefficients and the zeros' search are raw; the zeros leave as Python floats.
+objects appear only where mpmath needs them, in the log of a condition
+number.  The moments, the solution coefficients and the zeros' search are
+raw; the zeros leave as Python floats.
 """
 
 from __future__ import annotations
@@ -158,6 +172,10 @@ class MarkovSpec:
         endpoints.
         """
         return "chebyshev" if self.density == "arcsine" else "fejer"
+
+    def degree_q2(self, n: int) -> int:
+        """The degree of Q2 at order n: n, or 2 floor(n/2) when F = -F (see the module docstring)."""
+        return n - n % 2 if self.support.is_symmetric() else n
 
 
 def _fejer_weights(order: int, prec: int):
@@ -289,7 +307,8 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
     The doubling runs from ``start_order``.  Successive orders must agree to
     2^(-precision_bits/2) in the sup norm; failure to stabilize within the
     order cap raises, it is never hidden.  Returns (b, order): the moments
-    at the accepted quadrature order, and that order.
+    at the accepted quadrature order, and that order.  When F = -F, f2 is
+    even and b_k at even k is returned as an exact zero.
     """
     order = start_order
     ts, ws = discretize_sigma(sigma, order, precision_bits)
@@ -301,6 +320,8 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
         scale = _max([fone] + [mpf_abs(x) for x in cur])
         delta = _max([mpf_abs(mpf_sub(p, q, precision_bits, RND)) for p, q in zip(prev, cur)])
         if mpf_le(delta, mpf_shift(scale, -(precision_bits // 2))):
+            if sigma.support.is_symmetric():
+                cur[::2] = [fzero] * (k_max // 2 + 1)
             return cur, order
         prev = cur
     raise QuadratureError(
@@ -318,14 +339,18 @@ class HPSolution:
     """Type-I solution at order n, Q2 monic, with residual metadata.
 
     ``q0``, ``q1`` and ``q2`` hold the coefficients in ascending order as
-    raw mpf values at ``precision_bits``.  ``residual_max`` is the largest
-    of the Laurent coefficients 1..2n+1 of Q1 f1 + Q2 f2, which the order
-    condition makes vanish, and ``residual_order`` the index of the first
-    coefficient that does not vanish at the working precision: 2n+2, or
-    2n+3 when coefficient 2n+2 vanishes too.  ``log2_cond`` is log2 of the
+    raw mpf values at ``precision_bits``, ``q1`` and ``q2`` of length n+1.
+    ``residual_max`` is the largest of the Laurent coefficients 1..2n+1 of
+    Q1 f1 + Q2 f2, which the order condition makes vanish, and
+    ``residual_order`` the index of the first coefficient that does not
+    vanish at the working precision: 2n+2, or 2n+3 when coefficient 2n+2
+    vanishes too.  ``log2_cond`` is log2 of the
     condition number of the system that was solved, and ``method`` names the
-    solve: "lu" for the square system with the leading coefficient of Q2
-    fixed to 1, "svd" for the fallback.  :meth:`to_json_dict` gives these
+    solve: "lu" for all 2n+1 rows with Q2[n] = 1, or "lu_parity" on F = -F,
+    where by parity Q1 is odd, Q2 even of degree 2 floor(n/2), the other
+    coefficients are exact zeros and the n odd rows are solved; that this
+    folded system is nonsingular is measured, not cited, and the residual
+    check of the full condition guards it.  :meth:`to_json_dict` gives these
     fields, ``n``, ``precision_bits`` and ``degree_q2``, and the
     coefficients as decimal strings at the working precision.
     """
@@ -361,62 +386,39 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
     """Solve the order condition at order n from moment sequences a, b.
 
     Moments are raw mpf values, supplied at least up to index 3n+1.  The
-    leading coefficient of Q2 is fixed to 1 (for F on one side of [-1, 1]
-    the pair is a perfect Nikishin system, so Q2 has full degree) and the
-    remaining 2n+1 coefficients come from an LU solve of the square system.
-    When the LU finds that system singular, or its solution exceeds
-    2^(precision_bits/2) (the leading coefficient is numerically zero, as at
-    odd n on a symmetric F), the nullspace direction is taken from the SVD
-    instead.  If the re-verified Laurent coefficients 1..2n+1 do not vanish
-    to 2^(-precision_bits/4), the precision is declared insufficient.
+    solve is folded by parity ("lu_parity", see the module docstring) when
+    every even b_k is an exact zero, else it takes all 2n+1 rows ("lu").  A
+    singular system, or re-verified Laurent coefficients 1..2n+1 that do not
+    vanish to 2^(-precision_bits/4), raise PrecisionError: the precision is
+    insufficient.
     """
-    _check_moments(n, a, b)
-    prec = precision_bits
-    # the order condition with Q2[n] = 1: unknowns Q1[0..n], Q2[0..n-1]
-    A = [a[r : r + n + 1] + b[r : r + n] for r in range(2 * n + 1)]
-    rhs = [mpf_neg(x, prec, RND) for x in b[n : 3 * n + 1]]
-    LU = [row[:] for row in A]
-    try:
-        perm = _lu_decomp(LU, prec)
-    except ZeroDivisionError:
-        return _solve_hp_svd(n, a, b, precision_bits)
-    x = _lu_solve(LU, perm, rhs, prec)
-    limit = mpf_shift(fone, precision_bits // 2)
-    if any(mpf_gt(mpf_abs(v), limit) for v in x):
-        return _solve_hp_svd(n, a, b, precision_bits)
-    return _normalized_solution(n, a, b, x[: n + 1], x[n + 1 :] + [fone], precision_bits,
-                                _log2_cond1(A, LU, perm, prec), "lu")
-
-
-def _moment_matrix(n, a, b):
-    """The (2n+1) x (2n+2) order-condition matrix on (Q1[0..n], Q2[0..n]), as an mp.matrix."""
-    return mp.matrix([[mp.make_mpf(x) for x in a[r : r + n + 1] + b[r : r + n + 1]]
-                      for r in range(2 * n + 1)])
-
-
-def _check_moments(n, a, b):
-    need = 3 * n + 2
-    if len(a) < need or len(b) < need:
+    if len(a) < 3 * n + 2 or len(b) < 3 * n + 2:
         raise ValueError(f"order {n} needs moments up to index {3 * n + 1}")
-
-
-def _solve_hp_svd(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSolution:
-    """The order condition solved as the last right-singular vector of the moment matrix.
-
-    The fallback of :func:`solve_hp` and its test oracle.  ``log2_cond`` is
-    log2(sigma_max / sigma_min) over the 2n+1 singular values of the
-    (2n+1) x (2n+2) moment matrix.
-    """
-    _check_moments(n, a, b)
-    m = 2 * n + 1
-    with mp.workprec(precision_bits):
-        U, S, V = mp.svd_r(_moment_matrix(n, a, b), full_matrices=True, compute_uv=True)
-        sigma_min = S[m - 1]
-        sigma_max = S[0]
-        log2_cond = float(mp.log(sigma_max / sigma_min, 2)) if sigma_min > 0 else float("inf")
-    vec = [V[m, j]._mpf_ for j in range(m + 1)]
-    return _normalized_solution(n, a, b, vec[: n + 1], vec[n + 1 :], precision_bits, log2_cond,
-                                "svd")
+    prec = precision_bits
+    # step 2 folds by parity: unknowns Q1[1, 3, ..], Q2[0, 2, .., deg - 2],
+    # equations the odd rows; step 1 is the full system
+    step = 2 if all(x == fzero for x in b[::2]) else 1
+    deg = n - n % step
+    p_idx, q_idx = range(step - 1, n + 1, step), range(0, deg, step)
+    rows = range(step - 1, 2 * n + 1, step)
+    A = [[a[r + i] for i in p_idx] + [b[r + i] for i in q_idx] for r in rows]
+    if A:
+        LU = [row[:] for row in A]
+        try:
+            perm = _lu_decomp(LU, prec)
+        except ZeroDivisionError:
+            raise PrecisionError(
+                f"order-condition system of order {n} is singular at {prec} bits") from None
+        x = _lu_solve(LU, perm, [mpf_neg(b[r + deg], prec, RND) for r in rows], prec)
+        log2_cond = _log2_cond1(A, LU, perm, prec)
+    else:  # order 0 on F = -F: no row is left, and Q2 = 1, Q1 = 0 solve it
+        x, log2_cond = [], 0.0
+    p, q = [fzero] * (n + 1), [fzero] * (n + 1)
+    p[step - 1 :: step] = x[: len(p_idx)]
+    q[:deg:step] = x[len(p_idx) :]
+    q[deg] = fone
+    return _verified_solution(n, a, b, p, q, deg, prec, log2_cond,
+                              "lu_parity" if step == 2 else "lu")
 
 
 # The square solve, on raw mpf values in lists of rows at precision prec,
@@ -548,22 +550,9 @@ def _laurent_sum(p, q, a, b, lo, prec):
     return s
 
 
-def _normalized_solution(n, a, b, p, q, precision_bits, log2_cond, method):
-    """Make Q2 monic, verify the order condition for (p, q) and complete Q0.
-
-    The residuals are those of the normalized pair.  On the LU path Q2 is
-    monic already; on the SVD path (p, q) is a unit vector, so |lead| <= 1
-    and normalizing never shrinks a residual.
-    """
+def _verified_solution(n, a, b, p, q, degree_q2, precision_bits, log2_cond, method):
+    """Verify the order condition for (p, q), Q2 monic of degree degree_q2, and complete Q0."""
     prec = precision_bits
-    deg_tol = mpf_shift(_max([mpf_abs(x) for x in q]), -(prec // 2))
-    degree_q2 = max((i for i, x in enumerate(q) if mpf_gt(mpf_abs(x), deg_tol)), default=-1)
-    if degree_q2 < 0:
-        raise PrecisionError("Q2 vanished at working precision")
-    lead = q[degree_q2]
-    p = [mpf_div(x, lead, prec, RND) for x in p]
-    q = [mpf_div(x, lead, prec, RND) for x in q]
-
     # |coefficient of z^-j| of Q1 f1 + Q2 f2, for j = 1..2n+2
     residuals = [mpf_abs(_laurent_sum(p, q, a, b, 1 - j, prec)) for j in range(1, 2 * n + 3)]
     residual_max = _max(residuals[: 2 * n + 1])
@@ -694,11 +683,11 @@ def _aberth_sweep(coeffs, xs, prec):
     return moved
 
 
-def counting_measure(zeros, n: int) -> DiscreteMeasure:
-    """Normalized zero-counting measure: mass 1/n at each zero."""
+def counting_measure(zeros) -> DiscreteMeasure:
+    """Normalized zero-counting measure: mass 1/len(zeros) at each zero."""
     if not zeros:
         raise ValueError("no zeros to count")
-    return DiscreteMeasure.atoms(zeros, np.full(len(zeros), 1.0 / n))
+    return DiscreteMeasure.atoms(zeros, np.full(len(zeros), 1.0 / len(zeros)))
 
 
 # --------------------------------------------------------------------------

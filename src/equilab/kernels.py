@@ -97,12 +97,9 @@ class IntervalUnion:
                 gap = min(gap, -1.0)
         return gap
 
-    def is_symmetric(self, tol=1e-12) -> bool:
-        flipped = sorted((-r, -l) for (l, r) in self.intervals)
-        return all(
-            abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
-            for a, b in zip(flipped, self.intervals)
-        )
+    def is_symmetric(self) -> bool:
+        """True when F = -F exactly; a nearly symmetric F is not symmetric."""
+        return tuple(sorted((-r, -l) for (l, r) in self.intervals)) == self.intervals
 
 
 MIN_GAP = 1e-6

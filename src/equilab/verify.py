@@ -427,19 +427,20 @@ def verify_zero_distribution(
         excursion = max(0.0, hull[0] - min(zeros), max(zeros) - hull[1]) if zeros else 0.0
         rep.add_bound(f"zeros.hull_containment_n{n}", excursion, 1e-9,
                       f"max excursion outside [{hull[0]}, {hull[1]}]")
-        rep.add(f"zeros.degree_n{n}", sol.degree_q2, n, sol.degree_q2 == n,
-                "degree of Q2 equals the order")
-        rep.add(f"zeros.count_n{n}", len(zeros), n, len(zeros) == n,
+        degree = sigma.degree_q2(n)
+        rep.add(f"zeros.degree_n{n}", sol.degree_q2, degree, sol.degree_q2 == degree,
+                "degree of Q2 equals the order" if degree == n
+                else "degree of Q2 is 2 floor(n/2) on a symmetric F")
+        rep.add(f"zeros.count_n{n}", len(zeros), degree, len(zeros) == degree,
                 "real zero count equals the degree")
-        if sol.degree_q2 != n:
-            # the counting measure would have mass degree/n, not a unit measure
+        if sol.degree_q2 != degree:
             rep.add(f"zeros.order_{n}", float("nan"), 0.0, False,
-                    f"failure: degree of Q2 is {sol.degree_q2}, not {n}; no KS distance")
+                    f"failure: degree of Q2 is {sol.degree_q2}, not {degree}; no KS distance")
             continue
-        if n > 0:  # order 0 has no zeros to count
-            ks_seq[n] = ks_distance(counting_measure(zeros, n), lam)
+        if zeros:  # Q2 of degree 0 has no zeros to count
+            ks_seq[n] = ks_distance(counting_measure(zeros), lam)
 
-    positive = [n for n in n_list if n > 0]
+    positive = [n for n in n_list if sigma.degree_q2(n) > 0]
     if positive and len(ks_seq) == len(positive):
         ratios = [ks_seq[b] / ks_seq[a] for a, b in zip(positive, positive[1:])]
         worst = max(ratios) if ratios else 0.0
@@ -448,7 +449,7 @@ def verify_zero_distribution(
         rep.add_bound("zeros.ks_final", ks_seq[positive[-1]], tolerances.ks_final)
     else:
         reason = ("incomplete KS sequence after failures" if positive
-                  else "no positive order, so no zeros to count")
+                  else "no order where Q2 has positive degree, so no zeros to count")
         rep.skip("zeros.ks_non_increasing", reason)
         rep.skip("zeros.ks_final", reason)
 

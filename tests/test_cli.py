@@ -12,8 +12,9 @@ import mpmath as mp
 import pytest
 
 import equilab.equilibrium as equilibrium
+import equilab.verify as verify
 from equilab.cli import run
-from equilab.errors import NonConvergenceError
+from equilab.errors import NonConvergenceError, PrecisionError
 
 SMALL_CFG = {
     "problem": {"f_intervals": [[2.0, 3.0]], "sigma": "arcsine"},
@@ -200,17 +201,16 @@ def test_hp_zeros_pinned(tmp_path):
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def test_hp_lu_and_svd_solutions_pinned(tmp_path):
-    # on a symmetric F order 4 runs the LU solve and order 5 the SVD
-    # fallback (Q2 drops to degree 4); coefficients and zeros must match
-    # byte for byte
+def test_hp_parity_solutions_pinned(tmp_path):
+    # on a symmetric F both orders run the parity-folded LU solve, and Q2
+    # has degree 4 at both; coefficients and zeros must match byte for byte
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"problem": {"f_intervals": [[-3.0, -2.0], [2.0, 3.0]]},
                              "hp": {"n_list": [4, 5], "precision_bits": 256}}))
     out = tmp_path / "o"
     assert run(["hp", "--config", str(p), "--out", str(out)]) == 0
     methods = [json.loads((out / f"hp_n{n}.json").read_text())["method"] for n in (4, 5)]
-    assert methods == ["lu", "svd"]
+    assert methods == ["lu_parity", "lu_parity"]
     for name in ("hp_n4.json", "hp_n5.json", "hp_zeros_n4.csv", "hp_zeros_n5.csv"):
         with open(os.path.join(DATA, f"hp_sym-arcsine_n4-5_b256.{name}"), "rb") as fh:
             assert (out / name).read_bytes() == fh.read(), name
@@ -451,26 +451,48 @@ def test_check_failure_exits_1(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize(
-    "problem, hp, failed_order",
-    [
-        # symmetric F: Q2 of odd order has degree n - 1, so no unit counting measure
-        ({"f_intervals": [[-3.0, -2.0], [2.0, 3.0]], "sigma": "arcsine"},
-         {"n_list": [3, 4], "precision_bits": 128}, "zeros.order_3"),
-    ],
-)
-def test_failed_order_exits_1_with_report(tmp_path, problem, hp, failed_order):
+def test_failed_order_exits_1_with_report(tmp_path, monkeypatch):
+    # an order whose escalation is exhausted is a failed check, not an
+    # error, and the KS sequence it leaves incomplete is skipped
+    original = verify.solve_with_escalation
+
+    def exhausted_at_3(n, sweep, precision_bits):
+        if n == 3:
+            raise PrecisionError("escalation exhausted at 4096 bits for order 3")
+        return original(n, sweep, precision_bits)
+
+    monkeypatch.setattr(verify, "solve_with_escalation", exhausted_at_3)
     cfg = json.loads(json.dumps(SMALL_CFG))
-    cfg["problem"], cfg["hp"] = problem, hp
+    cfg["hp"] = {"n_list": [3, 4], "precision_bits": 128}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "o"
     assert run(["verify-prop2", "--config", str(p), "--out", str(out)]) == 1
     checks = {c["check_id"]: c for c in
               json.loads((out / "report.json").read_text())["reports"][0]["checks"]}
-    assert checks[failed_order]["status"] == "fail"
-    assert checks[failed_order]["value"] is None
+    assert checks["zeros.order_3"]["status"] == "fail"
+    assert checks["zeros.order_3"]["value"] is None
+    assert checks["zeros.degree_n4"]["status"] == "pass"
     assert checks["zeros.ks_final"]["status"] == "skipped"
+
+
+@pytest.mark.parametrize("n_list", [[0, 2, 4], [1, 2, 4]])
+def test_symmetric_f_orders_without_zeros(tmp_path, n_list):
+    # on F = -F, Q2 has degree 2 floor(n/2): orders 0 and 1 have no zeros
+    # and no KS distance, and the KS sequence runs over the other orders
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg["problem"] = {"f_intervals": [[-3.0, -2.0], [2.0, 3.0]], "sigma": "arcsine"}
+    cfg["hp"] = {"n_list": n_list, "precision_bits": 128}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["verify-prop2", "--config", str(p), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())["reports"][0]
+    checks = {c["check_id"]: c for c in rep["checks"]}
+    low = n_list[0]
+    assert (checks[f"zeros.degree_n{low}"]["value"], checks[f"zeros.count_n{low}"]["value"]) == (0, 0)
+    assert set(rep["provenance"]["ks_sequence"]) == {"2", "4"}
+    assert checks["zeros.ks_non_increasing"]["status"] == "pass"
 
 
 def test_preset_with_overrides(tmp_path):

@@ -1,0 +1,60 @@
+"""tools/compare_runs.py: declared differences pass, undeclared and stale ones fail."""
+
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+import compare_runs  # noqa: E402
+
+
+def _fake_runs(monkeypatch):
+    # case "a" writes a file that differs between the trees, case "b" exits 1
+    # on the old tree and 0 on the new one, case "c" is identical
+    def cases(new_tree, work):
+        return [("a", ["hp"]), ("b", ["hp"]), ("c", ["hp"])]
+
+    def run(tree, argv, out):
+        side, label = os.path.basename(tree), os.path.basename(out)
+        os.makedirs(out)
+        with open(os.path.join(out, "x.json"), "w", encoding="utf-8") as fh:
+            fh.write("new\n" if (side, label) == ("new", "a") else "old\n")
+        return (1 if (side, label) == ("old", "b") else 0), "", 1.0
+
+    monkeypatch.setattr(compare_runs, "cases", cases)
+    monkeypatch.setattr(compare_runs, "run", run)
+
+
+@pytest.mark.parametrize("lines, code, stale", [
+    (["a\tx.json\twhy", "b\texit\twhy"], 0, False),
+    (["# comment", "", "a\tx.json\twhy", "b\texit\twhy"], 0, False),
+    (["a\tx.json\twhy"], 1, False),  # undeclared exit code
+    (["a\tx.json\twhy", "b\texit\twhy", "c\tx.json\twhy"], 1, True),
+    ([], 1, False),
+])
+def test_expect_file(tmp_path, monkeypatch, capsys, lines, code, stale):
+    _fake_runs(monkeypatch)
+    expect = tmp_path / "expect.tsv"
+    expect.write_text("".join(line + "\n" for line in lines))
+    trees = [str(tmp_path / "old"), str(tmp_path / "new")]
+    assert compare_runs.main([*trees, "--work", str(tmp_path / "w"), "--expect", str(expect)]) == code
+    out = capsys.readouterr().out
+    # every difference is printed, declared or not
+    assert "a: exit 0 / 0" in out and "  differs: x.json" in out
+    assert "b: exit 1 / 0" in out and "  differs: exit" in out
+    assert ("declared but not different: c\tx.json" in out) == stale
+
+
+def test_malformed_declaration(tmp_path):
+    expect = tmp_path / "expect.tsv"
+    expect.write_text("a\tx.json\n")
+    with pytest.raises(SystemExit, match="expect.tsv:1"):
+        compare_runs.read_expected(str(expect))
+
+
+def test_repository_declaration_parses():
+    expected = compare_runs.read_expected(os.path.join(ROOT, "tools", "expected_differences.tsv"))
+    assert all(reason for reason in expected.values())

@@ -26,9 +26,7 @@ from equilab.hermite_pade import (
     _log2_cond1,
     _lu_decomp,
     _lu_solve,
-    _moment_matrix,
     _moments_f2_at_order,
-    _solve_hp_svd,
     discretize_sigma,
 )
 from equilab.kernels import IntervalUnion
@@ -157,6 +155,21 @@ class TestIntegerKernel:
         assert fixed[1::2] == oracle[1::2]
         with mp.workprec(bits):
             assert max(abs(x) for x in _mpf(fixed[::2] + oracle[::2])) <= mp.mpf(2) ** (-bits)
+
+    @pytest.mark.parametrize("density", ["arcsine", "constant"])
+    def test_symmetric_sigma_even_moments_exact_zeros(self, density):
+        # F = -F: moments_f2 returns the even b_k as exact zeros and the odd
+        # ones as the recursion computes them; a nearly symmetric F keeps
+        # every b_k as computed
+        spec = MarkovSpec(SYM, density)
+        b, order = moments_f2(31, spec, PREC)
+        fixed = _moments_f2_at_order(31, *discretize_sigma(spec, order, PREC), PREC)
+        assert b[::2] == [fzero] * 16
+        assert b[1::2] == fixed[1::2]
+        near = MarkovSpec(IntervalUnion([(-3.0, -2.0), (2.0, 3.0 + 1e-13)]), density)
+        b_near, order = moments_f2(31, near, PREC)
+        assert b_near == _moments_f2_at_order(31, *discretize_sigma(near, order, PREC), PREC)
+        assert fzero not in b_near[::2]
 
     def test_cauchy_atoms_share_the_kernel(self):
         ts, ws = _raw([mp.mpf(-2), mp.mpf("1.5")]), _raw([mp.mpf("0.25"), mp.mpf("0.75")])
@@ -408,6 +421,15 @@ class TestSolveHP:
         assert data["log2_cond"] == sol.log2_cond > 0
 
 
+def _assert_matches_svd_oracle(sol, a, b):
+    q0, q1, q2, degree, _ = _svd_oracle(sol.n, a, b, sol.precision_bits)
+    assert sol.degree_q2 == degree
+    with mp.workprec(sol.precision_bits):
+        for ours, oracle in ((sol.q0, q0), (sol.q1, q1), (sol.q2, q2)):
+            for x, y in zip(_mpf(ours), oracle):
+                assert abs(x - y) <= mp.mpf(2) ** (-(sol.precision_bits // 4))
+
+
 class TestSquareSolve:
     @pytest.mark.parametrize("density", ["arcsine", "constant"], ids=lambda d: f"{d}_sigma")
     def test_lu_matches_svd_oracle(self, density):
@@ -416,12 +438,17 @@ class TestSquareSolve:
         b, _ = moments_f2(k, MarkovSpec(F23, density), PREC)
         for n in (2, 5, 10):
             lu = solve_hp(n, a, b, PREC)
-            svd = _solve_hp_svd(n, a, b, PREC)
-            assert (lu.method, svd.method) == ("lu", "svd")
-            assert lu.degree_q2 == svd.degree_q2 == n
-            with mp.workprec(PREC):
-                for x, y in zip(_mpf(lu.q0 + lu.q1 + lu.q2), _mpf(svd.q0 + svd.q1 + svd.q2)):
-                    assert abs(x - y) <= mp.mpf(2) ** (-(PREC // 4))
+            assert (lu.method, lu.degree_q2) == ("lu", n)
+            _assert_matches_svd_oracle(lu, a, b)
+
+    def test_singular_system_is_a_precision_failure(self):
+        # at 64 bits the n = 8 system on [2, 3] is numerically singular; the
+        # SVD null vector there has log2 cond about 70, beyond the precision
+        a = moments_f1(3 * 8 + 1, 64)
+        b, _ = moments_f2(3 * 8 + 1, MarkovSpec(F23, "arcsine"), 64)
+        with pytest.raises(PrecisionError, match="singular"):
+            solve_hp(8, a, b, 64)
+        assert _svd_oracle(8, a, b, 64)[4] > 64
 
     def test_condition_estimate_matches_singular_values(self):
         bits = 512
@@ -430,38 +457,95 @@ class TestSquareSolve:
         b, _ = moments_f2(k, MarkovSpec(F23, "arcsine"), bits)
         with mp.workprec(bits):
             for n in (5, 10, 20):
-                A, _ = _square_system_oracle(n, a, b)
+                A, _, _ = _square_system_oracle(n, a, b)
                 S = mp.svd_r(A, compute_uv=False)
                 exact = float(mp.log(S[0] / S[A.rows - 1], 2))
                 rows, LU, perm = _raw_lu(A, bits)
                 assert abs(_log2_cond1(rows, LU, perm, bits) - exact) <= 2.0
                 assert abs(solve_hp(n, a, b, bits).log2_cond - exact) <= 2.0
 
-    def test_symmetric_support_odd_order_falls_back_to_svd(self):
-        # sigma symmetric about 0 makes Q2 of odd order n drop to degree n - 1,
-        # so the square system with Q2[n] = 1 has no solution
-        k = 3 * 5 + 1
+    @pytest.mark.parametrize("density", ["arcsine", "constant"])
+    def test_symmetric_support_folds_by_parity(self, density):
+        # sigma symmetric about 0: Q1 is odd and Q2 even of degree
+        # 2 floor(n/2), from the n odd rows; the coefficients outside that
+        # parity are exact zeros, and the unfolded condition holds in full
+        k = 3 * 6 + 1
+        a = moments_f1(k, PREC)
+        b, _ = moments_f2(k, MarkovSpec(SYM, density), PREC)
+        for n in range(7):
+            sol = solve_hp(n, a, b, PREC)
+            assert (sol.method, sol.degree_q2) == ("lu_parity", n - n % 2)
+            assert sol.q1[::2] == (fzero,) * (n // 2 + 1)
+            assert sol.q2[1::2] == (fzero,) * ((n + 1) // 2)
+            assert sol.q2[n - n % 2] == fone
+            assert sol.residual_max <= 2.0 ** (-(PREC // 4))
+            assert sol.residual_order >= 2 * n + 2
+            if n >= 3:
+                _assert_matches_svd_oracle(sol, a, b)
+
+    def test_symmetric_orders_zero_and_one_have_no_zeros(self):
+        # Q2 = 1 at both orders: order 0 leaves no row to solve, order 1 one
+        k = 3 * 1 + 1
         a = moments_f1(k, PREC)
         b, _ = moments_f2(k, MarkovSpec(SYM, "arcsine"), PREC)
-        for n in (3, 5):
-            sol = solve_hp(n, a, b, PREC)
-            assert sol.method == "svd"
-            assert sol.degree_q2 == n - 1
-            assert sol.residual_order >= 2 * n + 2
-        even = solve_hp(4, a, b, PREC)
-        assert (even.method, even.degree_q2) == ("lu", 4)
+        zero, one = solve_hp(0, a, b, PREC), solve_hp(1, a, b, PREC)
+        assert (zero.q0, zero.q1, zero.q2, zero.log2_cond) == ((fzero,), (fzero,), (fone,), 0.0)
+        assert (one.q2, one.degree_q2) == ((fone, fzero), 0)
+        for sol in (zero, one):
+            assert zeros_q2(sol, SYM.hull) == []
+        for n in (0, 1):
+            sol, zeros = solve_with_escalation(n, HPSweep(MarkovSpec(SYM, "arcsine"), [n]), 128)
+            assert (sol.precision_bits, zeros) == (128, [])
 
 
-# The mp.matrix route that the raw-value solve replaced, kept as its oracle:
-# mp.LU_decomp, mp.L_solve and mp.U_solve, the Hager estimate, the transposed
-# solve, the Laurent sums and the Aberth sweep in mpf arithmetic.
+# The mp.matrix routes that the raw-value solve replaced, kept as its
+# oracles: the SVD null vector of the full order condition; mp.LU_decomp,
+# mp.L_solve and mp.U_solve, the Hager estimate, the transposed solve, the
+# Laurent sums and the Aberth sweep in mpf arithmetic.
+
+
+def _moment_matrix(n, a, b):
+    """The (2n+1) x (2n+2) order-condition matrix on (Q1[0..n], Q2[0..n]), as an mp.matrix."""
+    return mp.matrix([[mp.make_mpf(x) for x in a[r : r + n + 1] + b[r : r + n + 1]]
+                      for r in range(2 * n + 1)])
+
+
+def _svd_oracle(n, a, b, bits):
+    """(Q0, Q1, Q2, deg Q2, log2 cond) from the last right-singular vector of the moment matrix.
+
+    Q2 is made monic at its numerical degree, the last coefficient above
+    2^(-bits/2) times the largest; the coefficients are mpf values at bits,
+    and log2 cond is log2(sigma_max / sigma_min) over the 2n+1 singular values.
+    """
+    m = 2 * n + 1
+    with mp.workprec(bits):
+        _, S, V = mp.svd_r(_moment_matrix(n, a, b), full_matrices=True, compute_uv=True)
+        vec = [V[m, j] for j in range(m + 1)]
+        tol = max(abs(x) for x in vec[n + 1 :]) * mp.mpf(2) ** (-(bits // 2))
+        degree = max(i for i, x in enumerate(vec[n + 1 :]) if abs(x) > tol)
+        lead = vec[n + 1 + degree]
+        q1, q2 = [x / lead for x in vec[: n + 1]], [x / lead for x in vec[n + 1 :]]
+        _, q0 = _laurent_oracle(n, _mpf(a), _mpf(b), q1, q2)
+        return q0, q1, q2, degree, float(mp.log(S[0] / S[m - 1], 2))
 
 
 def _square_system_oracle(n, a, b):
-    """The order condition with Q2[n] = 1 as an mp.matrix and its right-hand side."""
+    """The square system that solve_hp solves, as an mp.matrix, its right-hand side and columns.
+
+    The columns index Q1[0..n] followed by Q2[0..n].  When every even b_k is
+    zero the system is the odd rows in Q1 odd and Q2 even with
+    Q2[2 floor(n/2)] = 1, else all rows with Q2[n] = 1.
+    """
     M = _moment_matrix(n, a, b)
-    m = 2 * n + 1
-    return M[:, 0:m], -M.column(m)
+    if all(x == fzero for x in b[::2]):
+        lead = n + 1 + n - n % 2
+        rows = range(1, 2 * n, 2)
+        cols = [*range(1, n + 1, 2), *range(n + 1, lead, 2)]
+    else:
+        lead = 2 * n + 1
+        rows, cols = range(2 * n + 1), range(2 * n + 1)
+    A = mp.matrix([[M[r, c] for c in cols] for r in rows])
+    return A, mp.matrix([-M[r, lead] for r in rows]), list(cols)
 
 
 def _solve_transposed_oracle(LU, perm, c):
@@ -555,23 +639,25 @@ class TestRawSolveMatchesMpmath:
         pytest.param(F_NEAR, 5, 1024, False, id="near-n5-b1024"),
         pytest.param(F_NEAR, 10, 128, False, id="near-n10-b128"),
         pytest.param(F_NEAR, 20, 256, False, id="near-n20-b256"),
-        pytest.param(SYM, 5, 128, True, id="sym-n5-b128"),
-        pytest.param(SYM, 5, 1024, True, id="sym-n5-b1024"),
+        pytest.param(SYM, 5, 128, False, id="sym-n5-b128"),
+        pytest.param(SYM, 5, 1024, False, id="sym-n5-b1024"),
         pytest.param(SYM, 10, 512, False, id="sym-n10-b512"),
         pytest.param(SYM, 20, 128, False, id="sym-n20-b128"),
     ])
     def test_lu_condition_and_zeros_bit_for_bit(self, support, n, bits, singular):
-        # singular: odd n on a symmetric F (deg Q2 = n - 1), or a system
-        # that is numerically singular at this precision
+        # singular: a system that is numerically singular at this precision;
+        # on the symmetric F the system is the folded one
         a = moments_f1(3 * n + 1, bits)
         b, _ = moments_f2(3 * n + 1, MarkovSpec(support, "arcsine"), bits)
         with mp.workprec(bits):
-            A, rhs = _square_system_oracle(n, a, b)
+            A, rhs, cols = _square_system_oracle(n, a, b)
             if singular:
                 with pytest.raises(ZeroDivisionError):
                     mp.mp.LU_decomp(A)
                 with pytest.raises(ZeroDivisionError):
                     _raw_lu(A, bits)
+                with pytest.raises(PrecisionError, match="singular"):
+                    solve_hp(n, a, b, bits)
                 return
             LU, perm = mp.mp.LU_decomp(A)
             rows, LU_r, perm_r = _raw_lu(A, bits)
@@ -583,8 +669,8 @@ class TestRawSolveMatchesMpmath:
             assert _log2_cond1(rows, LU_r, perm_r, bits) == log2_cond
 
         sol = solve_hp(n, a, b, bits)
-        assert sol.method == "lu"
-        assert sol.q1 + sol.q2[:-1] == tuple(_raw(x))
+        assert sol.method == ("lu_parity" if support is SYM else "lu")
+        assert tuple((sol.q1 + sol.q2)[c] for c in cols) == tuple(_raw(x))
         assert sol.log2_cond == log2_cond
         with mp.workprec(bits):
             residuals, q0 = _laurent_oracle(n, _mpf(a), _mpf(b), _mpf(sol.q1), _mpf(sol.q2))
@@ -592,11 +678,12 @@ class TestRawSolveMatchesMpmath:
             assert sol.residual_max == float(max(residuals[: 2 * n + 1]))
 
             # ten Aberth sweeps from the Chebyshev points of the hull
-            coeffs_r = list(reversed(sol.q2))
+            deg = sol.degree_q2
+            coeffs_r = list(reversed(sol.q2[: deg + 1]))
             coeffs = _mpf(coeffs_r)
             lo, hi = support.hull
-            xs = [mp.mpf(lo + hi) / 2 + mp.mpf(hi - lo) / 2 * mp.cos(mp.pi * (2 * k + 1) / (2 * n))
-                  for k in range(n)]
+            xs = [mp.mpf(lo + hi) / 2 + mp.mpf(hi - lo) / 2 * mp.cos(mp.pi * (2 * k + 1) / (2 * deg))
+                  for k in range(deg)]
             xs_r = _raw(xs)
             for _ in range(10):
                 moved = _aberth_sweep_oracle(coeffs, xs)
@@ -747,10 +834,11 @@ class TestZeros:
 
     def test_counting_measure_mass(self, sol5):
         zeros = zeros_q2(sol5, hull=(2.0, 3.0))
-        chi = counting_measure(zeros, 5)
+        chi = counting_measure(zeros)
         assert abs(chi.mass - 1.0) <= 1e-14
+        assert counting_measure(zeros[:4]).weights.tolist() == [0.25] * 4
         with pytest.raises(ValueError):
-            counting_measure([], 5)
+            counting_measure([])
 
 
 class TestConstantDensityPreset:

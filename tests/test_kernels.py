@@ -208,6 +208,9 @@ class TestIntervalUnion:
     def test_symmetry_detection(self):
         assert IntervalUnion([(-3.0, -2.0), (2.0, 3.0)]).is_symmetric()
         assert not IntervalUnion([(2.0, 3.0)]).is_symmetric()
+        # exact: a nearly symmetric F must not fold by parity
+        assert not IntervalUnion([(-3.0, -2.0), (2.0, 3.0 + 1e-13)]).is_symmetric()
+        assert IntervalUnion([(-3.0, -2.0), (-0.5, 0.5), (2.0, 3.0)]).is_symmetric()
 
     @given(
         st.floats(min_value=1.1, max_value=50.0),

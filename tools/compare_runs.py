@@ -1,6 +1,6 @@
 """Compare the outputs of two source trees, file by file, on the reference runs.
 
-    python3 tools/compare_runs.py OLD_TREE NEW_TREE [--work DIR]
+    python3 tools/compare_runs.py OLD_TREE NEW_TREE [--work DIR] [--expect FILE]
 
 Each tree is a checkout of this repository (a directory holding ``src/``).
 Both trees run the same commands, each in a fresh interpreter with
@@ -11,10 +11,17 @@ Both trees run the same commands, each in a fresh interpreter with
   config, seed 1).
 
 Every output file other than ``manifest.json`` and ``timings.json`` must be
-byte-identical between the trees, and every exit code equal.  The script
-prints each difference, with the first differing line of each side for a
-file both trees wrote (every output is JSON, CSV or Markdown text), and
-exits 1 if there is any difference, else 0.  It also prints each run's peak
+byte-identical between the trees, and every exit code equal, unless the
+``--expect`` file declares the difference.  That file holds one line per
+intended difference, ``case<TAB>file-or-exit<TAB>reason``: the case label as
+printed below (``verify-all_sym-arcsine``), the output file's path relative
+to the run's output directory or the word ``exit`` for its exit code, and
+why it changes; blank lines and lines starting with ``#`` are ignored.  The
+script prints each difference, marking the declared ones, with the first
+differing line of each side for a file both trees wrote (every output is
+JSON, CSV or Markdown text).  It exits 1 if there is an undeclared
+difference or a declared one that did not occur (a stale declaration),
+else 0.  It also prints each run's peak
 RSS on both trees (the child's ``ru_maxrss`` from ``os.wait4``, in MiB, as
 ``perfbench`` reports ``peak_rss_mb``); that is information only and never
 changes the exit status.  Outputs go to ``--work`` (a new temporary
@@ -50,6 +57,22 @@ def cases(new_tree, work):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(workload_config(workload, 1), fh, indent=2, sort_keys=True)
         yield f"{workload['command']}_{name}", [workload["command"], "--config", path]
+
+
+def read_expected(path):
+    """{(case, file or "exit"): reason} from a declaration file; None reads as empty."""
+    expected = {}
+    if path is None:
+        return expected
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3 or not all(f.strip() for f in fields):
+                raise SystemExit(f"{path}:{number}: expected case<TAB>file-or-exit<TAB>reason")
+            expected[(fields[0], fields[1])] = fields[2]
+    return expected
 
 
 def run(tree, argv, out):
@@ -95,10 +118,13 @@ def main(argv=None) -> int:
     ap.add_argument("old_tree")
     ap.add_argument("new_tree")
     ap.add_argument("--work", help="output directory (default: a new temporary directory)")
+    ap.add_argument("--expect", help="file declaring the intended differences, one per line")
     args = ap.parse_args(argv)
+    expected = read_expected(args.expect)
     work = args.work or tempfile.mkdtemp(prefix="compare_runs_")
     os.makedirs(work, exist_ok=True)
     problems = 0
+    seen = set()
     for label, cmd in cases(os.path.abspath(args.new_tree), work):
         outs, codes, rss = [], [], []
         for side, tree in (("old", args.old_tree), ("new", args.new_tree)):
@@ -110,12 +136,17 @@ def main(argv=None) -> int:
             if code not in (0, 1):
                 print(f"{label}: {side} exited {code}: {err.strip()}")
         diffs = differing_files(*outs)
-        problems += len(diffs) + (codes[0] != codes[1])
-        status = "same" if not diffs and codes[0] == codes[1] else "DIFFERENT"
+        items = diffs + (["exit"] if codes[0] != codes[1] else [])
+        declared = [item for item in items if (label, item) in expected]
+        seen.update((label, item) for item in declared)
+        problems += len(items) - len(declared)
+        status = ("same" if not items else "DIFFERENT" if len(declared) < len(items)
+                  else "different as declared")
         print(f"{label}: exit {codes[0]} / {codes[1]}, {status}, "
               f"peak RSS {rss[0]:.1f} / {rss[1]:.1f} MiB", flush=True)
-        for f in diffs:
-            print(f"  differs: {f}")
+        for f in items:
+            reason = expected.get((label, f))
+            print(f"  differs: {f}" + (f" (declared: {reason})" if reason else ""))
             paths = [os.path.join(out, f) for out in outs]
             if all(os.path.isfile(path) for path in paths):
                 first = first_difference(*paths)
@@ -123,7 +154,11 @@ def main(argv=None) -> int:
                     number, x, y = first
                     print(f"    line {number} old: {x}")
                     print(f"    line {number} new: {y}")
-    print(f"{problems} difference(s); outputs in {work}")
+    stale = sorted(set(expected) - seen)
+    for label, item in stale:
+        print(f"declared but not different: {label}\t{item}")
+    problems += len(stale)
+    print(f"{problems} undeclared or stale difference(s), {len(seen)} declared; outputs in {work}")
     return 1 if problems else 0
 
 
