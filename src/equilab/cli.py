@@ -3,10 +3,11 @@
 One command per process; configuration comes from a JSON file or a bundled
 preset, with individual flags overriding config keys.  ``validate_config`` is
 the only reader of the config tree: it fills missing keys from ``DEFAULTS``,
-checks every key, types included, and returns the run's objects as one
-:class:`RunConfig` for the command handlers.  A value that the library also
-needs (the gap of F to E, the grid, the orders, the balayage point) is
-checked by the library's own function and reported under its config key.
+checks every key it reads, types included, ignores the others, and returns
+the run's objects as one :class:`RunConfig` for the command handlers.  A
+value that the library also needs (the gap of F to E, the grid, the orders,
+the balayage point) is checked by the library's own function and reported
+under its config key.
 
 Every run writes its artifacts under the output directory plus a manifest
 with content hashes and the BLAS thread settings of the run.  Serialized
@@ -52,8 +53,6 @@ DEFAULTS = {
     "hp": {"n_list": [5, 10, 20, 40], "precision_bits": 512},
     "balayage": {"point": 2.0},
     "tolerance_scale": 1.0,
-    "positivity_samples": 1000,
-    "seed": 20240801,
 }
 
 
@@ -93,7 +92,6 @@ def load_config(args) -> dict:
         "grids.n_per_component": args.nodes,
         "hp.precision_bits": args.precision_bits,
         "tolerance_scale": args.tolerance_scale,
-        "seed": args.seed,
     }
     for key, value in overrides.items():
         if value is None:
@@ -114,8 +112,6 @@ class RunConfig(NamedTuple):
     sigma: object               # MarkovSpec
     n_list: list
     precision_bits: int
-    positivity_samples: int
-    seed: int
     balayage_point: float
 
 
@@ -132,7 +128,7 @@ def _parsers():
     """Config key -> function that checks the value and returns what the run uses."""
     from .balayage import require_outside_e
     from .hermite_pade import require_n_list, require_precision_bits, require_sigma_density
-    from .kernels import IntervalUnion, is_integer, is_real, require_gap_to_e
+    from .kernels import IntervalUnion, is_real, require_gap_to_e
     from .measures import require_grading, require_node_count
 
     return {
@@ -145,16 +141,15 @@ def _parsers():
         "balayage.point": require_outside_e,
         "tolerance_scale": _expect(lambda s: is_real(s) and 0 < s < math.inf,
                                    "a positive finite number"),
-        "positivity_samples": _expect(lambda k: is_integer(k) and k >= 1, "a positive integer"),
-        "seed": _expect(lambda k: is_integer(k) and k >= 0, "a nonnegative integer"),
     }
 
 
 def validate_config(cfg: dict) -> RunConfig:
     """Reads and checks every key, filling missing ones from DEFAULTS.
 
-    Collects every violated invariant into one ConfigError; otherwise returns
-    the run's objects.
+    Keys it does not read are ignored, so configs that still carry retired
+    keys run unchanged.  Collects every violated invariant into one
+    ConfigError; otherwise returns the run's objects.
     """
     from .equilibrium import GridParams
     from .hermite_pade import MarkovSpec
@@ -189,8 +184,6 @@ def validate_config(cfg: dict) -> RunConfig:
         sigma=MarkovSpec(F, values["problem.sigma"]),
         n_list=values["hp.n_list"],
         precision_bits=values["hp.precision_bits"],
-        positivity_samples=values["positivity_samples"],
-        seed=values["seed"],
         balayage_point=values["balayage.point"],
     )
 
@@ -339,9 +332,11 @@ def _cmd_hp(rc: RunConfig, out):
     from .hermite_pade import HPSweep, solve_with_escalation
 
     sweep = HPSweep(rc.sigma, rc.n_list)
+    # every order is solved before anything is written, so that a solver
+    # error leaves no output behind
+    solved = [(n, *solve_with_escalation(n, sweep, rc.precision_bits)) for n in rc.n_list]
     summary = []
-    for n in rc.n_list:
-        sol, zeros = solve_with_escalation(n, sweep, rc.precision_bits)
+    for n, sol, zeros in solved:
         out.write_json(f"hp_n{n}.json", sol.to_json_dict())
         with open(out.path(f"hp_zeros_n{n}.csv"), "w", encoding="utf-8") as fh:
             fh.write("index,zero\n")
@@ -396,7 +391,7 @@ def _cmd_verify(rc: RunConfig, out, which):
         timed(verify_equivalence, rc.F, scalar, coupled, rc.grid, rc.tolerances)
     if which == "all":
         timed(verify_mixed_potential, scalar.measure, coupled[0].measure, rc.tolerances)
-        timed(verify_positivity, scalar.measure, rc.positivity_samples, rc.seed)
+        timed(verify_positivity, scalar.measure)
         timed(verify_charge_slopes, scalar.measure)
     if which in ("prop2", "all"):
         timed(verify_zero_distribution, rc.sigma, rc.n_list, scalar.measure, rc.grid,
@@ -462,7 +457,6 @@ def build_parser():
     ap.add_argument("--precision-bits", type=int, dest="precision_bits")
     ap.add_argument("--nodes", type=int, help="override grids.n_per_component")
     ap.add_argument("--tolerance-scale", type=float, dest="tolerance_scale")
-    ap.add_argument("--seed", type=int)
     return ap
 
 

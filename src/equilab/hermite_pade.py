@@ -82,11 +82,11 @@ One number format runs through the layer, from the sigma nodes to the
 zeros: raw mpf values (mpmath.libmp tuples) in Python lists, each operation
 at an explicit precision with round-to-nearest, so no result depends on
 mpmath's global precision.  Each operation is, op for op, what
-mp.LU_decomp, mp.L_solve, mp.U_solve, mp.fsum, mp.polyval and the mpf
-operators do at the same precision, so every result keeps its bits.  mpf
-objects appear only where mpmath needs them, in the log of a condition
-number.  The moments, the solution coefficients and the zeros' search are
-raw; the zeros leave as Python floats.
+mp.LU_decomp, mp.L_solve, mp.U_solve, mp.fsum, mp.polyval, mp.log and the
+mpf operators do at the same precision, so every result keeps its bits.  No
+mp.mpf object is made: the moments, the solution coefficients, the log of a
+condition number and the zeros' search are raw; the condition number and the
+zeros leave as Python floats.
 """
 
 from __future__ import annotations
@@ -98,11 +98,10 @@ from functools import cmp_to_key
 from math import comb
 from operator import mul
 
-import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
     fnone, fone, fzero, from_float, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_cos, mpf_div, mpf_ge,
-    mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_rdiv_int, mpf_shift,
+    mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_rdiv_int, mpf_shift,
     mpf_sign, mpf_sqrt, mpf_sub, mpf_sum, round_nearest as RND, to_fixed, to_float, to_str,
 )
 
@@ -536,9 +535,10 @@ def _log2_cond1(A, LU, perm, prec) -> float:
                     from_int(3 * m), prec, RND)
         if mpf_gt(t, est):
             est = t
-    # mp.log evaluates at the global precision: pin it to the solve's
-    with mp.workprec(prec):
-        return float(mp.log(mp.make_mpf(mpf_mul(norm_a, est, prec, RND)), 2))
+    # mp.log(x, 2) at precision prec, op for op: ln(x) / ln(2), each log at prec + 20
+    wp = prec + 20
+    log_x = mpf_log(mpf_mul(norm_a, est, prec, RND), wp, RND)
+    return to_float(mpf_div(log_x, mpf_log(from_int(2), wp, RND), prec, RND), rnd=RND)
 
 
 def _laurent_sum(p, q, a, b, lo, prec):

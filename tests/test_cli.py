@@ -22,8 +22,6 @@ SMALL_CFG = {
     "hp": {"n_list": [2, 4], "precision_bits": 192},
     "balayage": {"point": 2.0},
     "tolerance_scale": 4.0,
-    "positivity_samples": 200,
-    "seed": 11,
 }
 
 
@@ -36,6 +34,14 @@ def cfg_path(tmp_path):
 
 def test_unknown_command_exits_2(capsys):
     assert run(["frobnicate"]) == 2
+
+
+def test_seed_flag_is_gone(tmp_path, cfg_path, capsys):
+    # the positivity check samples fixed points, so no flag picks them
+    out = tmp_path / "o"
+    assert run(["verify-all", "--config", cfg_path, "--seed", "1", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_config_lists_violations(tmp_path, capsys):
@@ -67,8 +73,6 @@ def test_invalid_config_lists_violations(tmp_path, capsys):
         ("grids.grading", "2"),
         ("hp.precision_bits", 256.0),
         ("hp.precision_bits", 8192),
-        ("positivity_samples", 0),
-        ("seed", -1),
         ("tolerance_scale", float("inf")),
         ("balayage.point", 0.5),
     ],
@@ -181,6 +185,25 @@ def test_hp_order_zero_closed_form(tmp_path):
         assert abs(mp.mpf(data["q1"][0]) - (-mp.make_mpf(b[0]))) <= mp.mpf(10) ** (-40)
 
 
+def test_hp_solver_error_writes_nothing(tmp_path, cfg_path, monkeypatch, capsys):
+    # every order is solved before the first file is written, so an order
+    # that fails after an accepted one leaves no output directory
+    from equilab import hermite_pade
+
+    original = hermite_pade.solve_with_escalation
+
+    def exhausted_at_4(n, sweep, precision_bits):
+        if n == 4:
+            raise PrecisionError("escalation exhausted at 4096 bits for order 4")
+        return original(n, sweep, precision_bits)
+
+    monkeypatch.setattr(hermite_pade, "solve_with_escalation", exhausted_at_4)
+    out = tmp_path / "o"
+    assert run(["hp", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "escalation exhausted" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hp_zeros_pinned(tmp_path):
     # the mpmath arithmetic is deterministic: a refactor of the HP layer must
     # reproduce these zero files byte for byte
@@ -249,15 +272,18 @@ def test_hp_output_ignores_global_precision(tmp_path, global_prec):
 
 
 def test_verify_all_leaves_numpy_ma_unloaded(tmp_path, cfg_path):
-    # numpy.ma costs a run about 17 ms to import; no command needs it
+    # numpy.ma costs a run about 17 ms to import, and numpy.random (with the
+    # secrets and hmac modules it pulls in) 14-18 ms and 6.5 MiB; no command
+    # needs either
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    unloaded = ["numpy.ma", "numpy.random", "secrets", "hmac"]
     code = ("import sys; from equilab.cli import run; "
             f"rc = run(['verify-all', '--config', {cfg_path!r}, '--out', {str(tmp_path / 'o')!r}]); "
-            "print(rc, 'numpy.ma' in sys.modules)")
+            f"print(rc, [m for m in {unloaded!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_equilab_modules_leave_hashlib_unloaded():
@@ -345,8 +371,7 @@ def test_verify_all_potential_reports_pinned(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]]},
                              "grids": {"n_per_component": 64},
-                             "hp": {"n_list": [2, 4], "precision_bits": 128},
-                             "positivity_samples": 200}))
+                             "hp": {"n_list": [2, 4], "precision_bits": 128}}))
     out = tmp_path / "o"
     assert run(["verify-all", "--config", str(p), "--out", str(out)]) == 1
     with open(os.path.join(DATA, "verify_all_f23-arcsine_n64.report.json"), "rb") as fh:

@@ -1,6 +1,7 @@
 """High-precision Hermite-Pade tests: moments, order condition, real zeros."""
 
 import json
+import random
 
 import mpmath as mp
 import numpy as np
@@ -30,7 +31,7 @@ from equilab.hermite_pade import (
     discretize_sigma,
 )
 from equilab.kernels import IntervalUnion
-from mpmath.libmp import fone, from_int, fzero, mpf_mul_int, round_nearest
+from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_mul_int, round_nearest, to_str
 
 F23 = IntervalUnion([(2.0, 3.0)])
 SYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
@@ -689,6 +690,32 @@ class TestRawSolveMatchesMpmath:
                 moved = _aberth_sweep_oracle(coeffs, xs)
                 assert _aberth_sweep(coeffs_r, xs_r, bits) == mp.mpf(moved)._mpf_
                 assert xs_r == _raw(xs)
+
+
+class TestLog2Cond1MatchesMpmath:
+    """The raw-value log of the condition number keeps every bit of mp.log(x, 2)."""
+
+    @pytest.mark.parametrize("global_prec", [12, 53, 2000])
+    @pytest.mark.parametrize("bits", [64, 128, 512, 4096])
+    def test_bit_for_bit_at_any_global_precision(self, bits, global_prec):
+        # diag(x, 1) with x >= 1 has cond_1 = x, and Hager's estimate finds
+        # it exactly, so the result is log2(x), for x of full precision in
+        # [1, 2^(bits - 4)), below where the LU calls the system singular
+        rng = random.Random(bits)
+        saved = mp.mp.prec
+        for _ in range(100):
+            man = rng.getrandbits(bits) | 1 << (bits - 1)
+            x = from_man_exp(man, rng.randrange(bits - 4) - bits + 1)
+            A = [[x, fzero], [fzero, fone]]
+            LU = [row[:] for row in A]
+            perm = _lu_decomp(LU, bits)
+            with mp.workprec(bits):
+                expected = float(mp.log(mp.make_mpf(x), 2))
+            mp.mp.prec = global_prec
+            try:
+                assert _log2_cond1(A, LU, perm, bits) == expected, to_str(x, 30)
+            finally:
+                mp.mp.prec = saved
 
 
 class TestQuadratureRestart:
