@@ -277,17 +277,34 @@ def row_slices(n_rows, n_cols):
         yield slice(start, min(start + rows, n_rows))
 
 
-def fill_cell_averages(out, z, cells, scale=1.0):
+def _fold_columns(Q, start):
+    """Q[:, start:] after adding to each of those columns its mirror column, in place.
+
+    Column k of an N-column block mirrors to column N-1-k.  With ``start``
+    = N // 2 the view holds the representative half, each column the sum of
+    a mirror pair, except the middle column of an odd N, which is its own
+    mirror; with ``start`` = 0 nothing is added and the view is all of Q.
+    """
+    n = Q.shape[1]
+    Q[:, n - start:] += Q[:, :start][:, ::-1]
+    return Q[:, start:]
+
+
+def fill_cell_averages(out, z, cells, scale=1.0, start=0):
     """Write scale * neglog_cell_averages(z, cells) into ``out``, one row block at a time.
 
     ``cells`` is a :class:`Grid` or a measure: the averages read only its
     nodes and cell edges, never weights.  ``out`` is the
-    len(z) x len(cells.nodes) slice of a system matrix, so the matrix is the
-    only full-size buffer.  Every entry is computed and scaled elementwise,
-    so the bits are those of scale * neglog_cell_averages over all of z.
+    len(z) x (len(cells.nodes) - start) slice of a system matrix, so the
+    matrix is the only full-size buffer; with ``start`` > 0 each block's
+    columns are mirror-folded by :func:`_fold_columns` before they are
+    scaled.  Every entry is computed, added and scaled elementwise, so with
+    ``start`` = 0 the bits are those of scale * neglog_cell_averages over
+    all of z.
     """
     for rows in row_slices(len(z), len(cells.nodes)):
-        np.multiply(neglog_cell_averages(z[rows], cells), scale, out=out[rows])
+        np.multiply(_fold_columns(neglog_cell_averages(z[rows], cells), start), scale,
+                    out=out[rows])
     return out
 
 

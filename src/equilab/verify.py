@@ -241,9 +241,12 @@ def verify_equivalence(
                  "reduced route needs a single-interval F")
 
     if F.is_symmetric():
-        sym = float(np.max(np.abs(sol_e.measure.weights - sol_e.measure.weights[::-1])))
+        # the coupled E weights are mirrored from half a grid by construction;
+        # the reconstruction is the E-side measure that no solve folds
+        sym = float(np.max(np.abs(recon.weights - recon.weights[::-1])))
         rep.add_bound("equivalence.symmetry_e", sym, 1e-10,
-                      "E weights invariant under x -> -x for symmetric F")
+                      "reconstruction (swept F measure + 3 tau_E)/4 invariant under x -> -x "
+                      "for symmetric F")
 
     rep.provenance["constants"] = {
         "w_F": w_f,

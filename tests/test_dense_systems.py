@@ -4,7 +4,10 @@
 entry of their system matrix once, in row blocks, straight into the array
 that ``np.linalg.solve`` factors.  The oracles here build the same matrices
 from full-size blocks, as the solvers once did, and the matrix handed to
-LAPACK must equal them bit for bit, as must the recorded residuals.
+LAPACK must equal them bit for bit, as must the recorded residuals.  On
+F = -F the scalar and coupled solves factor the index-mirror fold of those
+matrices (:func:`_mirror_fold`), and solving it must give the weights of
+the unfolded system.
 """
 
 import tracemalloc
@@ -23,6 +26,7 @@ from equilab.equilibrium import (
     surface_field,
     surface_kernel,
 )
+from equilab.errors import DiscretizationError
 from equilab.kernels import IntervalUnion
 from equilab.measures import (
     LOG_KERNEL,
@@ -75,6 +79,37 @@ def _collocation_oracle(F, gp):
     A[nE + nF, :nE] = 1.0
     A[nE + nF + 1, nE : nE + nF] = 1.0
     return A, (QEE, QEF, QFE, QFF)
+
+
+def _mirror_fold(A, sizes, fold):
+    """The index-mirror fold of a bordered matrix whose leading blocks are grids of ``sizes``.
+
+    Per block of N unknowns, rows and columns N // 2 .. N-1 are kept and
+    column k gets column N-1-k added unless it is its own mirror; the
+    border rows and columns are kept whole, so a mass row of ones becomes
+    twos (one on a self-mirror cell).  Without ``fold`` A is returned as is.
+    """
+    if not fold:
+        return A, [0] * len(sizes)
+    starts, keep, mirror = [], [], []
+    edge = 0
+    for N in sizes:
+        s = N // 2
+        k = np.arange(edge + s, edge + N)
+        starts.append(s)
+        keep.append(k)
+        mirror.append(2 * edge + N - 1 - k)
+        edge += N
+    keep = np.concatenate(keep + [np.arange(edge, A.shape[0])])
+    mirror = np.concatenate(mirror + [np.arange(edge, A.shape[0])])
+    folded = A[np.ix_(keep, keep)]
+    pair = (mirror != keep) & (keep < edge)
+    folded[:, pair] += A[np.ix_(keep, mirror[pair])]
+    return folded, starts
+
+
+def _unfold(u, N):
+    return np.concatenate([u[::-1][: N - len(u)], u])
 
 
 def _assert_bits_equal(a, b):
@@ -130,22 +165,29 @@ def test_saddle_matrix_equals_one_shot(F, solved_matrices):
     oracle[:n, :n] = K
     oracle[:n, n] = 1.0
     oracle[n, :n] = 1.0
-    _assert_bits_equal(A, oracle)
+    folded, (s,) = _mirror_fold(oracle, [n], F.is_symmetric())
+    _assert_bits_equal(A, folded)
+    assert sol.method == ("saddle_parity" if s else "saddle")
     f = surface_field(grid.nodes)
-    w = np.linalg.solve(oracle, np.concatenate([-f, [1.0]]))[:n]
-    _assert_bits_equal(sol.measure.weights, np.maximum(w, 0.0))
+    w = np.linalg.solve(folded, np.concatenate([-f[s:], [1.0]]))[: n - s]
+    _assert_bits_equal(sol.measure.weights, _unfold(np.maximum(w, 0.0), n))
 
 
 @SUPPORTS
 def test_collocation_matrix_and_residuals_equal_one_shot(F, solved_matrices):
     sol_e, sol_f = solve_vector(F, GP)
     (A,) = solved_matrices
-    oracle, (QEE, QEF, QFE, QFF) = _collocation_oracle(F, GP)
-    _assert_bits_equal(A, oracle)
-    ue, uf = sol_e.measure.weights, sol_f.measure.weights
+    oracle, _ = _collocation_oracle(F, GP)
+    nE, nF = sol_e.measure.weights.size, sol_f.measure.weights.size
+    folded, (sE, sF) = _mirror_fold(oracle, [nE, nF], F.is_symmetric())
+    _assert_bits_equal(A, folded)
+    assert sol_e.method == ("collocation_parity" if sE else "collocation")
+    ue, uf = sol_e.measure.weights[sE:], sol_f.measure.weights[sF:]
+    mE, mF = nE - sE, nF - sF
+    E, Fb = slice(0, mE), slice(mE, mE + mF)
     w1, w2 = sol_e.constants
-    r1 = float(np.max(np.abs(4.0 * (QEE @ ue) - QEF @ uf - w1)))
-    r2 = float(np.max(np.abs(-(QFE @ ue) + QFF @ uf - w2)))
+    r1 = float(np.max(np.abs(folded[E, E] @ ue + folded[E, Fb] @ uf - w1)))
+    r2 = float(np.max(np.abs(folded[Fb, E] @ ue + folded[Fb, Fb] @ uf - w2)))
     assert (sol_e.residual_sup, sol_f.residual_sup) == (r1, r2)
 
 
@@ -167,13 +209,17 @@ def test_balayage_matrix_and_residual_equal_one_shot(F, solved_matrices):
     assert res.residual_sup == resid
 
 
-def _system_bytes_and_call(name):
-    gp = GridParams(n=400, grading=2.0)
-    ge, gf = make_grid(E_INTERVAL, gp.n, gp.grading), make_grid(FSYM, gp.n, gp.grading)
+def _system_bytes_and_call(name, F):
+    # at 800 cells per component even the folded systems are large enough
+    # that a block's temporaries stay well under a quarter of the matrix
+    gp = GridParams(n=800, grading=2.0)
+    ge, gf = make_grid(E_INTERVAL, gp.n, gp.grading), make_grid(F, gp.n, gp.grading)
+    # on F = -F the scalar and coupled systems hold the representative half
+    half = (lambda g: g.size - g.size // 2) if F.is_symmetric() else (lambda g: g.size)
     if name == "solve_scalar":
-        return (gf.size + 1) ** 2 * 8, lambda: solve_scalar(FSYM, gp)
+        return (half(gf) + 1) ** 2 * 8, lambda: solve_scalar(F, gp)
     if name == "solve_vector":
-        return (ge.size + gf.size + 2) ** 2 * 8, lambda: solve_vector(FSYM, gp)
+        return (half(ge) + half(gf) + 2) ** 2 * 8, lambda: solve_vector(F, gp)
     src = chebyshev_measure(ge)
     return (gf.size + 1) ** 2 * 8, lambda: balayage_numeric(src, gf)
 
@@ -182,13 +228,55 @@ def _system_bytes_and_call(name):
 def test_peak_memory_is_one_system_matrix(name):
     # np.linalg.solve factors a Fortran-order working copy of the matrix that
     # LAPACK's wrapper allocates with malloc, which tracemalloc does not see;
-    # the bound is on everything else, so a second full-size array fails it
-    nbytes, call = _system_bytes_and_call(name)
-    call()  # one-time imports and caches stay out of the measurement
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * nbytes, f"{name}: peak {peak} bytes for a {nbytes}-byte system"
+    # the bound is on everything else, so a second full-size array fails it,
+    # and on F = -F so does an unfolded system
+    for F in (F23, FSYM):
+        nbytes, call = _system_bytes_and_call(name, F)
+        call()  # one-time imports and caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * nbytes, f"{name}, F = {F.intervals}: peak {peak}, system {nbytes}"
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_folded_solves_satisfy_the_unfolded_systems(n):
+    # at odd n the E grid has a self-mirror middle cell, counted once
+    gp = GridParams(n=n, grading=2.0)
+    grid = make_grid(FSYM, gp.n, gp.grading)
+    sol = solve_scalar(FSYM, gp)
+    N = grid.size
+    A = np.zeros((N + 1, N + 1))
+    A[:N, :N] = _energy_matrix_oracle(grid, surface_kernel())
+    A[:N, N] = 1.0
+    A[N, :N] = 1.0
+    rhs = np.concatenate([-surface_field(grid.nodes), [1.0]])
+    x = np.concatenate([sol.measure.weights, [-sol.constant]])
+    assert np.max(np.abs(A @ x - rhs)) <= 1e-12
+    assert np.max(np.abs(x[:N] - np.linalg.solve(A, rhs)[:N])) <= 1e-12
+
+    sol_e, sol_f = solve_vector(FSYM, gp)
+    A, _ = _collocation_oracle(FSYM, gp)
+    nE = sol_e.measure.weights.size
+    rhs = np.concatenate([np.zeros(A.shape[0] - 2), [1.0, 1.0]])
+    x = np.concatenate([sol_e.measure.weights, sol_f.measure.weights, sol_e.constants])
+    assert nE == n and sol_e.method == "collocation_parity"
+    assert np.max(np.abs(A @ x - rhs)) <= 1e-12
+    assert np.max(np.abs(x[:-2] - np.linalg.solve(A, rhs)[:-2])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "solve, message",
+    [(solve_scalar, "saddle weight -5.710e-02 at node 51.51218539325843 with 8 cells"),
+     (solve_vector, "collocation weight -1.052e-01 at node 51.51218539325843 with 8 cells")],
+)
+def test_folded_solves_report_a_coarse_grid_as_unfolded(solve, message):
+    # 8 cells on each component of the long F = -F = +-[1.001, 1000]: the
+    # folded systems name the same weight and node as the whole ones did
+    F = IntervalUnion([(-1000.0, -1.001), (1.001, 1000.0)])
+    with pytest.raises(DiscretizationError) as info:
+        solve(F, GridParams(n=8, grading=2.0))
+    assert message in str(info.value)

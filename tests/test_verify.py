@@ -1,5 +1,6 @@
 """Verification-harness tests at reduced grid scale."""
 
+import numpy as np
 import pytest
 
 from equilab.equilibrium import GridParams, solve_scalar, solve_vector
@@ -43,10 +44,19 @@ class TestEquivalence:
         assert "equivalence.reduced_constant_consistency" in ids
 
     def test_symmetric_f(self):
-        rep = verify_equivalence(FSYM, solve_scalar(FSYM, GP), solve_vector(FSYM, GP), GP, TOL)
+        from equilab.balayage import reconstruct_e_measure
+        from equilab.equilibrium import E_INTERVAL
+        from equilab.measures import make_grid
+
+        scalar = solve_scalar(FSYM, GP)
+        rep = verify_equivalence(FSYM, scalar, solve_vector(FSYM, GP), GP, TOL)
         assert rep.all_passed
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["equivalence.symmetry_e"].status == "pass"
+        # the coupled E weights are mirror-exact by construction, so the
+        # check measures the reconstruction, which no solve folds
+        w = reconstruct_e_measure(scalar.measure, make_grid(E_INTERVAL, GP.n, GP.grading)).weights
+        assert by_id["equivalence.symmetry_e"].value == float(np.max(np.abs(w - w[::-1])))
         # reduced route is single-interval only: recorded as skipped
         assert by_id["equivalence.ks_reduced_vs_coupled_e"].status == "skipped"
         assert by_id["equivalence.reduced_constant_consistency"].status == "skipped"
