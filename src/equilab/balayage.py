@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import E_LEFT, E_RIGHT, IntervalUnion, green_e_at_infinity, is_real
-from .measures import DiscreteMeasure, Grid, log_potential
+from .measures import LOG_KERNEL, DiscreteMeasure, Grid, log_potential
 from .equilibrium import collocate
 
 
@@ -93,7 +93,7 @@ def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> BalayageResult:
         raise ValueError("source support must be disjoint from the target (or equal to it)")
 
     rhs = log_potential(mu, target.nodes)
-    (b,), (c,), (resid,) = collocate([target], [[1.0]], [rhs], [mu.mass])
+    (b,), (c,), (resid,) = collocate([target], [[LOG_KERNEL]], [rhs], [mu.mass])
     return BalayageResult(
         measure=DiscreteMeasure.from_weights(target, b), shift_constant=c, residual_sup=resid
     )

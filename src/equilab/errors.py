@@ -20,8 +20,8 @@ class NonConvergenceError(EquilabError):
 
 
 class DiscretizationError(EquilabError):
-    """The grid is too coarse for the problem: any dense system (a saddle or
-    a collocation system) gives a negative weight."""
+    """The grid is too coarse for the problem: a collocation system gives a
+    negative weight."""
 
 
 class QuadratureError(EquilabError):

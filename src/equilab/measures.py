@@ -19,8 +19,9 @@ The near cells are found without a full (point, cell) mask: a sorted
 search of the evaluation points over each cell's window yields candidate
 rows, and the exact window test runs on those alone.  The evaluator builds
 the kernel matrix in row blocks of at most BLOCK_ENTRIES entries, so its
-memory does not grow with the number of points; the dense solvers fill their
-system matrices through the same row blocks (:func:`fill_cell_averages`).
+memory does not grow with the number of points; the dense solver,
+:func:`equilab.equilibrium.collocate`, fills its system matrices from the
+same row blocks.  Both build every block with :func:`kernel_cell_averages`.
 Neither changes a value: the window decision is the same per (point, cell),
 every entry is computed elementwise, and each block row sums the same
 products in the same order as one product over all points.
@@ -46,8 +47,9 @@ from .kernels import (
 # integrated analytically; farther cells use the midpoint value.
 ANALYTIC_WINDOW = 6.0
 
-# Kernel entries per row block of a potential evaluation (512 KB of float64).
-BLOCK_ENTRIES = 1 << 16
+# Kernel entries per row block of a potential evaluation or a system matrix
+# (256 KB of float64).
+BLOCK_ENTRIES = 1 << 15
 
 MASS_TOL = 1e-8
 
@@ -242,9 +244,8 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
     piecewise-constant density, including the cell containing z), midpoint
     beyond; atoms always take the midpoint path.  The points must be real:
     a complex z raises TypeError.  The matrix is built in one buffer;
-    callers that need only Q @ w go through :func:`kernel_potential`, and
-    callers that keep it through :func:`fill_cell_averages`, which both
-    bound that buffer's size.
+    callers take it in :func:`row_slices` blocks through
+    :func:`kernel_cell_averages`, which bounds that buffer's size.
     """
     z = np.atleast_1d(np.asarray(z))
     if np.iscomplexobj(z):
@@ -277,7 +278,7 @@ def row_slices(n_rows, n_cols):
         yield slice(start, min(start + rows, n_rows))
 
 
-def _fold_columns(Q, start):
+def fold_columns(Q, start):
     """Q[:, start:] after adding to each of those columns its mirror column, in place.
 
     Column k of an N-column block mirrors to column N-1-k.  With ``start``
@@ -288,24 +289,6 @@ def _fold_columns(Q, start):
     n = Q.shape[1]
     Q[:, n - start:] += Q[:, :start][:, ::-1]
     return Q[:, start:]
-
-
-def fill_cell_averages(out, z, cells, scale=1.0, start=0):
-    """Write scale * neglog_cell_averages(z, cells) into ``out``, one row block at a time.
-
-    ``cells`` is a :class:`Grid` or a measure: the averages read only its
-    nodes and cell edges, never weights.  ``out`` is the
-    len(z) x (len(cells.nodes) - start) slice of a system matrix, so the
-    matrix is the only full-size buffer; with ``start`` > 0 each block's
-    columns are mirror-folded by :func:`_fold_columns` before they are
-    scaled.  Every entry is computed, added and scaled elementwise, so with
-    ``start`` = 0 the bits are those of scale * neglog_cell_averages over
-    all of z.
-    """
-    for rows in row_slices(len(z), len(cells.nodes)):
-        np.multiply(_fold_columns(neglog_cell_averages(z[rows], cells), start), scale,
-                    out=out[rows])
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -323,23 +306,32 @@ class SingularKernel:
 LOG_KERNEL = SingularKernel(sing_coeff=1.0)
 
 
+def kernel_cell_averages(z, cells, kernel: SingularKernel):
+    """Matrix of the kernel's averages over the cells of ``cells`` at real z.
+
+    sing_coeff * :func:`neglog_cell_averages` (scaled in place) plus the
+    smooth part at the (z, node) pairs.  ``cells`` is a measure or a
+    :class:`Grid`: only its nodes and cell edges are read.  This is the one
+    row block of every potential and every dense system matrix.
+    """
+    Q = neglog_cell_averages(z, cells)
+    Q *= kernel.sing_coeff
+    if kernel.smooth is not None:
+        Q += kernel.smooth(z[:, None], cells.nodes[None, :])
+    return Q
+
+
 def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
     """Integral of the kernel against the measure at real z.
 
-    Built one :func:`row_slices` block at a time: the block's -log cell
-    averages Q are scaled by ``sing_coeff`` in place, the smooth part at
-    (z, node) pairs is added, and the block is applied to the weights.
+    Built one :func:`row_slices` block of :func:`kernel_cell_averages` at a
+    time, each applied to the weights.
     """
     z_in = z
     z = np.atleast_1d(np.asarray(z))
     out = np.empty(len(z))
     for rows in row_slices(len(z), len(mu.nodes)):
-        zb = z[rows]
-        Q = neglog_cell_averages(zb, mu)
-        Q *= kernel.sing_coeff
-        if kernel.smooth is not None:
-            Q += kernel.smooth(zb[:, None], mu.nodes[None, :])
-        out[rows] = Q @ mu.weights
+        out[rows] = kernel_cell_averages(z[rows], mu, kernel) @ mu.weights
     return float(out[0]) if np.ndim(z_in) == 0 else out
 
 

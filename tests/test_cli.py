@@ -114,7 +114,7 @@ def test_solve_scalar_artifacts(cfg_path, tmp_path, capsys):
     assert (out / "scalar_f.csv").exists()
     sidecar = json.loads((out / "scalar_f.json").read_text())
     assert {"constant", "residual_sup", "min_density", "iterations", "grid"} <= set(sidecar)
-    assert (sidecar["method"], sidecar["iterations"]) == ("saddle", 0)
+    assert (sidecar["method"], sidecar["iterations"]) == ("collocation", 0)
     assert sidecar["grid"]["n_per_component"] == 100
     summary = capsys.readouterr().out
     assert "[solve-scalar]" in summary
@@ -343,11 +343,12 @@ def test_verify_theorem1_pinned_on_multi_block_systems(tmp_path):
 
 
 def test_verify_prop2_constant_sigma_pinned(tmp_path):
-    # written by the Gauss-Legendre rule that Fejer's first rule replaced:
-    # the moments agree to 2^-256, so every value of the report must stay
-    # the same; only the rule's name and its accepted quadrature orders may
-    # change.  Both sides go through one serializer, which writes each float
-    # as the shortest decimal that reads back to it.
+    # written by the Gauss-Legendre rule that Fejer's first rule replaced
+    # (its KS distances since re-measured against the collocation scalar
+    # solve): the moments agree to 2^-256, so every value of the report must
+    # stay the same; only the rule's name and its accepted quadrature orders
+    # may change.  Both sides go through one serializer, which writes each
+    # float as the shortest decimal that reads back to it.
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"problem": {"f_intervals": [[2.0, 3.0]], "sigma": "constant"},
                              "hp": {"n_list": [5, 10, 20]}}))
@@ -582,10 +583,10 @@ NEAR_E_POINT = {"problem": {"f_intervals": [[2.0, 3.0]]}, "balayage": {"point": 
 @pytest.mark.parametrize(
     "command, cfg, fragments",
     [
-        # 8 cells on the long F = [1.001, 1000] give a negative saddle weight
-        # in the scalar problem and a negative coupled weight
+        # 8 cells on the long F = [1.001, 1000] give a negative weight in
+        # the scalar problem and in the coupled one
         pytest.param("solve-scalar", LONG_F_8_CELLS,
-                     ["saddle weight -6.848e-03 at node 51.51218539325843",
+                     ["collocation weight -6.596e-02 at node 51.51218539325843",
                       "8 cells per component"],
                      id="solve-scalar"),
         pytest.param("solve-vector", LONG_F_8_CELLS,
@@ -603,7 +604,7 @@ NEAR_E_POINT = {"problem": {"f_intervals": [[2.0, 3.0]]}, "balayage": {"point": 
     ],
 )
 def test_coarse_collocation_grid_exits_2(tmp_path, capsys, command, cfg, fragments):
-    # a saddle or collocation system with a negative weight ends the run
+    # a collocation system with a negative weight ends the run
     # with the weight, its node and the cells per component, and writes
     # nothing
     p = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """tools/compare_runs.py: declared differences pass, undeclared and stale ones fail."""
 
+import json
 import os
 import sys
 
@@ -58,3 +59,43 @@ def test_malformed_declaration(tmp_path):
 def test_repository_declaration_parses():
     expected = compare_runs.read_expected(os.path.join(ROOT, "tools", "expected_differences.tsv"))
     assert all(reason for reason in expected.values())
+
+
+def _report(checks):
+    return json.dumps({"reports": [{"name": "r", "checks": [
+        {"check_id": cid, "value": value, "status": status} for cid, value, status in checks]}]})
+
+
+def test_report_statuses_printed(tmp_path, monkeypatch, capsys):
+    # case "same" moves only a value, case "moved" a status and an id; the
+    # status lines are information only and do not change the exit code
+    old = [("a.x", 1.0, "pass"), ("a.y", 2.0, "fail")]
+    reports = {
+        "same": (old, [("a.x", 1.5, "pass"), ("a.y", 2.0, "fail")]),
+        "moved": (old, [("a.x", 1.0, "fail"), ("a.z", 2.0, "fail")]),
+    }
+
+    def cases(new_tree, work):
+        return [(label, ["verify-all"]) for label in reports]
+
+    def run(tree, argv, out):
+        side, label = os.path.basename(tree), os.path.basename(out)
+        os.makedirs(out)
+        with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
+            fh.write(_report(reports[label][side == "new"]))
+        return 0, "", 1.0
+
+    monkeypatch.setattr(compare_runs, "cases", cases)
+    monkeypatch.setattr(compare_runs, "run", run)
+    expect = tmp_path / "expect.tsv"
+    expect.write_text("same\treport.json\twhy\nmoved\treport.json\twhy\n")
+    trees = [str(tmp_path / "old"), str(tmp_path / "new")]
+    assert compare_runs.main([*trees, "--work", str(tmp_path / "w"), "--expect", str(expect)]) == 0
+    out = capsys.readouterr().out
+    same, moved = out.split("moved: exit")
+    assert "    checks: statuses unchanged" in same
+    assert [line for line in moved.splitlines() if line.startswith("    checks:")] == [
+        "    checks: a.x: pass -> fail",
+        "    checks: a.y: fail -> absent",
+        "    checks: a.z: absent -> fail",
+    ]

@@ -1,13 +1,15 @@
 """The dense float-layer systems against one-shot builders, and their memory.
 
-``solve_scalar``, ``solve_vector`` and ``balayage_numeric`` write every
-entry of their system matrix once, in row blocks, straight into the array
+``solve_scalar``, ``solve_reduced``, ``solve_vector`` and
+``balayage_numeric`` are each one ``collocate`` call, which writes every
+entry of its system matrix once, in row blocks, straight into the array
 that ``np.linalg.solve`` factors.  The oracles here build the same matrices
-from full-size blocks, as the solvers once did, and the matrix handed to
-LAPACK must equal them bit for bit, as must the recorded residuals.  On
-F = -F the scalar and coupled solves factor the index-mirror fold of those
-matrices (:func:`_mirror_fold`), and solving it must give the weights of
-the unfolded system.
+from full-size blocks, the -log cell averages scaled and the smooth part
+added in one shot, and the matrix handed to LAPACK must equal them bit for
+bit, as must the recorded residuals.  On F = -F the scalar and coupled
+solves factor the index-mirror fold of those matrices
+(:func:`_mirror_fold`), and solving it must give the weights of the
+unfolded system.
 """
 
 import tracemalloc
@@ -21,6 +23,7 @@ from equilab.equilibrium import (
     GridParams,
     assemble_energy_matrix,
     reduced_kernel,
+    solve_reduced,
     solve_scalar,
     solve_vector,
     surface_field,
@@ -43,16 +46,23 @@ SUPPORTS = pytest.mark.parametrize("F", [F23, FSYM], ids=["f23", "sym"])
 GP = GridParams(n=200, grading=2.0)
 
 
-def _energy_matrix_oracle(grid, kernel):
-    x = grid.nodes
-    D = x[:, None] - x[None, :]
-    with np.errstate(divide="ignore"):
-        K = -np.log(np.abs(D))
-    np.fill_diagonal(K, 1.5 - np.log(grid.widths))
-    K = kernel.sing_coeff * K
+def _kernel_matrix_oracle(z, grid, kernel):
+    # sing_coeff * -log cell averages plus the smooth part, all rows at once
+    Q = kernel.sing_coeff * neglog_cell_averages(z, _uniform(grid))
     if kernel.smooth is not None:
-        K = K + kernel.smooth(x[:, None], x[None, :])
-    return K
+        Q = Q + kernel.smooth(z[:, None], grid.nodes[None, :])
+    return Q
+
+
+def _single_grid_oracle(grid, kernel):
+    # the bordered matrix of one-grid collocation: the kernel block, the -1
+    # column of the constant and the mass row
+    n = grid.size
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = _kernel_matrix_oracle(grid.nodes, grid, kernel)
+    A[:n, n] = -1.0
+    A[n, :n] = 1.0
+    return A
 
 
 def _uniform(grid, mass=1.0):
@@ -132,11 +142,12 @@ def solved_matrices(monkeypatch):
 
 
 def test_sym_grid_fills_in_ragged_blocks():
-    # the F x F block of the two-component grid at n = 200: 400 rows of 400
-    # entries, 160 rows per block, so the oracles below cover the last
-    # (ragged) block; on [2, 3] each 200 x 200 block is a single row block
-    assert [s.stop - s.start for s in row_slices(400, 400)] == [160, 160, 80]
-    assert [s.stop - s.start for s in row_slices(200, 200)] == [200]
+    # the F x F block of the folded two-component system at n = 200: 200
+    # representative rows of 400 entries before the fold, 80 rows per
+    # block, so the oracles below cover the last (ragged) block; on [2, 3]
+    # the 200 x 200 block ends in a ragged block too
+    assert [s.stop - s.start for s in row_slices(200, 400)] == [80, 80, 40]
+    assert [s.stop - s.start for s in row_slices(200, 200)] == [160, 40]
 
 
 @pytest.mark.parametrize("n", [8, 37, 300])
@@ -145,32 +156,38 @@ def test_energy_matrix_equals_one_shot(n, kernel):
     support = E_INTERVAL if kernel != "surface" else FSYM
     k = {"log": LOG_KERNEL, "surface": surface_kernel(), "reduced": reduced_kernel(F23)}[kernel]
     grid = make_grid(support, n, 2.0)
-    oracle = _energy_matrix_oracle(grid, k)
-    _assert_bits_equal(assemble_energy_matrix(grid, k), oracle)
+    oracle = _kernel_matrix_oracle(grid.nodes, grid, k)
     # written into the slice of a larger matrix, nothing outside it changes
     A = np.full((grid.size + 1, grid.size + 1), 7.0)
-    assemble_energy_matrix(grid, k, out=A[: grid.size, : grid.size])
+    assemble_energy_matrix(A[: grid.size, : grid.size], grid.nodes, grid, k)
     _assert_bits_equal(A[: grid.size, : grid.size], oracle)
     assert np.all(A[grid.size] == 7.0) and np.all(A[:, grid.size] == 7.0)
 
 
-@SUPPORTS
-def test_saddle_matrix_equals_one_shot(F, solved_matrices):
-    sol = solve_scalar(F, GP)
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("problem", ["scalar-f23", "scalar-sym", "reduced-f23"])
+def test_single_grid_matrix_equals_one_shot(problem, n, solved_matrices):
+    # the scalar system, mirror-folded on F = -F, and the reduced one on E
+    gp = GridParams(n=n, grading=2.0)
+    if problem == "reduced-f23":
+        sol, grid, kernel = solve_reduced(F23, gp), make_grid(E_INTERVAL, n, 2.0), reduced_kernel(F23)
+        rhs = np.zeros(grid.size)
+    else:
+        F = FSYM if problem == "scalar-sym" else F23
+        sol, grid, kernel = solve_scalar(F, gp), make_grid(F, n, 2.0), surface_kernel()
+        rhs = -surface_field(grid.nodes)
     (A,) = solved_matrices
-    grid = make_grid(F, GP.n, GP.grading)
-    n = grid.size
-    K = _energy_matrix_oracle(grid, surface_kernel())
-    oracle = np.zeros((n + 1, n + 1))
-    oracle[:n, :n] = K
-    oracle[:n, n] = 1.0
-    oracle[n, :n] = 1.0
-    folded, (s,) = _mirror_fold(oracle, [n], F.is_symmetric())
+    N = grid.size
+    folded, (s,) = _mirror_fold(_single_grid_oracle(grid, kernel), [N],
+                                problem == "scalar-sym")
     _assert_bits_equal(A, folded)
-    assert sol.method == ("saddle_parity" if s else "saddle")
-    f = surface_field(grid.nodes)
-    w = np.linalg.solve(folded, np.concatenate([-f[s:], [1.0]]))[: n - s]
-    _assert_bits_equal(sol.measure.weights, _unfold(np.maximum(w, 0.0), n))
+    assert sol.method == ("collocation_parity" if s else "collocation")
+    x = np.linalg.solve(folded, np.concatenate([rhs[s:], [1.0]]))
+    u = np.maximum(x[: N - s], 0.0)
+    _assert_bits_equal(sol.measure.weights, _unfold(u, N))
+    assert sol.constant == x[-1]
+    assert sol.residual_sup == float(np.max(np.abs(folded[: N - s, : N - s] @ u - rhs[s:]
+                                                   - x[-1])))
 
 
 @SUPPORTS
@@ -249,12 +266,9 @@ def test_folded_solves_satisfy_the_unfolded_systems(n):
     grid = make_grid(FSYM, gp.n, gp.grading)
     sol = solve_scalar(FSYM, gp)
     N = grid.size
-    A = np.zeros((N + 1, N + 1))
-    A[:N, :N] = _energy_matrix_oracle(grid, surface_kernel())
-    A[:N, N] = 1.0
-    A[N, :N] = 1.0
+    A = _single_grid_oracle(grid, surface_kernel())
     rhs = np.concatenate([-surface_field(grid.nodes), [1.0]])
-    x = np.concatenate([sol.measure.weights, [-sol.constant]])
+    x = np.concatenate([sol.measure.weights, [sol.constant]])
     assert np.max(np.abs(A @ x - rhs)) <= 1e-12
     assert np.max(np.abs(x[:N] - np.linalg.solve(A, rhs)[:N])) <= 1e-12
 
@@ -270,7 +284,7 @@ def test_folded_solves_satisfy_the_unfolded_systems(n):
 
 @pytest.mark.parametrize(
     "solve, message",
-    [(solve_scalar, "saddle weight -5.710e-02 at node 51.51218539325843 with 8 cells"),
+    [(solve_scalar, "collocation weight -1.052e-01 at node 51.51218539325843 with 8 cells"),
      (solve_vector, "collocation weight -1.052e-01 at node 51.51218539325843 with 8 cells")],
 )
 def test_folded_solves_report_a_coarse_grid_as_unfolded(solve, message):

@@ -6,6 +6,7 @@ import pytest
 from equilab.equilibrium import GridParams, solve_scalar, solve_vector
 from equilab.hermite_pade import MarkovSpec
 from equilab.kernels import IntervalUnion
+from equilab.measures import surface_functional
 from equilab.verify import (
     Tolerances,
     VerificationReport,
@@ -95,6 +96,19 @@ class TestMixedPotential:
         assert by_id["mixed.constancy_on_e"].status == "skipped"
         assert by_id["mixed.constancy_on_f"].status == "pass"
         assert rep.all_passed  # skips do not fail the report
+
+    def test_constancy_on_f_is_measured_between_the_nodes(self):
+        # the scalar solve matches the surface functional at the nodes, so
+        # there it is constant to rounding; the check reads the shared cell
+        # edges and so still sees the discretization (and fails at 64 cells)
+        gp = GridParams(n=64, grading=2.0)
+        lam = solve_scalar(F23, gp).measure
+        pv = surface_functional(lam, lam.nodes)
+        assert pv.max() - pv.min() <= 1e-12
+        sol_e, _ = solve_vector(F23, gp)
+        rep = verify_mixed_potential(lam, sol_e.measure)
+        check = {c.check_id: c for c in rep.checks}["mixed.constancy_on_f"]
+        assert check.value > 1e-3 and check.status == "fail"
 
 
 class TestPositivity:

@@ -23,9 +23,10 @@ JSON, CSV or Markdown text).  It exits 1 if there is an undeclared
 difference or a declared one that did not occur (a stale declaration),
 else 0.  It also prints each run's peak
 RSS on both trees (the child's ``ru_maxrss`` from ``os.wait4``, in MiB, as
-``perfbench`` reports ``peak_rss_mb``); that is information only and never
-changes the exit status.  Outputs go to ``--work`` (a new temporary
-directory by default).
+``perfbench`` reports ``peak_rss_mb``), and for each differing
+``report.json`` the checks whose id or status moved, or ``statuses
+unchanged``; both are information only and never change the exit status.
+Outputs go to ``--work`` (a new temporary directory by default).
 """
 
 from __future__ import annotations
@@ -113,6 +114,20 @@ def first_difference(a, b):
     return None
 
 
+def check_statuses(path):
+    """{check id: status} of a combined ``report.json``, in report order."""
+    with open(path, encoding="utf-8") as fh:
+        return {c["check_id"]: c["status"] for rep in json.load(fh)["reports"]
+                for c in rep["checks"]}
+
+
+def moved_checks(a, b):
+    """Lines naming each check whose id or status moved between two report.json files."""
+    old, new = check_statuses(a), check_statuses(b)
+    return [f"{cid}: {old.get(cid, 'absent')} -> {new.get(cid, 'absent')}"
+            for cid in {**old, **new} if old.get(cid) != new.get(cid)] or ["statuses unchanged"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_tree")
@@ -154,6 +169,9 @@ def main(argv=None) -> int:
                     number, x, y = first
                     print(f"    line {number} old: {x}")
                     print(f"    line {number} new: {y}")
+                if os.path.basename(f) == "report.json":
+                    for line in moved_checks(*paths):
+                        print(f"    checks: {line}")
     stale = sorted(set(expected) - seen)
     for label, item in stale:
         print(f"declared but not different: {label}\t{item}")
