@@ -113,6 +113,7 @@ def assemble_energy_matrix(out, z, cells, kernel: SingularKernel, start=0):
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
+    grid: Grid
     measure: DiscreteMeasure
     constants: tuple
     residual_sup: float
@@ -230,8 +231,8 @@ def collocate(grids, kernels, rhs, masses, fold=False):
 
 def _solution(grid, weights, constants, residual, fold):
     mu = DiscreteMeasure.from_weights(grid, weights)
-    return EquilibriumSolution(measure=mu, constants=tuple(constants), residual_sup=residual,
-                               min_density=float(np.min(mu.densities)),
+    return EquilibriumSolution(grid=grid, measure=mu, constants=tuple(constants),
+                               residual_sup=residual, min_density=float(np.min(mu.densities)),
                                method="collocation_parity" if fold else "collocation")
 
 

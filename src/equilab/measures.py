@@ -15,16 +15,14 @@ Zero-width cells are allowed and represent purely atomic measures (zero
 counting measures of polynomials); those only support midpoint evaluation
 and distribution comparisons.
 
-The near cells are found without a full (point, cell) mask: a sorted
-search of the evaluation points over each cell's window yields candidate
-rows, and the exact window test runs on those alone.  The evaluator builds
-the kernel matrix in row blocks of at most BLOCK_ENTRIES entries, so its
-memory does not grow with the number of points; the dense solver,
-:func:`equilab.equilibrium.collocate`, fills its system matrices from the
-same row blocks.  Both build every block with :func:`kernel_cell_averages`.
-Neither changes a value: the window decision is the same per (point, cell),
-every entry is computed elementwise, and each block row sums the same
-products in the same order as one product over all points.
+The evaluator builds the kernel matrix in row blocks of at most
+BLOCK_ENTRIES entries, so its memory does not grow with the number of
+points; the dense solver, :func:`equilab.equilibrium.collocate`, fills its
+system matrices from the same row blocks.  Both build every block with
+:func:`kernel_cell_averages`.  Neither changes a value: the window
+decision is the same per (point, cell), every entry is computed
+elementwise, and each block row sums the same products in the same order
+as one product over all points.
 """
 
 from __future__ import annotations
@@ -213,30 +211,6 @@ def _T(u):
     return out
 
 
-def _near_cells(z, mu: DiscreteMeasure, absD):
-    """Index pairs (row, cell) with |z_i - node_j| <= ANALYTIC_WINDOW h_j, h_j > 0.
-
-    ``absD`` holds |z_i - node_j|.  Each cell's candidate rows come from a
-    sorted search of z over the cell's window, widened by a relative margin
-    far above the rounding of z - node and node +- window; the exact test
-    then runs on the candidates only, so the pairs are those of the full mask.
-    """
-    cells = np.flatnonzero(mu.widths > 0.0)
-    reach = ANALYTIC_WINDOW * mu.widths[cells]
-    x = mu.nodes[cells]
-    margin = 1e-12 * (np.abs(x) + reach)
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    lo = np.searchsorted(zs, x - reach - margin, side="left")
-    hi = np.searchsorted(zs, x + reach + margin, side="right")
-    counts = hi - lo
-    cj = np.repeat(cells, counts)
-    offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    zi = order[offsets + np.arange(cj.size)]
-    keep = absD[zi, cj] <= ANALYTIC_WINDOW * mu.widths[cj]
-    return zi[keep], cj[keep]
-
-
 def neglog_cell_averages(z, mu: DiscreteMeasure):
     """Matrix Q[i, j]: average of -log|z_i - t| over cell j of ``mu`` (a measure or a Grid).
 
@@ -253,13 +227,14 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
     z = z.astype(float)
     Q = np.subtract(z[:, None], mu.nodes[None, :])
     np.abs(Q, out=Q)
-    zi, cj = _near_cells(z, mu, Q)
+    h = mu.widths
+    # an atom's window is -1, which no |z - node| reaches
+    near = np.flatnonzero(Q <= np.where(h > 0.0, ANALYTIC_WINDOW * h, -1.0))
+    zi, cj = np.divmod(near, h.size)
     with np.errstate(divide="ignore"):
         np.log(Q, out=Q)
     np.negative(Q, out=Q)
-    if zi.size:
-        h = mu.widths[cj]
-        Q[zi, cj] = (_T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])) / h
+    Q.flat[near] = (_T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])) / h[cj]
     if np.any(np.isinf(Q)):
         raise ValueError("evaluation point coincides with an atom")
     return Q

@@ -38,12 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balayage import balayage_numeric, reconstruct_e_measure
-from .equilibrium import (
-    E_INTERVAL,
-    EquilibriumSolution,
-    GridParams,
-    solve_reduced,
-)
+from .equilibrium import EquilibriumSolution, GridParams, solve_reduced
 from .errors import EquilabError
 from .hermite_pade import (
     HPSweep,
@@ -189,7 +184,9 @@ def verify_equivalence(
     """Scalar-versus-coupled equivalence suite on a given F.
 
     ``scalar`` is ``solve_scalar(F, grid_params)`` and ``coupled`` the pair
-    ``solve_vector(F, grid_params)``.
+    ``solve_vector(F, grid_params)``.  The balayage sweeps onto the scalar
+    solve's F grid and the reconstruction lies on the coupled solve's E
+    grid; the residual is measured on a grid 4x finer than the scalar one.
     """
     require_gap_to_e(F)
     rep = VerificationReport(
@@ -207,7 +204,7 @@ def verify_equivalence(
     rep.add("equivalence.scalar_min_density", scalar.min_density, 0.0,
             scalar.min_density > 0.0, "full support: strictly positive density")
 
-    fine = make_grid(F, 4 * grid_params.n, grid_params.grading)
+    fine = make_grid(F, 4 * scalar.grid.n_per_component, scalar.grid.grading)
     res_fine = float(np.max(np.abs(surface_functional(lam, fine.nodes) - w_f)))
     rep.add_bound("equivalence.scalar_residual_fine", res_fine,
                   tolerances.residual_rel * max(1.0, abs(w_f)),
@@ -216,12 +213,11 @@ def verify_equivalence(
     rep.add_bound("equivalence.ks_scalar_vs_coupled_f", ks_distance(lam, sol_f.measure),
                   tolerances.ks)
 
-    swept_f = balayage_numeric(sol_e.measure, make_grid(F, grid_params.n, grid_params.grading))
+    swept_f = balayage_numeric(sol_e.measure, scalar.grid)
     rep.add_bound("equivalence.ks_scalar_vs_swept_e", ks_distance(lam, swept_f.measure),
                   tolerances.ks, "F measure vs balayage of the E measure onto F")
 
-    e_grid = make_grid(E_INTERVAL, grid_params.n, grid_params.grading)
-    recon = reconstruct_e_measure(lam, e_grid)
+    recon = reconstruct_e_measure(lam, sol_e.grid)
     rep.add_bound("equivalence.ks_coupled_e_vs_reconstruction",
                   ks_distance(sol_e.measure, recon), tolerances.ks,
                   "E measure vs (swept F measure + 3 tau_E)/4")

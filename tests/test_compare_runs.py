@@ -23,7 +23,7 @@ def _fake_runs(monkeypatch):
         os.makedirs(out)
         with open(os.path.join(out, "x.json"), "w", encoding="utf-8") as fh:
             fh.write("new\n" if (side, label) == ("new", "a") else "old\n")
-        return (1 if (side, label) == ("old", "b") else 0), "", 1.0
+        return (1 if (side, label) == ("old", "b") else 0), "", 1.0, 2.5 if side == "old" else 0.25
 
     monkeypatch.setattr(compare_runs, "cases", cases)
     monkeypatch.setattr(compare_runs, "run", run)
@@ -45,6 +45,8 @@ def test_expect_file(tmp_path, monkeypatch, capsys, lines, code, stale):
     out = capsys.readouterr().out
     # every difference is printed, declared or not
     assert "a: exit 0 / 0" in out and "  differs: x.json" in out
+    # peak RSS and CPU time of both sides, information only
+    assert "c: exit 0 / 0, same, peak RSS 1.0 / 1.0 MiB, CPU 2.50 / 0.25 s" in out
     assert "b: exit 1 / 0" in out and "  differs: exit" in out
     assert ("declared but not different: c\tx.json" in out) == stale
 
@@ -83,7 +85,7 @@ def test_report_statuses_printed(tmp_path, monkeypatch, capsys):
         os.makedirs(out)
         with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(_report(reports[label][side == "new"]))
-        return 0, "", 1.0
+        return 0, "", 1.0, 0.5
 
     monkeypatch.setattr(compare_runs, "cases", cases)
     monkeypatch.setattr(compare_runs, "run", run)
@@ -99,3 +101,9 @@ def test_report_statuses_printed(tmp_path, monkeypatch, capsys):
         "    checks: a.y: fail -> absent",
         "    checks: a.z: absent -> fail",
     ]
+
+
+def test_run_measures_the_child(tmp_path):
+    # peak RSS and CPU time come from the child's own rusage
+    code, _, rss, cpu = compare_runs.run(ROOT, ["--help"], str(tmp_path / "out"))
+    assert code == 0 and rss > 1.0 and cpu > 0.0

@@ -228,8 +228,42 @@ LONG_F = IntervalUnion([(1.5, 40.0)])
 FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 
 
+@st.composite
+def _window_cases(draw):
+    """A graded grid measure on 1-3 components, a few cells collapsed to atoms,
+    and points where the window test can tip: nodes, cell edges, each window
+    end and one ulp either side of it, and far away."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    steps = st.floats(min_value=0.01, max_value=20.0)
+    edges = draw(st.floats(min_value=-30.0, max_value=30.0)) + np.cumsum(
+        draw(st.lists(steps, min_size=2 * m, max_size=2 * m)))
+    support = IntervalUnion(list(zip(edges[::2], edges[1::2])))
+    g = make_grid(support, draw(st.integers(min_value=8, max_value=64)),
+                  draw(st.floats(min_value=1.0, max_value=2.0)))
+    atoms = draw(st.lists(st.integers(min_value=0, max_value=g.size - 1), max_size=3, unique=True))
+    left, right = g.cell_left.copy(), g.cell_right.copy()
+    left[atoms] = right[atoms] = g.nodes[atoms]
+    mu = DiscreteMeasure(g.nodes, np.full(g.size, 1.0 / g.size), left, right, support)
+    reach = ANALYTIC_WINDOW * g.widths
+    ends = np.concatenate([g.nodes - reach, g.nodes + reach])
+    z = np.concatenate([g.nodes, g.cell_left, g.cell_right, ends, np.nextafter(ends, -np.inf),
+                        np.nextafter(ends, np.inf), [-1e6, 0.0, 1e6]])
+    return mu, z[~np.isin(z, g.nodes[atoms])], g.nodes[atoms]
+
+
 class TestBandedWindow:
-    """The sorted-search window and the row blocks against the full-matrix oracle."""
+    """The analytic window and the row blocks against the full-matrix oracle."""
+
+    @given(_window_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_window_equals_full_mask(self, case):
+        mu, z, atoms = case
+        np.testing.assert_array_equal(neglog_cell_averages(z, mu), _neglog_oracle(z, mu))
+        # a point on an atom is refused by both
+        for a in atoms:
+            for evaluate in (neglog_cell_averages, _neglog_oracle):
+                with pytest.raises(ValueError, match="coincides with an atom"):
+                    evaluate(np.append(z, a), mu)
 
     @pytest.mark.parametrize(
         "support, n, grading",
@@ -242,7 +276,8 @@ class TestBandedWindow:
         fine = make_grid(support, 4 * n, grading).nodes
         hi, lo = g.nodes + ANALYTIC_WINDOW * g.widths, g.nodes - ANALYTIC_WINDOW * g.widths
         # on the long F, |z - node| still rounds into the window one ulp
-        # beyond the rounded window ends, so the search must reach past them
+        # beyond the rounded window ends: the test compares |z - node| with
+        # the window, never z with node +- window
         cases = {
             "unsorted": RNG.permutation(np.concatenate([fine, RNG.uniform(-4.0, 4.0, 50)])),
             "cell_edges": np.concatenate([g.cell_left, g.cell_right]),

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from equilab.balayage import balayage_numeric, reconstruct_e_measure
 from equilab.equilibrium import GridParams, solve_scalar, solve_vector
 from equilab.hermite_pade import MarkovSpec
 from equilab.kernels import IntervalUnion
-from equilab.measures import surface_functional
+from equilab.measures import make_grid, surface_functional
 from equilab.verify import (
     Tolerances,
     VerificationReport,
@@ -44,10 +45,25 @@ class TestEquivalence:
         assert "equivalence.ks_reduced_vs_coupled_e" in ids
         assert "equivalence.reduced_constant_consistency" in ids
 
+    def test_checks_on_the_solved_grids(self, solutions, monkeypatch):
+        # the sweep and the reconstruction use the grids the solves returned;
+        # only the 4x-fine residual grid is built here
+        import equilab.verify as verify
+
+        scalar, sol_e, sol_f = solutions
+        built, targets = [], []
+        monkeypatch.setattr(verify, "make_grid",
+                            lambda *args: built.append(args) or make_grid(*args))
+        monkeypatch.setattr(verify, "balayage_numeric",
+                            lambda mu, grid: targets.append(grid) or balayage_numeric(mu, grid))
+        monkeypatch.setattr(verify, "reconstruct_e_measure", lambda lam, grid:
+                            targets.append(grid) or reconstruct_e_measure(lam, grid))
+        verify_equivalence(F23, scalar, (sol_e, sol_f), GP, TOL)
+        assert built == [(F23, 4 * GP.n, GP.grading)]
+        assert targets[0] is scalar.grid and targets[1] is sol_e.grid
+
     def test_symmetric_f(self):
-        from equilab.balayage import reconstruct_e_measure
         from equilab.equilibrium import E_INTERVAL
-        from equilab.measures import make_grid
 
         scalar = solve_scalar(FSYM, GP)
         rep = verify_equivalence(FSYM, scalar, solve_vector(FSYM, GP), GP, TOL)
@@ -64,9 +80,8 @@ class TestEquivalence:
 
     def test_cross_route_closure(self, solutions):
         # three routes to the E measure agree pairwise within 2x the KS bound
-        from equilab.balayage import reconstruct_e_measure
         from equilab.equilibrium import E_INTERVAL, solve_reduced
-        from equilab.measures import ks_distance, make_grid
+        from equilab.measures import ks_distance
 
         scalar, sol_e, _ = solutions
         reduced = solve_reduced(F23, GP)

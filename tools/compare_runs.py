@@ -21,11 +21,12 @@ script prints each difference, marking the declared ones, with the first
 differing line of each side for a file both trees wrote (every output is
 JSON, CSV or Markdown text).  It exits 1 if there is an undeclared
 difference or a declared one that did not occur (a stale declaration),
-else 0.  It also prints each run's peak
-RSS on both trees (the child's ``ru_maxrss`` from ``os.wait4``, in MiB, as
-``perfbench`` reports ``peak_rss_mb``), and for each differing
-``report.json`` the checks whose id or status moved, or ``statuses
-unchanged``; both are information only and never change the exit status.
+else 0.  It also prints each run's peak RSS and CPU time on both trees
+(the child's ``ru_maxrss`` from ``os.wait4``, in MiB, as ``perfbench``
+reports ``peak_rss_mb``, and its ``ru_utime + ru_stime`` in seconds), and
+for each differing ``report.json`` the checks whose id or status moved, or
+``statuses unchanged``; these are information only and never change the
+exit status.
 Outputs go to ``--work`` (a new temporary directory by default).
 """
 
@@ -77,7 +78,7 @@ def read_expected(path):
 
 
 def run(tree, argv, out):
-    """(exit code, standard error, peak RSS in MiB) of one run in a fresh interpreter."""
+    """(exit code, standard error, peak RSS in MiB, CPU seconds) of one run in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **PINS)
     proc = subprocess.Popen([sys.executable, "-m", "equilab.cli", *argv, "--out", out],
                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -85,7 +86,7 @@ def run(tree, argv, out):
         err = proc.stderr.read()
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, err, usage.ru_maxrss / 1024.0
+    return proc.returncode, err, usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime
 
 
 def differing_files(a, b):
@@ -141,13 +142,14 @@ def main(argv=None) -> int:
     problems = 0
     seen = set()
     for label, cmd in cases(os.path.abspath(args.new_tree), work):
-        outs, codes, rss = [], [], []
+        outs, codes, rss, cpu = [], [], [], []
         for side, tree in (("old", args.old_tree), ("new", args.new_tree)):
             out = os.path.join(work, side, label)
-            code, err, peak = run(os.path.abspath(tree), cmd, out)
+            code, err, peak, seconds = run(os.path.abspath(tree), cmd, out)
             outs.append(out)
             codes.append(code)
             rss.append(peak)
+            cpu.append(seconds)
             if code not in (0, 1):
                 print(f"{label}: {side} exited {code}: {err.strip()}")
         diffs = differing_files(*outs)
@@ -158,7 +160,8 @@ def main(argv=None) -> int:
         status = ("same" if not items else "DIFFERENT" if len(declared) < len(items)
                   else "different as declared")
         print(f"{label}: exit {codes[0]} / {codes[1]}, {status}, "
-              f"peak RSS {rss[0]:.1f} / {rss[1]:.1f} MiB", flush=True)
+              f"peak RSS {rss[0]:.1f} / {rss[1]:.1f} MiB, CPU {cpu[0]:.2f} / {cpu[1]:.2f} s",
+              flush=True)
         for f in items:
             reason = expected.get((label, f))
             print(f"  differs: {f}" + (f" (declared: {reason})" if reason else ""))
