@@ -234,9 +234,9 @@ class OutputDir:
             fh.write("\n")
 
 
-def _write_solution(out, prefix, sol, grid_params):
+def _write_solution(out, prefix, sol):
     sol.measure.to_csv(out.path(f"{prefix}.csv"))
-    out.write_json(f"{prefix}.json", sol.sidecar_dict(grid_params))
+    out.write_json(f"{prefix}.json", sol.sidecar_dict())
 
 
 def _write_report(out, rep, stem):
@@ -259,7 +259,7 @@ def _cmd_solve_scalar(rc: RunConfig, out):
     from .equilibrium import solve_scalar
 
     sol = solve_scalar(rc.F, rc.grid)
-    _write_solution(out, "scalar_f", sol, rc.grid)
+    _write_solution(out, "scalar_f", sol)
     print(
         f"[solve-scalar] constant={sol.constant:.6f} residual_sup={sol.residual_sup:.3e} "
         f"min_density={sol.min_density:.3e} ({sol.method})"
@@ -271,8 +271,8 @@ def _cmd_solve_vector(rc: RunConfig, out):
     from .equilibrium import solve_vector
 
     sol_e, sol_f = solve_vector(rc.F, rc.grid)
-    _write_solution(out, "coupled_e", sol_e, rc.grid)
-    _write_solution(out, "coupled_f", sol_f, rc.grid)
+    _write_solution(out, "coupled_e", sol_e)
+    _write_solution(out, "coupled_f", sol_f)
     print(
         f"[solve-vector] w1={sol_e.constants[0]:.6f} w2={sol_e.constants[1]:.6f} "
         f"residuals=({sol_e.residual_sup:.3e}, {sol_f.residual_sup:.3e})"
@@ -284,7 +284,7 @@ def _cmd_solve_p6(rc: RunConfig, out):
     from .equilibrium import solve_reduced
 
     sol = solve_reduced(rc.F, rc.grid)
-    _write_solution(out, "reduced_e", sol, rc.grid)
+    _write_solution(out, "reduced_e", sol)
     print(
         f"[solve-p6] constant={sol.constant:.6f} residual_sup={sol.residual_sup:.3e} "
         f"min_density={sol.min_density:.3e}"
@@ -406,9 +406,9 @@ def _cmd_verify(rc: RunConfig, out, which):
     out.write_text("report.md", "\n".join(combined_md))
     # plot-ready CSVs: the solved measures and the KS sequence
     if coupled is not None:
-        _write_solution(out, "measures/scalar_f", scalar, rc.grid)
-        _write_solution(out, "measures/coupled_e", coupled[0], rc.grid)
-        _write_solution(out, "measures/coupled_f", coupled[1], rc.grid)
+        _write_solution(out, "measures/scalar_f", scalar)
+        _write_solution(out, "measures/coupled_e", coupled[0])
+        _write_solution(out, "measures/coupled_f", coupled[1])
     for rep in reports:
         seq = rep.provenance.get("ks_sequence")
         if seq:

@@ -3,8 +3,9 @@
 Three problems are solved here, each as one dense linear system for the
 cell weights of fully supported measures of given mass:
 
-- the weighted scalar problem on F with the surface kernel
-  log(|1 - Phi(s) Phi(t)| / |s - t|^2) and external field log|Phi|,
+- the weighted scalar problem on F with the sheet-1 surface kernel
+  log(|1 - Phi(s) Phi(t)| / |s - t|^2), ``measures.SHEET1_KERNEL``, and
+  external field log|Phi|, ``kernels.green_e_at_infinity``,
 - the coupled two-measure problem on (E, F) with interaction matrix
   [[4, -1], [-1, 1]],
 - the reduced one-measure problem on E with kernel
@@ -21,6 +22,9 @@ block of a system matrix is built by
 potential evaluator, :func:`equilab.measures.kernel_potential`.  So the
 recorded residuals measure the linear algebra only; the discretization
 error is what the verifiers measure off the nodes.
+
+The verifiers evaluate these same kernels and field; every smooth part is
+defined in :mod:`equilab.kernels`, the only module that evaluates Phi.
 
 On a symmetric F (``F.is_symmetric()``, F = -F exactly) the scalar measure
 and the coupled pair are unique, hence even, and :func:`solve_scalar` and
@@ -48,13 +52,13 @@ from .kernels import (
     E_LEFT,
     E_RIGHT,
     IntervalUnion,
-    _phi_real,
+    green_e_at_infinity,
     green_single_interval,
     require_gap_to_e,
-    scalar_kernel_smooth,
 )
 from .measures import (
     LOG_KERNEL,
+    SHEET1_KERNEL,
     DiscreteMeasure,
     Grid,
     SingularKernel,
@@ -71,16 +75,6 @@ E_INTERVAL = IntervalUnion([(E_LEFT, E_RIGHT)])
 class GridParams:
     n: int = 400
     grading: float = 2.0
-
-
-def surface_kernel() -> SingularKernel:
-    """Kernel of the scalar problem over real points outside E."""
-    return SingularKernel(sing_coeff=2.0, smooth=scalar_kernel_smooth)
-
-
-def surface_field(x):
-    """External field log|Phi| on the zero sheet over F."""
-    return np.log(np.abs(_phi_real(x)))
 
 
 def reduced_kernel(F: IntervalUnion) -> SingularKernel:
@@ -124,7 +118,7 @@ class EquilibriumSolution:
     def constant(self) -> float:
         return self.constants[0]
 
-    def sidecar_dict(self, grid_params: GridParams) -> dict:
+    def sidecar_dict(self) -> dict:
         return {
             "constant": float(self.constants[0]),
             "constants": [float(c) for c in self.constants],
@@ -134,8 +128,8 @@ class EquilibriumSolution:
             # every solve is one dense factorization; the key stays for the file format
             "iterations": 0,
             "grid": {
-                "n_per_component": grid_params.n,
-                "grading": grid_params.grading,
+                "n_per_component": self.grid.n_per_component,
+                "grading": self.grid.grading,
                 "support": [[l, r] for (l, r) in self.measure.support.intervals],
             },
         }
@@ -237,7 +231,7 @@ def _solution(grid, weights, constants, residual, fold):
 
 
 def solve_scalar(F: IntervalUnion, grid_params: GridParams = GridParams()) -> EquilibriumSolution:
-    """Weighted equilibrium on F: surface kernel with external field log|Phi|.
+    """Weighted equilibrium on F: sheet-1 kernel with external field log|Phi|.
 
     One :func:`collocate` call: the sheet-1 potential plus the field is
     matched to the constant w_F at the nodes, mirror-folded on F = -F,
@@ -248,7 +242,7 @@ def solve_scalar(F: IntervalUnion, grid_params: GridParams = GridParams()) -> Eq
     require_gap_to_e(F)
     grid = make_grid(F, grid_params.n, grid_params.grading)
     fold = F.is_symmetric()
-    (u,), (c,), (r,) = collocate([grid], [[surface_kernel()]], [-surface_field(grid.nodes)],
+    (u,), (c,), (r,) = collocate([grid], [[SHEET1_KERNEL]], [-green_e_at_infinity(grid.nodes)],
                                  [1.0], fold)
     return _solution(grid, u, (c,), r, fold)
 

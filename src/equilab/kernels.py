@@ -9,17 +9,26 @@ unit disk, |Phi| >= 1 everywhere, and |Phi| = 1 on E.  The two points of the
 surface over z carry phi = Phi(z) (sheet 0) and phi = 1/Phi(z) (sheet 1), so
 the sheet product is identically 1.
 
+This is the only module that evaluates Phi, and each smooth part below is
+defined here once; :mod:`equilab.measures` wraps them in named kernels, and
+the solvers and the verifiers apply those same kernels.  Phi is real
+(``_phi_real``) at points outside E; the complex branch is taken only in
+``green_e_smooth`` and ``sheet0_smooth``, where an evaluation point may lie
+in E.
+
 The kernels exposed here:
 
 - ``scalar_kernel_smooth(s, t) = log|1 - Phi(s) Phi(t)|``, the bounded part
   of the sheet-1 surface kernel log(|1 - Phi(s) Phi(t)| / |s - t|^2) over
-  real points; measures integrate its singular part -2 log|s - t| in closed
-  form over cells.
+  real points outside E; measures integrate its singular part
+  -2 log|s - t| in closed form over cells.
+- ``sheet0_smooth(s, t)``, the bounded part of the sheet-0 kernel, whose
+  singular part is -log|s - t|.
 - ``green_e_smooth(z, t)``, the bounded part of the Green function g_E of the
   complement of E, whose singular part is -log|z - t|; ``IntervalGreen``
   carries it to the complement of any single interval.
-- ``green_e_at_infinity(z) = log|Phi(z)|``, the Green function with pole at
-  infinity.
+- ``green_e_at_infinity(x) = log|Phi(x)|``, the Green function with pole at
+  infinity over real x, exactly 0 on E.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -158,6 +167,21 @@ def scalar_kernel_smooth(s, t):
     return out if np.ndim(out) else float(out)
 
 
+def sheet0_smooth(s, t):
+    """Bounded part log(|Phi(s) - Phi(t)| / |s - t|) - log|Phi(s)| of the sheet-0 kernel.
+
+    Real s, with t outside E; |Phi'(t)| stands for the quotient on s == t.
+    """
+    ps = zhukovskii_inverse(s)
+    D = s - t
+    diag = D == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(ps - _phi_real(t)) / np.abs(D)
+    if diag.any():
+        ratio[diag] = zhukovskii_derivative_abs(np.broadcast_to(t, D.shape)[diag])
+    return np.log(ratio) - np.log(np.abs(ps))
+
+
 # --------------------------------------------------------------------------
 # Green function of the complement of E
 
@@ -176,9 +200,14 @@ def green_e_smooth(z, t):
     return out if np.ndim(out) else float(out)
 
 
-def green_e_at_infinity(z):
-    """g_E(z, infinity) = log|Phi(z)|; behaves as log|z| + log 2 + o(1) at infinity."""
-    out = np.log(np.abs(zhukovskii_inverse(z)))
+def green_e_at_infinity(x):
+    """g_E(x, infinity) = log|Phi(x)| at real x; behaves as log|x| + log 2 + o(1) at infinity.
+
+    A point inside E is moved to 1, where Phi is 1, so the value there is
+    exactly 0.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.log(np.abs(_phi_real(np.where(np.abs(x) < 1.0, 1.0, x))))
     return out if np.ndim(out) else float(out)
 
 

@@ -11,6 +11,9 @@ only on (point, cell) and never on the kernel, algebraic identities between
 kernels survive discretization exactly; the verification module relies on
 that.  Evaluation points are real; a complex z raises TypeError.
 
+The named kernels take their smooth parts from :mod:`equilab.kernels`, the
+only module that evaluates Phi.
+
 Zero-width cells are allowed and represent purely atomic measures (zero
 counting measures of polynomials); those only support midpoint evaluation
 and distribution comparisons.
@@ -33,12 +36,12 @@ import numpy as np
 
 from .kernels import (
     IntervalUnion,
-    _phi_real,
     green_e_at_infinity,
+    green_e_smooth,
     is_integer,
     is_real,
-    zhukovskii_derivative_abs,
-    zhukovskii_inverse,
+    scalar_kernel_smooth,
+    sheet0_smooth,
 )
 
 # Cells whose node is within this many widths of the evaluation point are
@@ -310,38 +313,9 @@ def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
     return float(out[0]) if np.ndim(z_in) == 0 else out
 
 
-def _green_e_smooth(s, t):
-    # g_E(s, t) + log|s - t|, for t outside E
-    ps = zhukovskii_inverse(s)
-    pt = _phi_real(t)
-    return (
-        2.0 * np.log(np.abs(1.0 - ps * pt))
-        - np.log(2.0)
-        - np.log(np.abs(ps))
-        - np.log(np.abs(pt))
-    )
-
-
-def _sheet0_smooth(s, t):
-    # log(|Phi(s) - Phi(t)| / |s - t|) - log|Phi(s)|, with |Phi'(t)| on s == t
-    ps = zhukovskii_inverse(s)
-    D = s - t
-    diag = D == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(ps - _phi_real(t)) / np.abs(D)
-    if diag.any():
-        ratio[diag] = zhukovskii_derivative_abs(np.broadcast_to(t, D.shape)[diag])
-    return np.log(ratio) - np.log(np.abs(ps))
-
-
-def _sheet1_smooth(s, t):
-    # log|1 - Phi(s) Phi(t)|, for t outside E
-    return np.log(np.abs(1.0 - zhukovskii_inverse(s) * _phi_real(t)))
-
-
-GREEN_E_KERNEL = SingularKernel(sing_coeff=1.0, smooth=_green_e_smooth)
-SHEET0_KERNEL = SingularKernel(sing_coeff=1.0, smooth=_sheet0_smooth)
-SHEET1_KERNEL = SingularKernel(sing_coeff=2.0, smooth=_sheet1_smooth)
+GREEN_E_KERNEL = SingularKernel(sing_coeff=1.0, smooth=green_e_smooth)
+SHEET0_KERNEL = SingularKernel(sing_coeff=1.0, smooth=sheet0_smooth)
+SHEET1_KERNEL = SingularKernel(sing_coeff=2.0, smooth=scalar_kernel_smooth)
 
 
 # --------------------------------------------------------------------------
@@ -368,8 +342,9 @@ def green_potential_e(mu: DiscreteMeasure, z):
 def rs_potential_sheet(mu: DiscreteMeasure, z, sheet: int):
     """Potential of a measure on F lifted to sheet 1, over real z on the given sheet.
 
-    Sheet 1 over real z reduces to the scalar kernel route; sheet 0 carries
-    the -1 net logarithmic charge (the slope tests pin the -2 / -1 rates).
+    Sheet 1 is the scalar problem's kernel, ``SHEET1_KERNEL``, and takes real
+    z outside E; sheet 0 carries the -1 net logarithmic charge (the slope
+    tests pin the -2 / -1 rates).
     """
     return kernel_potential(mu, SHEET1_KERNEL if sheet == 1 else SHEET0_KERNEL, z)
 
@@ -377,8 +352,10 @@ def rs_potential_sheet(mu: DiscreteMeasure, z, sheet: int):
 def surface_functional(mu: DiscreteMeasure, z):
     """P(z^(1)) + V(z^(1)): the sheet-1 potential plus external field at real z.
 
-    Equals the cell-integrated scalar kernel integral plus log|Phi(z)|; this
-    is the quantity that is constant on F at equilibrium.
+    Equals the cell-integrated scalar kernel integral plus log|Phi(z)|, at
+    real z outside E; this is the quantity that is constant on F at
+    equilibrium, and :func:`equilab.equilibrium.solve_scalar` matches it at
+    the nodes with the same kernel and field.
     """
     return kernel_potential(mu, SHEET1_KERNEL, z) + green_e_at_infinity(z)
 

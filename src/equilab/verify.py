@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balayage import balayage_numeric, reconstruct_e_measure
-from .equilibrium import EquilibriumSolution, GridParams, solve_reduced
+from .equilibrium import EquilibriumSolution, GridParams, reduced_kernel, solve_reduced
 from .errors import EquilabError
 from .hermite_pade import (
     HPSweep,
@@ -47,10 +47,9 @@ from .hermite_pade import (
     require_n_list,
     solve_with_escalation,
 )
-from .kernels import IntervalUnion, green_e_at_infinity, green_single_interval, require_gap_to_e
+from .kernels import IntervalUnion, green_e_at_infinity, require_gap_to_e
 from .measures import (
     DiscreteMeasure,
-    SingularKernel,
     green_potential_e,
     kernel_potential,
     ks_distance,
@@ -281,11 +280,7 @@ def verify_mixed_potential(
     )
     z = lam.cell_right[:-1][lam.cell_right[:-1] == lam.cell_left[1:]]
     u = log_potential(lam, z)
-    v2 = (
-        3.0 * u
-        + green_potential_e(lam, z)
-        + 3.0 * green_e_at_infinity(z)
-    )
+    v2 = 3.0 * u + sheet1_comparison(lam, z)
     pv = surface_functional(lam, z)
     ident = v2 - 2.0 * pv
     rep.add_bound("mixed.affine_identity", float(np.max(np.abs(ident - ident.mean()))),
@@ -296,15 +291,9 @@ def verify_mixed_potential(
                   "sup - inf of the mixed potential over the shared cell edges of F")
 
     if lam.support.m == 1:
+        # 3 U_1 + G_F is the reduced problem's potential
         x = lam_e.nodes
-        u1 = log_potential(lam_e, x)
-        gf = green_single_interval(lam.support)
-        g1f = kernel_potential(
-            lam_e, SingularKernel(sing_coeff=1.0, smooth=gf.smooth), x
-        )
-        g2e = green_potential_e(lam, x)
-        ge_inf = green_e_at_infinity(x)
-        v42 = 3.0 * u1 + g1f + g2e + 3.0 * ge_inf
+        v42 = kernel_potential(lam_e, reduced_kernel(lam.support), x) + sheet1_comparison(lam, x)
         rep.add_bound("mixed.constancy_on_e", float(v42.max() - v42.min()),
                       tolerances.constancy,
                       "3 U_1 + G_F constant on E (Green terms vanish there)")
@@ -330,9 +319,10 @@ def verify_mixed_potential(
 
 
 def sheet1_comparison(lam: DiscreteMeasure, z):
-    """v(z^(1)) = G_E-potential of lam at z plus 3 log|Phi(z)|, real z outside E.
+    """v(z^(1)) = G_E-potential of lam at z plus 3 log|Phi(z)|, at real z.
 
-    Positive off the branch curve, zero on it, divergent like 3 log|z|.
+    Positive off the branch curve, zero on it (both terms vanish on E),
+    divergent like 3 log|z|.
     """
     return green_potential_e(lam, z) + 3.0 * green_e_at_infinity(z)
 

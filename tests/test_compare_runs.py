@@ -69,12 +69,13 @@ def _report(checks):
 
 
 def test_report_statuses_printed(tmp_path, monkeypatch, capsys):
-    # case "same" moves only a value, case "moved" a status and an id; the
-    # status lines are information only and do not change the exit code
-    old = [("a.x", 1.0, "pass"), ("a.y", 2.0, "fail")]
+    # case "same" moves only values, case "moved" a status and an id; the
+    # status and value lines are information only and do not change the
+    # exit code
+    old = [("a.x", 1.0, "pass"), ("a.y", 2.0, "fail"), ("a.s", None, "skipped")]
     reports = {
-        "same": (old, [("a.x", 1.5, "pass"), ("a.y", 2.0, "fail")]),
-        "moved": (old, [("a.x", 1.0, "fail"), ("a.z", 2.0, "fail")]),
+        "same": (old, [("a.x", 1.5, "pass"), ("a.y", 1.25, "fail"), ("a.s", None, "skipped")]),
+        "moved": (old, [("a.x", 1.0, "fail"), ("a.z", 2.0, "fail"), ("a.s", None, "skipped")]),
     }
 
     def cases(new_tree, work):
@@ -96,6 +97,10 @@ def test_report_statuses_printed(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     same, moved = out.split("moved: exit")
     assert "    checks: statuses unchanged" in same
+    # the largest of |1.5 - 1.0| and |1.25 - 2.0|, with its check id
+    assert "    largest value change: 0.75 (a.y)" in same
+    # a.y and a.z are each on one side only, and a.x keeps its value
+    assert "    largest value change: none" in moved
     assert [line for line in moved.splitlines() if line.startswith("    checks:")] == [
         "    checks: a.x: pass -> fail",
         "    checks: a.y: fail -> absent",

@@ -26,13 +26,12 @@ from equilab.equilibrium import (
     solve_reduced,
     solve_scalar,
     solve_vector,
-    surface_field,
-    surface_kernel,
 )
 from equilab.errors import DiscretizationError
-from equilab.kernels import IntervalUnion
+from equilab.kernels import IntervalUnion, green_e_at_infinity
 from equilab.measures import (
     LOG_KERNEL,
+    SHEET1_KERNEL,
     DiscreteMeasure,
     log_potential,
     make_grid,
@@ -154,7 +153,7 @@ def test_sym_grid_fills_in_ragged_blocks():
 @pytest.mark.parametrize("kernel", ["log", "surface", "reduced"])
 def test_energy_matrix_equals_one_shot(n, kernel):
     support = E_INTERVAL if kernel != "surface" else FSYM
-    k = {"log": LOG_KERNEL, "surface": surface_kernel(), "reduced": reduced_kernel(F23)}[kernel]
+    k = {"log": LOG_KERNEL, "surface": SHEET1_KERNEL, "reduced": reduced_kernel(F23)}[kernel]
     grid = make_grid(support, n, 2.0)
     oracle = _kernel_matrix_oracle(grid.nodes, grid, k)
     # written into the slice of a larger matrix, nothing outside it changes
@@ -174,8 +173,8 @@ def test_single_grid_matrix_equals_one_shot(problem, n, solved_matrices):
         rhs = np.zeros(grid.size)
     else:
         F = FSYM if problem == "scalar-sym" else F23
-        sol, grid, kernel = solve_scalar(F, gp), make_grid(F, n, 2.0), surface_kernel()
-        rhs = -surface_field(grid.nodes)
+        sol, grid, kernel = solve_scalar(F, gp), make_grid(F, n, 2.0), SHEET1_KERNEL
+        rhs = -green_e_at_infinity(grid.nodes)
     (A,) = solved_matrices
     N = grid.size
     folded, (s,) = _mirror_fold(_single_grid_oracle(grid, kernel), [N],
@@ -266,8 +265,8 @@ def test_folded_solves_satisfy_the_unfolded_systems(n):
     grid = make_grid(FSYM, gp.n, gp.grading)
     sol = solve_scalar(FSYM, gp)
     N = grid.size
-    A = _single_grid_oracle(grid, surface_kernel())
-    rhs = np.concatenate([-surface_field(grid.nodes), [1.0]])
+    A = _single_grid_oracle(grid, SHEET1_KERNEL)
+    rhs = np.concatenate([-green_e_at_infinity(grid.nodes), [1.0]])
     x = np.concatenate([sol.measure.weights, [sol.constant]])
     assert np.max(np.abs(A @ x - rhs)) <= 1e-12
     assert np.max(np.abs(x[:N] - np.linalg.solve(A, rhs)[:N])) <= 1e-12

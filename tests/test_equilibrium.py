@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from equilab import equilibrium
 from equilab.equilibrium import (
     E_INTERVAL,
     GridParams,
@@ -11,12 +12,12 @@ from equilab.equilibrium import (
     solve_reduced,
     solve_scalar,
     solve_vector,
-    surface_kernel,
 )
 from equilab.errors import DiscretizationError
-from equilab.kernels import IntervalUnion
+from equilab.kernels import IntervalUnion, green_e_at_infinity
 from equilab.measures import (
     LOG_KERNEL,
+    SHEET1_KERNEL,
     DiscreteMeasure,
     kernel_potential,
     ks_distance,
@@ -70,6 +71,24 @@ class TestClassicalOracle:
 
 
 class TestScalarProblem:
+    def test_solve_collocates_the_verified_kernel_and_field(self, monkeypatch):
+        # the scalar solve and its verifiers share one kernel and one field:
+        # the kernel is the very SHEET1_KERNEL that surface_functional
+        # applies, and the right-hand side is -green_e_at_infinity bit for bit
+        calls = []
+
+        def recording(grids, kernels, rhs, masses, fold=False):
+            calls.append((grids, kernels, rhs))
+            return collocate(grids, kernels, rhs, masses, fold)
+
+        monkeypatch.setattr(equilibrium, "collocate", recording)
+        for F in (F23, FSYM):
+            solve_scalar(F, GridParams(n=64, grading=2.0))
+        assert len(calls) == 2
+        for (grid,), ((kernel,),), (rhs,) in calls:
+            assert kernel is SHEET1_KERNEL
+            assert rhs.tobytes() == (-green_e_at_infinity(grid.nodes)).tobytes()
+
     def test_full_support_and_residual(self):
         # the functional is matched at the nodes, so the recorded residual
         # is rounding; between the nodes it measures the discretization
@@ -144,8 +163,18 @@ class TestCoupledProblem:
 
     def test_collocation_sidecars_record_zero_iterations(self):
         for sol in solve_vector(F23, GP):
-            sidecar = sol.sidecar_dict(GP)
+            sidecar = sol.sidecar_dict()
             assert (sidecar["method"], sidecar["iterations"]) == ("collocation", 0)
+
+    def test_sidecars_describe_the_solved_grid(self):
+        # the grid block is read from the grid each solve ran on: an integer
+        # grading is recorded as the float the grid was built with
+        gp = GridParams(n=40, grading=1)
+        for sol, support in zip(solve_vector(F23, gp), (E_INTERVAL, F23)):
+            grid = sol.sidecar_dict()["grid"]
+            assert grid == {"n_per_component": 40, "grading": 1.0,
+                            "support": [list(iv) for iv in support.intervals]}
+            assert isinstance(grid["grading"], float)
 
 
 class TestReducedProblem:
@@ -168,7 +197,7 @@ class TestAssembly:
         # a system matrix's rows are the potential evaluator's rows, bit for bit
         grid = make_grid(F23, 32, 2.0)
         K = assemble_energy_matrix(np.empty((grid.size, grid.size)), grid.nodes, grid,
-                                   surface_kernel())
+                                   SHEET1_KERNEL)
         mu = DiscreteMeasure.from_weights(grid, np.linspace(1.0, 2.0, grid.size) / 48.0)
         assert (K @ mu.weights).tobytes() == \
-            kernel_potential(mu, surface_kernel(), grid.nodes).tobytes()
+            kernel_potential(mu, SHEET1_KERNEL, grid.nodes).tobytes()

@@ -14,9 +14,10 @@ from equilab.kernels import (
     green_single_interval,
     require_gap_to_e,
     scalar_kernel_smooth,
+    sheet0_smooth,
     zhukovskii_inverse,
 )
-from equilab.measures import GREEN_E_KERNEL
+from equilab.measures import make_grid
 
 RNG = np.random.default_rng(20240801)
 
@@ -29,6 +30,14 @@ def scalar_kernel(s, t):
 def green_e(z, t):
     """g_E(z, t) for real z != t, from its live split."""
     return green_e_smooth(z, t) - np.log(np.abs(np.asarray(z, dtype=float) - t))
+
+
+def mp_phi(x):
+    """Phi at a real double x in mpmath: the upper-half-plane limit on E."""
+    x = mp.mpf(float(x))
+    if abs(x) <= 1:
+        return mp.mpc(x, mp.sqrt(1 - x * x))
+    return x + mp.sign(x) * mp.sqrt(x * x - 1)
 
 
 def random_outside_e(rng, size):
@@ -112,15 +121,6 @@ class TestGreenE:
         assert float(kernel_oracles(2.0, 3.0)[0]) == pytest.approx(oracle, abs=1e-13)
         assert round(green_e(2.0, 3.0), 4) == 2.2924
 
-    def test_forms_agree_randomized(self):
-        # the smooth part that the Green potentials use (real Phi at the
-        # nodes) against the complex-Phi one that IntervalGreen uses
-        z = random_outside_e(RNG, 10_000)
-        t = random_outside_e(RNG, 10_000)
-        a = green_e_smooth(z, t)
-        b = GREEN_E_KERNEL.smooth(z, t)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
     def test_boundary_vanishing(self):
         assert green_e(1.0 + 1e-12, 3.0) == pytest.approx(0.0, abs=1e-5)
         assert green_e(1.0 + 1e-12, 3.0) > 0.0
@@ -139,6 +139,28 @@ class TestGreenE:
         keep = np.abs(z - t) > 1e-9
         rec = green_e_smooth(z[keep], t[keep]) - np.log(np.abs(z[keep] - t[keep]))
         assert np.max(np.abs(rec - kernel_oracles(z[keep], t[keep])[0])) <= 1e-12
+
+
+class TestSheet0Smooth:
+    def test_mpmath_oracle(self):
+        # log(|Phi(s) - Phi(t)| / |s - t|) - log|Phi(s)|, s outside E or in
+        # E (upper limit), t outside E
+        rng = np.random.default_rng(11)
+        s = np.concatenate([random_outside_e(rng, 300), rng.uniform(-1.0, 1.0, 100)])
+        t = random_outside_e(rng, 400)
+        keep = np.abs(s - t) > 1e-3
+        s, t = s[keep], t[keep]
+        with mp.workprec(200):
+            oracle = [float(mp.log(abs(mp_phi(a) - mp_phi(b)) / abs(mp.mpf(a) - mp.mpf(b)))
+                            - mp.log(abs(mp_phi(a)))) for a, b in zip(s, t)]
+        assert np.max(np.abs(sheet0_smooth(s, t) - oracle)) <= 1e-13
+
+    def test_diagonal_is_the_derivative_limit(self):
+        # on s == t the quotient is |Phi'(t)| = |Phi(t)| / sqrt(t^2 - 1)
+        t = random_outside_e(np.random.default_rng(12), 200)
+        with mp.workprec(200):
+            oracle = [float(-mp.log(mp.sqrt(mp.mpf(b) ** 2 - 1))) for b in t]
+        assert np.max(np.abs(sheet0_smooth(t, t) - oracle)) <= 1e-13
 
 
 class TestFactorizationIdentity:
@@ -168,6 +190,20 @@ class TestGreenAtInfinity:
     def test_positive_outside(self):
         z = random_outside_e(RNG, 1000)
         assert np.all(green_e_at_infinity(z) > 0.0)
+
+    def test_exactly_zero_on_e(self):
+        # the field of the scalar problem is real: a point of E is moved to
+        # the branch point, where Phi is 1
+        x = np.concatenate([make_grid(IntervalUnion([(-1.0, 1.0)]), 64, 2.0).nodes,
+                            [-1.0, -0.0, 0.0, 1.0]])
+        assert np.all(green_e_at_infinity(x) == 0.0)
+        assert green_e_at_infinity(0.5) == 0.0
+
+    def test_mpmath_oracle_off_e(self):
+        x = random_outside_e(np.random.default_rng(13), 1000)
+        with mp.workprec(200):
+            oracle = np.array([float(mp.log(abs(mp_phi(a)))) for a in x])
+        assert np.max(np.abs(green_e_at_infinity(x) - oracle)) <= 1e-14
 
 
 class TestIntervalUnion:

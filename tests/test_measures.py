@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilab.equilibrium import surface_kernel
 from equilab.kernels import (
     IntervalUnion,
-    _phi_real,
-    zhukovskii_derivative_abs,
-    zhukovskii_inverse,
+    green_e_smooth,
+    scalar_kernel_smooth,
+    sheet0_smooth,
 )
 from equilab.measures import (
     ANALYTIC_WINDOW,
     BLOCK_ENTRIES,
     LOG_KERNEL,
+    SHEET1_KERNEL,
     DiscreteMeasure,
     _T,
     green_potential_e,
@@ -140,15 +140,6 @@ class TestLogPotential:
 
 
 class TestRSPotential:
-    def test_two_routes_agree(self):
-        # cell-integrated sheet-1 route vs the generic kernel evaluation route
-        g = make_grid(F23, 100, 2.0)
-        mu = arcsine_cells(g)
-        z = np.concatenate([RNG.uniform(2.0, 3.0, 40), RNG.uniform(3.5, 20.0, 40)])
-        a = rs_potential_sheet(mu, z, 1)
-        b = kernel_potential(mu, surface_kernel(), z)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
     def test_slopes(self):
         g = make_grid(F23, 200, 2.0)
         mu = arcsine_cells(g)
@@ -185,30 +176,20 @@ def _neglog_oracle(z, mu):
 
 
 def _full_matrix_potentials(mu, z):
-    """Each blocked evaluator's reference: its kernel matrix over all of z at once."""
+    """Each blocked evaluator's reference: its kernel matrix over all of z at once.
+
+    The smooth parts are the single definitions in ``equilab.kernels``, each
+    checked against mpmath in ``tests/test_kernels.py``; here they are
+    evaluated on the whole z x cells matrix in one call.
+    """
     Q = _neglog_oracle(z, mu)
-    t, w = mu.nodes, mu.weights
-    pz, pt = zhukovskii_inverse(z), _phi_real(t)
-    green_smooth = (
-        2.0 * np.log(np.abs(1.0 - pz[:, None] * pt[None, :]))
-        - np.log(2.0)
-        - np.log(np.abs(pz))[:, None]
-        - np.log(np.abs(pt))[None, :]
-    )
-    D = z[:, None] - t[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(pz[:, None] - pt[None, :]) / np.abs(D)
-    zi, cj = np.nonzero(D == 0.0)
-    ratio[zi, cj] = zhukovskii_derivative_abs(t[cj])
-    sheet0_smooth = np.log(ratio) - np.log(np.abs(pz))[:, None]
-    surface = surface_kernel()
+    zz, t, w = z[:, None], mu.nodes[None, :], mu.weights
     return {
         "log": Q @ w,
-        "green_e": (green_smooth + Q) @ w,
-        "sheet0": (sheet0_smooth + Q) @ w,
-        "sheet1": (np.log(np.abs(1.0 - pz[:, None] * pt[None, :])) + 2.0 * Q) @ w,
+        "green_e": (green_e_smooth(zz, t) + Q) @ w,
+        "sheet0": (sheet0_smooth(zz, t) + Q) @ w,
+        "sheet1": (scalar_kernel_smooth(zz, t) + 2.0 * Q) @ w,
         "kernel_log": (LOG_KERNEL.sing_coeff * Q) @ w,
-        "kernel_surface": (surface.sing_coeff * Q + surface.smooth(z[:, None], t[None, :])) @ w,
     }
 
 
@@ -219,7 +200,6 @@ def _blocked_potentials(mu, z):
         "sheet0": rs_potential_sheet(mu, z, 0),
         "sheet1": rs_potential_sheet(mu, z, 1),
         "kernel_log": kernel_potential(mu, LOG_KERNEL, z),
-        "kernel_surface": kernel_potential(mu, surface_kernel(), z),
     }
 
 
@@ -348,7 +328,7 @@ class TestBandedWindow:
             "log_potential": lambda: log_potential(mu, z),
             "green_potential_e": lambda: green_potential_e(mu, z),
             "rs_potential_sheet_0": lambda: rs_potential_sheet(mu, z, 0),
-            "kernel_potential": lambda: kernel_potential(mu, surface_kernel(), z),
+            "kernel_potential": lambda: kernel_potential(mu, SHEET1_KERNEL, z),
         }
         peaks = {}
         for name, evaluate in evaluators.items():

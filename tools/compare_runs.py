@@ -25,8 +25,9 @@ else 0.  It also prints each run's peak RSS and CPU time on both trees
 (the child's ``ru_maxrss`` from ``os.wait4``, in MiB, as ``perfbench``
 reports ``peak_rss_mb``, and its ``ru_utime + ru_stime`` in seconds), and
 for each differing ``report.json`` the checks whose id or status moved, or
-``statuses unchanged``; these are information only and never change the
-exit status.
+``statuses unchanged``, and the largest absolute change of a check value
+with its check id; these are information only and never change the exit
+status.
 Outputs go to ``--work`` (a new temporary directory by default).
 """
 
@@ -115,18 +116,31 @@ def first_difference(a, b):
     return None
 
 
-def check_statuses(path):
-    """{check id: status} of a combined ``report.json``, in report order."""
+def report_checks(path):
+    """{check id: (status, value)} of a combined ``report.json``, in report order."""
     with open(path, encoding="utf-8") as fh:
-        return {c["check_id"]: c["status"] for rep in json.load(fh)["reports"]
+        return {c["check_id"]: (c["status"], c["value"]) for rep in json.load(fh)["reports"]
                 for c in rep["checks"]}
 
 
-def moved_checks(a, b):
-    """Lines naming each check whose id or status moved between two report.json files."""
-    old, new = check_statuses(a), check_statuses(b)
-    return [f"{cid}: {old.get(cid, 'absent')} -> {new.get(cid, 'absent')}"
-            for cid in {**old, **new} if old.get(cid) != new.get(cid)] or ["statuses unchanged"]
+def moved_checks(old, new):
+    """Lines naming each check whose id or status moved between two :func:`report_checks`."""
+    absent = ("absent", None)
+    return [f"{cid}: {old.get(cid, absent)[0]} -> {new.get(cid, absent)[0]}"
+            for cid in {**old, **new} if old.get(cid, absent)[0] != new.get(cid, absent)[0]
+            ] or ["statuses unchanged"]
+
+
+def largest_value_change(old, new):
+    """The largest absolute change of a check value between two :func:`report_checks`, with its id.
+
+    Skipped checks (no value) and checks on one side only are left out;
+    "none" when no value moved.
+    """
+    changes = [(abs(new[cid][1] - old[cid][1]), cid) for cid in old if cid in new
+               and old[cid][1] is not None and new[cid][1] is not None]
+    size, cid = max(changes, default=(0.0, None))
+    return f"{size:.3g} ({cid})" if size > 0.0 else "none"
 
 
 def main(argv=None) -> int:
@@ -173,8 +187,10 @@ def main(argv=None) -> int:
                     print(f"    line {number} old: {x}")
                     print(f"    line {number} new: {y}")
                 if os.path.basename(f) == "report.json":
-                    for line in moved_checks(*paths):
+                    checks = [report_checks(path) for path in paths]
+                    for line in moved_checks(*checks):
                         print(f"    checks: {line}")
+                    print(f"    largest value change: {largest_value_change(*checks)}")
     stale = sorted(set(expected) - seen)
     for label, item in stale:
         print(f"declared but not different: {label}\t{item}")
