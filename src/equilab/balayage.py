@@ -15,22 +15,11 @@ about 1e-5 of E on 400 cells) gives a negative weight and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .kernels import E_LEFT, E_RIGHT, IntervalUnion, green_e_at_infinity, is_real
+from .kernels import E_LEFT, E_RIGHT, IntervalUnion, is_real
 from .measures import LOG_KERNEL, DiscreteMeasure, Grid, log_potential
-from .equilibrium import collocate
-
-
-@dataclass(frozen=True)
-class BalayageResult:
-    """Swept measure plus the additive constant c in U_swept = U_source + c."""
-
-    measure: DiscreteMeasure
-    shift_constant: float
-    residual_sup: float = 0.0
+from .equilibrium import EquilibriumSolution, collocate, collocation_solution
 
 
 def _require_e_grid(grid: Grid):
@@ -60,12 +49,12 @@ def require_outside_e(a):
     return float(a)
 
 
-def balayage_point_to_e(a: float, grid: Grid) -> BalayageResult:
+def balayage_point_to_e(a: float, grid: Grid) -> DiscreteMeasure:
     """Closed-form balayage of the unit point mass at a onto E = [-1, 1].
 
     Cell masses are exact; the shift constant is the Green function of E at
-    infinity evaluated at a, so the potential identity
-    U_swept = -log|. - a| + log|Phi(a)| holds on E.
+    infinity evaluated at a, ``green_e_at_infinity(a)``, so the potential
+    identity U_swept = -log|. - a| + log|Phi(a)| holds on E.
     """
     require_outside_e(a)
     _require_e_grid(grid)
@@ -73,40 +62,28 @@ def balayage_point_to_e(a: float, grid: Grid) -> BalayageResult:
         w = _point_cdf_from_left(a, grid.cell_right) - _point_cdf_from_left(a, grid.cell_left)
     else:
         w = _point_cdf_from_left(-a, -grid.cell_left) - _point_cdf_from_left(-a, -grid.cell_right)
-    mu = DiscreteMeasure.from_weights(grid, w)
-    return BalayageResult(measure=mu, shift_constant=float(green_e_at_infinity(a)))
+    return DiscreteMeasure.from_weights(grid, w)
 
 
-def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> BalayageResult:
+def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> EquilibriumSolution:
     """Sweep a discrete measure onto the target grid by potential matching.
 
     Solves for target weights b and a constant c with U_b(x_i) = U_mu(x_i) + c
     at every target node and total mass preserved, by one :func:`collocate`
-    call; a negative weight raises :class:`~equilab.errors.DiscretizationError`.
-    A source already supported on the target set is returned unchanged with
-    c = 0; a partially overlapping source is rejected.
+    call, and returns its solution: the swept measure, c as its constant
+    and the residual; a negative weight raises
+    :class:`~equilab.errors.DiscretizationError`.  A source that meets the
+    target set is rejected.
     """
-    rel = _support_relation(mu.support, target.support)
-    if rel == "equal":
-        return BalayageResult(measure=mu, shift_constant=0.0)
-    if rel == "overlap":
-        raise ValueError("source support must be disjoint from the target (or equal to it)")
-
+    if _overlaps(mu.support, target.support):
+        raise ValueError("source support must be disjoint from the target")
     rhs = log_potential(mu, target.nodes)
     (b,), (c,), (resid,) = collocate([target], [[LOG_KERNEL]], [rhs], [mu.mass])
-    return BalayageResult(
-        measure=DiscreteMeasure.from_weights(target, b), shift_constant=c, residual_sup=resid
-    )
+    return collocation_solution(target, b, (c,), resid)
 
 
-def _support_relation(a: IntervalUnion, b: IntervalUnion) -> str:
-    if a.intervals == b.intervals:
-        return "equal"
-    for (l1, r1) in a.intervals:
-        for (l2, r2) in b.intervals:
-            if max(l1, l2) <= min(r1, r2):
-                return "overlap"
-    return "disjoint"
+def _overlaps(a: IntervalUnion, b: IntervalUnion) -> bool:
+    return any(max(l1, l2) <= min(r1, r2) for (l1, r1) in a.intervals for (l2, r2) in b.intervals)
 
 
 def reconstruct_e_measure(lam: DiscreteMeasure, e_grid: Grid) -> DiscreteMeasure:

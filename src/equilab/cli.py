@@ -301,22 +301,24 @@ def _cmd_balayage(rc: RunConfig, out):
     a = rc.balayage_point
     grid = make_grid(E_INTERVAL, rc.grid.n, rc.grid.grading)
     closed = balayage_point_to_e(a, grid)
+    # the closed form's shift constant
+    shift = float(green_e_at_infinity(a))
     # a single narrow cell centered at the point stands in for the delta mass
     half = min(abs(a) - 1.0, 0.5) / 1000.0
     src = DiscreteMeasure([a], [1.0], [a - half], [a + half], IntervalUnion([(a - half, a + half)]))
     numeric = balayage_numeric(src, grid)
-    ks = ks_distance(closed.measure, numeric.measure)
+    ks = ks_distance(closed, numeric.measure)
     # the closed form is exact, so the distance is the sweep's discretization error
     passed = ks <= rc.tolerances.ks
-    closed.measure.to_csv(out.path("balayage_closed.csv"))
+    closed.to_csv(out.path("balayage_closed.csv"))
     numeric.measure.to_csv(out.path("balayage_numeric.csv"))
     out.write_json(
         "balayage.json",
         {
             "point": a,
-            "shift_constant_closed": closed.shift_constant,
-            "shift_constant_numeric": numeric.shift_constant,
-            "green_at_infinity": float(green_e_at_infinity(a)),
+            "shift_constant_closed": shift,
+            "shift_constant_numeric": numeric.constant,
+            "green_at_infinity": shift,
             "ks_closed_vs_numeric": ks,
             "ks_tolerance": rc.tolerances.ks,
             # the sweep's residual is this identity on the grid nodes, bit for bit
@@ -324,7 +326,7 @@ def _cmd_balayage(rc: RunConfig, out):
         },
     )
     print(f"[balayage] a={a} ks={ks:.3e} (tolerance {rc.tolerances.ks:.3e}, "
-          f"{'pass' if passed else 'fail'}) shift={numeric.shift_constant:.6f}")
+          f"{'pass' if passed else 'fail'}) shift={numeric.constant:.6f}")
     return 0 if passed else 1
 
 
@@ -394,8 +396,8 @@ def _cmd_verify(rc: RunConfig, out, which):
         timed(verify_positivity, scalar.measure)
         timed(verify_charge_slopes, scalar.measure)
     if which in ("prop2", "all"):
-        timed(verify_zero_distribution, rc.sigma, rc.n_list, scalar.measure, rc.grid,
-              rc.precision_bits, rc.tolerances)
+        timed(verify_zero_distribution, rc.sigma, rc.n_list, scalar, rc.precision_bits,
+              rc.tolerances)
 
     ok = True
     combined_md = []

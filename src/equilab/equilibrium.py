@@ -223,7 +223,8 @@ def collocate(grids, kernels, rhs, masses, fold=False):
 # solvers
 
 
-def _solution(grid, weights, constants, residual, fold):
+def collocation_solution(grid, weights, constants, residual, fold=False):
+    """The :class:`EquilibriumSolution` of one grid of a :func:`collocate` result."""
     mu = DiscreteMeasure.from_weights(grid, weights)
     return EquilibriumSolution(grid=grid, measure=mu, constants=tuple(constants),
                                residual_sup=residual, min_density=float(np.min(mu.densities)),
@@ -244,7 +245,7 @@ def solve_scalar(F: IntervalUnion, grid_params: GridParams = GridParams()) -> Eq
     fold = F.is_symmetric()
     (u,), (c,), (r,) = collocate([grid], [[SHEET1_KERNEL]], [-green_e_at_infinity(grid.nodes)],
                                  [1.0], fold)
-    return _solution(grid, u, (c,), r, fold)
+    return collocation_solution(grid, u, (c,), r, fold)
 
 
 def solve_reduced(F: IntervalUnion, grid_params: GridParams = GridParams()) -> EquilibriumSolution:
@@ -259,7 +260,7 @@ def solve_reduced(F: IntervalUnion, grid_params: GridParams = GridParams()) -> E
         raise ValueError("the reduced problem supports a single-interval F only")
     grid = make_grid(E_INTERVAL, grid_params.n, grid_params.grading)
     (u,), (c,), (r,) = collocate([grid], [[reduced_kernel(F)]], [np.zeros(grid.size)], [1.0])
-    return _solution(grid, u, (c,), r, False)
+    return collocation_solution(grid, u, (c,), r)
 
 
 def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
@@ -279,5 +280,5 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
     weights, (w1, w2), residuals = collocate(
         grids, kernels, [np.zeros(g.size) for g in grids], [1.0, 1.0], fold
     )
-    return tuple(_solution(g, u, c, r, fold)
+    return tuple(collocation_solution(g, u, c, r, fold)
                  for g, u, c, r in zip(grids, weights, [(w1, w2), (w2, w1)], residuals))

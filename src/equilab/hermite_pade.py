@@ -98,7 +98,6 @@ from functools import cmp_to_key
 from math import comb
 from operator import mul
 
-import numpy as np
 from mpmath.libmp import (
     fnone, fone, fzero, from_float, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_cos, mpf_div, mpf_ge,
     mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_rdiv_int, mpf_shift,
@@ -107,7 +106,6 @@ from mpmath.libmp import (
 
 from .errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
 from .kernels import IntervalUnion, is_integer, require_gap_to_e
-from .measures import DiscreteMeasure
 
 DEFAULT_PRECISION_BITS = 512
 MAX_PRECISION_BITS = 4096
@@ -681,13 +679,6 @@ def _aberth_sweep(coeffs, xs, prec):
         if mpf_gt(step, moved):
             moved = step
     return moved
-
-
-def counting_measure(zeros) -> DiscreteMeasure:
-    """Normalized zero-counting measure: mass 1/len(zeros) at each zero."""
-    if not zeros:
-        raise ValueError("no zeros to count")
-    return DiscreteMeasure.atoms(zeros, np.full(len(zeros), 1.0 / len(zeros)))
 
 
 # --------------------------------------------------------------------------

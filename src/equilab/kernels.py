@@ -141,9 +141,12 @@ def zhukovskii_inverse(z):
 
 
 def _phi_real(t):
-    """Fast real-valued Phi for real |t| >= 1 (sign-aware square root)."""
+    """Fast real-valued Phi for real |t| >= 1 (sign-aware square root).
+
+    (t - 1)(t + 1) keeps the digits that t * t - 1 cancels near the branch points.
+    """
     t = np.asarray(t, dtype=float)
-    w = np.sign(t) * np.sqrt(t * t - 1.0)
+    w = np.sign(t) * np.sqrt((t - 1.0) * (t + 1.0))
     out = t + w
     return out if out.shape else float(out)
 
@@ -203,11 +206,13 @@ def green_e_smooth(z, t):
 def green_e_at_infinity(x):
     """g_E(x, infinity) = log|Phi(x)| at real x; behaves as log|x| + log 2 + o(1) at infinity.
 
-    A point inside E is moved to 1, where Phi is 1, so the value there is
-    exactly 0.
+    With u = max(|x| - 1, 0), |Phi(x)| = 1 + u + sqrt(u (u + 2)), so the value
+    is log1p(u + sqrt(u (u + 2))): it keeps its relative digits near the
+    branch points, and a point inside E, where u is 0, gets exactly 0.
     """
     x = np.asarray(x, dtype=float)
-    out = np.log(np.abs(_phi_real(np.where(np.abs(x) < 1.0, 1.0, x))))
+    u = np.maximum(np.abs(x) - 1.0, 0.0)
+    out = np.log1p(u + np.sqrt(u * (u + 2.0)))
     return out if np.ndim(out) else float(out)
 
 

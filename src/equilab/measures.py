@@ -14,9 +14,9 @@ that.  Evaluation points are real; a complex z raises TypeError.
 The named kernels take their smooth parts from :mod:`equilab.kernels`, the
 only module that evaluates Phi.
 
-Zero-width cells are allowed and represent purely atomic measures (zero
-counting measures of polynomials); those only support midpoint evaluation
-and distribution comparisons.
+Every cell has positive width.  Point masses, such as the zero-counting
+measure of a polynomial, are :class:`Atoms`, which only :func:`ks_distance`
+reads.
 
 The evaluator builds the kernel matrix in row blocks of at most
 BLOCK_ENTRIES entries, so its memory does not grow with the number of
@@ -153,7 +153,9 @@ class DiscreteMeasure:
         if np.any(weights < -1e-12):
             raise ValueError("weights must be nonnegative")
         weights = np.where(weights < 0, 0.0, weights)
-        if np.any(cr < cl) or np.any(nodes < cl) or np.any(nodes > cr):
+        if not np.all(cr > cl):
+            raise ValueError("cells must have positive width")
+        if np.any(nodes < cl) or np.any(nodes > cr):
             raise ValueError("each node must lie inside its cell")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -163,22 +165,6 @@ class DiscreteMeasure:
     @classmethod
     def from_weights(cls, grid: Grid, weights) -> "DiscreteMeasure":
         return cls(grid.nodes, weights, grid.cell_left, grid.cell_right, grid.support)
-
-    @classmethod
-    def atoms(cls, positions, weights) -> "DiscreteMeasure":
-        """Purely atomic measure; equal positions are merged."""
-        pos = np.asarray(positions, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        order = np.argsort(pos, kind="stable")
-        pos, w = pos[order], w[order]
-        # merge equal neighbours with a mask: some np.unique paths import
-        # numpy.ma, about 17 ms on its first call
-        first = np.concatenate([[True], pos[1:] != pos[:-1]])
-        uniq, inverse = pos[first], np.cumsum(first) - 1
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inverse, w)
-        support = IntervalUnion([(uniq[0] - 0.5, uniq[-1] + 0.5)])
-        return cls(uniq, merged, uniq, uniq, support)
 
     @property
     def mass(self) -> float:
@@ -190,9 +176,7 @@ class DiscreteMeasure:
 
     @property
     def densities(self):
-        h = self.widths
-        with np.errstate(divide="ignore"):
-            return np.where(h > 0, self.weights / np.where(h > 0, h, 1.0), np.inf)
+        return self.weights / self.widths
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -219,7 +203,7 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
 
     Analytic within ANALYTIC_WINDOW widths of the node (exact for the
     piecewise-constant density, including the cell containing z), midpoint
-    beyond; atoms always take the midpoint path.  The points must be real:
+    beyond.  The points must be real:
     a complex z raises TypeError.  The matrix is built in one buffer;
     callers take it in :func:`row_slices` blocks through
     :func:`kernel_cell_averages`, which bounds that buffer's size.
@@ -231,15 +215,12 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
     Q = np.subtract(z[:, None], mu.nodes[None, :])
     np.abs(Q, out=Q)
     h = mu.widths
-    # an atom's window is -1, which no |z - node| reaches
-    near = np.flatnonzero(Q <= np.where(h > 0.0, ANALYTIC_WINDOW * h, -1.0))
+    near = np.flatnonzero(Q <= ANALYTIC_WINDOW * h)
     zi, cj = np.divmod(near, h.size)
     with np.errstate(divide="ignore"):
         np.log(Q, out=Q)
     np.negative(Q, out=Q)
     Q.flat[near] = (_T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])) / h[cj]
-    if np.any(np.isinf(Q)):
-        raise ValueError("evaluation point coincides with an atom")
     return Q
 
 
@@ -364,15 +345,26 @@ def surface_functional(mu: DiscreteMeasure, z):
 # distribution comparison
 
 
-def ks_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    """sup_x |CDF_a(x) - CDF_b(x)| for two unit measures.
+@dataclass(frozen=True)
+class Atoms:
+    """Point masses ``weights`` at the ascending ``nodes``, such as a zero-counting measure.
+
+    Only compared with :func:`ks_distance`; no potential integrates it.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def ks_distance(a, b) -> float:
+    """sup_x |CDF_a(x) - CDF_b(x)| for two unit measures, each a DiscreteMeasure or Atoms.
 
     Right-continuous convention with cell mass at the node; the supremum over
     the whole line is attained at a node or immediately before one, so both
     one-sided limits are checked at both node sets (duplicates do not change
     a maximum).
     """
-    if abs(a.mass - 1.0) > MASS_TOL or abs(b.mass - 1.0) > MASS_TOL:
+    if abs(a.weights.sum() - 1.0) > MASS_TOL or abs(b.weights.sum() - 1.0) > MASS_TOL:
         raise ValueError("ks_distance expects unit measures")
     allx = np.concatenate([a.nodes, b.nodes])
     ca = np.concatenate([[0.0], np.cumsum(a.weights)])

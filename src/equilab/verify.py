@@ -40,15 +40,10 @@ import numpy as np
 from .balayage import balayage_numeric, reconstruct_e_measure
 from .equilibrium import EquilibriumSolution, GridParams, reduced_kernel, solve_reduced
 from .errors import EquilabError
-from .hermite_pade import (
-    HPSweep,
-    MarkovSpec,
-    counting_measure,
-    require_n_list,
-    solve_with_escalation,
-)
+from .hermite_pade import HPSweep, MarkovSpec, require_n_list, solve_with_escalation
 from .kernels import IntervalUnion, green_e_at_infinity, require_gap_to_e
 from .measures import (
+    Atoms,
     DiscreteMeasure,
     green_potential_e,
     kernel_potential,
@@ -165,10 +160,6 @@ class Tolerances:
         )
 
 
-def _echo_grid(gp: GridParams):
-    return {"n": gp.n, "grading": gp.grading}
-
-
 # --------------------------------------------------------------------------
 # equivalence of the scalar and coupled problems
 
@@ -186,13 +177,14 @@ def verify_equivalence(
     ``solve_vector(F, grid_params)``.  The balayage sweeps onto the scalar
     solve's F grid and the reconstruction lies on the coupled solve's E
     grid; the residual is measured on a grid 4x finer than the scalar one.
+    The report echoes the scalar solve's grid.
     """
     require_gap_to_e(F)
     rep = VerificationReport(
         name="equivalence",
         provenance={
             "F": [[l, r] for (l, r) in F.intervals],
-            "grid": _echo_grid(grid_params),
+            "grid": {"n": scalar.grid.n_per_component, "grading": scalar.grid.grading},
             "tolerances": {"ks": tolerances.ks, "residual_rel": tolerances.residual_rel},
         },
     )
@@ -379,18 +371,24 @@ def verify_charge_slopes(lam: DiscreteMeasure) -> VerificationReport:
 # zero distribution of Q2
 
 
+def counting_measure(zeros) -> Atoms:
+    """Normalized zero-counting measure: mass 1/len(zeros) at each of the ascending zeros."""
+    if not zeros:
+        raise ValueError("no zeros to count")
+    return Atoms(np.asarray(zeros, dtype=float), np.full(len(zeros), 1.0 / len(zeros)))
+
+
 def verify_zero_distribution(
     sigma: MarkovSpec,
     n_list,
-    lam: DiscreteMeasure,
-    grid_params: GridParams,
+    scalar: EquilibriumSolution,
     precision_bits: int,
     tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Hull containment, degree, and KS decay of normalized zero counting measures.
 
-    The comparison measure ``lam`` is the scalar equilibrium solution on the
-    support of sigma, solved on ``grid_params``.  The 10% non-increase band
+    The comparison measure is ``scalar``, the scalar equilibrium solution on
+    the support of sigma, whose grid the report echoes.  The 10% non-increase band
     on the KS sequence is an artifact policy for desk scale, flagged as such
     in the provenance, not a claim about rates.
     """
@@ -402,7 +400,7 @@ def verify_zero_distribution(
             "rule": sigma.rule,
             "n_list": n_list,
             "precision_bits": precision_bits,
-            "grid": _echo_grid(grid_params),
+            "grid": {"n": scalar.grid.n_per_component, "grading": scalar.grid.grading},
             "ks_band_policy": "non-increase within 10% per step; desk-scale policy",
         },
     )
@@ -431,7 +429,7 @@ def verify_zero_distribution(
                     f"failure: degree of Q2 is {sol.degree_q2}, not {degree}; no KS distance")
             continue
         if zeros:  # Q2 of degree 0 has no zeros to count
-            ks_seq[n] = ks_distance(counting_measure(zeros), lam)
+            ks_seq[n] = ks_distance(counting_measure(zeros), scalar.measure)
 
     positive = [n for n in n_list if sigma.degree_q2(n) > 0]
     if positive and len(ks_seq) == len(positive):

@@ -178,7 +178,7 @@ def test_criterion_5_balayage_oracle():
     src = DiscreteMeasure([a], [1.0], [a - width], [a + width],
                           IntervalUnion([(a - width, a + width)]))
     numeric = balayage_numeric(src, grid)
-    ks = ks_distance(numeric.measure, closed.measure)
+    ks = ks_distance(numeric.measure, closed)
     ident = float(np.max(np.abs(
         log_potential(numeric.measure, grid.nodes)
         + np.log(np.abs(grid.nodes - a))
@@ -232,7 +232,7 @@ def zero_distribution_report(scalar23):
     """The report and the wall time of its verifier call."""
     t0 = time.perf_counter()
     rep = verify_zero_distribution(
-        MarkovSpec(F23, "arcsine"), [5, 10, 20, 40], scalar23.measure, GP400, 512
+        MarkovSpec(F23, "arcsine"), [5, 10, 20, 40], scalar23, 512
     )
     return rep, time.perf_counter() - t0
 

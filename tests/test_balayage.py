@@ -9,9 +9,10 @@ from equilab.balayage import (
     chebyshev_measure,
     reconstruct_e_measure,
 )
-from equilab.equilibrium import E_INTERVAL
+from equilab.equilibrium import E_INTERVAL, collocate
 from equilab.kernels import IntervalUnion, green_e_at_infinity
 from equilab.measures import (
+    LOG_KERNEL,
     DiscreteMeasure,
     ks_distance,
     log_potential,
@@ -50,7 +51,7 @@ class TestPointBalayage:
     def test_mass_one(self):
         grid = make_grid(E_INTERVAL, 1000, 2.0)
         res = balayage_point_to_e(2.0, grid)
-        assert abs(res.measure.mass - 1.0) <= 1e-8
+        assert abs(res.mass - 1.0) <= 1e-8
 
     def test_potential_identity(self):
         # U_swept(x) + log|x - a| equals log|Phi(a)| on E
@@ -58,22 +59,22 @@ class TestPointBalayage:
         a = 2.0
         res = balayage_point_to_e(a, grid)
         x = grid.nodes
-        dev = log_potential(res.measure, x) + np.log(np.abs(x - a)) - np.log(2.0 + np.sqrt(3.0))
+        dev = log_potential(res, x) + np.log(np.abs(x - a)) - green_e_at_infinity(a)
         assert np.max(np.abs(dev)) <= 1e-3
-        assert res.shift_constant == pytest.approx(green_e_at_infinity(a))
+        assert green_e_at_infinity(a) == pytest.approx(np.log(2.0 + np.sqrt(3.0)))
 
     def test_negative_side(self):
         grid = make_grid(E_INTERVAL, 400, 2.0)
         res = balayage_point_to_e(-2.0, grid)
-        assert abs(res.measure.mass - 1.0) <= 1e-10
+        assert abs(res.mass - 1.0) <= 1e-10
         flipped = balayage_point_to_e(2.0, grid)
-        np.testing.assert_allclose(res.measure.weights, flipped.measure.weights[::-1], atol=1e-12)
+        np.testing.assert_allclose(res.weights, flipped.weights[::-1], atol=1e-12)
 
     def test_far_point_gives_chebyshev(self):
         grid = make_grid(E_INTERVAL, 400, 2.0)
         res = balayage_point_to_e(1e8, grid)
         tau = chebyshev_measure(grid)
-        assert np.max(np.abs(res.measure.weights - tau.weights)) <= 1e-6
+        assert np.max(np.abs(res.weights - tau.weights)) <= 1e-6
 
     def test_inside_rejected(self):
         grid = make_grid(E_INTERVAL, 64, 2.0)
@@ -87,7 +88,7 @@ class TestNumericBalayage:
         src = narrow_cell_measure(2.0)
         num = balayage_numeric(src, grid)
         closed = balayage_point_to_e(2.0, grid)
-        assert ks_distance(num.measure, closed.measure) <= 1e-3
+        assert ks_distance(num.measure, closed) <= 1e-3
         assert num.residual_sup <= 1e-9
 
     def test_potential_identity_invariant(self):
@@ -97,7 +98,7 @@ class TestNumericBalayage:
         dev = (
             log_potential(num.measure, grid.nodes)
             - log_potential(src, grid.nodes)
-            - num.shift_constant
+            - num.constant
         )
         assert np.max(np.abs(dev)) <= 10 * 1e-10
         # the recorded residual is this recomputation, from the matrix already in hand
@@ -120,17 +121,26 @@ class TestNumericBalayage:
         assert res.measure.support.intervals == F23.intervals
 
     def test_supported_on_target_fixed(self):
+        # a source on the target set is refused like an overlapping one; the
+        # potential matching it would run leaves such a source where it is
         grid = make_grid(E_INTERVAL, 64, 2.0)
         tau = chebyshev_measure(grid)
-        res = balayage_numeric(tau, grid)
-        assert res.shift_constant == 0.0
-        np.testing.assert_array_equal(res.measure.weights, tau.weights)
+        with pytest.raises(ValueError, match="disjoint"):
+            balayage_numeric(tau, grid)
+        (b,), (c,), _ = collocate([grid], [[LOG_KERNEL]], [log_potential(tau, grid.nodes)], [tau.mass])
+        assert abs(c) <= 1e-12
+        np.testing.assert_allclose(b, tau.weights, rtol=0, atol=1e-12)
 
     def test_idempotent(self):
+        # sweeping a swept measure again is refused by balayage_numeric and is
+        # the identity for the potential matching behind it
         grid = make_grid(E_INTERVAL, 128, 2.0)
-        once = balayage_numeric(narrow_cell_measure(2.0), grid)
-        twice = balayage_numeric(once.measure, grid)
-        assert ks_distance(once.measure, twice.measure) <= 1e-8
+        once = balayage_numeric(narrow_cell_measure(2.0), grid).measure
+        with pytest.raises(ValueError, match="disjoint"):
+            balayage_numeric(once, grid)
+        (b,), _, _ = collocate([grid], [[LOG_KERNEL]], [log_potential(once, grid.nodes)], [once.mass])
+        twice = DiscreteMeasure.from_weights(grid, b)
+        assert ks_distance(once, twice) <= 1e-8
 
     def test_overlap_rejected(self):
         grid = make_grid(E_INTERVAL, 64, 2.0)

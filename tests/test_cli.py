@@ -329,7 +329,8 @@ def test_verify_theorem1_pinned_on_multi_block_systems(tmp_path):
     # at 200 nodes per component the dense systems of the two-component F
     # are filled in several row blocks, the last one ragged; the report and
     # the sidecars, whose coupled residuals sit at rounding level, must
-    # match files written by the one-shot matrix builders
+    # match files written by the one-shot matrix builders (the scalar ones
+    # rewritten since for Phi's digits at the branch points)
     out = tmp_path / "o"
     argv = ["verify-theorem1", "--preset", "sym-arcsine", "--nodes", "200", "--out", str(out)]
     assert run(argv) == 0
@@ -345,7 +346,7 @@ def test_verify_theorem1_pinned_on_multi_block_systems(tmp_path):
 def test_verify_prop2_constant_sigma_pinned(tmp_path):
     # written by the Gauss-Legendre rule that Fejer's first rule replaced
     # (its KS distances since re-measured against the collocation scalar
-    # solve): the moments agree to 2^-256, so every value of the report must
+    # solve, and against Phi's digits at the branch points): the moments agree to 2^-256, so every value of the report must
     # stay the same; only the rule's name and its accepted quadrature orders
     # may change.  Both sides go through one serializer, which writes each
     # float as the shortest decimal that reads back to it.

@@ -221,7 +221,7 @@ def test_balayage_matrix_and_residual_equal_one_shot(F, solved_matrices):
     oracle[n, :n] = 1.0
     _assert_bits_equal(A, oracle)
     rhs_u = log_potential(src, target.nodes)
-    resid = float(np.max(np.abs(P @ res.measure.weights - rhs_u - res.shift_constant)))
+    resid = float(np.max(np.abs(P @ res.measure.weights - rhs_u - res.constant)))
     assert res.residual_sup == resid
 
 

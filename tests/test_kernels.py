@@ -16,6 +16,7 @@ from equilab.kernels import (
     scalar_kernel_smooth,
     sheet0_smooth,
     zhukovskii_inverse,
+    _phi_real,
 )
 from equilab.measures import make_grid
 
@@ -204,6 +205,18 @@ class TestGreenAtInfinity:
         with mp.workprec(200):
             oracle = np.array([float(mp.log(abs(mp_phi(a)))) for a in x])
         assert np.max(np.abs(green_e_at_infinity(x) - oracle)) <= 1e-14
+
+    def test_relative_digits_near_the_branch_points(self):
+        # |x| - 1 from 1e-12 to 10 on both sides: t * t - 1 would cancel
+        # there and lose up to 2.5e-9 of log|Phi| relative
+        d = np.geomspace(1e-12, 10.0, 400)
+        x = np.concatenate([1.0 + d, -(1.0 + d)])
+        with mp.workprec(200):
+            phi = [mp_phi(a) for a in x]
+            log_oracle = np.array([float(mp.log(abs(p))) for p in phi])
+            phi_oracle = np.array([float(p) for p in phi])
+        assert np.max(np.abs(green_e_at_infinity(x) / log_oracle - 1.0)) <= 1e-15
+        assert np.max(np.abs(_phi_real(x) / phi_oracle - 1.0)) <= 1e-15
 
 
 class TestIntervalUnion:

@@ -18,6 +18,7 @@ from equilab.measures import (
     BLOCK_ENTRIES,
     LOG_KERNEL,
     SHEET1_KERNEL,
+    Atoms,
     DiscreteMeasure,
     _T,
     green_potential_e,
@@ -96,11 +97,12 @@ class TestDiscreteMeasure:
         mu = DiscreteMeasure.from_weights(g, w)
         assert mu.weights[3] == 0.0
 
-    def test_atoms_merge(self):
-        mu = DiscreteMeasure.atoms([2.0, 3.0, 2.0], [0.25, 0.5, 0.25])
-        assert len(mu.nodes) == 2
-        assert mu.weights[0] == pytest.approx(0.5)
-        assert np.all(mu.widths == 0.0)
+    def test_zero_width_cell_rejected(self):
+        g = make_grid(F23, 16, 1.0)
+        right = g.cell_right.copy()
+        right[5] = g.cell_left[5] = g.nodes[5]
+        with pytest.raises(ValueError, match="positive width"):
+            DiscreteMeasure(g.nodes, np.full(16, 1.0 / 16), g.cell_left, right, F23)
 
 
 class TestLogPotential:
@@ -165,13 +167,11 @@ def _neglog_oracle(z, mu):
     h = mu.widths
     with np.errstate(divide="ignore"):
         Q = -np.log(np.abs(D))
-    near = (np.abs(D) <= ANALYTIC_WINDOW * h[None, :]) & (h[None, :] > 0.0)
+    near = np.abs(D) <= ANALYTIC_WINDOW * h[None, :]
     if near.any():
         zi, cj = np.nonzero(near)
         vals = _T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])
         Q[zi, cj] = vals / h[cj]
-    if np.any(np.isinf(Q)):
-        raise ValueError("evaluation point coincides with an atom")
     return Q
 
 
@@ -210,9 +210,9 @@ FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 
 @st.composite
 def _window_cases(draw):
-    """A graded grid measure on 1-3 components, a few cells collapsed to atoms,
-    and points where the window test can tip: nodes, cell edges, each window
-    end and one ulp either side of it, and far away."""
+    """A graded grid measure on 1-3 components and points where the window
+    test can tip: nodes, cell edges, each window end and one ulp either side
+    of it, and far away."""
     m = draw(st.integers(min_value=1, max_value=3))
     steps = st.floats(min_value=0.01, max_value=20.0)
     edges = draw(st.floats(min_value=-30.0, max_value=30.0)) + np.cumsum(
@@ -220,15 +220,12 @@ def _window_cases(draw):
     support = IntervalUnion(list(zip(edges[::2], edges[1::2])))
     g = make_grid(support, draw(st.integers(min_value=8, max_value=64)),
                   draw(st.floats(min_value=1.0, max_value=2.0)))
-    atoms = draw(st.lists(st.integers(min_value=0, max_value=g.size - 1), max_size=3, unique=True))
-    left, right = g.cell_left.copy(), g.cell_right.copy()
-    left[atoms] = right[atoms] = g.nodes[atoms]
-    mu = DiscreteMeasure(g.nodes, np.full(g.size, 1.0 / g.size), left, right, support)
+    mu = DiscreteMeasure.from_weights(g, np.full(g.size, 1.0 / g.size))
     reach = ANALYTIC_WINDOW * g.widths
     ends = np.concatenate([g.nodes - reach, g.nodes + reach])
     z = np.concatenate([g.nodes, g.cell_left, g.cell_right, ends, np.nextafter(ends, -np.inf),
                         np.nextafter(ends, np.inf), [-1e6, 0.0, 1e6]])
-    return mu, z[~np.isin(z, g.nodes[atoms])], g.nodes[atoms]
+    return mu, z
 
 
 class TestBandedWindow:
@@ -237,13 +234,8 @@ class TestBandedWindow:
     @given(_window_cases())
     @settings(max_examples=60, deadline=None)
     def test_window_equals_full_mask(self, case):
-        mu, z, atoms = case
+        mu, z = case
         np.testing.assert_array_equal(neglog_cell_averages(z, mu), _neglog_oracle(z, mu))
-        # a point on an atom is refused by both
-        for a in atoms:
-            for evaluate in (neglog_cell_averages, _neglog_oracle):
-                with pytest.raises(ValueError, match="coincides with an atom"):
-                    evaluate(np.append(z, a), mu)
 
     @pytest.mark.parametrize(
         "support, n, grading",
@@ -270,16 +262,6 @@ class TestBandedWindow:
         for name, z in cases.items():
             np.testing.assert_array_equal(neglog_cell_averages(z, mu), _neglog_oracle(z, mu),
                                           err_msg=name)
-
-    def test_atoms(self):
-        mu = DiscreteMeasure.atoms([2.0, 2.5, 3.0], [0.25, 0.5, 0.25])
-        z = np.array([2.7, 1.0, 2.25, 10.0])
-        np.testing.assert_array_equal(neglog_cell_averages(z, mu), _neglog_oracle(z, mu))
-        z = np.array([2.7, 2.5])
-        with pytest.raises(ValueError, match="coincides with an atom"):
-            _neglog_oracle(z, mu)
-        with pytest.raises(ValueError, match="coincides with an atom"):
-            neglog_cell_averages(z, mu)
 
     def test_complex_z_raises(self):
         # the evaluation points are real; a complex z, even on the real axis,
@@ -352,13 +334,13 @@ class TestKSDistance:
         assert ks_distance(mu, mu) == 0.0
 
     def test_disjoint_atoms(self):
-        a = DiscreteMeasure.atoms([2.0], [1.0])
-        b = DiscreteMeasure.atoms([3.0], [1.0])
+        a = Atoms(np.array([2.0]), np.array([1.0]))
+        b = Atoms(np.array([3.0]), np.array([1.0]))
         assert ks_distance(a, b) == pytest.approx(1.0)
 
     def test_mass_validation(self):
-        a = DiscreteMeasure.atoms([2.0], [1.0])
-        b = DiscreteMeasure.atoms([3.0], [0.5])
+        a = Atoms(np.array([2.0]), np.array([1.0]))
+        b = Atoms(np.array([3.0]), np.array([0.5]))
         with pytest.raises(ValueError):
             ks_distance(a, b)
 

@@ -1,16 +1,19 @@
 """Verification-harness tests at reduced grid scale."""
 
+import json
+
 import numpy as np
 import pytest
 
 from equilab.balayage import balayage_numeric, reconstruct_e_measure
 from equilab.equilibrium import GridParams, solve_scalar, solve_vector
-from equilab.hermite_pade import MarkovSpec
+from equilab.hermite_pade import HPSweep, MarkovSpec, solve_with_escalation
 from equilab.kernels import IntervalUnion
 from equilab.measures import make_grid, surface_functional
 from equilab.verify import (
     Tolerances,
     VerificationReport,
+    counting_measure,
     verify_charge_slopes,
     verify_equivalence,
     verify_mixed_potential,
@@ -151,7 +154,7 @@ class TestZeroDistribution:
         sigma = MarkovSpec(F23, "arcsine")
         gp = GridParams(n=100, grading=2.0)
         rep = verify_zero_distribution(
-            sigma, [2, 4], solve_scalar(F23, gp).measure, gp, 192, Tolerances(ks_final=0.5)
+            sigma, [2, 4], solve_scalar(F23, gp), 192, Tolerances(ks_final=0.5)
         )
         assert rep.all_passed
         assert "ks_sequence" in rep.provenance
@@ -161,7 +164,29 @@ class TestZeroDistribution:
     def test_n_list_must_increase(self, solutions):
         scalar, _, _ = solutions
         with pytest.raises(ValueError):
-            verify_zero_distribution(MarkovSpec(F23, "arcsine"), [4, 2], scalar.measure, GP, 192)
+            verify_zero_distribution(MarkovSpec(F23, "arcsine"), [4, 2], scalar, 192)
+
+    def test_counting_measure_mass(self):
+        sigma = MarkovSpec(F23, "arcsine")
+        _, zeros = solve_with_escalation(5, HPSweep(sigma, [5]), 256)
+        chi = counting_measure(zeros)
+        assert abs(chi.weights.sum() - 1.0) <= 1e-14
+        assert chi.nodes.tolist() == zeros
+        assert counting_measure(zeros[:4]).weights.tolist() == [0.25] * 4
+        with pytest.raises(ValueError):
+            counting_measure([])
+
+
+def test_reports_echo_the_solved_grid():
+    # an integer grading is echoed as the solved grid's float
+    gp = GridParams(n=40, grading=1)
+    scalar = solve_scalar(F23, gp)
+    reports = [
+        verify_equivalence(F23, scalar, solve_vector(F23, gp), gp),
+        verify_zero_distribution(MarkovSpec(F23, "arcsine"), [2], scalar, 192),
+    ]
+    for rep in reports:
+        assert json.dumps(rep.provenance["grid"]) == '{"n": 40, "grading": 1.0}', rep.name
 
 
 class TestReportStructure:
