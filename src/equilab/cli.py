@@ -390,7 +390,7 @@ def _cmd_verify(rc: RunConfig, out, which):
         reports.append(rep)
 
     if coupled is not None:
-        timed(verify_equivalence, rc.F, scalar, coupled, rc.grid, rc.tolerances)
+        timed(verify_equivalence, scalar, coupled, rc.tolerances)
     if which == "all":
         timed(verify_mixed_potential, scalar.measure, coupled[0].measure, rc.tolerances)
         timed(verify_positivity, scalar.measure)

@@ -256,8 +256,6 @@ def solve_reduced(F: IntervalUnion, grid_params: GridParams = GridParams()) -> E
     problem, and its constant the sum of the two coupled constants.
     """
     require_gap_to_e(F)
-    if F.m != 1:
-        raise ValueError("the reduced problem supports a single-interval F only")
     grid = make_grid(E_INTERVAL, grid_params.n, grid_params.grading)
     (u,), (c,), (r,) = collocate([grid], [[reduced_kernel(F)]], [np.zeros(grid.size)], [1.0])
     return collocation_solution(grid, u, (c,), r)

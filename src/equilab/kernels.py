@@ -13,8 +13,7 @@ This is the only module that evaluates Phi, and each smooth part below is
 defined here once; :mod:`equilab.measures` wraps them in named kernels, and
 the solvers and the verifiers apply those same kernels.  Phi is real
 (``_phi_real``) at points outside E; the complex branch is taken only in
-``green_e_smooth`` and ``sheet0_smooth``, where an evaluation point may lie
-in E.
+``green_e_smooth``, where an evaluation point may lie in E.
 
 The kernels exposed here:
 
@@ -22,8 +21,10 @@ The kernels exposed here:
   of the sheet-1 surface kernel log(|1 - Phi(s) Phi(t)| / |s - t|^2) over
   real points outside E; measures integrate its singular part
   -2 log|s - t| in closed form over cells.
-- ``sheet0_smooth(s, t)``, the bounded part of the sheet-0 kernel, whose
-  singular part is -log|s - t|.
+- ``sheet0_smooth(s, t) = log 2 + log|Phi(t)| - log|1 - Phi(s) Phi(t)|``, the
+  bounded part of the sheet-0 kernel over real points outside E, by the
+  factorization s - t = (Phi(s) - Phi(t)) (Phi(s) Phi(t) - 1) / (2 Phi(s) Phi(t));
+  its singular part is -log|s - t|.
 - ``green_e_smooth(z, t)``, the bounded part of the Green function g_E of the
   complement of E, whose singular part is -log|z - t|; ``IntervalGreen``
   carries it to the complement of any single interval.
@@ -151,13 +152,6 @@ def _phi_real(t):
     return out if out.shape else float(out)
 
 
-def zhukovskii_derivative_abs(t):
-    """|Phi'(t)| = |Phi(t)| / sqrt(t^2 - 1) for real |t| > 1."""
-    t = np.asarray(t, dtype=float)
-    out = np.abs(_phi_real(t)) / np.sqrt(t * t - 1.0)
-    return out if out.shape else float(out)
-
-
 # --------------------------------------------------------------------------
 # surface kernel over real points
 
@@ -171,18 +165,12 @@ def scalar_kernel_smooth(s, t):
 
 
 def sheet0_smooth(s, t):
-    """Bounded part log(|Phi(s) - Phi(t)| / |s - t|) - log|Phi(s)| of the sheet-0 kernel.
+    """Bounded part log 2 + log|Phi(t)| - log|1 - Phi(s) Phi(t)| of the sheet-0 kernel.
 
-    Real s, with t outside E; |Phi'(t)| stands for the quotient on s == t.
+    Equal to log(|Phi(s) - Phi(t)| / |s - t|) - log|Phi(s)| for real s, t
+    outside E, the diagonal s == t included.
     """
-    ps = zhukovskii_inverse(s)
-    D = s - t
-    diag = D == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(ps - _phi_real(t)) / np.abs(D)
-    if diag.any():
-        ratio[diag] = zhukovskii_derivative_abs(np.broadcast_to(t, D.shape)[diag])
-    return np.log(ratio) - np.log(np.abs(ps))
+    return LOG2 + green_e_at_infinity(t) - scalar_kernel_smooth(s, t)
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +234,6 @@ class IntervalGreen:
 
 def green_single_interval(interval: IntervalUnion) -> IntervalGreen:
     if interval.m != 1:
-        raise ValueError("closed-form Green function needs a single interval")
+        raise ValueError("closed-form Green function needs a single-interval F")
     (c, d) = interval.intervals[0]
     return IntervalGreen(c, d)

@@ -320,16 +320,6 @@ def green_potential_e(mu: DiscreteMeasure, z):
     return kernel_potential(mu, GREEN_E_KERNEL, z)
 
 
-def rs_potential_sheet(mu: DiscreteMeasure, z, sheet: int):
-    """Potential of a measure on F lifted to sheet 1, over real z on the given sheet.
-
-    Sheet 1 is the scalar problem's kernel, ``SHEET1_KERNEL``, and takes real
-    z outside E; sheet 0 carries the -1 net logarithmic charge (the slope
-    tests pin the -2 / -1 rates).
-    """
-    return kernel_potential(mu, SHEET1_KERNEL if sheet == 1 else SHEET0_KERNEL, z)
-
-
 def surface_functional(mu: DiscreteMeasure, z):
     """P(z^(1)) + V(z^(1)): the sheet-1 potential plus external field at real z.
 

@@ -41,8 +41,10 @@ from .balayage import balayage_numeric, reconstruct_e_measure
 from .equilibrium import EquilibriumSolution, GridParams, reduced_kernel, solve_reduced
 from .errors import EquilabError
 from .hermite_pade import HPSweep, MarkovSpec, require_n_list, solve_with_escalation
-from .kernels import IntervalUnion, green_e_at_infinity, require_gap_to_e
+from .kernels import green_e_at_infinity
 from .measures import (
+    SHEET0_KERNEL,
+    SHEET1_KERNEL,
     Atoms,
     DiscreteMeasure,
     green_potential_e,
@@ -50,7 +52,6 @@ from .measures import (
     ks_distance,
     log_potential,
     make_grid,
-    rs_potential_sheet,
     surface_functional,
 )
 
@@ -165,26 +166,26 @@ class Tolerances:
 
 
 def verify_equivalence(
-    F: IntervalUnion,
     scalar: EquilibriumSolution,
     coupled: tuple,
-    grid_params: GridParams = GridParams(),
     tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
-    """Scalar-versus-coupled equivalence suite on a given F.
+    """Scalar-versus-coupled equivalence suite on the F of the scalar solve.
 
     ``scalar`` is ``solve_scalar(F, grid_params)`` and ``coupled`` the pair
-    ``solve_vector(F, grid_params)``.  The balayage sweeps onto the scalar
-    solve's F grid and the reconstruction lies on the coupled solve's E
-    grid; the residual is measured on a grid 4x finer than the scalar one.
-    The report echoes the scalar solve's grid.
+    ``solve_vector(F, grid_params)``; F and the grid parameters are read off
+    the scalar solve's grid, which the balayage sweeps onto and the report
+    echoes.  The reconstruction lies on the coupled solve's E grid, the
+    reduced problem is solved with the same grid parameters, and the
+    residual is measured on a grid 4x finer than the scalar one.
     """
-    require_gap_to_e(F)
+    F = scalar.grid.support
+    grid_params = GridParams(scalar.grid.n_per_component, scalar.grid.grading)
     rep = VerificationReport(
         name="equivalence",
         provenance={
             "F": [[l, r] for (l, r) in F.intervals],
-            "grid": {"n": scalar.grid.n_per_component, "grading": scalar.grid.grading},
+            "grid": {"n": grid_params.n, "grading": grid_params.grading},
             "tolerances": {"ks": tolerances.ks, "residual_rel": tolerances.residual_rel},
         },
     )
@@ -195,7 +196,7 @@ def verify_equivalence(
     rep.add("equivalence.scalar_min_density", scalar.min_density, 0.0,
             scalar.min_density > 0.0, "full support: strictly positive density")
 
-    fine = make_grid(F, 4 * scalar.grid.n_per_component, scalar.grid.grading)
+    fine = make_grid(F, 4 * grid_params.n, grid_params.grading)
     res_fine = float(np.max(np.abs(surface_functional(lam, fine.nodes) - w_f)))
     rep.add_bound("equivalence.scalar_residual_fine", res_fine,
                   tolerances.residual_rel * max(1.0, abs(w_f)),
@@ -360,8 +361,8 @@ def verify_charge_slopes(lam: DiscreteMeasure) -> VerificationReport:
         provenance={"F": [[l, r] for (l, r) in lam.support.intervals]},
     )
     zs = np.geomspace(1e3, 1e6, 25)
-    s0 = float(np.polyfit(np.log(zs), rs_potential_sheet(lam, zs, 0), 1)[0])
-    s1 = float(np.polyfit(np.log(zs), rs_potential_sheet(lam, zs, 1), 1)[0])
+    s0 = float(np.polyfit(np.log(zs), kernel_potential(lam, SHEET0_KERNEL, zs), 1)[0])
+    s1 = float(np.polyfit(np.log(zs), kernel_potential(lam, SHEET1_KERNEL, zs), 1)[0])
     rep.add_bound("slopes.sheet0", abs(s0 + 2.0), 1e-3, "sheet-0 rate is -2")
     rep.add_bound("slopes.sheet1", abs(s1 + 1.0), 1e-3, "sheet-1 rate is -1")
     return rep

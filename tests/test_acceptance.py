@@ -33,11 +33,13 @@ from equilab.kernels import (
 )
 from equilab.measures import (
     LOG_KERNEL,
+    SHEET0_KERNEL,
+    SHEET1_KERNEL,
     DiscreteMeasure,
+    kernel_potential,
     ks_distance,
     log_potential,
     make_grid,
-    rs_potential_sheet,
     surface_functional,
 )
 from equilab.verify import sheet1_comparison, verify_zero_distribution
@@ -217,8 +219,8 @@ def test_criterion_7_charge_slopes(scalar23):
     t0 = time.perf_counter()
     lam = scalar23.measure
     zs = np.geomspace(1e3, 1e6, 25)
-    s0 = float(np.polyfit(np.log(zs), rs_potential_sheet(lam, zs, 0), 1)[0])
-    s1 = float(np.polyfit(np.log(zs), rs_potential_sheet(lam, zs, 1), 1)[0])
+    s0 = float(np.polyfit(np.log(zs), kernel_potential(lam, SHEET0_KERNEL, zs), 1)[0])
+    s1 = float(np.polyfit(np.log(zs), kernel_potential(lam, SHEET1_KERNEL, zs), 1)[0])
     elapsed = time.perf_counter() - t0
     ok = abs(s0 + 2.0) <= 1e-3 and abs(s1 + 1.0) <= 1e-3
     report(7, ok, elapsed, f"sheet-0 slope {s0:.6f} (-2 within 1e-3), "

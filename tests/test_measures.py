@@ -17,6 +17,7 @@ from equilab.measures import (
     ANALYTIC_WINDOW,
     BLOCK_ENTRIES,
     LOG_KERNEL,
+    SHEET0_KERNEL,
     SHEET1_KERNEL,
     Atoms,
     DiscreteMeasure,
@@ -27,7 +28,6 @@ from equilab.measures import (
     log_potential,
     make_grid,
     neglog_cell_averages,
-    rs_potential_sheet,
     surface_functional,
 )
 
@@ -146,8 +146,8 @@ class TestRSPotential:
         g = make_grid(F23, 200, 2.0)
         mu = arcsine_cells(g)
         zs = np.geomspace(1e3, 1e6, 25)
-        s0 = np.polyfit(np.log(zs), rs_potential_sheet(mu, zs, 0), 1)[0]
-        s1 = np.polyfit(np.log(zs), rs_potential_sheet(mu, zs, 1), 1)[0]
+        s0 = np.polyfit(np.log(zs), kernel_potential(mu, SHEET0_KERNEL, zs), 1)[0]
+        s1 = np.polyfit(np.log(zs), kernel_potential(mu, SHEET1_KERNEL, zs), 1)[0]
         assert s0 == pytest.approx(-2.0, abs=1e-3)
         assert s1 == pytest.approx(-1.0, abs=1e-3)
 
@@ -155,7 +155,7 @@ class TestRSPotential:
         g = make_grid(F23, 80, 2.0)
         mu = arcsine_cells(g)
         z = 2.5
-        expected = rs_potential_sheet(mu, z, 1) + np.log(abs(2.5 + np.sqrt(2.5**2 - 1)))
+        expected = kernel_potential(mu, SHEET1_KERNEL, z) + np.log(abs(2.5 + np.sqrt(2.5**2 - 1)))
         assert surface_functional(mu, z) == pytest.approx(expected, abs=1e-13)
 
 
@@ -197,8 +197,8 @@ def _blocked_potentials(mu, z):
     return {
         "log": log_potential(mu, z),
         "green_e": green_potential_e(mu, z),
-        "sheet0": rs_potential_sheet(mu, z, 0),
-        "sheet1": rs_potential_sheet(mu, z, 1),
+        "sheet0": kernel_potential(mu, SHEET0_KERNEL, z),
+        "sheet1": kernel_potential(mu, SHEET1_KERNEL, z),
         "kernel_log": kernel_potential(mu, LOG_KERNEL, z),
     }
 
@@ -271,7 +271,7 @@ class TestBandedWindow:
             neglog_cell_averages,
             lambda z, mu: log_potential(mu, z),
             lambda z, mu: green_potential_e(mu, z),
-            lambda z, mu: rs_potential_sheet(mu, z, 0),
+            lambda z, mu: kernel_potential(mu, SHEET0_KERNEL, z),
             lambda z, mu: surface_functional(mu, z),
         ]
         for z in (np.array([complex(mu.nodes[3]), 1.0j]), np.array([2.5 + 0.0j]), 4.0 + 2.0j):
@@ -309,7 +309,7 @@ class TestBandedWindow:
             "surface_functional": lambda: surface_functional(mu, z),
             "log_potential": lambda: log_potential(mu, z),
             "green_potential_e": lambda: green_potential_e(mu, z),
-            "rs_potential_sheet_0": lambda: rs_potential_sheet(mu, z, 0),
+            "kernel_potential_sheet0": lambda: kernel_potential(mu, SHEET0_KERNEL, z),
             "kernel_potential": lambda: kernel_potential(mu, SHEET1_KERNEL, z),
         }
         peaks = {}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equilab.balayage import balayage_numeric, reconstruct_e_measure
-from equilab.equilibrium import GridParams, solve_scalar, solve_vector
+from equilab.equilibrium import GridParams, solve_reduced, solve_scalar, solve_vector
 from equilab.hermite_pade import HPSweep, MarkovSpec, solve_with_escalation
 from equilab.kernels import IntervalUnion
 from equilab.measures import make_grid, surface_functional
@@ -37,7 +37,7 @@ def solutions():
 class TestEquivalence:
     def test_single_interval(self, solutions):
         scalar, sol_e, sol_f = solutions
-        rep = verify_equivalence(F23, scalar, (sol_e, sol_f), GP, TOL)
+        rep = verify_equivalence(scalar, (sol_e, sol_f), TOL)
         assert rep.all_passed
         ids = {c.check_id for c in rep.checks}
         assert "equivalence.scalar_min_density" in ids
@@ -61,7 +61,7 @@ class TestEquivalence:
                             lambda mu, grid: targets.append(grid) or balayage_numeric(mu, grid))
         monkeypatch.setattr(verify, "reconstruct_e_measure", lambda lam, grid:
                             targets.append(grid) or reconstruct_e_measure(lam, grid))
-        verify_equivalence(F23, scalar, (sol_e, sol_f), GP, TOL)
+        verify_equivalence(scalar, (sol_e, sol_f), TOL)
         assert built == [(F23, 4 * GP.n, GP.grading)]
         assert targets[0] is scalar.grid and targets[1] is sol_e.grid
 
@@ -69,7 +69,7 @@ class TestEquivalence:
         from equilab.equilibrium import E_INTERVAL
 
         scalar = solve_scalar(FSYM, GP)
-        rep = verify_equivalence(FSYM, scalar, solve_vector(FSYM, GP), GP, TOL)
+        rep = verify_equivalence(scalar, solve_vector(FSYM, GP), TOL)
         assert rep.all_passed
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["equivalence.symmetry_e"].status == "pass"
@@ -182,11 +182,25 @@ def test_reports_echo_the_solved_grid():
     gp = GridParams(n=40, grading=1)
     scalar = solve_scalar(F23, gp)
     reports = [
-        verify_equivalence(F23, scalar, solve_vector(F23, gp), gp),
+        verify_equivalence(scalar, solve_vector(F23, gp)),
         verify_zero_distribution(MarkovSpec(F23, "arcsine"), [2], scalar, 192),
     ]
     for rep in reports:
         assert json.dumps(rep.provenance["grid"]) == '{"n": 40, "grading": 1.0}', rep.name
+
+
+def test_reduced_route_on_the_solved_grid(monkeypatch):
+    # F and the grid parameters are read from the scalar solve, so the
+    # reduced problem gets its 40 cells, not the default 400
+    import equilab.verify as verify
+
+    gp = GridParams(n=40, grading=1.5)
+    scalar = solve_scalar(F23, gp)
+    calls = []
+    monkeypatch.setattr(verify, "solve_reduced", lambda F, grid_params:
+                        calls.append((F, grid_params)) or solve_reduced(F, grid_params))
+    verify_equivalence(scalar, solve_vector(F23, gp))
+    assert calls == [(F23, gp)]
 
 
 class TestReportStructure:
