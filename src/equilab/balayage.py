@@ -10,7 +10,11 @@ oracle for the numeric route.  The numeric sweep is the one-grid case of
 :func:`equilab.equilibrium.collocate`, the collocation solve that the coupled
 problem also uses; a target grid too coarse for the source (a point within
 about 1e-5 of E on 400 cells) gives a negative weight and raises
-:class:`~equilab.errors.DiscretizationError`.
+:class:`~equilab.errors.DiscretizationError`.  A mirror-symmetric sweep (a
+symmetric target and a mirror-exact source) may be solved folded, on half
+the target grid, as the symmetric scalar and coupled problems are; the
+reconstruction's sweep of the scalar measure onto E never folds, so that
+it checks the folded solutions on a whole grid.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ def balayage_point_to_e(a: float, grid: Grid) -> DiscreteMeasure:
     return DiscreteMeasure.from_weights(grid, w)
 
 
-def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> EquilibriumSolution:
+def balayage_numeric(mu: DiscreteMeasure, target: Grid, fold: bool = False) -> EquilibriumSolution:
     """Sweep a discrete measure onto the target grid by potential matching.
 
     Solves for target weights b and a constant c with U_b(x_i) = U_mu(x_i) + c
@@ -74,12 +78,21 @@ def balayage_numeric(mu: DiscreteMeasure, target: Grid) -> EquilibriumSolution:
     and the residual; a negative weight raises
     :class:`~equilab.errors.DiscretizationError`.  A source that meets the
     target set is rejected.
+
+    With ``fold`` the system is mirror-folded like the symmetric scalar and
+    coupled solves (method ``collocation_parity``).  The swept measure is
+    unique, so it is even when the problem is; that needs a symmetric
+    target and a source with symmetric support and mirror-exact weights,
+    and anything else raises ``ValueError``.
     """
     if _overlaps(mu.support, target.support):
         raise ValueError("source support must be disjoint from the target")
+    if fold and not (target.support.is_symmetric() and mu.support.is_symmetric()
+                     and np.array_equal(mu.weights, mu.weights[::-1])):
+        raise ValueError("a folded sweep needs a symmetric target and a mirror-exact source")
     rhs = log_potential(mu, target.nodes)
-    (b,), (c,), (resid,) = collocate([target], [[LOG_KERNEL]], [rhs], [mu.mass])
-    return collocation_solution(target, b, (c,), resid)
+    (b,), (c,), (resid,) = collocate([target], [[LOG_KERNEL]], [rhs], [mu.mass], fold)
+    return collocation_solution(target, b, (c,), resid, fold)
 
 
 def _overlaps(a: IntervalUnion, b: IntervalUnion) -> bool:

@@ -34,11 +34,13 @@ places it there to within one rounding), and the middle cell of an odd N
 its own mirror.  Each matrix column gets its mirror column added, each mass
 row counts a representative twice (a self-mirror cell once), and the
 weights are mirrored back, so the half-size system is exact up to the
-grid's one-rounding asymmetry (method ``collocation_parity``).  Nothing
-else folds: the reduced problem, both balayage sweeps and the
-reconstruction solve whole grids, and the 4x-fine residual, mixed
-potential, positivity and KS checks evaluate the folded solutions on whole
-grids, which is how the fold is checked.
+grid's one-rounding asymmetry (method ``collocation_parity``).  The
+verifiers' sweep of the coupled E measure onto F folds the same way
+(``balayage_numeric(..., fold=True)``): its source is mirror-exact and its
+solution unique.  Nothing else folds: the reduced problem and the sweep of
+the scalar measure onto E in the reconstruction solve whole grids, and the
+4x-fine residual, mixed potential, positivity and KS checks evaluate the
+folded solutions on whole grids, which is how the fold is checked.
 """
 
 from __future__ import annotations

@@ -205,7 +205,7 @@ def verify_equivalence(
     rep.add_bound("equivalence.ks_scalar_vs_coupled_f", ks_distance(lam, sol_f.measure),
                   tolerances.ks)
 
-    swept_f = balayage_numeric(sol_e.measure, scalar.grid)
+    swept_f = balayage_numeric(sol_e.measure, scalar.grid, F.is_symmetric())
     rep.add_bound("equivalence.ks_scalar_vs_swept_e", ks_distance(lam, swept_f.measure),
                   tolerances.ks, "F measure vs balayage of the E measure onto F")
 

@@ -20,6 +20,7 @@ from equilab.measures import (
 )
 
 F23 = IntervalUnion([(2.0, 3.0)])
+FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 
 
 def narrow_cell_measure(a, mass=1.0, width=1e-6):
@@ -148,6 +149,23 @@ class TestNumericBalayage:
         src = DiscreteMeasure([1.2], [1.0], [0.5], [2.0], iv)
         with pytest.raises(ValueError):
             balayage_numeric(src, grid)
+
+    @pytest.mark.parametrize("case", ["uneven-source", "one-sided-source", "one-sided-target"])
+    def test_fold_needs_a_mirror_symmetric_problem(self, case):
+        # the folded sweep's solution is even, so it must be the sweep's one
+        # solution: an uneven source or a one-sided support is refused
+        e_grid = make_grid(E_INTERVAL, 64, 2.0)
+        w = chebyshev_measure(e_grid).weights
+        even = DiscreteMeasure.from_weights(e_grid, (w + w[::-1]) / 2)
+        src, target = {
+            "uneven-source": (balayage_point_to_e(2.5, e_grid), make_grid(FSYM, 64, 2.0)),
+            "one-sided-source": (narrow_cell_measure(2.0), e_grid),
+            "one-sided-target": (even, make_grid(F23, 64, 2.0)),
+        }[case]
+        with pytest.raises(ValueError, match="mirror-exact"):
+            balayage_numeric(src, target, fold=True)
+        assert balayage_numeric(even, make_grid(FSYM, 64, 2.0), fold=True).method == \
+            "collocation_parity"
 
     def test_linearity(self):
         grid = make_grid(E_INTERVAL, 128, 2.0)

@@ -7,9 +7,9 @@ that ``np.linalg.solve`` factors.  The oracles here build the same matrices
 from full-size blocks, the -log cell averages scaled and the smooth part
 added in one shot, and the matrix handed to LAPACK must equal them bit for
 bit, as must the recorded residuals.  On F = -F the scalar and coupled
-solves factor the index-mirror fold of those matrices
-(:func:`_mirror_fold`), and solving it must give the weights of the
-unfolded system.
+solves and the folded sweep onto F factor the index-mirror fold of those
+matrices (:func:`_mirror_fold`), and solving it must give the weights of
+the unfolded system.
 """
 
 import tracemalloc
@@ -230,17 +230,24 @@ def _system_bytes_and_call(name, F):
     # that a block's temporaries stay well under a quarter of the matrix
     gp = GridParams(n=800, grading=2.0)
     ge, gf = make_grid(E_INTERVAL, gp.n, gp.grading), make_grid(F, gp.n, gp.grading)
-    # on F = -F the scalar and coupled systems hold the representative half
+    # on F = -F the scalar and coupled systems and the folded sweep hold the
+    # representative half
     half = (lambda g: g.size - g.size // 2) if F.is_symmetric() else (lambda g: g.size)
     if name == "solve_scalar":
         return (half(gf) + 1) ** 2 * 8, lambda: solve_scalar(F, gp)
     if name == "solve_vector":
         return (half(ge) + half(gf) + 2) ** 2 * 8, lambda: solve_vector(F, gp)
     src = chebyshev_measure(ge)
-    return (gf.size + 1) ** 2 * 8, lambda: balayage_numeric(src, gf)
+    if name == "balayage_numeric":
+        return (gf.size + 1) ** 2 * 8, lambda: balayage_numeric(src, gf)
+    # the sweep onto F as verify_equivalence makes it, folded on F = -F, of
+    # a mirror-exact source: (a + b) / 2 rounds the same both ways round
+    even = DiscreteMeasure.from_weights(ge, (src.weights + src.weights[::-1]) / 2)
+    return (half(gf) + 1) ** 2 * 8, lambda: balayage_numeric(even, gf, F.is_symmetric())
 
 
-@pytest.mark.parametrize("name", ["solve_scalar", "solve_vector", "balayage_numeric"])
+@pytest.mark.parametrize("name", ["solve_scalar", "solve_vector", "balayage_numeric",
+                                  "balayage_numeric_fold"])
 def test_peak_memory_is_one_system_matrix(name):
     # np.linalg.solve factors a Fortran-order working copy of the matrix that
     # LAPACK's wrapper allocates with malloc, which tracemalloc does not see;
@@ -279,6 +286,27 @@ def test_folded_solves_satisfy_the_unfolded_systems(n):
     assert nE == n and sol_e.method == "collocation_parity"
     assert np.max(np.abs(A @ x - rhs)) <= 1e-12
     assert np.max(np.abs(x[:-2] - np.linalg.solve(A, rhs)[:-2])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_folded_sweep_satisfies_the_unfolded_system(n, solved_matrices):
+    # the sweep of the coupled E measure onto F = -F that verify_equivalence
+    # makes: its source is mirror-exact, and E has a self-mirror middle cell
+    # at odd n
+    gp = GridParams(n=n, grading=2.0)
+    sol_e, _ = solve_vector(FSYM, gp)
+    target = make_grid(FSYM, gp.n, gp.grading)
+    res = balayage_numeric(sol_e.measure, target, fold=True)
+    _, A = solved_matrices
+    N = target.size
+    oracle = _single_grid_oracle(target, LOG_KERNEL)
+    folded, _ = _mirror_fold(oracle, [N], True)
+    _assert_bits_equal(A, folded)
+    assert res.method == "collocation_parity"
+    rhs = np.concatenate([log_potential(sol_e.measure, target.nodes), [sol_e.measure.mass]])
+    x = np.concatenate([res.measure.weights, [res.constant]])
+    assert np.max(np.abs(oracle @ x - rhs)) <= 1e-12
+    assert np.max(np.abs(x[:N] - np.linalg.solve(oracle, rhs)[:N])) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -50,20 +50,28 @@ class TestEquivalence:
 
     def test_checks_on_the_solved_grids(self, solutions, monkeypatch):
         # the sweep and the reconstruction use the grids the solves returned;
-        # only the 4x-fine residual grid is built here
+        # only the 4x-fine residual grid is built here.  The sweep onto F is
+        # folded exactly on F = -F; the reconstruction's sweep onto E, fed
+        # by the folded scalar solution, never is
+        import equilab.balayage as balayage
         import equilab.verify as verify
 
-        scalar, sol_e, sol_f = solutions
-        built, targets = [], []
+        def spy(mu, grid, fold=False):
+            sweeps.append((grid, fold))
+            return balayage_numeric(mu, grid, fold)
+
         monkeypatch.setattr(verify, "make_grid",
                             lambda *args: built.append(args) or make_grid(*args))
-        monkeypatch.setattr(verify, "balayage_numeric",
-                            lambda mu, grid: targets.append(grid) or balayage_numeric(mu, grid))
-        monkeypatch.setattr(verify, "reconstruct_e_measure", lambda lam, grid:
-                            targets.append(grid) or reconstruct_e_measure(lam, grid))
-        verify_equivalence(scalar, (sol_e, sol_f), TOL)
-        assert built == [(F23, 4 * GP.n, GP.grading)]
-        assert targets[0] is scalar.grid and targets[1] is sol_e.grid
+        monkeypatch.setattr(verify, "balayage_numeric", spy)
+        monkeypatch.setattr(balayage, "balayage_numeric", spy)
+        for F, (scalar, sol_e, sol_f) in [(F23, solutions),
+                                          (FSYM, (solve_scalar(FSYM, GP), *solve_vector(FSYM, GP)))]:
+            built, sweeps = [], []
+            verify_equivalence(scalar, (sol_e, sol_f), TOL)
+            assert built == [(F, 4 * GP.n, GP.grading)]
+            (onto_f, fold_f), (onto_e, fold_e) = sweeps
+            assert onto_f is scalar.grid and fold_f == F.is_symmetric()
+            assert onto_e is sol_e.grid and fold_e is False
 
     def test_symmetric_f(self):
         from equilab.equilibrium import E_INTERVAL
@@ -80,6 +88,20 @@ class TestEquivalence:
         # reduced route is single-interval only: recorded as skipped
         assert by_id["equivalence.ks_reduced_vs_coupled_e"].status == "skipped"
         assert by_id["equivalence.reduced_constant_consistency"].status == "skipped"
+
+    def test_a_broken_fold_fails_off_the_fold(self, monkeypatch):
+        # a fold that drops the mirror column solves the wrong half-size
+        # systems; the checks that evaluate or sweep on whole grids see it
+        import equilab.equilibrium as equilibrium
+
+        monkeypatch.setattr(equilibrium, "fold_columns", lambda Q, start: Q[:, start:])
+        gp = GridParams(n=200, grading=2.0)
+        rep = verify_equivalence(solve_scalar(FSYM, gp), solve_vector(FSYM, gp))
+        failed = {c.check_id for c in rep.checks if c.status == "fail"}
+        assert failed == {"equivalence.scalar_residual_fine",
+                          "equivalence.ks_scalar_vs_coupled_f",
+                          "equivalence.ks_scalar_vs_swept_e",
+                          "equivalence.ks_coupled_e_vs_reconstruction"}
 
     def test_cross_route_closure(self, solutions):
         # three routes to the E measure agree pairwise within 2x the KS bound
