@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import E_LEFT, E_RIGHT, IntervalUnion, is_real
-from .measures import LOG_KERNEL, DiscreteMeasure, Grid, log_potential
+from .measures import LOG_KERNEL, DiscreteMeasure, Grid, log_potential, mirror_exact
 from .equilibrium import EquilibriumSolution, collocate, collocation_solution
 
 
@@ -82,16 +82,17 @@ def balayage_numeric(mu: DiscreteMeasure, target: Grid, fold: bool = False) -> E
     With ``fold`` the system is mirror-folded like the symmetric scalar and
     coupled solves (method ``collocation_parity``).  The swept measure is
     unique, so it is even when the problem is; that needs a symmetric
-    target and a source with symmetric support and mirror-exact weights,
-    and anything else raises ``ValueError``.
+    target and a mirror-exact source (:func:`~equilab.measures.mirror_exact`),
+    and anything else raises ``ValueError``.  The source potential is
+    evaluated only at the target nodes that the solve matches, the
+    representative half when folded.
     """
     if _overlaps(mu.support, target.support):
         raise ValueError("source support must be disjoint from the target")
-    if fold and not (target.support.is_symmetric() and mu.support.is_symmetric()
-                     and np.array_equal(mu.weights, mu.weights[::-1])):
+    if fold and not (target.support.is_symmetric() and mirror_exact(mu)):
         raise ValueError("a folded sweep needs a symmetric target and a mirror-exact source")
-    rhs = log_potential(mu, target.nodes)
-    (b,), (c,), (resid,) = collocate([target], [[LOG_KERNEL]], [rhs], [mu.mass], fold)
+    (b,), (c,), (resid,) = collocate([target], [[LOG_KERNEL]], [lambda x: log_potential(mu, x)],
+                                     [mu.mass], fold)
     return collocation_solution(target, b, (c,), resid, fold)
 
 

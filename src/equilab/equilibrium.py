@@ -34,13 +34,17 @@ places it there to within one rounding), and the middle cell of an odd N
 its own mirror.  Each matrix column gets its mirror column added, each mass
 row counts a representative twice (a self-mirror cell once), and the
 weights are mirrored back, so the half-size system is exact up to the
-grid's one-rounding asymmetry (method ``collocation_parity``).  The
-verifiers' sweep of the coupled E measure onto F folds the same way
-(``balayage_numeric(..., fold=True)``): its source is mirror-exact and its
-solution unique.  Nothing else folds: the reduced problem and the sweep of
-the scalar measure onto E in the reconstruction solve whole grids, and the
-4x-fine residual, mixed potential, positivity and KS checks evaluate the
-folded solutions on whole grids, which is how the fold is checked.
+grid's one-rounding asymmetry (method ``collocation_parity``).  Each
+right-hand side is a function of the nodes, evaluated at the representative
+ones only.  The verifiers' sweep of the coupled E measure onto F folds the
+same way (``balayage_numeric(..., fold=True)``): its source is mirror-exact
+and its solution unique.  No other system folds: the reduced problem and the
+sweep of the scalar measure onto E in the reconstruction solve whole grids.
+The 4x-fine residual of a mirror-exact scalar measure is evaluated on the
+positive half of its grid, with the whole kernel over all cells, so it
+still measures the folded solution off the nodes it matched; the mixed
+potential, positivity and KS checks evaluate the folded solutions on whole
+grids.  That is how the fold is checked.
 """
 
 from __future__ import annotations
@@ -166,11 +170,13 @@ def collocate(grids, kernels, rhs, masses, fold=False):
     """Potential matching on the nodes of several grids, in one dense solve.
 
     Finds weights u_j on ``grids[j]`` and constants c_i such that, at every
-    node of ``grids[i]``, sum_j U_ij(u_j) - c_i = rhs[i], U_ij being the
-    potential of the :class:`~equilab.measures.SingularKernel`
-    ``kernels[i][j]``, and sum u_i = masses[i].  Each block is filled straight
-    into the system matrix by :func:`assemble_energy_matrix`; one -1 column
-    per constant and one mass row per grid border it.  A singular system
+    node x of ``grids[i]``, sum_j U_ij(u_j)(x) - c_i = rhs[i](x), U_ij being
+    the potential of the :class:`~equilab.measures.SingularKernel`
+    ``kernels[i][j]``, and sum u_i = masses[i].  Each right-hand side is a
+    function of an array of nodes, called once with the nodes matched.
+    Each block is filled straight into the system matrix by
+    :func:`assemble_energy_matrix`; one -1 column per constant and one mass
+    row per grid border it.  A singular system
     raises :class:`NonConvergenceError`.  The measures sought have full
     support, so a weight below -1e-12 means a grid is too coarse for the
     problem and raises :class:`DiscretizationError`, naming the weight, its
@@ -178,9 +184,10 @@ def collocate(grids, kernels, rhs, masses, fold=False):
 
     With ``fold`` the problem is taken to be mirror symmetric (every grid,
     kernel and right-hand side invariant under x -> -x): only the
-    representative half of each grid's nodes and weights enters, the
-    columns are mirror-folded and each mass row counts a representative
-    twice, except a self-mirror middle cell.
+    representative half of each grid's nodes and weights enters, so each
+    right-hand side is evaluated there only, the columns are mirror-folded
+    and each mass row counts a representative twice, except a self-mirror
+    middle cell.
 
     Returns ``(weights, constants, residuals)``: the weights per grid clipped
     at zero (mirrored back onto the whole grid), the constants, and each
@@ -191,7 +198,7 @@ def collocate(grids, kernels, rhs, masses, fold=False):
     edges = np.cumsum([0] + [g.size - s for g, s in zip(grids, starts)])
     blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     n, m = int(edges[-1]), len(grids)
-    rhs = [r[s:] for r, s in zip(rhs, starts)]
+    rhs = [f(g.nodes[s:]) for f, g, s in zip(rhs, grids, starts)]
     A = np.zeros((n + m, n + m))
     for i, si in enumerate(blocks):
         for j, sj in enumerate(blocks):
@@ -245,7 +252,7 @@ def solve_scalar(F: IntervalUnion, grid_params: GridParams = GridParams()) -> Eq
     require_gap_to_e(F)
     grid = make_grid(F, grid_params.n, grid_params.grading)
     fold = F.is_symmetric()
-    (u,), (c,), (r,) = collocate([grid], [[SHEET1_KERNEL]], [-green_e_at_infinity(grid.nodes)],
+    (u,), (c,), (r,) = collocate([grid], [[SHEET1_KERNEL]], [lambda x: -green_e_at_infinity(x)],
                                  [1.0], fold)
     return collocation_solution(grid, u, (c,), r, fold)
 
@@ -259,7 +266,7 @@ def solve_reduced(F: IntervalUnion, grid_params: GridParams = GridParams()) -> E
     """
     require_gap_to_e(F)
     grid = make_grid(E_INTERVAL, grid_params.n, grid_params.grading)
-    (u,), (c,), (r,) = collocate([grid], [[reduced_kernel(F)]], [np.zeros(grid.size)], [1.0])
+    (u,), (c,), (r,) = collocate([grid], [[reduced_kernel(F)]], [np.zeros_like], [1.0])
     return collocation_solution(grid, u, (c,), r)
 
 
@@ -277,8 +284,6 @@ def solve_vector(F: IntervalUnion, grid_params: GridParams = GridParams()):
     fold = F.is_symmetric()
     kernels = [[SingularKernel(sing_coeff=4.0), SingularKernel(sing_coeff=-1.0)],
                [SingularKernel(sing_coeff=-1.0), LOG_KERNEL]]
-    weights, (w1, w2), residuals = collocate(
-        grids, kernels, [np.zeros(g.size) for g in grids], [1.0, 1.0], fold
-    )
+    weights, (w1, w2), residuals = collocate(grids, kernels, [np.zeros_like] * 2, [1.0, 1.0], fold)
     return tuple(collocation_solution(g, u, c, r, fold)
                  for g, u, c, r in zip(grids, weights, [(w1, w2), (w2, w1)], residuals))

@@ -185,6 +185,16 @@ class DiscreteMeasure:
                 fh.write(f"{float(x)!r},{float(w)!r},{float(l)!r},{float(r)!r}\n")
 
 
+def mirror_exact(mu: DiscreteMeasure) -> bool:
+    """True when mu is even to the bit: symmetric support and weights equal to their mirror.
+
+    Cell N-1-k of a grid on a symmetric support is the mirror of cell k, so
+    such a measure's potentials are even up to the grid's one-rounding
+    asymmetry, and a sweep of it onto a symmetric grid may be folded.
+    """
+    return mu.support.is_symmetric() and np.array_equal(mu.weights, mu.weights[::-1])
+
+
 # --------------------------------------------------------------------------
 # quadrature core
 

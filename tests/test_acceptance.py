@@ -112,7 +112,7 @@ def test_criterion_1_kernel_identities(kernel_oracles):
 def test_criterion_2_classical_oracle():
     t0 = time.perf_counter()
     grid = make_grid(E_INTERVAL, 400, 2.0)
-    (u,), (c,), _ = collocate([grid], [[LOG_KERNEL]], [np.zeros(grid.size)], [1.0])
+    (u,), (c,), _ = collocate([grid], [[LOG_KERNEL]], [np.zeros_like], [1.0])
     arcs = DiscreteMeasure.from_weights(
         grid, (np.arcsin(grid.cell_right) - np.arcsin(grid.cell_left)) / np.pi
     )

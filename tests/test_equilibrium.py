@@ -19,6 +19,7 @@ from equilab.measures import (
     LOG_KERNEL,
     SHEET1_KERNEL,
     DiscreteMeasure,
+    SingularKernel,
     kernel_potential,
     ks_distance,
     log_potential,
@@ -40,8 +41,8 @@ def arcsine_cells(grid):
 
 def log_equilibrium(grid, field=None):
     """(measure, constant, residual) of the unit log equilibrium on the grid, in a field."""
-    f = np.zeros(grid.size) if field is None else field(grid.nodes)
-    (u,), (c,), (r,) = collocate([grid], [[LOG_KERNEL]], [-f], [1.0])
+    rhs = np.zeros_like if field is None else lambda x: -field(x)
+    (u,), (c,), (r,) = collocate([grid], [[LOG_KERNEL]], [rhs], [1.0])
     return DiscreteMeasure.from_weights(grid, u), c, r
 
 
@@ -87,7 +88,7 @@ class TestScalarProblem:
         assert len(calls) == 2
         for (grid,), ((kernel,),), (rhs,) in calls:
             assert kernel is SHEET1_KERNEL
-            assert rhs.tobytes() == (-green_e_at_infinity(grid.nodes)).tobytes()
+            assert rhs(grid.nodes).tobytes() == (-green_e_at_infinity(grid.nodes)).tobytes()
 
     def test_full_support_and_residual(self):
         # the functional is matched at the nodes, so the recorded residual
@@ -190,6 +191,27 @@ class TestReducedProblem:
     def test_multi_interval_rejected(self):
         with pytest.raises(ValueError):
             solve_reduced(FSYM, GP)
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_right_hand_sides_called_once_at_the_matched_nodes(self, fold):
+        # each right-hand side is evaluated once, at the nodes the solve
+        # matches: the representative half of each grid when folded, with
+        # the self-mirror middle node of the odd E grid
+        grids = [make_grid(E_INTERVAL, 33, 2.0), make_grid(FSYM, 32, 2.0)]
+        seen = [[], []]
+
+        def recording(k):
+            return lambda x: seen[k].append(x) or np.zeros_like(x)
+
+        kernels = [[SingularKernel(sing_coeff=4.0), SingularKernel(sing_coeff=-1.0)],
+                   [SingularKernel(sing_coeff=-1.0), LOG_KERNEL]]
+        collocate(grids, kernels, [recording(0), recording(1)], [1.0, 1.0], fold)
+        for grid, calls in zip(grids, seen):
+            start = grid.size // 2 if fold else 0
+            assert len(calls) == 1
+            assert calls[0].tobytes() == grid.nodes[start:].tobytes()
 
 
 class TestAssembly:

@@ -257,8 +257,46 @@ def _gauss_legendre_sigma(spec, order, prec):
     return ts, ws
 
 
+def _mpf_chebyshev_points(order, prec):
+    """_chebyshev_points in mpf arithmetic: one cos_sin at prec + 32 bits, rotations, mirror."""
+    half = []
+    with mp.workprec(prec + 32):
+        c, s = mp.cos_sin(mp.pi / (2 * order))
+        c2, s2 = c * c - s * s, 2 * (c * s)
+        for j in range((order + 1) // 2):
+            if j:
+                c, s = c * c2 - s * s2, s * c2 + c * s2
+            with mp.workprec(prec):
+                half.append(+c)
+        return half + [-x for x in half[: order // 2][::-1]]
+
+
 def _mpf_rule_oracle(spec, order, prec):
-    """The loop of discretize_sigma in mpf arithmetic, one cosine per node and component."""
+    """The loop of discretize_sigma in mpf arithmetic, on the rotated Chebyshev points."""
+    ts, ws = [], []
+    points = _mpf_chebyshev_points(order, prec + 32)
+    with mp.workprec(prec + 32):
+        if spec.rule == "fejer":
+            fejer = _mpf(hermite_pade._fejer_weights(order, prec + 32))
+        for (c, d) in spec.support.intervals:
+            sign = 1 if c > 0 else -1
+            uc, ud = sorted(mp.sqrt(abs(mp.mpf(x)) - 1) for x in (c, d))
+            mid, half = (uc + ud) / 2, (ud - uc) / 2
+            for j, x in enumerate(points):
+                u = mid + half * x
+                t = sign * (1 + u * u)
+                if spec.rule == "fejer":
+                    w = fejer[j] * half * _mpf_density(spec, t) * 2 * u
+                else:
+                    w = 2 * u / (order * spec.support.m * mp.sqrt((u + uc) * (u + ud)))
+                ts.append(t._mpf_)
+                ws.append(w._mpf_)
+    return ts, ws
+
+
+def _mpf_cosine_rule_oracle(spec, order, prec):
+    """The earlier rule in mpf arithmetic: one cosine per node and component, and for
+    the arcsine density the weight (pi/order) density(t) sqrt((u - u_c)(u_d - u)) 2u."""
     ts, ws = [], []
     with mp.workprec(prec + 32):
         if spec.rule == "fejer":
@@ -347,6 +385,18 @@ class TestFejerRule:
         # the bits of the same loop in mpf arithmetic
         spec = MarkovSpec(support, "constant")
         assert discretize_sigma(spec, 64, PREC) == _mpf_rule_oracle(spec, 64, PREC)
+
+    @pytest.mark.parametrize("density", ["arcsine", "constant"])
+    @pytest.mark.parametrize("support, bits", [(F23, 128), (F23, 256),
+                                               (IntervalUnion([(1.01, 1.5)]), 512), (SYM, 512)])
+    def test_moments_unchanged_from_the_cosine_rule(self, monkeypatch, support, bits, density):
+        # the rotated points and the one-root arcsine weight move the nodes
+        # and weights by rounding only, below the 32 guard bits: moments_f2
+        # returns the tables of the one-cosine-per-node rule bit for bit
+        sigma, k_max = MarkovSpec(support, density), 3 * 10 + 1
+        new = moments_f2(k_max, sigma, bits)
+        monkeypatch.setattr(hermite_pade, "discretize_sigma", _mpf_cosine_rule_oracle)
+        assert new == moments_f2(k_max, sigma, bits)
 
 
 @pytest.fixture(scope="module")

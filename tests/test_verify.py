@@ -103,6 +103,37 @@ class TestEquivalence:
                           "equivalence.ks_scalar_vs_swept_e",
                           "equivalence.ks_coupled_e_vs_reconstruction"}
 
+    @pytest.mark.parametrize("n", [63, 64, 200])
+    def test_residual_on_half_the_fine_grid_when_mirror_exact(self, monkeypatch, n):
+        # an even measure's residual is evaluated on the positive half of the
+        # 4x-fine grid; a measure one ulp off even, or a one-sided F, on all
+        # of it.  The half-grid sup is the whole-grid one up to rounding
+        import dataclasses
+
+        import equilab.verify as verify
+        from equilab.measures import DiscreteMeasure
+
+        def spy(mu, z):
+            sizes.append(len(z))
+            return surface_functional(mu, z)
+
+        monkeypatch.setattr(verify, "surface_functional", spy)
+        gp = GridParams(n=n, grading=2.0)
+        sym = solve_scalar(FSYM, gp)
+        w = sym.measure.weights.copy()
+        w[0] = np.nextafter(w[0], 1.0)
+        nudged = dataclasses.replace(sym, measure=DiscreteMeasure.from_weights(sym.grid, w))
+        coupled = {F: solve_vector(F, gp) for F in (FSYM, F23)}
+        for scalar, F, points in [(sym, FSYM, 4 * n), (nudged, FSYM, 8 * n),
+                                  (solve_scalar(F23, gp), F23, 4 * n)]:
+            sizes = []
+            rep = verify_equivalence(scalar, coupled[F], TOL)
+            assert sizes == [points]
+            fine = make_grid(F, 4 * n, 2.0).nodes
+            whole = np.max(np.abs(surface_functional(scalar.measure, fine) - scalar.constant))
+            value = {c.check_id: c.value for c in rep.checks}["equivalence.scalar_residual_fine"]
+            assert abs(value - whole) <= 1e-14
+
     def test_cross_route_closure(self, solutions):
         # three routes to the E measure agree pairwise within 2x the KS bound
         from equilab.equilibrium import E_INTERVAL, solve_reduced
