@@ -56,44 +56,47 @@ doubling its order from QUAD_ORDER_START = 64 (or, in a sweep, from half the
 order accepted at the next-lower precision) up to QUAD_ORDER_MAX = 4096.
 Both rules share the order's Chebyshev points: Gauss-Chebyshev for the
 arcsine density, Fejer's first rule (explicit cosine-sum weights; L. N.
-Trefethen, SIAM Rev. 50, 2008) for the constant one.  The points take one
-cosine and sine per order, not one cosine per node: the first half are
-successive rotations by twice the first angle at 32 extra bits, the second
-half their negatives; and the arcsine weight takes one square root per
-node, since the factor (u - u_c)(u_d - u) of (t - c)(d - t) cancels
-against the Gauss weight in closed form.  The moments are those of the
-one-cosine-per-node rule bit for bit (checked at 128 to 1024 bits on one-
-and two-component F).  Fejer needs about one doubling more than
-Gauss-Legendre would, but no Newton solve for its nodes.
+Trefethen, SIAM Rev. 50, 2008) for the constant one.  The points and the
+Fejer cosine table take one cosine and sine per order, not one cosine per
+node: successive rotations by the order's angle at 32 extra bits, the
+second half of the points their negatives; and the arcsine weight takes one
+square root per node, since the factor (u - u_c)(u_d - u) of (t - c)(d - t)
+cancels against the Gauss weight in closed form.  Fejer needs about one
+doubling more than Gauss-Legendre would, but no Newton solve for its nodes.
 The rule is placed in the variable u = sqrt(|t| - 1): a rule affine in t
 converges only at the rate set by the branch point of f1 at t = +-1, which
 needs order 1024 on F = [1.01, 1.5] at 512 bits, while in u the pole of f1
-cancels against dt = 2u du and order 256 suffices.  The recursion runs on
-Python integers in fixed point (each value v held as floor(v * 2^P)) and
-rounds to the requested precision once at the end.  After that rounding it
-agrees bit for bit with the same recursion in mpf arithmetic at
-precision P, except where b_k vanishes exactly (the even b_k of a symmetric
-sigma): there both return rounding noise, which moments_f2 replaces by exact
-zeros.
+cancels against dt = 2u du and order 256 suffices.  The moment tables are
+those of the same rule in mpf arithmetic at 32 extra bits, bit for bit
+(checked at 128 to 1024 bits on one- and two-component F, both densities,
+and F near E), except where b_k vanishes exactly (the even b_k of a
+symmetric sigma): there both return rounding noise, which moments_f2
+replaces by exact zeros.
 
 The real zeros of Q2 come from the Aberth-Ehrlich iteration (O. Aberth,
 Math. Comp. 27, 1973; D. A. Bini, Numer. Algorithms 13, 1996), simultaneous
 Newton with the correction x_k -= r / (1 - r sum_{j != k} 1/(x_k - x_j)),
 r = Q2(x_k)/Q2'(x_k), at the working precision.  It needs no grid, so zeros
 clustered at an end of a long F (10 zeros within [1.5064, 31.37] on
-F = [1.5, 40]) are found as easily as spread ones.  The result is
-certified, not trusted: deg Q2 sign changes of Q2 over the cells between
-neighbouring zeros prove deg Q2 distinct real zeros, one per cell.
+F = [1.5, 40]) are found as easily as spread ones.  It starts from float64
+roots of Q2, which leave it 4-6 sweeps instead of 7-22, and falls back to
+the Chebyshev points of the hull where Q2 varies too much over the hull for
+float values (on F = +-[2, 3] at n = 40, on [1.5, 40] from n = 20); either
+start gives the same zeros.  The result is certified, not trusted: deg Q2
+sign changes of Q2 over the cells between neighbouring zeros prove deg Q2
+distinct real zeros, one per cell.
 
-One number format runs through the layer, from the sigma nodes to the
-zeros: raw mpf values (mpmath.libmp tuples) in Python lists, each operation
-at an explicit precision with round-to-nearest, so no result depends on
-mpmath's global precision.  Each operation is, op for op, what
-mp.LU_decomp, mp.L_solve, mp.U_solve, mp.fsum, mp.polyval, mp.log and the
-mpf operators do at the same precision, so every result keeps its bits.  No
-mp.mpf object is made: the moments, the solution coefficients, the log of a
-condition number and the zeros' search are raw; the condition number and the
-zeros leave as Python floats.
+One number format runs through the layer, from the sigma nodes to Q2:
+Python integers in fixed point, each value v held as floor(v * 2^P) at one
+scale P, so no result depends on mpmath's global precision.  The sigma rule
+and the b_k recursion run at P = precision_bits + k_max log2 max|F| + 64
+and round the moments to precision_bits once; the order-condition solve,
+the condition estimate and the Laurent sums run at P = precision_bits + 32
+(SOLVE_GUARD_BITS).  Raw mpf values (mpmath.libmp tuples, no mp.mpf object)
+appear only at the edges: the moment tables and the solution coefficients
+are rounded to precision_bits, and zeros_q2 iterates on raw values at that
+precision, op for op as mp.polyval and mp.fsum would.  The condition number
+and the zeros leave as Python floats.
 """
 
 from __future__ import annotations
@@ -106,10 +109,9 @@ from math import comb
 from operator import mul
 
 from mpmath.libmp import (
-    fnone, fone, fzero, from_float, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_cos, mpf_cos_sin,
-    mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-    mpf_pos, mpf_rdiv_int, mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, mpf_sum, round_nearest as RND,
-    to_fixed, to_float, to_str,
+    fone, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_cos,
+    mpf_cos_sin, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_rdiv_int, mpf_shift,
+    mpf_sign, mpf_sub, mpf_sum, round_nearest as RND, to_fixed, to_float, to_str,
 )
 
 from .errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
@@ -183,100 +185,107 @@ class MarkovSpec:
         return n - n % 2 if self.support.is_symmetric() else n
 
 
-def _fejer_weights(order: int, prec: int):
-    """Fejer's first-rule weights on [-1, 1] for the Chebyshev points x_k = cos(theta_k), at prec.
+def _fixed(x: float, P: int) -> int:
+    """The float x at P fraction bits, exactly."""
+    return to_fixed(from_float(x), P)
+
+
+def _cosines(order: int, P: int):
+    """cos(k pi / (2 order)) for k = 0 .. order, at P.
+
+    One cosine and sine of pi / (2 order) at P + 32 bits; each next value
+    rotates the previous one by that angle at those bits and is truncated
+    to P.
+    """
+    Q = P + 32
+    c1, s1 = (to_fixed(v, Q) for v in
+              mpf_cos_sin(mpf_div(mpf_pi(Q, RND), from_int(2 * order), Q, RND), Q, RND))
+    c, s = 1 << Q, 0
+    out = [1 << P]
+    for _ in range(order):
+        c, s = (c * c1 - s * s1) >> Q, (s * c1 + c * s1) >> Q
+        out.append(c >> 32)
+    return out
+
+
+def _fejer_weights(order: int, P: int):
+    """Fejer's first-rule weights on [-1, 1] for the Chebyshev points x_k = cos(theta_k), at P.
 
     With N = order and theta_k = (2k - 1) pi / (2N),
 
         w_k = (2/N) (1 - 2 sum_{j=1}^{N//2} cos(2j theta_k) / (4j^2 - 1)),
 
     and cos(2j theta_k) = cos(m pi / N) for m = j(2k - 1) mod 2N, read from a
-    table.  The weights are positive, symmetric and exact for polynomials of
-    degree N - 1.  The sums run on integers in fixed point at prec plus
-    guard bits for their N/2 truncations; x_{N+1-k} = -x_k reads the same
-    table entries, so each weight is computed once for a mirrored pair.
+    table of :func:`_cosines`.  The weights are positive, symmetric and exact
+    for polynomials of degree N - 1.  The sums run at P plus guard bits for
+    their N/2 truncations; x_{N+1-k} = -x_k reads the same table entries, so
+    each weight is computed once for a mirrored pair.
     """
     N = order
-    P = prec + N.bit_length()
-    pi = mpf_pi(prec, RND)
-    half = [to_fixed(mpf_cos(mpf_div(mpf_mul_int(pi, m, prec, RND), from_int(N), prec, RND),
-                             prec, RND), P) for m in range(N + 1)]
+    G = P + N.bit_length()
+    cos = _cosines(N, G)
+    half = [cos[2 * m] if 2 * m <= N else -cos[2 * (N - m)] for m in range(N + 1)]
     table = half + half[-2:0:-1]  # cos(m pi / N) for m = 0 .. 2N - 1
     ws = []
     for k in range(1, (N + 1) // 2 + 1):
         r = 2 * k - 1
         s = sum(table[j * r % (2 * N)] // (4 * j * j - 1) for j in range(1, N // 2 + 1))
-        # (2 - 4 s 2^-P) / N
-        w = mpf_sub(from_int(2), mpf_mul_int(mpf_shift(from_int(s), -P), 4, prec, RND), prec, RND)
-        ws.append(mpf_div(w, from_int(N), prec, RND))
+        ws.append(((2 << G) - 4 * s) // N >> (G - P))
     return ws + ws[N // 2 - 1 :: -1]
 
 
-def _chebyshev_points(order: int, wp: int):
-    """The Chebyshev points cos((2j - 1) pi / (2 order)), j = 1 .. order, at wp.
+def _chebyshev_points(order: int, P: int):
+    """The Chebyshev points cos((2j - 1) pi / (2 order)), j = 1 .. order, at P.
 
-    One cosine and sine of theta = pi / (2 order) at wp + 32 bits; each next
-    point of the first ceil(order/2) rotates the previous one by e^{2 i theta}
-    at those bits and is rounded to wp, and the rest mirror them by
-    negation, x_{order+1-j} = -x_j.  Measured for orders 8 to QUAD_ORDER_MAX
-    at wp 160 to 1056, each point lies within 2^-(wp+1) of its cosine.
+    The first ceil(order/2) are the odd entries of :func:`_cosines`, and the
+    rest mirror them by negation, x_{order+1-j} = -x_j.
     """
-    wq = wp + 32
-    c, s = mpf_cos_sin(mpf_div(mpf_pi(wq, RND), from_int(2 * order), wq, RND), wq, RND)
-    c2 = mpf_sub(mpf_mul(c, c, wq, RND), mpf_mul(s, s, wq, RND), wq, RND)
-    s2 = mpf_shift(mpf_mul(c, s, wq, RND), 1)
-    half = [mpf_pos(c, wp, RND)]
-    for _ in range((order - 1) // 2):
-        c, s = (mpf_sub(mpf_mul(c, c2, wq, RND), mpf_mul(s, s2, wq, RND), wq, RND),
-                mpf_add(mpf_mul(s, c2, wq, RND), mpf_mul(c, s2, wq, RND), wq, RND))
-        half.append(mpf_pos(c, wp, RND))
-    return half + [mpf_neg(x) for x in half[: order // 2][::-1]]
+    half = _cosines(order, P)[1::2]
+    return half + [-x for x in half[: order // 2][::-1]]
 
 
-def discretize_sigma(spec: MarkovSpec, order: int, prec: int):
-    """Per-component nodes and weights (t_j, omega_j) for sigma.
+def discretize_sigma(spec: MarkovSpec, order: int, P: int):
+    """Per-component nodes, weights and f1 values (t_j, omega_j, f1(t_j)) for sigma, at P.
 
     Each component is mapped by u = sqrt(|t| - 1), t = +-(1 + u^2),
     dt = 2u du, and the rule is placed on [u_c, u_d].  The pole 1/u of
-    f1(t) = 1/(u sqrt(u^2 + 2)) at the branch point then cancels against dt,
-    so f1 no longer limits the rule's convergence.  Both rules use the
-    order's Chebyshev points, from :func:`_chebyshev_points`, and all values
-    are computed at prec + 32 bits.  The arcsine density takes
-    Gauss-Chebyshev: since (t - c)(d - t) = (u - u_c)(u_d - u)(u + u_c)(u + u_d)
-    on either sign of component, its arcsine endpoint factor stays an
-    arcsine factor in u, which the rule absorbs, and the weight is
+    f1(t) = +-1/(u sqrt(u^2 + 2)) at the branch point then cancels against
+    dt, so f1 no longer limits the rule's convergence; f1 is taken in this
+    form, with no t^2 - 1 to cancel near the branch point.  Both rules use
+    the order's Chebyshev points, from :func:`_chebyshev_points`.  The
+    arcsine density takes Gauss-Chebyshev: since
+    (t - c)(d - t) = (u - u_c)(u_d - u)(u + u_c)(u + u_d) on either sign of
+    component, its arcsine endpoint factor stays an arcsine factor in u,
+    which the rule absorbs, and the weight is
     omega = 2u / (order m sqrt((u + u_c)(u + u_d))), with no t - c to cancel
     near the ends; the factor 1/sqrt(u + u_c) is what still slows the rule as
     F nears [-1, 1].  The constant density takes Fejer's first-rule weights.
+    Every value is an integer at P fraction bits; the square roots are
+    math.isqrt.
     """
-    ts, ws = [], []
-    wp = prec + 32
-    points = _chebyshev_points(order, wp)
+    ts, ws, fs = [], [], []
+    one = 1 << P
+    points = _chebyshev_points(order, P)
     arcsine = spec.density == "arcsine"
     if arcsine:
         scale = order * spec.support.m
     else:
-        fejer = _fejer_weights(order, wp)
-        dens = mpf_div(fone, from_float(spec.support.total_length), wp, RND)
+        fejer = _fejer_weights(order, P)
+        length = _fixed(spec.support.total_length, P) << P
     for (c, d) in spec.support.intervals:
         sign = 1 if c > 0 else -1
-        uc, ud = (mpf_sqrt(mpf_sub(from_float(x), fone, wp, RND), wp, RND)
-                  for x in sorted((abs(c), abs(d))))
-        mid = mpf_shift(mpf_add(uc, ud, wp, RND), -1)
-        half = mpf_shift(mpf_sub(ud, uc, wp, RND), -1)
+        uc, ud = (math.isqrt((_fixed(x, P) - one) << P) for x in sorted((abs(c), abs(d))))
+        mid, half = (uc + ud) >> 1, (ud - uc) >> 1
         for j, x in enumerate(points):
-            u = mpf_add(mid, mpf_mul(half, x, wp, RND), wp, RND)
-            t = mpf_mul_int(mpf_add(mpf_mul(u, u, wp, RND), fone, wp, RND), sign, wp, RND)
+            u = mid + (half * x >> P)
+            uu = u * u
+            ts.append(sign * ((uu >> P) + one))
+            fs.append(sign * ((1 << 3 * P) // (u * math.isqrt(uu + (2 << 2 * P)))))
             if arcsine:
-                root = mpf_sqrt(mpf_mul(mpf_add(u, uc, wp, RND), mpf_add(u, ud, wp, RND),
-                                        wp, RND), wp, RND)
-                w = mpf_div(mpf_shift(u, 1), mpf_mul_int(root, scale, wp, RND), wp, RND)
+                ws.append((u << P + 1) // (math.isqrt((u + uc) * (u + ud)) * scale))
             else:
-                w = mpf_mul(mpf_mul_int(mpf_mul(mpf_mul(fejer[j], half, wp, RND), dens, wp, RND),
-                                        2, wp, RND), u, wp, RND)
-            ts.append(t)
-            ws.append(w)
-    return ts, ws
+                ws.append((fejer[j] * half * u << 1) // length)
+    return ts, ws, fs
 
 
 # --------------------------------------------------------------------------
@@ -297,26 +306,24 @@ def moments_f1(k_max: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     return out
 
 
-def _cauchy_value_f1(t, prec):
-    # f1(t) for real |t| > 1 on the exterior branch: sign(t) / sqrt(t^2 - 1)
-    root = mpf_sqrt(mpf_sub(mpf_mul(t, t, prec, RND), fone, prec, RND), prec, RND)
-    return mpf_div(fnone if t[0] else fone, root, prec, RND)
+def _fixed_point_bits(k_max: int, support: IntervalUnion, precision_bits: int) -> int:
+    """The fraction bits of the b_k recursion: the precision, the growth of t^k over F, 64 more."""
+    tmax = max(abs(x) for iv in support.intervals for x in iv)
+    return precision_bits + int(k_max * math.log2(tmax)) + 64
 
 
-def _moments_f2_at_order(k_max, ts, ws, precision_bits):
-    # fixed point: each value v is held as the integer floor(v * 2^P), with
-    # guard bits for the growth of t^k
-    tmax = _max([mpf_abs(t) for t in ts])
-    P = precision_bits + int(k_max * math.log2(to_float(tmax, rnd=RND))) + 64
-    ck = [to_fixed(_cauchy_value_f1(t, P), P) for t in ts]
-    a = [to_fixed(x, P) for x in moments_f1(k_max, P)]
-    tj = [to_fixed(t, P) for t in ts]
-    wj = [to_fixed(w, P) for w in ws]
+def _moments_f2_at_order(k_max, ts, ws, fs, P):
+    """The sums -sum_j omega_j c_k(t_j), k = 0 .. k_max, as integers at 2P fraction bits.
+
+    Nodes, weights and the values c_0(t_j) = f1(t_j) are integers at P.
+    """
+    a = [comb(k, k // 2) << P - k if k % 2 == 0 else 0 for k in range(k_max + 1)]
+    ck = fs
     sums = []
     for k in range(k_max + 1):
-        sums.append(-sum(map(mul, wj, ck)))
-        ck = [(t * c >> P) - a[k] for t, c in zip(tj, ck)]
-    return [mpf_shift(from_int(s, precision_bits, RND), -2 * P) for s in sums]
+        sums.append(-sum(map(mul, ws, ck)))
+        ck = [(t * c >> P) - a[k] for t, c in zip(ts, ck)]
+    return sums
 
 
 def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -326,22 +333,22 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
     The doubling runs from ``start_order``.  Successive orders must agree to
     2^(-precision_bits/2) in the sup norm; failure to stabilize within the
     order cap raises, it is never hidden.  Returns (b, order): the moments
-    at the accepted quadrature order, and that order.  When F = -F, f2 is
-    even and b_k at even k is returned as an exact zero.
+    at the accepted quadrature order, rounded to precision_bits, and that
+    order.  When F = -F, f2 is even and b_k at even k is returned as an
+    exact zero.
     """
+    P = _fixed_point_bits(k_max, sigma.support, precision_bits)
     order = start_order
-    ts, ws = discretize_sigma(sigma, order, precision_bits)
-    prev = _moments_f2_at_order(k_max, ts, ws, precision_bits)
+    prev = _moments_f2_at_order(k_max, *discretize_sigma(sigma, order, P), P)
     while order < QUAD_ORDER_MAX:
         order *= 2
-        ts, ws = discretize_sigma(sigma, order, precision_bits)
-        cur = _moments_f2_at_order(k_max, ts, ws, precision_bits)
-        scale = _max([fone] + [mpf_abs(x) for x in cur])
-        delta = _max([mpf_abs(mpf_sub(p, q, precision_bits, RND)) for p, q in zip(prev, cur)])
-        if mpf_le(delta, mpf_shift(scale, -(precision_bits // 2))):
+        cur = _moments_f2_at_order(k_max, *discretize_sigma(sigma, order, P), P)
+        scale = max([1 << 2 * P] + [abs(x) for x in cur])
+        if max(abs(p - q) for p, q in zip(prev, cur)) <= scale >> precision_bits // 2:
+            b = [from_man_exp(s, -2 * P, precision_bits, RND) for s in cur]
             if sigma.support.is_symmetric():
-                cur[::2] = [fzero] * (k_max // 2 + 1)
-            return cur, order
+                b[::2] = [fzero] * (k_max // 2 + 1)
+            return b, order
         prev = cur
     raise QuadratureError(
         f"sigma quadrature did not stabilize to 2^-{precision_bits // 2} "
@@ -401,6 +408,14 @@ class HPSolution:
         }
 
 
+# The solve runs on integers at P = precision_bits + SOLVE_GUARD_BITS
+# fraction bits.  Every entry of the system is a moment of a bounded function
+# against the arcsine measure of [-1, 1] (|a_k| <= 1, |b_k| <= 1/dist(E, F)),
+# so one scale serves them all, and the solution carries about
+# P - log2 cond correct bits.
+SOLVE_GUARD_BITS = 32
+
+
 def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSolution:
     """Solve the order condition at order n from moment sequences a, b.
 
@@ -414,9 +429,12 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
     if len(a) < 3 * n + 2 or len(b) < 3 * n + 2:
         raise ValueError(f"order {n} needs moments up to index {3 * n + 1}")
     prec = precision_bits
+    P = prec + SOLVE_GUARD_BITS
     # step 2 folds by parity: unknowns Q1[1, 3, ..], Q2[0, 2, .., deg - 2],
     # equations the odd rows; step 1 is the full system
     step = 2 if all(x == fzero for x in b[::2]) else 1
+    a = [to_fixed(x, P) for x in a[: 3 * n + 2]]
+    b = [to_fixed(x, P) for x in b[: 3 * n + 2]]
     deg = n - n % step
     p_idx, q_idx = range(step - 1, n + 1, step), range(0, deg, step)
     rows = range(step - 1, 2 * n + 1, step)
@@ -424,103 +442,91 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
     if A:
         LU = [row[:] for row in A]
         try:
-            perm = _lu_decomp(LU, prec)
+            perm = _lu_decomp(LU, P, prec)
         except ZeroDivisionError:
             raise PrecisionError(
                 f"order-condition system of order {n} is singular at {prec} bits") from None
-        x = _lu_solve(LU, perm, [mpf_neg(b[r + deg], prec, RND) for r in rows], prec)
-        log2_cond = _log2_cond1(A, LU, perm, prec)
+        x = _lu_solve(LU, perm, [-b[r + deg] for r in rows], P)
+        log2_cond = _log2_cond1(A, LU, perm, P)
     else:  # order 0 on F = -F: no row is left, and Q2 = 1, Q1 = 0 solve it
         x, log2_cond = [], 0.0
-    p, q = [fzero] * (n + 1), [fzero] * (n + 1)
+    p, q = [0] * (n + 1), [0] * (n + 1)
     p[step - 1 :: step] = x[: len(p_idx)]
     q[:deg:step] = x[len(p_idx) :]
-    q[deg] = fone
-    return _verified_solution(n, a, b, p, q, deg, prec, log2_cond,
+    q[deg] = 1 << P
+    return _verified_solution(n, a, b, p, q, deg, prec, P, log2_cond,
                               "lu_parity" if step == 2 else "lu")
 
 
-# The square solve, on raw mpf values in lists of rows at precision prec,
-# op for op as its mpmath original (see the module docstring).
+# The square solve, on integers at P fraction bits in lists of rows.
 
 
-def _max(values):
-    """The largest of nonempty raw mpf values, as max() picks it among mpf."""
-    best = values[0]
-    for v in values[1:]:
-        if mpf_gt(v, best):
-            best = v
-    return best
+def _lu_decomp(A, P, prec):
+    """P A = L U in place, unit L below the diagonal; returns the row swaps.
 
-
-def _lu_decomp(A, prec):
-    """mp.LU_decomp, in place: P A = L U with unit L below the diagonal; returns the pivots.
-
-    Pivots on the largest |entry| times the reciprocal row sum over the
-    remaining columns, and raises ZeroDivisionError once a row sum or a
-    pivot is at most the 1-norm of A times eps.
+    mpmath's LU_decomp pivot rule: the largest |entry| over the row sum of
+    |entries| in the remaining columns, compared by cross-multiplying, the
+    first row kept on a tie.  Raises ZeroDivisionError once a row sum or a
+    pivot is at most the 1-norm of A times 2^(1 - prec).
     """
     m = len(A)
-    norm = _max([mpf_sum([mpf_abs(row[j]) for row in A], prec, RND, True) for j in range(m)])
-    tol = mpf_abs(mpf_mul(norm, (0, 1, 1 - prec, 1), prec, RND), prec, RND)
-    perm = [None] * (m - 1)
+    tol = max(sum(abs(row[j]) for row in A) for j in range(m)) >> prec - 1
+    perm = []
     for j in range(m - 1):
-        biggest = fzero
+        best = None
         for k in range(j, m):
-            s = mpf_sum([mpf_abs(v, prec, RND) for v in A[k][j:]], prec, RND)
-            if mpf_le(mpf_abs(s, prec, RND), tol):
+            s = sum(map(abs, A[k][j:]))
+            if s <= tol:
                 raise ZeroDivisionError("matrix is numerically singular")
-            current = mpf_mul(mpf_rdiv_int(1, s, prec, RND), mpf_abs(A[k][j], prec, RND), prec, RND)
-            if mpf_gt(current, biggest):
-                biggest, perm[j] = current, k
-        A[j], A[perm[j]] = A[perm[j]], A[j]
-        pivot = A[j]
-        if mpf_le(mpf_abs(pivot[j], prec, RND), tol):
+            v = abs(A[k][j])
+            if v and (best is None or v * s_best > v_best * s):
+                best, v_best, s_best = k, v, s
+        if best is None:
             raise ZeroDivisionError("matrix is numerically singular")
+        perm.append(best)
+        A[j], A[best] = A[best], A[j]
+        pivot = A[j]
+        d = pivot[j]
+        if abs(d) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        tail = pivot[j + 1 :]
         for row in A[j + 1 :]:
-            f = row[j] = mpf_div(row[j], pivot[j], prec, RND)
-            row[j + 1 :] = [mpf_sub(v, mpf_mul(f, w, prec, RND), prec, RND)
-                            for v, w in zip(row[j + 1 :], pivot[j + 1 :])]
-    if mpf_le(mpf_abs(A[m - 1][m - 1], prec, RND), tol):
+            f = row[j] = (row[j] << P) // d
+            row[j + 1 :] = [v - (f * w >> P) for v, w in zip(row[j + 1 :], tail)]
+    if abs(A[m - 1][m - 1]) <= tol:
         raise ZeroDivisionError("matrix is numerically singular")
     return perm
 
 
-def _lu_solve(LU, perm, rhs, prec):
-    """mp.L_solve, then mp.U_solve: the solution of A x = rhs given P A = L U."""
+def _lu_solve(LU, perm, rhs, P):
+    """The solution of A x = rhs given P A = L U: forward, then back substitution."""
     x = list(rhs)
     for k, p in enumerate(perm):
         x[k], x[p] = x[p], x[k]
     m = len(x)
     for i in range(1, m):
-        s, row = x[i], LU[i]
-        for j in range(i):
-            s = mpf_sub(s, mpf_mul(row[j], x[j], prec, RND), prec, RND)
-        x[i] = s
+        x[i] -= sum(map(mul, LU[i][:i], x[:i])) >> P
     for i in range(m - 1, -1, -1):
-        s, row = x[i], LU[i]
-        for j in range(i + 1, m):
-            s = mpf_sub(s, mpf_mul(row[j], x[j], prec, RND), prec, RND)
-        x[i] = mpf_div(s, row[i], prec, RND)
+        row = LU[i]
+        x[i] = ((x[i] << P) - sum(map(mul, row[i + 1 :], x[i + 1 :]))) // row[i]
     return x
 
 
-def _solve_transposed(LU, perm, c, prec):
+def _solve_transposed(LU, perm, c, P):
     """Solve A^T x = c given P A = L U."""
     m = len(LU)
+    cols = list(zip(*LU))
     w = list(c)
     for i in range(m):  # U^T w = c
-        s = mpf_sum([mpf_mul(LU[j][i], w[j], prec, RND) for j in range(i)], prec, RND)
-        w[i] = mpf_div(mpf_sub(w[i], s, prec, RND), LU[i][i], prec, RND)
+        w[i] = ((w[i] << P) - sum(map(mul, cols[i][:i], w[:i]))) // LU[i][i]
     for i in range(m - 1, -1, -1):  # L^T v = w
-        s = mpf_sum([mpf_mul(LU[j][i], w[j], prec, RND) for j in range(i + 1, m)], prec, RND)
-        w[i] = mpf_sub(w[i], s, prec, RND)
+        w[i] -= sum(map(mul, cols[i][i + 1 :], w[i + 1 :])) >> P
     for k in reversed(range(len(perm))):  # x = P^T v
         w[k], w[perm[k]] = w[perm[k]], w[k]
     return w
 
 
-def _log2_cond1(A, LU, perm, prec) -> float:
+def _log2_cond1(A, LU, perm, P) -> float:
     """log2 of the 1-norm condition number of A from its LU factors.
 
     ||A^-1||_1 comes from Hager's estimator (SIAM J. Sci. Stat. Comput. 5,
@@ -528,77 +534,76 @@ def _log2_cond1(A, LU, perm, prec) -> float:
     triangular solves with A and A^T, never the inverse itself.
     """
     m = len(A)
-
-    def norm1(v):
-        return mpf_sum([mpf_abs(x, prec, RND) for x in v], prec, RND)
-
-    norm_a = _max([norm1([row[j] for row in A]) for j in range(m)])
-    x = [mpf_div(fone, from_int(m), prec, RND)] * m
-    est = fzero
+    one = 1 << P
+    norm_a = max(sum(abs(row[j]) for row in A) for j in range(m))
+    x = [one // m] * m
+    est = 0
     for _ in range(5):
-        y = _lu_solve(LU, perm, x, prec)
-        est_new = norm1(y)
-        if mpf_le(est_new, est):
+        y = _lu_solve(LU, perm, x, P)
+        est_new = sum(map(abs, y))
+        if est_new <= est:
             break
         est = est_new
-        z = _solve_transposed(LU, perm, [fone if mpf_ge(v, fzero) else fnone for v in y], prec)
-        az = [mpf_abs(v, prec, RND) for v in z]
-        j = az.index(_max(az))
-        if mpf_le(az[j], mpf_sum([mpf_mul(zi, xi, prec, RND) for zi, xi in zip(z, x)], prec, RND)):
+        z = _solve_transposed(LU, perm, [one if v >= 0 else -one for v in y], P)
+        az = list(map(abs, z))
+        j = az.index(max(az))
+        if az[j] <= sum(map(mul, z, x)) >> P:
             break
-        x = [fzero] * m
-        x[j] = fone
+        x = [0] * m
+        x[j] = one
     if m > 1:
-        alt = [mpf_mul_int(mpf_add(mpf_div(from_int(i), from_int(m - 1), prec, RND), fone, prec, RND),
-                           (-1) ** i, prec, RND) for i in range(m)]
-        t = mpf_div(mpf_mul_int(norm1(_lu_solve(LU, perm, alt, prec)), 2, prec, RND),
-                    from_int(3 * m), prec, RND)
-        if mpf_gt(t, est):
-            est = t
-    # mp.log(x, 2) at precision prec, op for op: ln(x) / ln(2), each log at prec + 20
-    wp = prec + 20
-    log_x = mpf_log(mpf_mul(norm_a, est, prec, RND), wp, RND)
-    return to_float(mpf_div(log_x, mpf_log(from_int(2), wp, RND), prec, RND), rnd=RND)
+        alt = [(-1) ** i * (one + (i << P) // (m - 1)) for i in range(m)]
+        est = max(est, 2 * sum(map(abs, _lu_solve(LU, perm, alt, P))) // (3 * m))
+    # log2 of the mantissa in [1, 2), a correctly rounded quotient, plus
+    # the exact exponent
+    v = norm_a * est
+    e = v.bit_length() - 1
+    return math.log2(v / (1 << e)) + (e - 2 * P)
 
 
-def _laurent_sum(p, q, a, b, lo, prec):
-    """sum_i p_i a_{i-lo} + q_i b_{i-lo} over i >= max(lo, 0), added left to right on raw values."""
-    s = fzero
-    for i in range(max(lo, 0), len(p)):
-        s = mpf_add(s, mpf_add(mpf_mul(p[i], a[i - lo], prec, RND), mpf_mul(q[i], b[i - lo], prec, RND),
-                               prec, RND), prec, RND)
-    return s
+def _verified_solution(n, a, b, p, q, degree_q2, precision_bits, P, log2_cond, method):
+    """Verify the order condition for (p, q), Q2 monic of degree degree_q2, and complete Q0.
 
-
-def _verified_solution(n, a, b, p, q, degree_q2, precision_bits, log2_cond, method):
-    """Verify the order condition for (p, q), Q2 monic of degree degree_q2, and complete Q0."""
+    Moments and coefficients are integers at P; each Laurent coefficient is
+    an exact sum of their products, at 2P.
+    """
     prec = precision_bits
+
+    def laurent(lo):
+        # sum_i p_i a_{i-lo} + q_i b_{i-lo} over i >= max(lo, 0)
+        i = max(lo, 0)
+        return sum(map(mul, p[i:], a[i - lo :])) + sum(map(mul, q[i:], b[i - lo :]))
+
     # |coefficient of z^-j| of Q1 f1 + Q2 f2, for j = 1..2n+2
-    residuals = [mpf_abs(_laurent_sum(p, q, a, b, 1 - j, prec)) for j in range(1, 2 * n + 3)]
-    residual_max = _max(residuals[: 2 * n + 1])
-    tol_vanish = mpf_shift(fone, -(prec // 4))
-    if mpf_gt(residual_max, tol_vanish):
+    residuals = [abs(laurent(1 - j)) for j in range(1, 2 * n + 3)]
+    largest = max(residuals[: 2 * n + 1])
+    residual_max = to_float(from_man_exp(largest, -2 * P), rnd=RND)
+    tol_vanish = 1 << 2 * P - prec // 4
+    if largest > tol_vanish:
         raise PrecisionError(
-            f"order condition residual {to_str(residual_max, 5)} exceeds "
+            f"order condition residual {residual_max:.5g} exceeds "
             f"2^-{prec // 4} at {prec} bits"
         )
     # capped at 2n+3: all computable coefficients vanish
-    residual_order = next((j for j, r in enumerate(residuals, start=1) if mpf_gt(r, tol_vanish)),
+    residual_order = next((j for j, r in enumerate(residuals, start=1) if r > tol_vanish),
                           2 * n + 3)
 
     # polynomial part of Q1 f1 + Q2 f2 has degree <= n-1; Q0 cancels it
-    q0 = [mpf_neg(_laurent_sum(p, q, a, b, mdeg + 1, prec)) for mdeg in range(n)]
+    q0 = [from_man_exp(-laurent(mdeg + 1), -2 * P, prec, RND) for mdeg in range(n)]
     while q0 and q0[-1] == fzero:
         q0.pop()
+
+    def raw(values):
+        return tuple(from_man_exp(v, -P, prec, RND) for v in values)
 
     return HPSolution(
         n=n,
         q0=tuple(q0) or (fzero,),
-        q1=tuple(p),
-        q2=tuple(q),
+        q1=raw(p),
+        q2=raw(q),
         precision_bits=precision_bits,
         residual_order=residual_order,
-        residual_max=to_float(residual_max, rnd=RND),
+        residual_max=residual_max,
         degree_q2=degree_q2,
         log2_cond=log2_cond,
         method=method,
@@ -614,14 +619,15 @@ def zeros_q2(sol: HPSolution, hull):
 
     ``hull`` is the convex hull (lo, hi) of the support of sigma; the search
     window is the hull widened by half its length.  The iteration starts
-    from the Chebyshev points of the hull and runs at the working precision.
-    Q2 is then evaluated at the window's ends and between neighbouring
-    zeros: a sign change in every cell proves degree-many distinct real
-    zeros, one per cell.  Fewer sign changes, an iteration that does not
-    settle within ``20 + 4 * degree`` sweeps, or a division by zero is a
-    precision failure, reported for escalation.  Zeros found outside the
-    hull are kept and flagged with a warning.  Returns the zeros in
-    ascending order as Python floats.
+    from float64 seeds (:func:`_float_seeds`) or, when those are not real,
+    distinct and inside the window, from the Chebyshev points of the hull,
+    and runs at the working precision.  Q2 is then evaluated at the window's
+    ends and between neighbouring zeros: a sign change in every cell proves
+    degree-many distinct real zeros, one per cell.  Fewer sign changes, an
+    iteration that does not settle within ``20 + 4 * degree`` sweeps, or a
+    division by zero is a precision failure, reported for escalation.
+    Zeros found outside the hull are kept and flagged with a warning.
+    Returns the zeros in ascending order as Python floats.
     """
     deg = sol.degree_q2
     if deg == 0:
@@ -631,11 +637,13 @@ def zeros_q2(sol: HPSolution, hull):
     half = from_float((hull[1] - hull[0]) / 2)
     lo = mpf_sub(from_float(hull[0]), half, bits, RND)
     hi = mpf_add(from_float(hull[1]), half, bits, RND)
-    mid = mpf_shift(mpf_add(lo, hi, bits, RND), -1)
-    pi = mpf_pi(bits, RND)
-    xs = [mpf_add(mid, mpf_mul(half, mpf_cos(mpf_div(mpf_mul_int(pi, 2 * k + 1, bits, RND),
-                                                     from_int(2 * deg), bits, RND), bits, RND),
-                               bits, RND), bits, RND) for k in range(deg)]
+    xs = _float_seeds(coeffs, hull, bits)
+    if xs is None:
+        mid = mpf_shift(mpf_add(lo, hi, bits, RND), -1)
+        pi = mpf_pi(bits, RND)
+        xs = [mpf_add(mid, mpf_mul(half, mpf_cos(mpf_div(mpf_mul_int(pi, 2 * k + 1, bits, RND),
+                                                         from_int(2 * deg), bits, RND), bits, RND),
+                                   bits, RND), bits, RND) for k in range(deg)]
     tol = mpf_shift(half, -(bits // 2))
     # measured: at most 68 sweeps up to degree 40, and 151 at degree 80
     max_sweeps = 20 + 4 * deg
@@ -654,7 +662,7 @@ def zeros_q2(sol: HPSolution, hull):
         )
     xs.sort(key=cmp_to_key(mpf_cmp))
     cuts = [lo] + [mpf_shift(mpf_add(x, y, bits, RND), -1) for x, y in zip(xs, xs[1:])] + [hi]
-    signs = [mpf_sign(_horner(coeffs, c, bits)[0]) for c in cuts]
+    signs = [mpf_sign(_polyval(coeffs, c, bits)) for c in cuts]
     # cell k = [cuts[k], cuts[k+1]] holds the k-th zero, and a sign change
     # there proves a zero of Q2 in it; a cell counts only when its zero
     # lies in the window, which keeps the counted cells disjoint
@@ -672,6 +680,14 @@ def zeros_q2(sol: HPSolution, hull):
             PrecisionDiagnosticWarning,
         )
     return [to_float(x, rnd=RND) for x in xs]
+
+
+def _polyval(coeffs, x, prec):
+    """Q(x) for the coefficients of Q in descending order, at prec."""
+    q = coeffs[0]
+    for c in coeffs[1:]:
+        q = mpf_add(c, mpf_mul(x, q, prec, RND), prec, RND)
+    return q
 
 
 def _horner(coeffs, x, prec):
@@ -701,6 +717,74 @@ def _aberth_sweep(coeffs, xs, prec):
         if mpf_gt(step, moved):
             moved = step
     return moved
+
+
+# the float64 seed iteration: a cap on its sweeps, and the move below which
+# it has reached the float values' own noise after two more sweeps
+SEED_MAX_SWEEPS = 40
+SEED_SETTLED = 2.0 ** -20
+
+
+def _float_seeds(coeffs, hull, prec):
+    """Float64 approximations of the zeros of Q2 as raw mpf starts, or None.
+
+    Q2 (coefficients in descending order) is evaluated at deg + 1 Chebyshev
+    points of the hull widened by 1%, at the working precision, and the
+    values are rounded to float.  Their interpolating Chebyshev series in
+    s = (x - mid) / rad has degree deg; its zeros come from a complex
+    Aberth iteration in float64, started just above the Chebyshev points of
+    [-1, 1].  The seeds are the real parts, returned only when the iteration
+    settles, every zero is real and distinct (neighbouring real parts lie
+    more than four times their imaginary parts apart) and inside the search
+    window.  Far outside the hull, Q2 grows so fast that the float values
+    lose the inside, so the window is not interpolated.
+    """
+    deg = len(coeffs) - 1
+    mid, rad = (hull[0] + hull[1]) / 2, 1.01 * (hull[1] - hull[0]) / 2
+    N = deg + 1
+    thetas = [math.pi * (2 * j + 1) / (2 * N) for j in range(N)]
+    values = [to_float(_polyval(coeffs, from_float(mid + rad * math.cos(th)), prec), rnd=RND)
+              for th in thetas]
+    scale = max(map(abs, values))
+    if not 0 < scale < math.inf:
+        return None
+    c = [2 * sum(v * math.cos(k * th) for v, th in zip(values, thetas)) / (N * scale)
+         for k in range(N)]
+    c[0] /= 2
+
+    def newton_step(z):
+        # p(z) / p'(z) by Clenshaw's recurrence and its derivative
+        b1 = b2 = d1 = d2 = 0
+        for ck in reversed(c[1:]):
+            b1, b2, d1, d2 = ck + 2 * z * b1 - b2, b1, 2 * b1 + 2 * z * d1 - d2, d1
+        return (c[0] + z * b1 - b2) / (b1 + z * d1 - d2)
+
+    zs = [complex(math.cos(math.pi * (2 * k + 1) / (2 * deg)), 0.01) for k in range(deg)]
+    settled = 0
+    try:
+        for _ in range(SEED_MAX_SWEEPS):
+            moved = 0.0
+            for k, z in enumerate(zs):
+                r = newton_step(z)
+                step = r / (1 - r * sum(1 / (z - w) for j, w in enumerate(zs) if j != k))
+                zs[k] = z - step
+                moved = max(moved, abs(step))
+            settled += settled > 0 or moved < SEED_SETTLED
+            if settled > 2:
+                break
+        else:
+            return None
+    except ZeroDivisionError:
+        return None
+    zs.sort(key=lambda z: z.real)
+    if any(w.real - z.real <= 4 * max(abs(z.imag), abs(w.imag)) for z, w in zip(zs, zs[1:])):
+        return None
+    xs = [mid + rad * z.real for z in zs]
+    width = hull[1] - hull[0]
+    if not (hull[0] - width / 2 < xs[0] and xs[-1] < hull[1] + width / 2
+            and all(x < y for x, y in zip(xs, xs[1:]))):
+        return None
+    return [from_float(x) for x in xs]
 
 
 # --------------------------------------------------------------------------

@@ -283,7 +283,11 @@ def kernel_cell_averages(z, cells, kernel: SingularKernel):
     :class:`Grid`: only its nodes and cell edges are read.  This is the one
     row block of every potential and every dense system matrix.
     """
-    Q = neglog_cell_averages(z, cells)
+    return _with_kernel(neglog_cell_averages(z, cells), z, cells, kernel)
+
+
+def _with_kernel(Q, z, cells, kernel: SingularKernel):
+    # the -log cell averages Q at z, made the kernel's averages in place
     Q *= kernel.sing_coeff
     if kernel.smooth is not None:
         Q += kernel.smooth(z[:, None], cells.nodes[None, :])
@@ -296,12 +300,24 @@ def kernel_potential(mu: DiscreteMeasure, kernel: SingularKernel, z):
     Built one :func:`row_slices` block of :func:`kernel_cell_averages` at a
     time, each applied to the weights.
     """
-    z_in = z
+    out = kernel_potentials(mu, (kernel,), z)[0]
+    return float(out[0]) if np.ndim(z) == 0 else out
+
+
+def kernel_potentials(mu: DiscreteMeasure, kernels, z):
+    """:func:`kernel_potential` of each kernel at the same real z, one row per kernel.
+
+    Each row block of -log cell averages is built once and shared by the
+    kernels; every value keeps the bits of its own kernel_potential call.
+    """
     z = np.atleast_1d(np.asarray(z))
-    out = np.empty(len(z))
+    out = np.empty((len(kernels), len(z)))
     for rows in row_slices(len(z), len(mu.nodes)):
-        out[rows] = kernel_cell_averages(z[rows], mu, kernel) @ mu.weights
-    return float(out[0]) if np.ndim(z_in) == 0 else out
+        Q = neglog_cell_averages(z[rows], mu)
+        for k, kernel in enumerate(kernels):
+            block = Q if k == len(kernels) - 1 else Q.copy()
+            out[k, rows] = _with_kernel(block, z[rows], mu, kernel) @ mu.weights
+    return out
 
 
 GREEN_E_KERNEL = SingularKernel(sing_coeff=1.0, smooth=green_e_smooth)

@@ -43,12 +43,15 @@ from .errors import EquilabError
 from .hermite_pade import HPSweep, MarkovSpec, require_n_list, solve_with_escalation
 from .kernels import green_e_at_infinity
 from .measures import (
+    GREEN_E_KERNEL,
+    LOG_KERNEL,
     SHEET0_KERNEL,
     SHEET1_KERNEL,
     Atoms,
     DiscreteMeasure,
     green_potential_e,
     kernel_potential,
+    kernel_potentials,
     ks_distance,
     log_potential,
     make_grid,
@@ -285,9 +288,13 @@ def verify_mixed_potential(
         },
     )
     z = lam.cell_right[:-1][lam.cell_right[:-1] == lam.cell_left[1:]]
-    u = log_potential(lam, z)
-    v2 = 3.0 * u + sheet1_comparison(lam, z)
-    pv = surface_functional(lam, z)
+    # U, the G_E-potential and the sheet-1 kernel integral of lam at z share
+    # one -log block per row block; the sums below are those of
+    # sheet1_comparison and surface_functional
+    u, g, s = kernel_potentials(lam, (LOG_KERNEL, GREEN_E_KERNEL, SHEET1_KERNEL), z)
+    g_inf = green_e_at_infinity(z)
+    v2 = 3.0 * u + (g + 3.0 * g_inf)
+    pv = s + g_inf
     ident = v2 - 2.0 * pv
     rep.add_bound("mixed.affine_identity", float(np.max(np.abs(ident - ident.mean()))),
                   tolerances.identity,

@@ -8,12 +8,14 @@ import pytest
 from equilab.balayage import balayage_numeric, reconstruct_e_measure
 from equilab.equilibrium import GridParams, solve_reduced, solve_scalar, solve_vector
 from equilab.hermite_pade import HPSweep, MarkovSpec, solve_with_escalation
+from equilab import measures
 from equilab.kernels import IntervalUnion
 from equilab.measures import make_grid, surface_functional
 from equilab.verify import (
     Tolerances,
     VerificationReport,
     counting_measure,
+    sheet1_comparison,
     verify_charge_slopes,
     verify_equivalence,
     verify_mixed_potential,
@@ -180,6 +182,32 @@ class TestMixedPotential:
         rep = verify_mixed_potential(lam, sol_e.measure)
         check = {c.check_id: c for c in rep.checks}["mixed.constancy_on_f"]
         assert check.value > 1e-3 and check.status == "fail"
+
+    @pytest.mark.parametrize("support", [F23, FSYM])
+    def test_each_cell_average_block_built_once(self, monkeypatch, support):
+        # U, the G_E-potential and the surface functional of the scalar
+        # measure at the shared edges share their -log blocks; no
+        # (points, cells) pair is evaluated twice, and the values keep the
+        # bits of the three separate potentials
+        gp = GridParams(n=200, grading=2.0)
+        lam = solve_scalar(support, gp).measure
+        sol_e, _ = solve_vector(support, gp)
+        calls = []
+        original = measures.neglog_cell_averages
+
+        def spy(z, mu):
+            calls.append((np.asarray(z).tobytes(), id(mu)))
+            return original(z, mu)
+
+        monkeypatch.setattr(measures, "neglog_cell_averages", spy)
+        rep = verify_mixed_potential(lam, sol_e.measure, TOL)
+        assert len(calls) == len(set(calls))
+        z = lam.cell_right[:-1][lam.cell_right[:-1] == lam.cell_left[1:]]
+        v2 = 3.0 * measures.log_potential(lam, z) + sheet1_comparison(lam, z)
+        ident = v2 - 2.0 * surface_functional(lam, z)
+        by_id = {c.check_id: c for c in rep.checks}
+        assert by_id["mixed.affine_identity"].value == float(np.max(np.abs(ident - ident.mean())))
+        assert by_id["mixed.constancy_on_f"].value == float(v2.max() - v2.min())
 
 
 class TestPositivity:
