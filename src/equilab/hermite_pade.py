@@ -76,27 +76,29 @@ replaces by exact zeros.
 The real zeros of Q2 come from the Aberth-Ehrlich iteration (O. Aberth,
 Math. Comp. 27, 1973; D. A. Bini, Numer. Algorithms 13, 1996), simultaneous
 Newton with the correction x_k -= r / (1 - r sum_{j != k} 1/(x_k - x_j)),
-r = Q2(x_k)/Q2'(x_k), at the working precision.  It needs no grid, so zeros
-clustered at an end of a long F (10 zeros within [1.5064, 31.37] on
-F = [1.5, 40]) are found as easily as spread ones.  It starts from float64
-roots of Q2, which leave it 4-6 sweeps instead of 7-22, and falls back to
-the Chebyshev points of the hull where Q2 varies too much over the hull for
-float values (on F = +-[2, 3] at n = 40, on [1.5, 40] from n = 20); either
-start gives the same zeros.  The result is certified, not trusted: deg Q2
-sign changes of Q2 over the cells between neighbouring zeros prove deg Q2
-distinct real zeros, one per cell.
+r = Q2(x_k)/Q2'(x_k), on integers at the solve's scale.  It needs no grid,
+so zeros clustered at an end of a long F (10 zeros within [1.5064, 31.37]
+on F = [1.5, 40]) are found as easily as spread ones.  It starts from
+float64 roots of Q2, which leave it 4-6 sweeps instead of 7-22, and falls
+back to the Chebyshev points of the hull where Q2 varies too much over the
+hull for float values (on F = +-[2, 3] at n = 40, on [1.5, 40] from
+n = 20) or exceeds float64's range there; either start gives the same
+zeros.  The result is certified, not trusted: deg Q2 sign changes of Q2
+over the cells between neighbouring zeros prove deg Q2 distinct real zeros,
+one per cell.
 
-One number format runs through the layer, from the sigma nodes to Q2:
-Python integers in fixed point, each value v held as floor(v * 2^P) at one
-scale P, so no result depends on mpmath's global precision.  The sigma rule
-and the b_k recursion run at P = precision_bits + k_max log2 max|F| + 64
-and round the moments to precision_bits once; the order-condition solve,
-the condition estimate and the Laurent sums run at P = precision_bits + 32
-(SOLVE_GUARD_BITS).  Raw mpf values (mpmath.libmp tuples, no mp.mpf object)
-appear only at the edges: the moment tables and the solution coefficients
-are rounded to precision_bits, and zeros_q2 iterates on raw values at that
-precision, op for op as mp.polyval and mp.fsum would.  The condition number
-and the zeros leave as Python floats.
+One number format runs through the layer, from the sigma nodes to the zeros
+of Q2: Python integers in fixed point, each value v held as floor(v * 2^P)
+at one scale P, so no result depends on mpmath's global precision.  The
+sigma rule and the b_k recursion run at
+P = precision_bits + k_max log2 max|F| + 64 and round each b_k to
+precision_bits once; the moment tables, the order-condition solve, the
+condition estimate, the Laurent sums and the zero search run at
+P = precision_bits + 32 (SOLVE_GUARD_BITS).  mpmath.libmp (raw values, no
+mp.mpf object) serves only the edges: one cosine, sine and pi per
+quadrature order, the rounding of the b_k and of the solution coefficients
+to precision_bits, and the coefficients' decimal printing.  The condition
+number and the zeros leave as Python floats, the zeros correctly rounded.
 """
 
 from __future__ import annotations
@@ -104,14 +106,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import comb
 from operator import mul
 
 from mpmath.libmp import (
-    fone, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_cos,
-    mpf_cos_sin, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_rdiv_int, mpf_shift,
-    mpf_sign, mpf_sub, mpf_sum, round_nearest as RND, to_fixed, to_float, to_str,
+    from_float, from_int, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_pi,
+    round_nearest as RND, to_fixed, to_float, to_str,
 )
 
 from .errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
@@ -292,18 +292,29 @@ def discretize_sigma(spec: MarkovSpec, order: int, P: int):
 # moments
 
 
+# The order-condition solve and the zero search run on integers at
+# P = precision_bits + SOLVE_GUARD_BITS fraction bits, and the moment tables
+# are handed to them at that scale.  Every entry of the system is a moment of
+# a bounded function against the arcsine measure of [-1, 1] (|a_k| <= 1,
+# |b_k| <= 1/dist(E, F)), so one scale serves them all, and the solution
+# carries about P - log2 cond correct bits.
+SOLVE_GUARD_BITS = 32
+
+
+def _chebyshev_moments(k_max: int, P: int):
+    """a_k = binom(k, k/2) / 2^k at even k, 0 at odd k, k = 0 .. k_max, as floor(a_k 2^P)."""
+    return [comb(k, k // 2) << P >> k if k % 2 == 0 else 0 for k in range(k_max + 1)]
+
+
 def moments_f1(k_max: int, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Laurent moments of f1: a_{2j} = binom(2j, j) / 4^j, odd moments zero.
 
-    Exact in binary floating point as long as the binomial fits the
-    precision, which it does by a wide margin at the orders used here.
+    Integers at P = precision_bits + SOLVE_GUARD_BITS fraction bits, each
+    floor(a_k 2^P) exactly.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    out = [fzero] * (k_max + 1)
-    for j in range(0, k_max + 1, 2):
-        out[j] = mpf_shift(from_int(comb(j, j // 2), precision_bits, RND), -j)
-    return out
+    return _chebyshev_moments(k_max, precision_bits + SOLVE_GUARD_BITS)
 
 
 def _fixed_point_bits(k_max: int, support: IntervalUnion, precision_bits: int) -> int:
@@ -317,7 +328,7 @@ def _moments_f2_at_order(k_max, ts, ws, fs, P):
 
     Nodes, weights and the values c_0(t_j) = f1(t_j) are integers at P.
     """
-    a = [comb(k, k // 2) << P - k if k % 2 == 0 else 0 for k in range(k_max + 1)]
+    a = _chebyshev_moments(k_max, P)
     ck = fs
     sums = []
     for k in range(k_max + 1):
@@ -333,9 +344,10 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
     The doubling runs from ``start_order``.  Successive orders must agree to
     2^(-precision_bits/2) in the sup norm; failure to stabilize within the
     order cap raises, it is never hidden.  Returns (b, order): the moments
-    at the accepted quadrature order, rounded to precision_bits, and that
-    order.  When F = -F, f2 is even and b_k at even k is returned as an
-    exact zero.
+    at the accepted quadrature order, each rounded once to precision_bits
+    and then floored to an integer at precision_bits + SOLVE_GUARD_BITS
+    fraction bits, as moments_f1 returns a_k, and that order.  When F = -F,
+    f2 is even and b_k at even k is returned as an exact zero.
     """
     P = _fixed_point_bits(k_max, sigma.support, precision_bits)
     order = start_order
@@ -345,9 +357,10 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
         cur = _moments_f2_at_order(k_max, *discretize_sigma(sigma, order, P), P)
         scale = max([1 << 2 * P] + [abs(x) for x in cur])
         if max(abs(p - q) for p, q in zip(prev, cur)) <= scale >> precision_bits // 2:
-            b = [from_man_exp(s, -2 * P, precision_bits, RND) for s in cur]
+            Q = precision_bits + SOLVE_GUARD_BITS
+            b = [to_fixed(from_man_exp(s, -2 * P, precision_bits, RND), Q) for s in cur]
             if sigma.support.is_symmetric():
-                b[::2] = [fzero] * (k_max // 2 + 1)
+                b[::2] = [0] * (k_max // 2 + 1)
             return b, order
         prev = cur
     raise QuadratureError(
@@ -408,23 +421,16 @@ class HPSolution:
         }
 
 
-# The solve runs on integers at P = precision_bits + SOLVE_GUARD_BITS
-# fraction bits.  Every entry of the system is a moment of a bounded function
-# against the arcsine measure of [-1, 1] (|a_k| <= 1, |b_k| <= 1/dist(E, F)),
-# so one scale serves them all, and the solution carries about
-# P - log2 cond correct bits.
-SOLVE_GUARD_BITS = 32
-
-
 def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSolution:
     """Solve the order condition at order n from moment sequences a, b.
 
-    Moments are raw mpf values, supplied at least up to index 3n+1.  The
-    solve is folded by parity ("lu_parity", see the module docstring) when
-    every even b_k is an exact zero, else it takes all 2n+1 rows ("lu").  A
-    singular system, or re-verified Laurent coefficients 1..2n+1 that do not
-    vanish to 2^(-precision_bits/4), raise PrecisionError: the precision is
-    insufficient.
+    Moments are integers at P = precision_bits + SOLVE_GUARD_BITS fraction
+    bits, as moments_f1 and moments_f2 return them, supplied at least up to
+    index 3n+1.  The solve is folded by parity ("lu_parity", see the module
+    docstring) when every even b_k is an exact zero, else it takes all 2n+1
+    rows ("lu").  A singular system, or re-verified Laurent coefficients
+    1..2n+1 that do not vanish to 2^(-precision_bits/4), raise
+    PrecisionError: the precision is insufficient.
     """
     if len(a) < 3 * n + 2 or len(b) < 3 * n + 2:
         raise ValueError(f"order {n} needs moments up to index {3 * n + 1}")
@@ -432,9 +438,7 @@ def solve_hp(n: int, a, b, precision_bits: int = DEFAULT_PRECISION_BITS) -> HPSo
     P = prec + SOLVE_GUARD_BITS
     # step 2 folds by parity: unknowns Q1[1, 3, ..], Q2[0, 2, .., deg - 2],
     # equations the odd rows; step 1 is the full system
-    step = 2 if all(x == fzero for x in b[::2]) else 1
-    a = [to_fixed(x, P) for x in a[: 3 * n + 2]]
-    b = [to_fixed(x, P) for x in b[: 3 * n + 2]]
+    step = 1 if any(b[::2]) else 2
     deg = n - n % step
     p_idx, q_idx = range(step - 1, n + 1, step), range(0, deg, step)
     rows = range(step - 1, 2 * n + 1, step)
@@ -618,104 +622,92 @@ def zeros_q2(sol: HPSolution, hull):
     """All real zeros of Q2, by Aberth-Ehrlich iteration and a sign-change certificate.
 
     ``hull`` is the convex hull (lo, hi) of the support of sigma; the search
-    window is the hull widened by half its length.  The iteration starts
-    from float64 seeds (:func:`_float_seeds`) or, when those are not real,
-    distinct and inside the window, from the Chebyshev points of the hull,
-    and runs at the working precision.  Q2 is then evaluated at the window's
-    ends and between neighbouring zeros: a sign change in every cell proves
-    degree-many distinct real zeros, one per cell.  Fewer sign changes, an
-    iteration that does not settle within ``20 + 4 * degree`` sweeps, or a
-    division by zero is a precision failure, reported for escalation.
-    Zeros found outside the hull are kept and flagged with a warning.
-    Returns the zeros in ascending order as Python floats.
+    window is the hull widened by half its length.  Q2 is taken once to
+    integers at P = precision_bits + SOLVE_GUARD_BITS fraction bits, and
+    everything below runs on them.  The iteration starts from float64 seeds
+    (:func:`_float_seeds`) or, when those are not real, distinct and inside
+    the window, from the Chebyshev points of the hull.  Q2 is then
+    evaluated at the window's ends and between neighbouring zeros: a sign
+    change in every cell proves degree-many distinct real zeros, one per
+    cell.  Fewer sign changes, an iteration that does not settle within
+    ``20 + 4 * degree`` sweeps, or a division by zero is a precision
+    failure, reported for escalation.  Zeros found outside the hull are kept
+    and flagged with a warning.  Returns the zeros in ascending order as
+    correctly rounded Python floats.
     """
     deg = sol.degree_q2
     if deg == 0:
         return []
     bits = sol.precision_bits
-    coeffs = list(reversed(sol.q2[: deg + 1]))
-    half = from_float((hull[1] - hull[0]) / 2)
-    lo = mpf_sub(from_float(hull[0]), half, bits, RND)
-    hi = mpf_add(from_float(hull[1]), half, bits, RND)
-    xs = _float_seeds(coeffs, hull, bits)
+    P = bits + SOLVE_GUARD_BITS
+    coeffs = [to_fixed(c, P) for c in reversed(sol.q2[: deg + 1])]
+    ends = [_fixed(x, P) for x in hull]
+    half = _fixed((hull[1] - hull[0]) / 2, P)
+    lo, hi = ends[0] - half, ends[1] + half
+    xs = _float_seeds(coeffs, hull, P)
     if xs is None:
-        mid = mpf_shift(mpf_add(lo, hi, bits, RND), -1)
-        pi = mpf_pi(bits, RND)
-        xs = [mpf_add(mid, mpf_mul(half, mpf_cos(mpf_div(mpf_mul_int(pi, 2 * k + 1, bits, RND),
-                                                         from_int(2 * deg), bits, RND), bits, RND),
-                                   bits, RND), bits, RND) for k in range(deg)]
-    tol = mpf_shift(half, -(bits // 2))
+        mid = (lo + hi) >> 1
+        xs = [mid + (half * c >> P) for c in _chebyshev_points(deg, P)]
+    tol = half >> bits // 2
     # measured: at most 68 sweeps up to degree 40, and 151 at degree 80
     max_sweeps = 20 + 4 * deg
     settled = False
     for _ in range(max_sweeps):
         try:
-            moved = _aberth_sweep(coeffs, xs, bits)
+            moved = _aberth_sweep(coeffs, xs, P)
         except ZeroDivisionError:
             raise PrecisionError(f"Aberth iteration for degree {deg} divided by zero") from None
         if settled:
             break
-        settled = mpf_lt(moved, tol)
+        settled = moved < tol
     else:
         raise PrecisionError(
             f"Aberth iteration for degree {deg} did not settle in {max_sweeps} sweeps"
         )
-    xs.sort(key=cmp_to_key(mpf_cmp))
-    cuts = [lo] + [mpf_shift(mpf_add(x, y, bits, RND), -1) for x, y in zip(xs, xs[1:])] + [hi]
-    signs = [mpf_sign(_polyval(coeffs, c, bits)) for c in cuts]
+    xs.sort()
+    cuts = [lo] + [(x + y) >> 1 for x, y in zip(xs, xs[1:])] + [hi]
+    values = [_horner(coeffs, c, P)[0] for c in cuts]
     # cell k = [cuts[k], cuts[k+1]] holds the k-th zero, and a sign change
     # there proves a zero of Q2 in it; a cell counts only when its zero
     # lies in the window, which keeps the counted cells disjoint
-    found = sum(1 for k, x in enumerate(xs)
-                if mpf_lt(lo, x) and mpf_lt(x, hi) and signs[k] * signs[k + 1] < 0)
+    found = sum(1 for k, x in enumerate(xs) if lo < x < hi and values[k] * values[k + 1] < 0)
     if found < deg:
         raise PrecisionError(
             f"found {found} real zeros for degree {deg}; escalation required"
         )
-    ends = from_float(hull[0]), from_float(hull[1])
-    outside = [x for x in xs if mpf_lt(x, ends[0]) or mpf_gt(x, ends[1])]
+    outside = [x for x in xs if not ends[0] <= x <= ends[1]]
     if outside:
         warnings.warn(
             f"{len(outside)} zero(s) outside the hull {hull}: precision diagnostic",
             PrecisionDiagnosticWarning,
         )
-    return [to_float(x, rnd=RND) for x in xs]
+    return [x / (1 << P) for x in xs]
 
 
-def _polyval(coeffs, x, prec):
-    """Q(x) for the coefficients of Q in descending order, at prec."""
-    q = coeffs[0]
+def _horner(coeffs, x, P):
+    """(Q(x), Q'(x)) for the coefficients of Q in descending order, all integers at P."""
+    q, dq = coeffs[0], 0
     for c in coeffs[1:]:
-        q = mpf_add(c, mpf_mul(x, q, prec, RND), prec, RND)
-    return q
-
-
-def _horner(coeffs, x, prec):
-    """(Q(x), Q'(x)) for the coefficients of Q in descending order, as mp.polyval computes them."""
-    q, dq = coeffs[0], fzero
-    for c in coeffs[1:]:
-        dq = mpf_add(q, mpf_mul(x, dq, prec, RND), prec, RND)
-        q = mpf_add(c, mpf_mul(x, q, prec, RND), prec, RND)
+        dq = q + (x * dq >> P)
+        q = c + (x * q >> P)
     return q, dq
 
 
-def _aberth_sweep(coeffs, xs, prec):
+def _aberth_sweep(coeffs, xs, P):
     """One Gauss-Seidel sweep of x_k -= r / (1 - r sum_{j != k} 1/(x_k - x_j)), r = Q/Q'.
 
-    Runs at precision prec, op for op as mp.polyval with the derivative and
-    mp.fsum would.  Updates ``xs`` in place and returns the largest move.
+    Coefficients and points are integers at P, each quotient floored.
+    Updates ``xs`` in place and returns the largest move.
     """
-    moved = fzero
+    moved = 0
+    one = 1 << P
     for k, x in enumerate(xs):
-        q, dq = _horner(coeffs, x, prec)
-        r = mpf_div(q, dq, prec, RND)
-        s = mpf_sum([mpf_rdiv_int(1, mpf_sub(x, y, prec, RND), prec, RND)
-                     for j, y in enumerate(xs) if j != k], prec, RND)
-        step = mpf_div(r, mpf_sub(fone, mpf_mul(r, s, prec, RND), prec, RND), prec, RND)
-        xs[k] = mpf_sub(x, step, prec, RND)
-        step = mpf_abs(step, prec, RND)
-        if mpf_gt(step, moved):
-            moved = step
+        q, dq = _horner(coeffs, x, P)
+        r = (q << P) // dq
+        s = sum((one << P) // (x - y) for j, y in enumerate(xs) if j != k)
+        step = (r << P) // (one - (r * s >> P))
+        xs[k] = x - step
+        moved = max(moved, abs(step))
     return moved
 
 
@@ -725,12 +717,13 @@ SEED_MAX_SWEEPS = 40
 SEED_SETTLED = 2.0 ** -20
 
 
-def _float_seeds(coeffs, hull, prec):
-    """Float64 approximations of the zeros of Q2 as raw mpf starts, or None.
+def _float_seeds(coeffs, hull, P):
+    """Float64 approximations of the zeros of Q2 as integer starts at P, or None.
 
-    Q2 (coefficients in descending order) is evaluated at deg + 1 Chebyshev
-    points of the hull widened by 1%, at the working precision, and the
-    values are rounded to float.  Their interpolating Chebyshev series in
+    Q2 (coefficients in descending order, integers at P) is evaluated at
+    deg + 1 Chebyshev points of the hull widened by 1%, on those integers,
+    and the values are correctly rounded to float; a value beyond float64's
+    range gives None.  Their interpolating Chebyshev series in
     s = (x - mid) / rad has degree deg; its zeros come from a complex
     Aberth iteration in float64, started just above the Chebyshev points of
     [-1, 1].  The seeds are the real parts, returned only when the iteration
@@ -743,10 +736,13 @@ def _float_seeds(coeffs, hull, prec):
     mid, rad = (hull[0] + hull[1]) / 2, 1.01 * (hull[1] - hull[0]) / 2
     N = deg + 1
     thetas = [math.pi * (2 * j + 1) / (2 * N) for j in range(N)]
-    values = [to_float(_polyval(coeffs, from_float(mid + rad * math.cos(th)), prec), rnd=RND)
-              for th in thetas]
+    try:
+        values = [_horner(coeffs, _fixed(mid + rad * math.cos(th), P), P)[0] / (1 << P)
+                  for th in thetas]
+    except OverflowError:
+        return None
     scale = max(map(abs, values))
-    if not 0 < scale < math.inf:
+    if not scale:
         return None
     c = [2 * sum(v * math.cos(k * th) for v, th in zip(values, thetas)) / (N * scale)
          for k in range(N)]
@@ -784,7 +780,7 @@ def _float_seeds(coeffs, hull, prec):
     if not (hull[0] - width / 2 < xs[0] and xs[-1] < hull[1] + width / 2
             and all(x < y for x, y in zip(xs, xs[1:]))):
         return None
-    return [from_float(x) for x in xs]
+    return [_fixed(x, P) for x in xs]
 
 
 # --------------------------------------------------------------------------

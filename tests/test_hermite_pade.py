@@ -1,5 +1,6 @@
 """High-precision Hermite-Pade tests: moments, order condition, real zeros."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -7,6 +8,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +21,7 @@ from equilab.hermite_pade import (
     GATE_MARGIN_BITS,
     QUAD_ORDER_MAX,
     QUAD_ORDER_START,
+    SOLVE_GUARD_BITS,
     HPSolution,
     HPSweep,
     MarkovSpec,
@@ -27,7 +31,6 @@ from equilab.hermite_pade import (
     solve_hp,
     solve_with_escalation,
     zeros_q2,
-    _aberth_sweep,
     _fejer_weights,
     _fixed_point_bits,
     _log2_cond1,
@@ -36,7 +39,9 @@ from equilab.hermite_pade import (
     discretize_sigma,
 )
 from equilab.kernels import IntervalUnion
-from mpmath.libmp import fone, from_man_exp, fzero, mpf_mul_int, round_nearest, to_fixed, to_str
+from mpmath.libmp import (
+    fone, from_man_exp, fzero, mpf_mul_int, mpf_shift, round_nearest, to_fixed, to_str,
+)
 
 F23 = IntervalUnion([(2.0, 3.0)])
 SYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
@@ -62,6 +67,16 @@ def _rounded(sums, P, bits):
     return [from_man_exp(s, -2 * P, bits, round_nearest) for s in sums]
 
 
+def _tabled(sums, P, bits):
+    """The sums rounded by _rounded and floored at the solve's scale, as moments_f2 returns them."""
+    return [to_fixed(x, bits + SOLVE_GUARD_BITS) for x in _rounded(sums, P, bits)]
+
+
+def _table_mpf(values, bits):
+    """A moment table or coefficients, integers at the solve's scale for bits, as mpf objects."""
+    return _mpf(_unfixed(values, bits + SOLVE_GUARD_BITS))
+
+
 def _atoms(ts, ws, P):
     """Nodes, weights and f1 values of point masses (mpf values), as integers at P."""
     with mp.workprec(P + 32):
@@ -72,7 +87,8 @@ def _atoms(ts, ws, P):
 
 class TestMomentsF1:
     def test_first_values(self):
-        assert moments_f1(4, PREC) == _raw(mp.mpf(x) for x in (1, 0, 0.5, 0, 0.375))
+        assert _unfixed(moments_f1(4, PREC), PREC + SOLVE_GUARD_BITS) == _raw(
+            mp.mpf(x) for x in (1, 0, 0.5, 0, 0.375))
 
     def test_gauss_chebyshev_oracle(self):
         # (1/pi) integral of x^k / sqrt(1-x^2) via the exact N-point rule
@@ -81,7 +97,17 @@ class TestMomentsF1:
             nodes = [mp.cos(mp.pi * (2 * j - 1) / (2 * N)) for j in range(1, N + 1)]
             for k in (2, 4, 6):
                 quad = mp.fsum(x**k for x in nodes) / N
-                assert abs(quad - mp.make_mpf(moments_f1(k, PREC)[k])) <= mp.mpf(2) ** (-200)
+                assert abs(quad - _table_mpf(moments_f1(k, PREC), PREC)[k]) <= mp.mpf(2) ** (-200)
+
+    def test_exact_where_the_binomial_exceeds_the_precision(self):
+        # a_k = floor(binom(k, k/2) 2^(P - k)) at P = 64 + 32, also from
+        # k = 68, where the binomial no longer fits 64 bits
+        assert comb(68, 34) > 2**64
+        P = 64 + SOLVE_GUARD_BITS
+        a = moments_f1(121, 64)
+        assert a[1::2] == [0] * 61
+        for k in range(0, 122, 2):
+            assert a[k] == math.floor(Fraction(comb(k, k // 2), 2**k) * 2**P), k
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +133,7 @@ class TestMomentsF2:
     def test_sign_for_right_support(self):
         for density in ("arcsine", "constant"):
             b, _ = moments_f2(2, MarkovSpec(F23, density), PREC)
-            assert mp.make_mpf(b[0]) < 0
+            assert b[0] < 0
 
     def test_quadrature_doubling_stable(self):
         sigma = MarkovSpec(F23, "arcsine")
@@ -131,7 +157,7 @@ class TestMomentsF2:
             N = 256
             nodes = [mp.cos(mp.pi * (2 * j - 1) / (2 * N)) for j in range(1, N + 1)]
             b0 = mp.fsum(h(x) for x in nodes) / N
-            assert abs(mp.make_mpf(b_c[0]) - b0) <= mp.mpf(10) ** (-40)
+            assert abs(_table_mpf(b_c, PREC)[0] - b0) <= mp.mpf(10) ** (-40)
 
         # b_0 = -integral of f1 against sigma; for the arcsine measure of
         # [c, d] (1 < c < d) that is a complete elliptic integral (Byrd and
@@ -143,7 +169,7 @@ class TestMomentsF2:
                 c, d = sorted(abs(mp.mpf(x)) for x in F)
                 m = 2 * (d - c) / ((d - 1) * (c + 1))
                 b0 = -mp.sign(F[0]) * 2 * mp.ellipk(m) / (mp.pi * mp.sqrt((d - 1) * (c + 1)))
-                assert abs(mp.make_mpf(b[0]) - b0) <= mp.mpf(10) ** (-40)
+                assert abs(_table_mpf(b, PREC)[0] - b0) <= mp.mpf(10) ** (-40)
 
 
 def _mpf_moments_oracle(k_max, ts, ws, precision_bits):
@@ -152,7 +178,7 @@ def _mpf_moments_oracle(k_max, ts, ws, precision_bits):
     tmax = max(abs(t) for t in ts)
     pad = int(k_max * mp.log(tmax, 2)) + 64
     with mp.workprec(precision_bits + pad):
-        a = _mpf(moments_f1(k_max, precision_bits + pad))
+        a = [mp.ldexp(comb(k, k // 2), -k) if k % 2 == 0 else mp.mpf(0) for k in range(k_max + 1)]
         ck = [mp.sign(t) / mp.sqrt(t * t - 1) for t in ts]
         b = [mp.mpf(0)] * (k_max + 1)
         for k in range(k_max + 1):
@@ -189,16 +215,16 @@ class TestIntegerKernel:
         # every b_k as computed
         def kernel(spec, order):
             P = _fixed_point_bits(31, spec.support, PREC)
-            return _rounded(_moments_f2_at_order(31, *discretize_sigma(spec, order, P), P), P, PREC)
+            return _tabled(_moments_f2_at_order(31, *discretize_sigma(spec, order, P), P), P, PREC)
 
         spec = MarkovSpec(SYM, density)
         b, order = moments_f2(31, spec, PREC)
-        assert b[::2] == [fzero] * 16
+        assert b[::2] == [0] * 16
         assert b[1::2] == kernel(spec, order)[1::2]
         near = MarkovSpec(IntervalUnion([(-3.0, -2.0), (2.0, 3.0 + 1e-13)]), density)
         b_near, order = moments_f2(31, near, PREC)
         assert b_near == kernel(near, order)
-        assert fzero not in b_near[::2]
+        assert 0 not in b_near[::2]
 
     def test_cauchy_atoms_share_the_kernel(self):
         ts, ws = [mp.mpf(-2), mp.mpf("1.5")], [mp.mpf("0.25"), mp.mpf("0.75")]
@@ -411,7 +437,7 @@ class TestFejerRule:
         # sigma = dt / (d - c): b_0 = -integral of f1, b_1 = -integral of
         # t f1(t) - 1; on -F, b_k picks up the factor (-1)^(k+1)
         b, _ = moments_f2(1, MarkovSpec(IntervalUnion([F]), "constant"), PREC)
-        b = _mpf(b)
+        b = _table_mpf(b, PREC)
         with mp.workprec(PREC):
             c, d = sorted(abs(mp.mpf(x)) for x in F)
             b0 = -(mp.acosh(d) - mp.acosh(c)) / (d - c)
@@ -425,7 +451,7 @@ class TestFejerRule:
         sigma = MarkovSpec(IntervalUnion([F]), "constant")
         b, _ = moments_f2(k_max, sigma, bits)
         ts, ws = _gauss_legendre_sigma(sigma, 128, bits)
-        b, oracle = _mpf(b), _mpf(_mpf_moments_oracle(k_max, ts, ws, bits))
+        b, oracle = _table_mpf(b, bits), _mpf(_mpf_moments_oracle(k_max, ts, ws, bits))
         with mp.workprec(bits):
             scale = max(mp.mpf(1), max(abs(x) for x in oracle))
             delta = max(abs(p - q) for p, q in zip(b, oracle))
@@ -496,7 +522,7 @@ class TestSolveHP:
         assert sol.q2 == (fone,)
         assert sol.q0 == (fzero,)
         with mp.workprec(PREC):
-            assert abs(mp.make_mpf(sol.q1[0]) + mp.make_mpf(b[0])) <= mp.mpf(2) ** (-200)
+            assert abs(mp.make_mpf(sol.q1[0]) + _table_mpf(b, PREC)[0]) <= mp.mpf(2) ** (-200)
         assert sol.residual_order == 2
 
     def test_residual_contract(self, moments):
@@ -514,8 +540,8 @@ class TestSolveHP:
 
     def test_scale_invariance(self, moments):
         a, b = moments
-        a3 = [mpf_mul_int(x, 3, PREC, round_nearest) for x in a]
-        b3 = [mpf_mul_int(x, 3, PREC, round_nearest) for x in b]
+        a3 = [3 * x for x in a]
+        b3 = [3 * x for x in b]
         s1 = solve_hp(3, a, b, PREC)
         s3 = solve_hp(3, a3, b3, PREC)
         with mp.workprec(PREC):
@@ -586,7 +612,7 @@ class TestSquareSolve:
         b, _ = moments_f2(k, MarkovSpec(F23, "arcsine"), bits)
         with mp.workprec(bits):
             for n in (5, 10, 20):
-                A, _, _ = _square_system_oracle(n, a, b)
+                A, _, _ = _square_system_oracle(n, a, b, bits)
                 S = mp.svd_r(A, compute_uv=False)
                 exact = float(mp.log(S[0] / S[A.rows - 1], 2))
                 rows, LU, perm, P = _fixed_lu(A, bits)
@@ -630,14 +656,15 @@ class TestSquareSolve:
 # The mp.matrix routes that the integer solve replaced, kept as its value
 # oracles: the SVD null vector of the full order condition; mp.LU_decomp,
 # mp.L_solve and mp.U_solve, the Hager estimate, the transposed solve and the
-# Laurent sums in mpf arithmetic; and the Aberth sweep, which the raw-value
-# sweep follows op for op.
+# Laurent sums in mpf arithmetic.  The zeros of Q2 have mp.polyroots as
+# theirs.  The oracles take the moment tables as moments_f1 and moments_f2
+# return them, integers at the solve's scale.
 
 
-def _moment_matrix(n, a, b):
+def _moment_matrix(n, a, b, bits):
     """The (2n+1) x (2n+2) order-condition matrix on (Q1[0..n], Q2[0..n]), as an mp.matrix."""
-    return mp.matrix([[mp.make_mpf(x) for x in a[r : r + n + 1] + b[r : r + n + 1]]
-                      for r in range(2 * n + 1)])
+    a, b = _table_mpf(a, bits), _table_mpf(b, bits)
+    return mp.matrix([a[r : r + n + 1] + b[r : r + n + 1] for r in range(2 * n + 1)])
 
 
 def _svd_oracle(n, a, b, bits):
@@ -649,25 +676,25 @@ def _svd_oracle(n, a, b, bits):
     """
     m = 2 * n + 1
     with mp.workprec(bits):
-        _, S, V = mp.svd_r(_moment_matrix(n, a, b), full_matrices=True, compute_uv=True)
+        _, S, V = mp.svd_r(_moment_matrix(n, a, b, bits), full_matrices=True, compute_uv=True)
         vec = [V[m, j] for j in range(m + 1)]
         tol = max(abs(x) for x in vec[n + 1 :]) * mp.mpf(2) ** (-(bits // 2))
         degree = max(i for i, x in enumerate(vec[n + 1 :]) if abs(x) > tol)
         lead = vec[n + 1 + degree]
         q1, q2 = [x / lead for x in vec[: n + 1]], [x / lead for x in vec[n + 1 :]]
-        _, q0 = _laurent_oracle(n, _mpf(a), _mpf(b), q1, q2)
+        _, q0 = _laurent_oracle(n, _table_mpf(a, bits), _table_mpf(b, bits), q1, q2)
         return q0, q1, q2, degree, float(mp.log(S[0] / S[m - 1], 2))
 
 
-def _square_system_oracle(n, a, b):
+def _square_system_oracle(n, a, b, bits):
     """The square system that solve_hp solves, as an mp.matrix, its right-hand side and columns.
 
     The columns index Q1[0..n] followed by Q2[0..n].  When every even b_k is
     zero the system is the odd rows in Q1 odd and Q2 even with
     Q2[2 floor(n/2)] = 1, else all rows with Q2[n] = 1.
     """
-    M = _moment_matrix(n, a, b)
-    if all(x == fzero for x in b[::2]):
+    M = _moment_matrix(n, a, b, bits)
+    if not any(b[::2]):
         lead = n + 1 + n - n % 2
         rows = range(1, 2 * n, 2)
         cols = [*range(1, n + 1, 2), *range(n + 1, lead, 2)]
@@ -736,17 +763,6 @@ def _laurent_oracle(n, a, b, p, q):
     return residuals, q0 or [mp.mpf(0)]
 
 
-def _aberth_sweep_oracle(coeffs, xs):
-    moved = 0
-    for k, x in enumerate(xs):
-        q, dq = mp.polyval(coeffs, x, derivative=True)
-        r = q / dq
-        step = r / (1 - r * mp.fsum(1 / (x - y) for j, y in enumerate(xs) if j != k))
-        xs[k] = x - step
-        moved = max(moved, abs(step))
-    return moved
-
-
 def _fixed_lu(A, bits):
     """The rows of an mp.matrix as integers at bits + 32, and their factors from _lu_decomp."""
     P = bits + hermite_pade.SOLVE_GUARD_BITS
@@ -763,8 +779,13 @@ class TestRawSolveMatchesMpmath:
 
     The pivot order and the singularity test are mpmath's; the solution
     agrees within the bits that the conditioning leaves, bits - log2 cond,
-    and so does log2 cond.  The Aberth sweeps keep every bit of mpf
-    arithmetic.
+    and so does log2 cond.  The zeros of Q2 are checked by value too:
+    zeros_q2 iterates on integers at bits + 32 fraction bits, and its last
+    iterates lie within its own stopping tolerance, 2^-(bits/2) times the
+    half-width of the hull, of mp.polyroots' roots of the same Q2 at
+    bits + 32, started from its float zeros; those zeros are the roots
+    rounded to float, bit for bit.  A Q2 solved past its bits is a
+    precision failure instead.
     """
 
     @pytest.mark.parametrize("support, n, bits, singular", [
@@ -781,13 +802,13 @@ class TestRawSolveMatchesMpmath:
         pytest.param(SYM, 10, 512, False, id="sym-n10-b512"),
         pytest.param(SYM, 20, 128, False, id="sym-n20-b128"),
     ])
-    def test_lu_condition_and_zeros_bit_for_bit(self, support, n, bits, singular):
+    def test_lu_condition_and_zeros_bit_for_bit(self, monkeypatch, support, n, bits, singular):
         # singular: a system that is numerically singular at this precision;
         # on the symmetric F the system is the folded one
         a = moments_f1(3 * n + 1, bits)
         b, _ = moments_f2(3 * n + 1, MarkovSpec(support, "arcsine"), bits)
         with mp.workprec(bits):
-            A, rhs, cols = _square_system_oracle(n, a, b)
+            A, rhs, cols = _square_system_oracle(n, a, b, bits)
             if singular:
                 with pytest.raises(ZeroDivisionError):
                     mp.mp.LU_decomp(A)
@@ -810,26 +831,42 @@ class TestRawSolveMatchesMpmath:
             ours = _mpf((sol.q1 + sol.q2)[c] for c in cols)
             scale = max(abs(v) for v in x)
             assert max(abs(u - v) for u, v in zip(ours, x)) <= scale * mp.mpf(2) ** (log2_cond + 12 - bits)
-            residuals, q0 = _laurent_oracle(n, _mpf(a), _mpf(b), _mpf(sol.q1), _mpf(sol.q2))
+            residuals, q0 = _laurent_oracle(n, _table_mpf(a, bits), _table_mpf(b, bits),
+                                            _mpf(sol.q1), _mpf(sol.q2))
             scale = max(abs(v) for v in _mpf(sol.q1 + sol.q2))
             for u, v in zip(_mpf(sol.q0), q0):
                 assert abs(u - v) <= scale * mp.mpf(2) ** (16 - bits)
             assert max(residuals[: 2 * n + 1]) <= scale * mp.mpf(2) ** (16 - bits)
         assert sol.residual_max <= 2.0 ** (16 - bits) * float(scale)
 
-        with mp.workprec(bits):
-            # ten Aberth sweeps from the Chebyshev points of the hull
-            deg = sol.degree_q2
-            coeffs_r = list(reversed(sol.q2[: deg + 1]))
-            coeffs = _mpf(coeffs_r)
-            lo, hi = support.hull
-            xs = [mp.mpf(lo + hi) / 2 + mp.mpf(hi - lo) / 2 * mp.cos(mp.pi * (2 * k + 1) / (2 * deg))
-                  for k in range(deg)]
-            xs_r = _raw(xs)
-            for _ in range(10):
-                moved = _aberth_sweep_oracle(coeffs, xs)
-                assert _aberth_sweep(coeffs_r, xs_r, bits) == mp.mpf(moved)._mpf_
-                assert xs_r == _raw(xs)
+        if sol.log2_cond > bits:
+            # past its bits Q2 is not resolved, and the iteration does not
+            # settle: a precision failure, which escalates
+            with pytest.raises(PrecisionError, match="did not settle"):
+                zeros_q2(sol, support.hull)
+            return
+        # zeros_q2 iterates on one list, which it sorts in place at the end
+        iterates = []
+        original = hermite_pade._aberth_sweep
+
+        def recording(coeffs, xs, P):
+            iterates[:] = [xs]
+            return original(coeffs, xs, P)
+
+        monkeypatch.setattr(hermite_pade, "_aberth_sweep", recording)
+        zeros = zeros_q2(sol, support.hull)
+        deg = sol.degree_q2
+        lo, hi = support.hull
+        with mp.workprec(bits + 32):
+            # Durand-Kerner from the float zeros, on mpf values of Q2 at bits + 32
+            roots = mp.polyroots(list(reversed(_mpf(sol.q2[: deg + 1]))), maxsteps=50,
+                                 extraprec=bits, roots_init=zeros)
+            roots = sorted(mp.re(r) for r in roots)
+            xs = _mpf(_unfixed(iterates[0], bits + SOLVE_GUARD_BITS))
+            tol = mp.ldexp(mp.mpf(hi - lo) / 2, -(bits // 2))
+            assert len(xs) == deg
+            assert max(abs(x - r) for x, r in zip(xs, roots)) <= tol
+        assert zeros == [float(r) for r in roots]
 
 
 class TestLog2Cond1MatchesMpmath:
@@ -1061,10 +1098,23 @@ class TestSeededZeros:
         # float roots are not real and distinct, so zeros_q2 starts as before
         sol = _arcsine_solution(intervals, n, 512)
         hull = IntervalUnion(list(intervals)).hull
-        coeffs = list(reversed(sol.q2[: sol.degree_q2 + 1]))
-        assert hermite_pade._float_seeds(coeffs, hull, 512) is None
+        P = 512 + SOLVE_GUARD_BITS
+        coeffs = [to_fixed(c, P) for c in reversed(sol.q2[: sol.degree_q2 + 1])]
+        assert hermite_pade._float_seeds(coeffs, hull, P) is None
         zeros, count = _zeros_and_sweeps(monkeypatch, sol, hull)
         assert (len(zeros), count) == (sol.degree_q2, sweeps)
+
+    def test_values_beyond_float64_fall_back_to_the_chebyshev_start(self, monkeypatch, sol5):
+        # Q2 times 2^1100 overflows float64 at the hull's Chebyshev points;
+        # the seeds are None, and the Chebyshev start certifies the same zeros
+        scaled = dataclasses.replace(sol5, q2=tuple(mpf_shift(c, 1100) for c in sol5.q2))
+        P = PREC + SOLVE_GUARD_BITS
+        coeffs = [to_fixed(c, P) for c in reversed(scaled.q2)]
+        assert hermite_pade._float_seeds(coeffs, (2.0, 3.0), P) is None
+        zeros, count = _zeros_and_sweeps(monkeypatch, scaled, (2.0, 3.0))
+        plain, plain_count = _zeros_and_sweeps(monkeypatch, sol5, (2.0, 3.0), seeded=False)
+        assert len(zeros) == 5
+        assert (zeros, count) == (plain, plain_count)
 
 
 class TestConstantDensityPreset:
