@@ -76,16 +76,19 @@ replaces by exact zeros.
 The real zeros of Q2 come from the Aberth-Ehrlich iteration (O. Aberth,
 Math. Comp. 27, 1973; D. A. Bini, Numer. Algorithms 13, 1996), simultaneous
 Newton with the correction x_k -= r / (1 - r sum_{j != k} 1/(x_k - x_j)),
-r = Q2(x_k)/Q2'(x_k), on integers at the solve's scale.  It needs no grid,
-so zeros clustered at an end of a long F (10 zeros within [1.5064, 31.37]
-on F = [1.5, 40]) are found as easily as spread ones.  It starts from
-float64 roots of Q2, which leave it 4-6 sweeps instead of 7-22, and falls
-back to the Chebyshev points of the hull where Q2 varies too much over the
-hull for float values (on F = +-[2, 3] at n = 40, on [1.5, 40] from
-n = 20) or exceeds float64's range there; either start gives the same
-zeros.  The result is certified, not trusted: deg Q2 sign changes of Q2
-over the cells between neighbouring zeros prove deg Q2 distinct real zeros,
-one per cell.
+r = Q2(x_k)/Q2'(x_k), on integers.  It needs no grid, so zeros clustered
+at an end of a long F (10 zeros within [1.5064, 31.37] on F = [1.5, 40])
+are found as easily as spread ones.  One start, the Chebyshev points of
+the hull, climbs a ladder of working precisions, as multiprecision root
+finders do (D. A. Bini and G. Fiorentino, Numer. Algorithms 23, 2000):
+from 64 bits plus what Horner's rule cancels over the search window,
+doubling, to the solve's scale, where 2-4 sweeps remain instead of 7-67
+from the Chebyshev points, on the same zeros bit for bit.  A lower rung
+that does not settle hands its iterates up, and one that divides by zero
+restarts the next from the Chebyshev points; only the last rung can fail.
+The result is certified, not trusted: deg Q2 sign changes of Q2 over the
+cells between neighbouring zeros prove deg Q2 distinct real zeros, one per
+cell.
 
 One number format runs through the layer, from the sigma nodes to the zeros
 of Q2: Python integers in fixed point, each value v held as floor(v * 2^P)
@@ -623,17 +626,25 @@ def zeros_q2(sol: HPSolution, hull):
 
     ``hull`` is the convex hull (lo, hi) of the support of sigma; the search
     window is the hull widened by half its length.  Q2 is taken once to
-    integers at P = precision_bits + SOLVE_GUARD_BITS fraction bits, and
-    everything below runs on them.  The iteration starts from float64 seeds
-    (:func:`_float_seeds`) or, when those are not real, distinct and inside
-    the window, from the Chebyshev points of the hull.  Q2 is then
-    evaluated at the window's ends and between neighbouring zeros: a sign
-    change in every cell proves degree-many distinct real zeros, one per
-    cell.  Fewer sign changes, an iteration that does not settle within
-    ``20 + 4 * degree`` sweeps, or a division by zero is a precision
-    failure, reported for escalation.  Zeros found outside the hull are kept
-    and flagged with a warning.  Returns the zeros in ascending order as
-    correctly rounded Python floats.
+    integers at P = precision_bits + SOLVE_GUARD_BITS fraction bits.  The
+    iteration starts from the Chebyshev points of the hull and climbs a
+    ladder of working precisions.  A rung at r bits runs on the
+    coefficients and points floored to r + SOLVE_GUARD_BITS fraction bits
+    and sweeps until a move falls below 2^(-r/2) times the hull's
+    half-width, then once more.  The first rung has 64 bits plus those that
+    Horner's rule cancels over the window,
+    log2(max|coefficient| / |leading coefficient|) + deg log2 max|window|.
+    Below precision_bits a rung gets ``20 + degree`` sweeps: once it
+    settles, its iterates go to the last rung, at precision_bits; if not,
+    to a rung of twice its bits (at most precision_bits), and after a
+    division by zero that rung starts from the Chebyshev points again.  Q2
+    is then evaluated at the window's ends and between neighbouring zeros:
+    a sign change in every cell proves degree-many distinct real zeros, one
+    per cell.  Fewer sign changes, a last rung that does not settle within
+    ``20 + 4 * degree`` sweeps, or a division by zero there is a precision
+    failure, reported for escalation.  Zeros found outside the hull are
+    kept and flagged with a warning.  Returns the zeros in ascending order
+    as correctly rounded Python floats.
     """
     deg = sol.degree_q2
     if deg == 0:
@@ -644,23 +655,40 @@ def zeros_q2(sol: HPSolution, hull):
     ends = [_fixed(x, P) for x in hull]
     half = _fixed((hull[1] - hull[0]) / 2, P)
     lo, hi = ends[0] - half, ends[1] + half
-    xs = _float_seeds(coeffs, hull, P)
-    if xs is None:
-        mid = (lo + hi) >> 1
-        xs = [mid + (half * c >> P) for c in _chebyshev_points(deg, P)]
-    tol = half >> bits // 2
-    # measured: at most 68 sweeps up to degree 40, and 151 at degree 80
-    max_sweeps = 20 + 4 * deg
-    settled = False
-    for _ in range(max_sweeps):
+    cancelled = (max(map(abs, coeffs)).bit_length() - abs(coeffs[0]).bit_length()
+                 + deg * math.log2(max(abs(lo), abs(hi)) / (1 << P)))
+    rung = min(bits, 64 + max(0, int(cancelled)))
+    xs = None
+    while True:
+        shift = bits - rung
+        Q = P - shift
+        if xs is None:
+            xs = [((lo + hi) >> shift + 1) + ((half >> shift) * c >> Q)
+                  for c in _chebyshev_points(deg, Q)]
+        else:
+            xs = [x << xs_shift - shift for x in xs]
+        xs_shift = shift
+        # measured on the last rung: at most 4 sweeps up to degree 80
+        max_sweeps = 20 + (4 if rung == bits else 1) * deg
+        scaled = [c >> shift for c in coeffs]
+        settled = False
         try:
-            moved = _aberth_sweep(coeffs, xs, P)
+            for _ in range(max_sweeps):
+                moved = _aberth_sweep(scaled, xs, Q)
+                if settled:
+                    break
+                settled = moved < half >> shift >> rung // 2
+            else:
+                settled = False
         except ZeroDivisionError:
-            raise PrecisionError(f"Aberth iteration for degree {deg} divided by zero") from None
-        if settled:
+            if rung == bits:
+                raise PrecisionError(
+                    f"Aberth iteration for degree {deg} divided by zero") from None
+            xs, settled = None, False
+        if rung == bits:
             break
-        settled = moved < tol
-    else:
+        rung = bits if settled else min(2 * rung, bits)
+    if not settled:
         raise PrecisionError(
             f"Aberth iteration for degree {deg} did not settle in {max_sweeps} sweeps"
         )
@@ -709,78 +737,6 @@ def _aberth_sweep(coeffs, xs, P):
         xs[k] = x - step
         moved = max(moved, abs(step))
     return moved
-
-
-# the float64 seed iteration: a cap on its sweeps, and the move below which
-# it has reached the float values' own noise after two more sweeps
-SEED_MAX_SWEEPS = 40
-SEED_SETTLED = 2.0 ** -20
-
-
-def _float_seeds(coeffs, hull, P):
-    """Float64 approximations of the zeros of Q2 as integer starts at P, or None.
-
-    Q2 (coefficients in descending order, integers at P) is evaluated at
-    deg + 1 Chebyshev points of the hull widened by 1%, on those integers,
-    and the values are correctly rounded to float; a value beyond float64's
-    range gives None.  Their interpolating Chebyshev series in
-    s = (x - mid) / rad has degree deg; its zeros come from a complex
-    Aberth iteration in float64, started just above the Chebyshev points of
-    [-1, 1].  The seeds are the real parts, returned only when the iteration
-    settles, every zero is real and distinct (neighbouring real parts lie
-    more than four times their imaginary parts apart) and inside the search
-    window.  Far outside the hull, Q2 grows so fast that the float values
-    lose the inside, so the window is not interpolated.
-    """
-    deg = len(coeffs) - 1
-    mid, rad = (hull[0] + hull[1]) / 2, 1.01 * (hull[1] - hull[0]) / 2
-    N = deg + 1
-    thetas = [math.pi * (2 * j + 1) / (2 * N) for j in range(N)]
-    try:
-        values = [_horner(coeffs, _fixed(mid + rad * math.cos(th), P), P)[0] / (1 << P)
-                  for th in thetas]
-    except OverflowError:
-        return None
-    scale = max(map(abs, values))
-    if not scale:
-        return None
-    c = [2 * sum(v * math.cos(k * th) for v, th in zip(values, thetas)) / (N * scale)
-         for k in range(N)]
-    c[0] /= 2
-
-    def newton_step(z):
-        # p(z) / p'(z) by Clenshaw's recurrence and its derivative
-        b1 = b2 = d1 = d2 = 0
-        for ck in reversed(c[1:]):
-            b1, b2, d1, d2 = ck + 2 * z * b1 - b2, b1, 2 * b1 + 2 * z * d1 - d2, d1
-        return (c[0] + z * b1 - b2) / (b1 + z * d1 - d2)
-
-    zs = [complex(math.cos(math.pi * (2 * k + 1) / (2 * deg)), 0.01) for k in range(deg)]
-    settled = 0
-    try:
-        for _ in range(SEED_MAX_SWEEPS):
-            moved = 0.0
-            for k, z in enumerate(zs):
-                r = newton_step(z)
-                step = r / (1 - r * sum(1 / (z - w) for j, w in enumerate(zs) if j != k))
-                zs[k] = z - step
-                moved = max(moved, abs(step))
-            settled += settled > 0 or moved < SEED_SETTLED
-            if settled > 2:
-                break
-        else:
-            return None
-    except ZeroDivisionError:
-        return None
-    zs.sort(key=lambda z: z.real)
-    if any(w.real - z.real <= 4 * max(abs(z.imag), abs(w.imag)) for z, w in zip(zs, zs[1:])):
-        return None
-    xs = [mid + rad * z.real for z in zs]
-    width = hull[1] - hull[0]
-    if not (hull[0] - width / 2 < xs[0] and xs[-1] < hull[1] + width / 2
-            and all(x < y for x, y in zip(xs, xs[1:]))):
-        return None
-    return [_fixed(x, P) for x in xs]
 
 
 # --------------------------------------------------------------------------

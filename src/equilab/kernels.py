@@ -11,9 +11,10 @@ the sheet product is identically 1.
 
 This is the only module that evaluates Phi, and each smooth part below is
 defined here once; :mod:`equilab.measures` wraps them in named kernels, and
-the solvers and the verifiers apply those same kernels.  Phi is real
-(``_phi_real``) at points outside E; the complex branch is taken only in
-``green_e_smooth``, where an evaluation point may lie in E.
+the solvers and the verifiers apply those same kernels.  Phi is evaluated
+only at real points outside E, in real arithmetic (``_phi_real``); where an
+evaluation point of ``green_e_smooth`` lies in E, g_E vanishes and the
+smooth part is log|z - t| itself, so no complex branch is needed.
 
 The kernels exposed here:
 
@@ -26,8 +27,9 @@ The kernels exposed here:
   factorization s - t = (Phi(s) - Phi(t)) (Phi(s) Phi(t) - 1) / (2 Phi(s) Phi(t));
   its singular part is -log|s - t|.
 - ``green_e_smooth(z, t)``, the bounded part of the Green function g_E of the
-  complement of E, whose singular part is -log|z - t|; ``IntervalGreen``
-  carries it to the complement of any single interval.
+  complement of E, whose singular part is -log|z - t|, at real z and real t
+  outside E; ``IntervalGreen`` carries it to the complement of any single
+  interval.
 - ``green_e_at_infinity(x) = log|Phi(x)|``, the Green function with pole at
   infinity over real x, exactly 0 on E.
 
@@ -129,18 +131,6 @@ def require_gap_to_e(F: IntervalUnion) -> IntervalUnion:
 # the inverse Zhukovskii map
 
 
-def zhukovskii_inverse(z):
-    """Phi(z) = z + sqrt(z-1) sqrt(z+1), the exterior-to-exterior branch.
-
-    On E the value is the limit from the upper half-plane,
-    Phi(x) = x + i sqrt(1 - x^2), which has modulus exactly 1.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-    out = z + w
-    return out if out.shape else complex(out)
-
-
 def _phi_real(t):
     """Fast real-valued Phi for real |t| >= 1 (sign-aware square root).
 
@@ -178,16 +168,29 @@ def sheet0_smooth(s, t):
 
 
 def green_e_smooth(z, t):
-    """Smooth part of g_E in the split g_E(z,t) = smooth(z,t) - log|z - t|.
+    """Smooth part of g_E in the split g_E(z,t) = smooth(z,t) - log|z - t|, real z, real t outside E.
 
-    From the product form g_E = log(|1 - Phi(z) Phi(t)|^2 / (2 |z - t| |Phi(z) Phi(t)|)):
-    2 log|1 - Phi(z) Phi(t)| - log 2 - log|Phi(z) Phi(t)|.
-    Finite on the diagonal, which is what the cell-integrated Green potential
-    needs.
+    From the product form g_E = log(|1 - Phi(z) Phi(t)|^2 / (2 |z - t| |Phi(z) Phi(t)|)),
+    at z outside E it is 2 log|1 - Phi(z) Phi(t)| - log 2 - log|Phi(z)| - log|Phi(t)|,
+    finite on the diagonal, which is what the cell-integrated Green
+    potential needs; at z in E, where g_E vanishes, it is log|z - t|.
+    Each form is evaluated only at the z it serves.
     """
-    pz = zhukovskii_inverse(z)
-    pt = zhukovskii_inverse(t)
-    out = 2.0 * np.log(np.abs(1.0 - pz * pt)) - LOG2 - np.log(np.abs(pz)) - np.log(np.abs(pt))
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    on_e = np.abs(z) <= E_RIGHT
+    if on_e.all():
+        out = np.log(np.abs(z - t))
+    elif not on_e.any():
+        out = (2.0 * scalar_kernel_smooth(z, t) - LOG2
+               - green_e_at_infinity(z) - green_e_at_infinity(t))
+    else:
+        # a block whose rows straddle E: each entry by the form of its z
+        z, t = np.broadcast_arrays(z, t)
+        on_e = np.abs(z) <= E_RIGHT
+        out = np.empty(z.shape)
+        out[on_e] = green_e_smooth(z[on_e], t[on_e])
+        out[~on_e] = green_e_smooth(z[~on_e], t[~on_e])
     return out if np.ndim(out) else float(out)
 
 

@@ -8,7 +8,9 @@ thread is also the reference mode of the ``equilab`` command line.  This
 module is imported before any test module loads numpy, so the pin holds.
 
 It also holds the closed-form kernels that the library computes only in
-split form (a smooth part minus a logarithm), as an independent reference.
+split form (a smooth part minus a logarithm), as an independent reference,
+and the complex inverse Zhukovskii map they are built from; the library
+evaluates Phi in real arithmetic only.
 """
 
 import os
@@ -19,6 +21,20 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 
+def zhukovskii_inverse(z):
+    """Phi(z) = z + sqrt(z-1) sqrt(z+1), the exterior-to-exterior branch, in complex arithmetic.
+
+    On E the value is the limit from the upper half-plane,
+    Phi(x) = x + i sqrt(1 - x^2), which has modulus exactly 1.
+    """
+    import numpy as np
+
+    z = np.asarray(z, dtype=complex)
+    w = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    out = z + w
+    return out if out.shape else complex(out)
+
+
 def _kernel_oracles(z, t):
     """(g_E(z, t), sheet-1 kernel) at real z != t outside E, in their literal forms.
 
@@ -27,8 +43,6 @@ def _kernel_oracles(z, t):
     sheet-1 value phi = 1/Phi.
     """
     import numpy as np
-
-    from equilab.kernels import zhukovskii_inverse
 
     z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
     pz, pt = zhukovskii_inverse(z), zhukovskii_inverse(t)

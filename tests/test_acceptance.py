@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import zhukovskii_inverse
 from equilab.balayage import balayage_numeric, balayage_point_to_e, reconstruct_e_measure
 from equilab.cli import run as cli_run
 from equilab.equilibrium import (
@@ -29,7 +30,6 @@ from equilab.kernels import (
     IntervalUnion,
     green_e_smooth,
     scalar_kernel_smooth,
-    zhukovskii_inverse,
 )
 from equilab.measures import (
     LOG_KERNEL,

@@ -14,6 +14,8 @@ from math import comb
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from equilab.errors import PrecisionDiagnosticWarning, PrecisionError, QuadratureError
 from equilab import hermite_pade
@@ -31,6 +33,8 @@ from equilab.hermite_pade import (
     solve_hp,
     solve_with_escalation,
     zeros_q2,
+    _aberth_sweep,
+    _chebyshev_points,
     _fejer_weights,
     _fixed_point_bits,
     _log2_cond1,
@@ -40,7 +44,7 @@ from equilab.hermite_pade import (
 )
 from equilab.kernels import IntervalUnion
 from mpmath.libmp import (
-    fone, from_man_exp, fzero, mpf_mul_int, mpf_shift, round_nearest, to_fixed, to_str,
+    fone, from_float, from_man_exp, fzero, mpf_mul_int, mpf_shift, round_nearest, to_fixed, to_str,
 )
 
 F23 = IntervalUnion([(2.0, 3.0)])
@@ -845,7 +849,8 @@ class TestRawSolveMatchesMpmath:
             with pytest.raises(PrecisionError, match="did not settle"):
                 zeros_q2(sol, support.hull)
             return
-        # zeros_q2 iterates on one list, which it sorts in place at the end
+        # the last rung of zeros_q2 iterates on one list, which it sorts in
+        # place at the end
         iterates = []
         original = hermite_pade._aberth_sweep
 
@@ -1049,72 +1054,132 @@ def _arcsine_solution(intervals, n, bits):
     return solve_hp(n, moments_f1(k, bits), moments_f2(k, sigma, bits)[0], bits)
 
 
-def _zeros_and_sweeps(monkeypatch, sol, hull, seeded=True):
-    """zeros_q2 with its Aberth sweeps counted, from the float64 seeds or from the Chebyshev start."""
-    sweeps = []
+def _zeros_and_sweeps(monkeypatch, sol, hull):
+    """zeros_q2 with its Aberth sweeps counted per working scale, in the order the scales were first swept."""
+    sweeps = {}
     original = hermite_pade._aberth_sweep
 
-    def counting(*args):
-        sweeps.append(None)
-        return original(*args)
+    def counting(coeffs, xs, P):
+        sweeps[P] = sweeps.get(P, 0) + 1
+        return original(coeffs, xs, P)
 
     with monkeypatch.context() as m:
         m.setattr(hermite_pade, "_aberth_sweep", counting)
-        if not seeded:
-            m.setattr(hermite_pade, "_float_seeds", lambda *args: None)
         zeros = zeros_q2(sol, hull)
-    return zeros, len(sweeps)
+    return zeros, sweeps
+
+
+def _full_precision_zeros(sol, hull):
+    """Reference zeros of Q2: the Aberth iteration at bits + SOLVE_GUARD_BITS alone.
+
+    It starts from the Chebyshev points of the hull, with no lower rung, and
+    stops as the last rung of zeros_q2 does: once a move falls below
+    2^(-bits/2) times the hull's half-width, after one more sweep.  The
+    iterates leave sorted and rounded to float.
+    """
+    deg, bits = sol.degree_q2, sol.precision_bits
+    P = bits + SOLVE_GUARD_BITS
+    coeffs = [to_fixed(c, P) for c in reversed(sol.q2[: deg + 1])]
+    lo, hi = (to_fixed(from_float(x), P) for x in hull)
+    half = to_fixed(from_float((hull[1] - hull[0]) / 2), P)
+    xs = [((lo + hi) >> 1) + (half * c >> P) for c in _chebyshev_points(deg, P)]
+    settled = False
+    for _ in range(20 + 4 * deg):
+        moved = _aberth_sweep(coeffs, xs, P)
+        if settled:
+            return sorted(x / (1 << P) for x in xs)
+        settled = moved < half >> bits // 2
+    raise AssertionError("the full-precision iteration did not settle")
 
 
 PM23 = ((-3.0, -2.0), (2.0, 3.0))
 
 
-class TestSeededZeros:
-    # sweeps: (from the float64 seeds, from the Chebyshev points of the hull)
-    @pytest.mark.parametrize("intervals, n, bits, sweeps", [
-        (((2.0, 3.0),), 5, 512, (4, 7)),
-        (((2.0, 3.0),), 10, 512, (4, 10)),
-        (((2.0, 3.0),), 20, 512, (4, 9)),
-        (((2.0, 3.0),), 40, 1024, (5, 16)),
-        (((1.01, 1.5),), 10, 512, (4, 9)),
-        (((1.01, 1.5),), 20, 512, (5, 20)),
-        (PM23, 10, 512, (4, 9)),
-        (PM23, 20, 512, (5, 17)),
-        (((1.5, 40.0),), 10, 512, (6, 22)),
+class TestAberthLadder:
+    """zeros_q2 climbs a ladder of working precisions and lands on the full-precision zeros."""
+
+    @pytest.mark.parametrize("intervals, n, bits", [
+        (((2.0, 3.0),), 5, 512),
+        (((2.0, 3.0),), 10, 512),
+        (((2.0, 3.0),), 20, 512),
+        (((2.0, 3.0),), 40, 1024),
+        (((1.01, 1.5),), 10, 512),
+        (((1.01, 1.5),), 20, 512),
+        (PM23, 10, 512),
+        (PM23, 20, 512),
+        (((1.5, 40.0),), 10, 512),
+        (PM23, 40, 512),
+        (((1.5, 40.0),), 20, 512),
+        (((1.01, 1.5),), 40, 512),
     ])
-    def test_seeded_zeros_equal_the_chebyshev_start(self, monkeypatch, intervals, n, bits, sweeps):
-        # the seeded iteration settles in fewer sweeps on the same zeros, bit for bit
+    def test_zeros_equal_the_full_precision_iteration(self, monkeypatch, intervals, n, bits):
+        # the same zeros bit for bit, with at most 4 sweeps at the full
+        # precision; from the Chebyshev points alone that takes 7-41
         sol = _arcsine_solution(intervals, n, bits)
         hull = IntervalUnion(list(intervals)).hull
-        seeded, count = _zeros_and_sweeps(monkeypatch, sol, hull)
-        plain, plain_count = _zeros_and_sweeps(monkeypatch, sol, hull, seeded=False)
-        assert len(seeded) == sol.degree_q2
-        assert seeded == plain
-        assert (count, plain_count) == sweeps
+        zeros, sweeps = _zeros_and_sweeps(monkeypatch, sol, hull)
+        assert len(zeros) == sol.degree_q2
+        assert zeros == _full_precision_zeros(sol, hull)
+        assert 1 <= sweeps[bits + SOLVE_GUARD_BITS] <= 4
+        assert min(sweeps) < bits + SOLVE_GUARD_BITS
 
-    @pytest.mark.parametrize("intervals, n, sweeps", [(PM23, 40, 26), (((1.5, 40.0),), 20, 41)])
-    def test_unusable_seeds_fall_back_to_the_chebyshev_start(self, monkeypatch, intervals, n, sweeps):
-        # there Q2 varies too much over the hull for float64 values: the
-        # float roots are not real and distinct, so zeros_q2 starts as before
-        sol = _arcsine_solution(intervals, n, 512)
-        hull = IntervalUnion(list(intervals)).hull
-        P = 512 + SOLVE_GUARD_BITS
-        coeffs = [to_fixed(c, P) for c in reversed(sol.q2[: sol.degree_q2 + 1])]
-        assert hermite_pade._float_seeds(coeffs, hull, P) is None
-        zeros, count = _zeros_and_sweeps(monkeypatch, sol, hull)
-        assert (len(zeros), count) == (sol.degree_q2, sweeps)
-
-    def test_values_beyond_float64_fall_back_to_the_chebyshev_start(self, monkeypatch, sol5):
-        # Q2 times 2^1100 overflows float64 at the hull's Chebyshev points;
-        # the seeds are None, and the Chebyshev start certifies the same zeros
+    def test_scaled_q2_climbs_the_same_rungs(self, monkeypatch, sol5):
+        # Q2 times 2^1100, whose values are far beyond float64's range:
+        # the first rung is set by the coefficients relative to the leading
+        # one, so the scaled Q2 climbs the rungs of Q2 itself
         scaled = dataclasses.replace(sol5, q2=tuple(mpf_shift(c, 1100) for c in sol5.q2))
-        P = PREC + SOLVE_GUARD_BITS
-        coeffs = [to_fixed(c, P) for c in reversed(scaled.q2)]
-        assert hermite_pade._float_seeds(coeffs, (2.0, 3.0), P) is None
-        zeros, count = _zeros_and_sweeps(monkeypatch, scaled, (2.0, 3.0))
-        plain, plain_count = _zeros_and_sweeps(monkeypatch, sol5, (2.0, 3.0), seeded=False)
+        zeros, sweeps = _zeros_and_sweeps(monkeypatch, scaled, (2.0, 3.0))
         assert len(zeros) == 5
-        assert (zeros, count) == (plain, plain_count)
+        assert zeros == _full_precision_zeros(scaled, (2.0, 3.0))
+        assert list(sweeps) == list(_zeros_and_sweeps(monkeypatch, sol5, (2.0, 3.0))[1])
+        assert 1 <= sweeps[PREC + SOLVE_GUARD_BITS] <= 4
+
+    def test_division_by_zero_below_the_last_rung_restarts_the_next(self, monkeypatch, sol5):
+        # a lower rung that divides by zero raises nothing: the next rung,
+        # of twice its bits, starts again from the Chebyshev points
+        calls = []
+        original = hermite_pade._aberth_sweep
+
+        def failing_once(coeffs, xs, P):
+            calls.append((P, [x / (1 << P) for x in xs]))
+            if len(calls) == 1:
+                xs[0] += 1 << P - 3  # a half-done sweep, which the restart drops
+                raise ZeroDivisionError
+            return original(coeffs, xs, P)
+
+        with monkeypatch.context() as m:
+            m.setattr(hermite_pade, "_aberth_sweep", failing_once)
+            zeros = zeros_q2(sol5, (2.0, 3.0))
+        assert zeros == _full_precision_zeros(sol5, (2.0, 3.0))
+        (first, start), (second, restart) = calls[:2]
+        assert second - SOLVE_GUARD_BITS == 2 * (first - SOLVE_GUARD_BITS)
+        assert second < PREC + SOLVE_GUARD_BITS
+        assert restart == start == pytest.approx(
+            [2.5 + 0.5 * math.cos((2 * j - 1) * math.pi / 10) for j in range(1, 6)], abs=1e-15)
+
+    def test_unsettled_lower_rung_still_certifies_every_zero(self, monkeypatch):
+        # on [1.5, 40] at n = 20 the first rung spends its 20 + deg sweeps
+        # without settling; its iterates go up a rung, and no PrecisionError
+        # reaches the caller
+        sol = _arcsine_solution(((1.5, 40.0),), 20, 512)
+        zeros, sweeps = _zeros_and_sweeps(monkeypatch, sol, (1.5, 40.0))
+        first = min(sweeps)
+        assert first < 512 + SOLVE_GUARD_BITS
+        assert sweeps[first] == 20 + sol.degree_q2
+        assert len(zeros) == 20
+        assert zeros == _full_precision_zeros(sol, (1.5, 40.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(gap=st.floats(1e-3, 2.0), length=st.floats(0.05, 40.0), n=st.integers(1, 12))
+    def test_one_sided_f_property(self, gap, length, n):
+        # F = [1 + gap, 1 + gap + length] at 256 bits, where the solve
+        # passes the condition gate: the ladder certifies the reference zeros
+        sol = _arcsine_solution(((1.0 + gap, 1.0 + gap + length),), n, 256)
+        assume(sol.log2_cond + GATE_MARGIN_BITS <= 256)
+        hull = (1.0 + gap, 1.0 + gap + length)
+        zeros = zeros_q2(sol, hull)
+        assert len(zeros) == n
+        assert zeros == _full_precision_zeros(sol, hull)
 
 
 class TestConstantDensityPreset:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import zhukovskii_inverse
 from equilab.kernels import (
     MIN_GAP,
     IntervalUnion,
@@ -15,7 +16,6 @@ from equilab.kernels import (
     require_gap_to_e,
     scalar_kernel_smooth,
     sheet0_smooth,
-    zhukovskii_inverse,
     _phi_real,
 )
 from equilab.measures import make_grid
@@ -141,6 +141,29 @@ class TestGreenE:
         rec = green_e_smooth(z[keep], t[keep]) - np.log(np.abs(z[keep] - t[keep]))
         assert np.max(np.abs(rec - kernel_oracles(z[keep], t[keep])[0])) <= 1e-12
 
+
+    def test_mpmath_oracle_on_and_off_e(self):
+        # z in E, z in E within 1e-8 of +-1 and z outside E, against the
+        # product form in 200-bit complex arithmetic.  On E the smooth part
+        # is log|z - t|; off E its error is that of log|1 - Phi(z) Phi(t)|,
+        # whose argument cancels when z and t near the same branch point,
+        # so there the bound adds the rounding of the product, amplified
+        # by |Phi(z) Phi(t)| / |1 - Phi(z) Phi(t)|
+        rng = np.random.default_rng(34)
+        n = 200
+        sign = np.where(rng.random(3 * n) < 0.5, -1.0, 1.0)
+        z = sign * np.concatenate([rng.uniform(0.0, 1.0, n), 1.0 - rng.uniform(0.0, 1e-8, n),
+                                   1.0 + 10.0 ** rng.uniform(-6.0, 2.0, n)])
+        sign = np.where(rng.random(3 * n) < 0.5, -1.0, 1.0)
+        t = sign * (1.0 + 10.0 ** rng.uniform(-6.0, 2.0, 3 * n))
+        oracle, bound = [], []
+        with mp.workprec(200):
+            for a, b in zip(z, t):
+                p = mp_phi(a) * mp_phi(b)
+                oracle.append(float(2 * mp.log(abs(1 - p)) - mp.log(2) - mp.log(abs(p))))
+                bound.append(5e-14 + (0.0 if abs(a) <= 1 else float(8e-16 * abs(p) / abs(1 - p))))
+        assert np.all(np.abs(green_e_smooth(z, t) - np.array(oracle)) <= bound)
+        assert np.all(np.abs(green_e_smooth(z[: 2 * n], t[: 2 * n]) - oracle[: 2 * n]) <= 5e-14)
 
 class TestSheet0Smooth:
     def test_mpmath_oracle(self):
