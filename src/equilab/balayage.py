@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import E_LEFT, E_RIGHT, IntervalUnion, is_real
-from .measures import LOG_KERNEL, DiscreteMeasure, Grid, log_potential, mirror_exact
+from .measures import LOG_KERNEL, DiscreteMeasure, Grid, kernel_potential, mirror_exact
 from .equilibrium import EquilibriumSolution, collocate, collocation_solution
 
 
@@ -35,8 +35,7 @@ def _require_e_grid(grid: Grid):
 def chebyshev_measure(grid: Grid) -> DiscreteMeasure:
     """Unit arcsine measure dx / (pi sqrt(1-x^2)) with exact cell masses."""
     _require_e_grid(grid)
-    w = (np.arcsin(grid.cell_right) - np.arcsin(grid.cell_left)) / np.pi
-    return DiscreteMeasure.from_weights(grid, w)
+    return DiscreteMeasure(grid, (np.arcsin(grid.cell_right) - np.arcsin(grid.cell_left)) / np.pi)
 
 
 def _point_cdf_from_left(a: float, x):
@@ -66,7 +65,7 @@ def balayage_point_to_e(a: float, grid: Grid) -> DiscreteMeasure:
         w = _point_cdf_from_left(a, grid.cell_right) - _point_cdf_from_left(a, grid.cell_left)
     else:
         w = _point_cdf_from_left(-a, -grid.cell_left) - _point_cdf_from_left(-a, -grid.cell_right)
-    return DiscreteMeasure.from_weights(grid, w)
+    return DiscreteMeasure(grid, w)
 
 
 def balayage_numeric(mu: DiscreteMeasure, target: Grid, fold: bool = False) -> EquilibriumSolution:
@@ -87,11 +86,12 @@ def balayage_numeric(mu: DiscreteMeasure, target: Grid, fold: bool = False) -> E
     evaluated only at the target nodes that the solve matches, the
     representative half when folded.
     """
-    if _overlaps(mu.support, target.support):
+    if _overlaps(mu.grid.support, target.support):
         raise ValueError("source support must be disjoint from the target")
     if fold and not (target.support.is_symmetric() and mirror_exact(mu)):
         raise ValueError("a folded sweep needs a symmetric target and a mirror-exact source")
-    (b,), (c,), (resid,) = collocate([target], [[LOG_KERNEL]], [lambda x: log_potential(mu, x)],
+    (b,), (c,), (resid,) = collocate([target], [[LOG_KERNEL]],
+                                     [lambda x: kernel_potential(mu, LOG_KERNEL, x)],
                                      [mu.mass], fold)
     return collocation_solution(target, b, (c,), resid, fold)
 
@@ -106,5 +106,4 @@ def reconstruct_e_measure(lam: DiscreteMeasure, e_grid: Grid) -> DiscreteMeasure
         raise ValueError("expects a unit measure on F")
     swept = balayage_numeric(lam, e_grid).measure
     tau = chebyshev_measure(e_grid)
-    w = (swept.weights + 3.0 * tau.weights) / 4.0
-    return DiscreteMeasure.from_weights(e_grid, w)
+    return DiscreteMeasure(e_grid, (swept.weights + 3.0 * tau.weights) / 4.0)

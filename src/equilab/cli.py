@@ -296,7 +296,7 @@ def _cmd_balayage(rc: RunConfig, out):
     from .balayage import balayage_numeric, balayage_point_to_e
     from .equilibrium import E_INTERVAL
     from .kernels import IntervalUnion, green_e_at_infinity
-    from .measures import DiscreteMeasure, ks_distance, make_grid
+    from .measures import DiscreteMeasure, Grid, ks_distance, make_grid
 
     a = rc.balayage_point
     grid = make_grid(E_INTERVAL, rc.grid.n, rc.grid.grading)
@@ -305,7 +305,8 @@ def _cmd_balayage(rc: RunConfig, out):
     shift = float(green_e_at_infinity(a))
     # a single narrow cell centered at the point stands in for the delta mass
     half = min(abs(a) - 1.0, 0.5) / 1000.0
-    src = DiscreteMeasure([a], [1.0], [a - half], [a + half], IntervalUnion([(a - half, a + half)]))
+    cell = Grid(IntervalUnion([(a - half, a + half)]), 1, 1.0, [a], [a - half], [a + half])
+    src = DiscreteMeasure(cell, [1.0])
     numeric = balayage_numeric(src, grid)
     ks = ks_distance(closed, numeric.measure)
     # the closed form is exact, so the distance is the sweep's discretization error

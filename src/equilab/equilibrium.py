@@ -23,6 +23,11 @@ potential evaluator, :func:`equilab.measures.kernel_potential`.  So the
 recorded residuals measure the linear algebra only; the discretization
 error is what the verifiers measure off the nodes.
 
+Each solve returns an :class:`EquilibriumSolution`, which stores the
+measure (weights on the solved :class:`~equilab.measures.Grid`), its
+constants, residual and method, and reads the grid and minimum density off
+the measure.
+
 The verifiers evaluate these same kernels and field; every smooth part is
 defined in :mod:`equilab.kernels`, the only module that evaluates Phi.
 
@@ -92,18 +97,18 @@ def reduced_kernel(F: IntervalUnion) -> SingularKernel:
 # assembly
 
 
-def assemble_energy_matrix(out, z, cells, kernel: SingularKernel, start=0):
-    """Write the kernel's cell averages over ``cells`` at z into ``out``, one row block at a time.
+def assemble_energy_matrix(out, z, grid: Grid, kernel: SingularKernel, start=0):
+    """Write the kernel's cell averages over ``grid`` at z into ``out``, one row block at a time.
 
     Each :func:`row_slices` block is one :func:`kernel_cell_averages` call,
     its columns mirror-folded by :func:`fold_columns` when ``start`` > 0,
-    and is copied into ``out``, the len(z) x (len(cells.nodes) - start)
+    and is copied into ``out``, the len(z) x (grid.size - start)
     slice of a system matrix, so the matrix is the only full-size buffer.
     Every entry is computed elementwise, so with ``start`` = 0 the bits are
     those of one kernel_cell_averages call over all of z.
     """
-    for rows in row_slices(len(z), len(cells.nodes)):
-        out[rows] = fold_columns(kernel_cell_averages(z[rows], cells, kernel), start)
+    for rows in row_slices(len(z), grid.size):
+        out[rows] = fold_columns(kernel_cell_averages(z[rows], grid, kernel), start)
     return out
 
 
@@ -113,12 +118,18 @@ def assemble_energy_matrix(out, z, cells, kernel: SingularKernel, start=0):
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    grid: Grid
     measure: DiscreteMeasure
     constants: tuple
     residual_sup: float
-    min_density: float
     method: str
+
+    @property
+    def grid(self) -> Grid:
+        return self.measure.grid
+
+    @property
+    def min_density(self) -> float:
+        return float(np.min(self.measure.densities))
 
     @property
     def constant(self) -> float:
@@ -136,7 +147,7 @@ class EquilibriumSolution:
             "grid": {
                 "n_per_component": self.grid.n_per_component,
                 "grading": self.grid.grading,
-                "support": [[l, r] for (l, r) in self.measure.support.intervals],
+                "support": [[l, r] for (l, r) in self.grid.support.intervals],
             },
         }
 
@@ -234,9 +245,8 @@ def collocate(grids, kernels, rhs, masses, fold=False):
 
 def collocation_solution(grid, weights, constants, residual, fold=False):
     """The :class:`EquilibriumSolution` of one grid of a :func:`collocate` result."""
-    mu = DiscreteMeasure.from_weights(grid, weights)
-    return EquilibriumSolution(grid=grid, measure=mu, constants=tuple(constants),
-                               residual_sup=residual, min_density=float(np.min(mu.densities)),
+    return EquilibriumSolution(measure=DiscreteMeasure(grid, weights), constants=tuple(constants),
+                               residual_sup=residual,
                                method="collocation_parity" if fold else "collocation")
 
 

@@ -52,8 +52,7 @@ to the requested precision only at the end; b_k uses the exact recursion
 
 over the per-component discretization (t_j, omega_j) of sigma, so the
 only approximation in b_k is the quadrature of sigma, which is checked by
-doubling its order from QUAD_ORDER_START = 64 (or, in a sweep, from half the
-order accepted at the next-lower precision) up to QUAD_ORDER_MAX = 4096.
+doubling its order from QUAD_ORDER_START = 64 up to QUAD_ORDER_MAX = 4096.
 Both rules share the order's Chebyshev points: Gauss-Chebyshev for the
 arcsine density, Fejer's first rule (explicit cosine-sum weights; L. N.
 Trefethen, SIAM Rev. 50, 2008) for the constant one.  The points and the
@@ -340,11 +339,10 @@ def _moments_f2_at_order(k_max, ts, ws, fs, P):
     return sums
 
 
-def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PRECISION_BITS,
-               start_order: int = QUAD_ORDER_START):
+def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Laurent moments b_k of f2, with quadrature-order doubling until stable.
 
-    The doubling runs from ``start_order``.  Successive orders must agree to
+    The doubling runs from QUAD_ORDER_START.  Successive orders must agree to
     2^(-precision_bits/2) in the sup norm; failure to stabilize within the
     order cap raises, it is never hidden.  Returns (b, order): the moments
     at the accepted quadrature order, each rounded once to precision_bits
@@ -353,7 +351,7 @@ def moments_f2(k_max: int, sigma: MarkovSpec, precision_bits: int = DEFAULT_PREC
     f2 is even and b_k at even k is returned as an exact zero.
     """
     P = _fixed_point_bits(k_max, sigma.support, precision_bits)
-    order = start_order
+    order = QUAD_ORDER_START
     prev = _moments_f2_at_order(k_max, *discretize_sigma(sigma, order, P), P)
     while order < QUAD_ORDER_MAX:
         order *= 2
@@ -757,11 +755,7 @@ class HPSweep:
     conditioning growth rate ``bits_per_order`` = log2 cond / n of the last
     accepted order, which predicts the starting precision of the next.
     ``quad_orders`` maps each precision to the sigma-quadrature order at
-    which its moments b_k were accepted.  A precision above one already
-    computed starts its quadrature doubling at half the order that the
-    next-lower precision accepted: every pair of orders below that was
-    rejected there, and the quadrature error that rejected it does not
-    shrink with the precision, while the tolerance does.
+    which its moments b_k were accepted.
     """
 
     def __init__(self, sigma: MarkovSpec, n_list):
@@ -775,9 +769,7 @@ class HPSweep:
         """Moments a_k, b_k for k <= 3n+1 at the given precision."""
         if bits not in self._tables:
             a = moments_f1(self.k_max, bits)
-            lower = [b for b in self.quad_orders if b < bits]
-            start = self.quad_orders[max(lower)] // 2 if lower else QUAD_ORDER_START
-            b, self.quad_orders[bits] = moments_f2(self.k_max, self.sigma, bits, start)
+            b, self.quad_orders[bits] = moments_f2(self.k_max, self.sigma, bits)
             self._tables[bits] = (a, b)
         a, b = self._tables[bits]
         return a[: 3 * n + 2], b[: 3 * n + 2]

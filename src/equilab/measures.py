@@ -1,10 +1,11 @@
 """Discrete measures on interval unions and their potentials.
 
-A measure is stored as quadrature cells with one node per cell and a
-piecewise-constant density (weight / width) on each cell.  Every potential
-is one evaluator, :func:`kernel_potential`, with a named
-:class:`SingularKernel` smooth(z, t) - c log|z - t|: the smooth part is
-evaluated at the nodes (midpoint rule), while the -log|z - t| factor is
+A :class:`Grid` holds quadrature cells with one node per cell, and is the
+one type that stores and checks them.  A :class:`DiscreteMeasure` is a grid
+and one weight per cell: a piecewise-constant density (weight / width) on
+each cell.  Every potential is one evaluator, :func:`kernel_potential`, with
+a named :class:`SingularKernel` smooth(z, t) - c log|z - t|: the smooth part
+is evaluated at the nodes (midpoint rule), while the -log|z - t| factor is
 integrated in closed form over any cell whose node lies within a few widths
 of the evaluation point.  Because the analytic-or-midpoint choice depends
 only on (point, cell) and never on the kernel, algebraic identities between
@@ -69,7 +70,11 @@ def _grading_map(xi, g):
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell partition of an interval union with one interior node per cell."""
+    """Cell partition of an interval union with one node per cell.
+
+    Checked once, when built: equal lengths, strictly increasing nodes,
+    cells of positive width and each node inside its cell.
+    """
 
     support: IntervalUnion
     n_per_component: int
@@ -77,6 +82,22 @@ class Grid:
     nodes: np.ndarray
     cell_left: np.ndarray
     cell_right: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=float)
+        cl = np.asarray(self.cell_left, dtype=float)
+        cr = np.asarray(self.cell_right, dtype=float)
+        if not (len(nodes) == len(cl) == len(cr)):
+            raise ValueError("nodes and cells must have equal length")
+        if np.any(np.diff(nodes) <= 0):
+            raise ValueError("nodes must be strictly increasing")
+        if not np.all(cr > cl):
+            raise ValueError("cells must have positive width")
+        if np.any(nodes < cl) or np.any(nodes > cr):
+            raise ValueError("each node must lie inside its cell")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "cell_left", cl)
+        object.__setattr__(self, "cell_right", cr)
 
     @property
     def widths(self):
@@ -135,53 +156,37 @@ def make_grid(support: IntervalUnion, n_per_component: int, grading: float = 1.0
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    nodes: np.ndarray
+    """Nonnegative ``weights``, one per cell of ``grid``."""
+
+    grid: Grid
     weights: np.ndarray
-    cell_left: np.ndarray
-    cell_right: np.ndarray
-    support: IntervalUnion
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        cl = np.asarray(self.cell_left, dtype=float)
-        cr = np.asarray(self.cell_right, dtype=float)
-        if not (len(nodes) == len(weights) == len(cl) == len(cr)):
-            raise ValueError("nodes, weights and cells must have equal length")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
+        if len(weights) != self.grid.size:
+            raise ValueError("weights and cells must have equal length")
         if np.any(weights < -1e-12):
             raise ValueError("weights must be nonnegative")
-        weights = np.where(weights < 0, 0.0, weights)
-        if not np.all(cr > cl):
-            raise ValueError("cells must have positive width")
-        if np.any(nodes < cl) or np.any(nodes > cr):
-            raise ValueError("each node must lie inside its cell")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "cell_left", cl)
-        object.__setattr__(self, "cell_right", cr)
+        object.__setattr__(self, "weights", np.where(weights < 0, 0.0, weights))
 
-    @classmethod
-    def from_weights(cls, grid: Grid, weights) -> "DiscreteMeasure":
-        return cls(grid.nodes, weights, grid.cell_left, grid.cell_right, grid.support)
+    @property
+    def nodes(self):
+        """The grid's nodes, which :func:`ks_distance` reads as it reads those of :class:`Atoms`."""
+        return self.grid.nodes
 
     @property
     def mass(self) -> float:
         return float(self.weights.sum())
 
     @property
-    def widths(self):
-        return self.cell_right - self.cell_left
-
-    @property
     def densities(self):
-        return self.weights / self.widths
+        return self.weights / self.grid.widths
 
     def to_csv(self, path):
+        g = self.grid
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("node,weight,cell_left,cell_right\n")
-            for x, w, l, r in zip(self.nodes, self.weights, self.cell_left, self.cell_right):
+            for x, w, l, r in zip(g.nodes, self.weights, g.cell_left, g.cell_right):
                 fh.write(f"{float(x)!r},{float(w)!r},{float(l)!r},{float(r)!r}\n")
 
 
@@ -192,7 +197,7 @@ def mirror_exact(mu: DiscreteMeasure) -> bool:
     such a measure's potentials are even up to the grid's one-rounding
     asymmetry, and a sweep of it onto a symmetric grid may be folded.
     """
-    return mu.support.is_symmetric() and np.array_equal(mu.weights, mu.weights[::-1])
+    return mu.grid.support.is_symmetric() and np.array_equal(mu.weights, mu.weights[::-1])
 
 
 # --------------------------------------------------------------------------
@@ -208,8 +213,8 @@ def _T(u):
     return out
 
 
-def neglog_cell_averages(z, mu: DiscreteMeasure):
-    """Matrix Q[i, j]: average of -log|z_i - t| over cell j of ``mu`` (a measure or a Grid).
+def neglog_cell_averages(z, grid: Grid):
+    """Matrix Q[i, j]: average of -log|z_i - t| over cell j of ``grid``.
 
     Analytic within ANALYTIC_WINDOW widths of the node (exact for the
     piecewise-constant density, including the cell containing z), midpoint
@@ -222,15 +227,15 @@ def neglog_cell_averages(z, mu: DiscreteMeasure):
     if np.iscomplexobj(z):
         raise TypeError("evaluation points must be real, got a complex array")
     z = z.astype(float)
-    Q = np.subtract(z[:, None], mu.nodes[None, :])
+    Q = np.subtract(z[:, None], grid.nodes[None, :])
     np.abs(Q, out=Q)
-    h = mu.widths
+    h = grid.widths
     near = np.flatnonzero(Q <= ANALYTIC_WINDOW * h)
     zi, cj = np.divmod(near, h.size)
     with np.errstate(divide="ignore"):
         np.log(Q, out=Q)
     np.negative(Q, out=Q)
-    Q.flat[near] = (_T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])) / h[cj]
+    Q.flat[near] = (_T(z[zi] - grid.cell_right[cj]) - _T(z[zi] - grid.cell_left[cj])) / h[cj]
     return Q
 
 
@@ -275,22 +280,21 @@ class SingularKernel:
 LOG_KERNEL = SingularKernel(sing_coeff=1.0)
 
 
-def kernel_cell_averages(z, cells, kernel: SingularKernel):
-    """Matrix of the kernel's averages over the cells of ``cells`` at real z.
+def kernel_cell_averages(z, grid: Grid, kernel: SingularKernel):
+    """Matrix of the kernel's averages over the cells of ``grid`` at real z.
 
     sing_coeff * :func:`neglog_cell_averages` (scaled in place) plus the
-    smooth part at the (z, node) pairs.  ``cells`` is a measure or a
-    :class:`Grid`: only its nodes and cell edges are read.  This is the one
-    row block of every potential and every dense system matrix.
+    smooth part at the (z, node) pairs.  This is the one row block of every
+    potential and every dense system matrix.
     """
-    return _with_kernel(neglog_cell_averages(z, cells), z, cells, kernel)
+    return _with_kernel(neglog_cell_averages(z, grid), z, grid, kernel)
 
 
-def _with_kernel(Q, z, cells, kernel: SingularKernel):
+def _with_kernel(Q, z, grid: Grid, kernel: SingularKernel):
     # the -log cell averages Q at z, made the kernel's averages in place
     Q *= kernel.sing_coeff
     if kernel.smooth is not None:
-        Q += kernel.smooth(z[:, None], cells.nodes[None, :])
+        Q += kernel.smooth(z[:, None], grid.nodes[None, :])
     return Q
 
 
@@ -312,14 +316,17 @@ def kernel_potentials(mu: DiscreteMeasure, kernels, z):
     """
     z = np.atleast_1d(np.asarray(z))
     out = np.empty((len(kernels), len(z)))
-    for rows in row_slices(len(z), len(mu.nodes)):
-        Q = neglog_cell_averages(z[rows], mu)
+    for rows in row_slices(len(z), mu.grid.size):
+        Q = neglog_cell_averages(z[rows], mu.grid)
         for k, kernel in enumerate(kernels):
             block = Q if k == len(kernels) - 1 else Q.copy()
-            out[k, rows] = _with_kernel(block, z[rows], mu, kernel) @ mu.weights
+            out[k, rows] = _with_kernel(block, z[rows], mu.grid, kernel) @ mu.weights
     return out
 
 
+# the Green function of the complement of E, split as smooth - log|z - t| so
+# that points inside the support get the closed-form cell treatment; at z in
+# E, where |Phi| = 1, its potential vanishes
 GREEN_E_KERNEL = SingularKernel(sing_coeff=1.0, smooth=green_e_smooth)
 SHEET0_KERNEL = SingularKernel(sing_coeff=1.0, smooth=sheet0_smooth)
 SHEET1_KERNEL = SingularKernel(sing_coeff=2.0, smooth=scalar_kernel_smooth)
@@ -327,23 +334,6 @@ SHEET1_KERNEL = SingularKernel(sing_coeff=2.0, smooth=scalar_kernel_smooth)
 
 # --------------------------------------------------------------------------
 # potentials
-
-
-def log_potential(mu: DiscreteMeasure, z):
-    """U(z) = integral of log(1/|z - t|) against the measure."""
-    return kernel_potential(mu, LOG_KERNEL, z)
-
-
-def green_potential_e(mu: DiscreteMeasure, z):
-    """Green potential of the complement of [-1, 1], supp(mu) outside E.
-
-    Uses the split g_E(z, t) = smooth(z, t) - log|z - t| so that evaluation
-    points inside the support (where the Green kernel has its pole) get the
-    same closed-form cell treatment as the logarithmic potential.  Boundary
-    points z in E are accepted (Phi there has modulus 1 and the potential
-    vanishes identically).
-    """
-    return kernel_potential(mu, GREEN_E_KERNEL, z)
 
 
 def surface_functional(mu: DiscreteMeasure, z):

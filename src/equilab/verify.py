@@ -49,11 +49,9 @@ from .measures import (
     SHEET1_KERNEL,
     Atoms,
     DiscreteMeasure,
-    green_potential_e,
     kernel_potential,
     kernel_potentials,
     ks_distance,
-    log_potential,
     make_grid,
     mirror_exact,
     surface_functional,
@@ -279,15 +277,17 @@ def verify_mixed_potential(
     read rounding only, while between the nodes it measures the
     discretization.
     """
+    F = lam.grid.support
     rep = VerificationReport(
         name="mixed-potential",
         provenance={
-            "F": [[l, r] for (l, r) in lam.support.intervals],
-            "n_f": len(lam.nodes),
-            "n_e": len(lam_e.nodes),
+            "F": [[l, r] for (l, r) in F.intervals],
+            "n_f": lam.grid.size,
+            "n_e": lam_e.grid.size,
         },
     )
-    z = lam.cell_right[:-1][lam.cell_right[:-1] == lam.cell_left[1:]]
+    right, left = lam.grid.cell_right[:-1], lam.grid.cell_left[1:]
+    z = right[right == left]
     # U, the G_E-potential and the sheet-1 kernel integral of lam at z share
     # one -log block per row block; the sums below are those of
     # sheet1_comparison and surface_functional
@@ -303,16 +303,16 @@ def verify_mixed_potential(
     rep.add_bound("mixed.constancy_on_f", float(v2.max() - v2.min()), tolerances.constancy,
                   "sup - inf of the mixed potential over the shared cell edges of F")
 
-    if lam.support.m == 1:
+    if F.m == 1:
         # 3 U_1 + G_F is the reduced problem's potential
-        x = lam_e.nodes
-        v42 = kernel_potential(lam_e, reduced_kernel(lam.support), x) + sheet1_comparison(lam, x)
+        x = lam_e.grid.nodes
+        v42 = kernel_potential(lam_e, reduced_kernel(F), x) + sheet1_comparison(lam, x)
         rep.add_bound("mixed.constancy_on_e", float(v42.max() - v42.min()),
                       tolerances.constancy,
                       "3 U_1 + G_F constant on E (Green terms vanish there)")
         # swapping U_2 for U_1 on F raises the plateau by 3x the second
         # coupled constant, so the F-side constant exceeds the E-side by 3 w2
-        w2 = float(np.mean(u - log_potential(lam_e, z)))
+        w2 = float(np.mean(u - kernel_potential(lam_e, LOG_KERNEL, z)))
         rep.add_bound("mixed.constant_agreement",
                       float(abs(v2.mean() - 3.0 * w2 - v42.mean())),
                       tolerances.constant_agreement,
@@ -337,7 +337,7 @@ def sheet1_comparison(lam: DiscreteMeasure, z):
     Positive off the branch curve, zero on it (both terms vanish on E),
     divergent like 3 log|z|.
     """
-    return green_potential_e(lam, z) + 3.0 * green_e_at_infinity(z)
+    return kernel_potential(lam, GREEN_E_KERNEL, z) + 3.0 * green_e_at_infinity(z)
 
 
 def verify_positivity(lam: DiscreteMeasure) -> VerificationReport:
@@ -348,7 +348,7 @@ def verify_positivity(lam: DiscreteMeasure) -> VerificationReport:
     rep = VerificationReport(
         name="positivity",
         provenance={"samples": int(z.size), "abs_z": [float(mag[0]), float(mag[-1])],
-                    "F": [[l, r] for (l, r) in lam.support.intervals]},
+                    "F": [[l, r] for (l, r) in lam.grid.support.intervals]},
     )
     vals = sheet1_comparison(lam, z)
     rep.add("positivity.min_over_samples", float(vals.min()), 0.0, bool(vals.min() > 0.0),
@@ -378,11 +378,12 @@ def verify_charge_slopes(lam: DiscreteMeasure) -> VerificationReport:
     """Fitted growth rates of the surface potential on the two sheets."""
     rep = VerificationReport(
         name="charge-slopes",
-        provenance={"F": [[l, r] for (l, r) in lam.support.intervals]},
+        provenance={"F": [[l, r] for (l, r) in lam.grid.support.intervals]},
     )
     zs = np.geomspace(1e3, 1e6, 25)
-    s0 = float(np.polyfit(np.log(zs), kernel_potential(lam, SHEET0_KERNEL, zs), 1)[0])
-    s1 = float(np.polyfit(np.log(zs), kernel_potential(lam, SHEET1_KERNEL, zs), 1)[0])
+    p0, p1 = kernel_potentials(lam, (SHEET0_KERNEL, SHEET1_KERNEL), zs)
+    s0 = float(np.polyfit(np.log(zs), p0, 1)[0])
+    s1 = float(np.polyfit(np.log(zs), p1, 1)[0])
     rep.add_bound("slopes.sheet0", abs(s0 + 2.0), 1e-3, "sheet-0 rate is -2")
     rep.add_bound("slopes.sheet1", abs(s1 + 1.0), 1e-3, "sheet-1 rate is -1")
     return rep

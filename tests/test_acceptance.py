@@ -36,9 +36,9 @@ from equilab.measures import (
     SHEET0_KERNEL,
     SHEET1_KERNEL,
     DiscreteMeasure,
+    Grid,
     kernel_potential,
     ks_distance,
-    log_potential,
     make_grid,
     surface_functional,
 )
@@ -113,10 +113,10 @@ def test_criterion_2_classical_oracle():
     t0 = time.perf_counter()
     grid = make_grid(E_INTERVAL, 400, 2.0)
     (u,), (c,), _ = collocate([grid], [[LOG_KERNEL]], [np.zeros_like], [1.0])
-    arcs = DiscreteMeasure.from_weights(
+    arcs = DiscreteMeasure(
         grid, (np.arcsin(grid.cell_right) - np.arcsin(grid.cell_left)) / np.pi
     )
-    ks = ks_distance(DiscreteMeasure.from_weights(grid, u), arcs)
+    ks = ks_distance(DiscreteMeasure(grid, u), arcs)
     dc = abs(c - np.log(2.0))
     elapsed = time.perf_counter() - t0
     ok = ks <= 3e-3 and dc <= 1e-3 and elapsed < 30.0
@@ -177,12 +177,12 @@ def test_criterion_5_balayage_oracle():
     a = 2.0
     closed = balayage_point_to_e(a, grid)
     width = 1e-6
-    src = DiscreteMeasure([a], [1.0], [a - width], [a + width],
-                          IntervalUnion([(a - width, a + width)]))
+    cell = Grid(IntervalUnion([(a - width, a + width)]), 1, 1.0, [a], [a - width], [a + width])
+    src = DiscreteMeasure(cell, [1.0])
     numeric = balayage_numeric(src, grid)
     ks = ks_distance(numeric.measure, closed)
     ident = float(np.max(np.abs(
-        log_potential(numeric.measure, grid.nodes)
+        kernel_potential(numeric.measure, LOG_KERNEL, grid.nodes)
         + np.log(np.abs(grid.nodes - a))
         - np.log(2.0 + np.sqrt(3.0))
     )))

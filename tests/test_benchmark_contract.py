@@ -46,7 +46,7 @@ POSITIONS = {
     "equilibrium.solve_scalar": {0: "F", 1: "grid_params"},
     "equilibrium.solve_vector": {0: "F", 1: "grid_params"},
     "equilibrium.solve_reduced": {0: "F", 1: "grid_params"},
-    "measures.neglog_cell_averages": {0: "z", 1: "mu"},
+    "measures.neglog_cell_averages": {0: "z", 1: "grid"},
 }
 
 

@@ -33,7 +33,7 @@ from equilab.measures import (
     LOG_KERNEL,
     SHEET1_KERNEL,
     DiscreteMeasure,
-    log_potential,
+    kernel_potential,
     make_grid,
     neglog_cell_averages,
     row_slices,
@@ -47,7 +47,7 @@ GP = GridParams(n=200, grading=2.0)
 
 def _kernel_matrix_oracle(z, grid, kernel):
     # sing_coeff * -log cell averages plus the smooth part, all rows at once
-    Q = kernel.sing_coeff * neglog_cell_averages(z, _uniform(grid))
+    Q = kernel.sing_coeff * neglog_cell_averages(z, grid)
     if kernel.smooth is not None:
         Q = Q + kernel.smooth(z[:, None], grid.nodes[None, :])
     return Q
@@ -64,18 +64,13 @@ def _single_grid_oracle(grid, kernel):
     return A
 
 
-def _uniform(grid, mass=1.0):
-    return DiscreteMeasure.from_weights(grid, np.full(grid.size, mass / grid.size))
-
-
 def _collocation_oracle(F, gp):
     ge = make_grid(E_INTERVAL, gp.n, gp.grading)
     gf = make_grid(F, gp.n, gp.grading)
-    me, mf = _uniform(ge), _uniform(gf)
-    QEE = neglog_cell_averages(ge.nodes, me)
-    QEF = neglog_cell_averages(ge.nodes, mf)
-    QFE = neglog_cell_averages(gf.nodes, me)
-    QFF = neglog_cell_averages(gf.nodes, mf)
+    QEE = neglog_cell_averages(ge.nodes, ge)
+    QEF = neglog_cell_averages(ge.nodes, gf)
+    QFE = neglog_cell_averages(gf.nodes, ge)
+    QFF = neglog_cell_averages(gf.nodes, gf)
     nE, nF = ge.size, gf.size
     N = nE + nF + 2
     A = np.zeros((N, N))
@@ -214,13 +209,13 @@ def test_balayage_matrix_and_residual_equal_one_shot(F, solved_matrices):
     res = balayage_numeric(src, target)
     (A,) = solved_matrices
     n = target.size
-    P = neglog_cell_averages(target.nodes, _uniform(target, src.mass))
+    P = neglog_cell_averages(target.nodes, target)
     oracle = np.zeros((n + 1, n + 1))
     oracle[:n, :n] = P
     oracle[:n, n] = -1.0
     oracle[n, :n] = 1.0
     _assert_bits_equal(A, oracle)
-    rhs_u = log_potential(src, target.nodes)
+    rhs_u = kernel_potential(src, LOG_KERNEL, target.nodes)
     resid = float(np.max(np.abs(P @ res.measure.weights - rhs_u - res.constant)))
     assert res.residual_sup == resid
 
@@ -242,7 +237,7 @@ def _system_bytes_and_call(name, F):
         return (gf.size + 1) ** 2 * 8, lambda: balayage_numeric(src, gf)
     # the sweep onto F as verify_equivalence makes it, folded on F = -F, of
     # a mirror-exact source: (a + b) / 2 rounds the same both ways round
-    even = DiscreteMeasure.from_weights(ge, (src.weights + src.weights[::-1]) / 2)
+    even = DiscreteMeasure(ge, (src.weights + src.weights[::-1]) / 2)
     return (half(gf) + 1) ** 2 * 8, lambda: balayage_numeric(even, gf, F.is_symmetric())
 
 
@@ -303,7 +298,8 @@ def test_folded_sweep_satisfies_the_unfolded_system(n, solved_matrices):
     folded, _ = _mirror_fold(oracle, [N], True)
     _assert_bits_equal(A, folded)
     assert res.method == "collocation_parity"
-    rhs = np.concatenate([log_potential(sol_e.measure, target.nodes), [sol_e.measure.mass]])
+    rhs = np.concatenate([kernel_potential(sol_e.measure, LOG_KERNEL, target.nodes),
+                          [sol_e.measure.mass]])
     x = np.concatenate([res.measure.weights, [res.constant]])
     assert np.max(np.abs(oracle @ x - rhs)) <= 1e-12
     assert np.max(np.abs(x[:N] - np.linalg.solve(oracle, rhs)[:N])) <= 1e-12

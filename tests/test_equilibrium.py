@@ -22,7 +22,6 @@ from equilab.measures import (
     SingularKernel,
     kernel_potential,
     ks_distance,
-    log_potential,
     make_grid,
     surface_functional,
 )
@@ -36,14 +35,14 @@ def arcsine_cells(grid):
     (l, r) = grid.support.intervals[0]
     to_unit = lambda x: (2.0 * x - (l + r)) / (r - l)
     w = (np.arcsin(to_unit(grid.cell_right)) - np.arcsin(to_unit(grid.cell_left))) / np.pi
-    return DiscreteMeasure.from_weights(grid, w)
+    return DiscreteMeasure(grid, w)
 
 
 def log_equilibrium(grid, field=None):
     """(measure, constant, residual) of the unit log equilibrium on the grid, in a field."""
     rhs = np.zeros_like if field is None else lambda x: -field(x)
     (u,), (c,), (r,) = collocate([grid], [[LOG_KERNEL]], [rhs], [1.0])
-    return DiscreteMeasure.from_weights(grid, u), c, r
+    return DiscreteMeasure(grid, u), c, r
 
 
 class TestClassicalOracle:
@@ -148,8 +147,11 @@ class TestCoupledProblem:
         lam_e, lam_f = sol_e.measure, sol_f.measure
         w1, w2 = sol_e.constants
         x, y = lam_e.nodes, lam_f.nodes
-        r1 = np.max(np.abs(4.0 * log_potential(lam_e, x) - log_potential(lam_f, x) - w1))
-        r2 = np.max(np.abs(-log_potential(lam_e, y) + log_potential(lam_f, y) - w2))
+        def U(mu, z):
+            return kernel_potential(mu, LOG_KERNEL, z)
+
+        r1 = np.max(np.abs(4.0 * U(lam_e, x) - U(lam_f, x) - w1))
+        r2 = np.max(np.abs(-U(lam_e, y) + U(lam_f, y) - w2))
         assert (sol_e.residual_sup, sol_f.residual_sup) == (float(r1), float(r2))
 
     def test_symmetric_f(self):
@@ -176,6 +178,16 @@ class TestCoupledProblem:
             assert grid == {"n_per_component": 40, "grading": 1.0,
                             "support": [list(iv) for iv in support.intervals]}
             assert isinstance(grid["grading"], float)
+
+    def test_measure_lies_on_the_solved_grid(self):
+        # a solution stores its measure only: the grid and the minimum
+        # density are the measure's
+        gp = GridParams(n=40, grading=2.0)
+        solutions = [*solve_vector(FSYM, gp), solve_scalar(FSYM, gp), solve_reduced(F23, gp)]
+        for sol, support in zip(solutions, (E_INTERVAL, FSYM, FSYM, E_INTERVAL)):
+            assert sol.measure.grid is sol.grid
+            np.testing.assert_array_equal(sol.grid.nodes, make_grid(support, 40, 2.0).nodes)
+            assert sol.min_density == np.min(sol.measure.weights / sol.grid.widths)
 
 
 class TestReducedProblem:
@@ -220,6 +232,6 @@ class TestAssembly:
         grid = make_grid(F23, 32, 2.0)
         K = assemble_energy_matrix(np.empty((grid.size, grid.size)), grid.nodes, grid,
                                    SHEET1_KERNEL)
-        mu = DiscreteMeasure.from_weights(grid, np.linspace(1.0, 2.0, grid.size) / 48.0)
+        mu = DiscreteMeasure(grid, np.linspace(1.0, 2.0, grid.size) / 48.0)
         assert (K @ mu.weights).tobytes() == \
             kernel_potential(mu, SHEET1_KERNEL, grid.nodes).tobytes()

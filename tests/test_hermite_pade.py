@@ -904,25 +904,15 @@ class TestLog2Cond1MatchesMpmath:
             assert abs(got - expected) <= 1e-15 + 4 * math.ulp(expected), to_str(x, 30)
 
 
-class TestQuadratureRestart:
-    def test_higher_precision_starts_at_half_the_lower_accepted_order(self, monkeypatch):
-        # constant sigma on [2, 3] accepts order 256 at 512 bits, so the
-        # 1024-bit table skips orders 64 and 128 and keeps the same moments
-        orders = []
-        original = hermite_pade.discretize_sigma
-
-        def recording(spec, order, P):
-            orders.append((P, order))
-            return original(spec, order, P)
-
+class TestSweepTables:
+    def test_table_does_not_depend_on_the_sweep_history(self):
+        # constant sigma on [2, 3]: the 1024-bit table of a sweep that
+        # computed the 512-bit one first is the 1024-bit table computed alone
         sigma = MarkovSpec(F23, "constant")
         sweep = HPSweep(sigma, [20])
-        with monkeypatch.context() as m:
-            m.setattr(hermite_pade, "discretize_sigma", recording)
-            sweep.moments(20, 512)
-            _, b = sweep.moments(20, 1024)
+        sweep.moments(20, 512)
+        _, b = sweep.moments(20, 1024)
         assert sweep.quad_orders == {512: 256, 1024: 256}
-        assert [o for p, o in orders if p == _fixed_point_bits(sweep.k_max, F23, 1024)] == [128, 256]
         assert (b, 256) == moments_f2(sweep.k_max, sigma, 1024)
 
 
@@ -944,10 +934,9 @@ class TestConditionGate:
         calls = []
         original = hermite_pade.moments_f2
 
-        def counting(k_max, sigma, precision_bits=hermite_pade.DEFAULT_PRECISION_BITS,
-                     start_order=QUAD_ORDER_START):
+        def counting(k_max, sigma, precision_bits=hermite_pade.DEFAULT_PRECISION_BITS):
             calls.append((k_max, precision_bits))
-            return original(k_max, sigma, precision_bits, start_order)
+            return original(k_max, sigma, precision_bits)
 
         monkeypatch.setattr(hermite_pade, "moments_f2", counting)
         sigma = MarkovSpec(F23, "arcsine")

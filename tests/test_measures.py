@@ -16,16 +16,16 @@ from equilab.kernels import (
 from equilab.measures import (
     ANALYTIC_WINDOW,
     BLOCK_ENTRIES,
+    GREEN_E_KERNEL,
     LOG_KERNEL,
     SHEET0_KERNEL,
     SHEET1_KERNEL,
     Atoms,
     DiscreteMeasure,
+    Grid,
     _T,
-    green_potential_e,
     kernel_potential,
     ks_distance,
-    log_potential,
     make_grid,
     neglog_cell_averages,
     surface_functional,
@@ -42,7 +42,7 @@ def arcsine_cells(grid):
     (l, r) = grid.support.intervals[0]
     to_unit = lambda x: (2.0 * x - (l + r)) / (r - l)
     w = (np.arcsin(to_unit(grid.cell_right)) - np.arcsin(to_unit(grid.cell_left))) / np.pi
-    return DiscreteMeasure.from_weights(grid, w)
+    return DiscreteMeasure(grid, w)
 
 
 class TestMakeGrid:
@@ -77,40 +77,62 @@ class TestMakeGrid:
         assert np.all(g.nodes > g.cell_left) and np.all(g.nodes < g.cell_right)
 
 
+class TestGrid:
+    """A Grid checks its cells once, when built."""
+
+    def test_reversed_nodes_rejected(self):
+        g = make_grid(F23, 16, 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(F23, 16, 1.0, g.nodes[::-1], g.cell_left[::-1], g.cell_right[::-1])
+
+    def test_zero_width_cell_rejected(self):
+        g = make_grid(F23, 16, 1.0)
+        left, right = g.cell_left.copy(), g.cell_right.copy()
+        right[5] = left[5] = g.nodes[5]
+        with pytest.raises(ValueError, match="positive width"):
+            Grid(F23, 16, 1.0, g.nodes, left, right)
+
+    def test_node_outside_cell_rejected(self):
+        g = make_grid(F23, 16, 1.0)
+        nodes = g.nodes.copy()
+        nodes[5] = 0.5 * (g.cell_right[5] + nodes[6])
+        with pytest.raises(ValueError, match="inside its cell"):
+            Grid(F23, 16, 1.0, nodes, g.cell_left, g.cell_right)
+
+    def test_unequal_lengths_rejected(self):
+        g = make_grid(F23, 16, 1.0)
+        with pytest.raises(ValueError, match="equal length"):
+            Grid(F23, 16, 1.0, g.nodes, g.cell_left[:-1], g.cell_right)
+
+
 class TestDiscreteMeasure:
     def test_mass(self):
         g = make_grid(F23, 16, 1.0)
-        mu = DiscreteMeasure.from_weights(g, np.full(16, 1.0 / 16))
+        mu = DiscreteMeasure(g, np.full(16, 1.0 / 16))
         assert mu.mass == pytest.approx(1.0, abs=1e-14)
 
     def test_invariants(self):
         g = make_grid(F23, 16, 1.0)
-        with pytest.raises(ValueError):
-            DiscreteMeasure(g.nodes[::-1], np.ones(16), g.cell_left, g.cell_right, F23)
-        with pytest.raises(ValueError):
-            DiscreteMeasure.from_weights(g, np.full(16, -1.0))
+        with pytest.raises(ValueError, match="equal length"):
+            DiscreteMeasure(g, np.ones(15))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteMeasure(g, np.full(16, -1.0))
 
     def test_tiny_negative_clamped(self):
         g = make_grid(F23, 16, 1.0)
         w = np.full(16, 1.0 / 16)
         w[3] = -1e-14
-        mu = DiscreteMeasure.from_weights(g, w)
+        mu = DiscreteMeasure(g, w)
         assert mu.weights[3] == 0.0
-
-    def test_zero_width_cell_rejected(self):
-        g = make_grid(F23, 16, 1.0)
-        right = g.cell_right.copy()
-        right[5] = g.cell_left[5] = g.nodes[5]
-        with pytest.raises(ValueError, match="positive width"):
-            DiscreteMeasure(g.nodes, np.full(16, 1.0 / 16), g.cell_left, right, F23)
 
 
 class TestLogPotential:
     def test_point_mass_limit(self):
         eps = 1e-8
-        mu = DiscreteMeasure([3.0], [1.0], [3.0 - eps], [3.0 + eps],
-                             IntervalUnion([(3.0 - eps, 3.0 + eps)]))
-        assert log_potential(mu, 0.0) == pytest.approx(-np.log(3.0), abs=1e-12)
+        cell = Grid(IntervalUnion([(3.0 - eps, 3.0 + eps)]), 1, 1.0, [3.0], [3.0 - eps],
+                    [3.0 + eps])
+        mu = DiscreteMeasure(cell, [1.0])
+        assert kernel_potential(mu, LOG_KERNEL, 0.0) == pytest.approx(-np.log(3.0), abs=1e-12)
 
     def test_chebyshev_constant(self):
         # classical: the arcsine potential equals log 2 everywhere on [-1, 1];
@@ -119,13 +141,13 @@ class TestLogPotential:
             g = make_grid(E, n, 2.0)
             tau = arcsine_cells(g)
             x = np.linspace(-0.95, 0.95, 41)
-            err = np.max(np.abs(log_potential(tau, x) - np.log(2.0)))
+            err = np.max(np.abs(kernel_potential(tau, LOG_KERNEL, x) - np.log(2.0)))
             assert err <= tol
 
     def test_far_asymptotics(self):
         g = make_grid(F23, 64, 1.0)
-        mu = DiscreteMeasure.from_weights(g, np.full(64, 1.0 / 64))
-        assert log_potential(mu, 1e6) == pytest.approx(-np.log(1e6), abs=1e-5)
+        mu = DiscreteMeasure(g, np.full(64, 1.0 / 64))
+        assert kernel_potential(mu, LOG_KERNEL, 1e6) == pytest.approx(-np.log(1e6), abs=1e-5)
 
     def test_refinement_second_order(self):
         # graded grid resolves the endpoint blowup; measured decay is 4.00x
@@ -134,7 +156,7 @@ class TestLogPotential:
         errs = []
         for n in (50, 100, 200):
             g = make_grid(F23, n, 2.0)
-            errs.append(log_potential(arcsine_cells(g), z))
+            errs.append(kernel_potential(arcsine_cells(g), LOG_KERNEL, z))
         d1 = abs(errs[0] - errs[1])
         d2 = abs(errs[1] - errs[2])
         assert d2 <= d1 / 3.0
@@ -159,18 +181,18 @@ class TestRSPotential:
         assert surface_functional(mu, z) == pytest.approx(expected, abs=1e-13)
 
 
-def _neglog_oracle(z, mu):
+def _neglog_oracle(z, grid):
     """Full-mask reference for ``neglog_cell_averages``: every (point, cell)
     pair is tested against the analytic window in one z x M boolean mask."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    D = z[:, None] - mu.nodes[None, :]
-    h = mu.widths
+    D = z[:, None] - grid.nodes[None, :]
+    h = grid.widths
     with np.errstate(divide="ignore"):
         Q = -np.log(np.abs(D))
     near = np.abs(D) <= ANALYTIC_WINDOW * h[None, :]
     if near.any():
         zi, cj = np.nonzero(near)
-        vals = _T(z[zi] - mu.cell_right[cj]) - _T(z[zi] - mu.cell_left[cj])
+        vals = _T(z[zi] - grid.cell_right[cj]) - _T(z[zi] - grid.cell_left[cj])
         Q[zi, cj] = vals / h[cj]
     return Q
 
@@ -182,24 +204,22 @@ def _full_matrix_potentials(mu, z):
     checked against mpmath in ``tests/test_kernels.py``; here they are
     evaluated on the whole z x cells matrix in one call.
     """
-    Q = _neglog_oracle(z, mu)
-    zz, t, w = z[:, None], mu.nodes[None, :], mu.weights
+    Q = _neglog_oracle(z, mu.grid)
+    zz, t, w = z[:, None], mu.grid.nodes[None, :], mu.weights
     return {
         "log": Q @ w,
         "green_e": (green_e_smooth(zz, t) + Q) @ w,
         "sheet0": (sheet0_smooth(zz, t) + Q) @ w,
         "sheet1": (scalar_kernel_smooth(zz, t) + 2.0 * Q) @ w,
-        "kernel_log": (LOG_KERNEL.sing_coeff * Q) @ w,
     }
 
 
 def _blocked_potentials(mu, z):
     return {
-        "log": log_potential(mu, z),
-        "green_e": green_potential_e(mu, z),
+        "log": kernel_potential(mu, LOG_KERNEL, z),
+        "green_e": kernel_potential(mu, GREEN_E_KERNEL, z),
         "sheet0": kernel_potential(mu, SHEET0_KERNEL, z),
         "sheet1": kernel_potential(mu, SHEET1_KERNEL, z),
-        "kernel_log": kernel_potential(mu, LOG_KERNEL, z),
     }
 
 
@@ -210,9 +230,9 @@ FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
 
 @st.composite
 def _window_cases(draw):
-    """A graded grid measure on 1-3 components and points where the window
-    test can tip: nodes, cell edges, each window end and one ulp either side
-    of it, and far away."""
+    """A graded grid on 1-3 components and points where the window test can
+    tip: nodes, cell edges, each window end and one ulp either side of it,
+    and far away."""
     m = draw(st.integers(min_value=1, max_value=3))
     steps = st.floats(min_value=0.01, max_value=20.0)
     edges = draw(st.floats(min_value=-30.0, max_value=30.0)) + np.cumsum(
@@ -220,12 +240,11 @@ def _window_cases(draw):
     support = IntervalUnion(list(zip(edges[::2], edges[1::2])))
     g = make_grid(support, draw(st.integers(min_value=8, max_value=64)),
                   draw(st.floats(min_value=1.0, max_value=2.0)))
-    mu = DiscreteMeasure.from_weights(g, np.full(g.size, 1.0 / g.size))
     reach = ANALYTIC_WINDOW * g.widths
     ends = np.concatenate([g.nodes - reach, g.nodes + reach])
     z = np.concatenate([g.nodes, g.cell_left, g.cell_right, ends, np.nextafter(ends, -np.inf),
                         np.nextafter(ends, np.inf), [-1e6, 0.0, 1e6]])
-    return mu, z
+    return g, z
 
 
 class TestBandedWindow:
@@ -234,8 +253,8 @@ class TestBandedWindow:
     @given(_window_cases())
     @settings(max_examples=60, deadline=None)
     def test_window_equals_full_mask(self, case):
-        mu, z = case
-        np.testing.assert_array_equal(neglog_cell_averages(z, mu), _neglog_oracle(z, mu))
+        g, z = case
+        np.testing.assert_array_equal(neglog_cell_averages(z, g), _neglog_oracle(z, g))
 
     @pytest.mark.parametrize(
         "support, n, grading",
@@ -244,7 +263,6 @@ class TestBandedWindow:
     )
     def test_banded_equals_full_mask(self, support, n, grading):
         g = make_grid(support, n, grading)
-        mu = DiscreteMeasure.from_weights(g, np.full(g.size, 1.0 / g.size))
         fine = make_grid(support, 4 * n, grading).nodes
         hi, lo = g.nodes + ANALYTIC_WINDOW * g.widths, g.nodes - ANALYTIC_WINDOW * g.widths
         # on the long F, |z - node| still rounds into the window one ulp
@@ -260,7 +278,7 @@ class TestBandedWindow:
             "far": np.array([-1e6, 0.0, 1e6]),
         }
         for name, z in cases.items():
-            np.testing.assert_array_equal(neglog_cell_averages(z, mu), _neglog_oracle(z, mu),
+            np.testing.assert_array_equal(neglog_cell_averages(z, g), _neglog_oracle(z, g),
                                           err_msg=name)
 
     def test_complex_z_raises(self):
@@ -268,9 +286,9 @@ class TestBandedWindow:
         # is refused instead of losing its imaginary part
         mu = arcsine_cells(make_grid(F23, 16, 1.0))
         evaluators = [
-            neglog_cell_averages,
-            lambda z, mu: log_potential(mu, z),
-            lambda z, mu: green_potential_e(mu, z),
+            lambda z, mu: neglog_cell_averages(z, mu.grid),
+            lambda z, mu: kernel_potential(mu, LOG_KERNEL, z),
+            lambda z, mu: kernel_potential(mu, GREEN_E_KERNEL, z),
             lambda z, mu: kernel_potential(mu, SHEET0_KERNEL, z),
             lambda z, mu: surface_functional(mu, z),
         ]
@@ -285,7 +303,7 @@ class TestBandedWindow:
     def test_blocked_potentials_equal_full_matrix(self, support, n, rows):
         g = make_grid(support, n, 2.0)
         w = RNG.random(g.size)
-        mu = DiscreteMeasure.from_weights(g, w / w.sum())
+        mu = DiscreteMeasure(g, w / w.sum())
         pool = np.concatenate([
             make_grid(support, 8 * n, 2.0).nodes,
             g.nodes,
@@ -307,8 +325,8 @@ class TestBandedWindow:
         bound = len(z) * g.size * 8 / 4
         evaluators = {
             "surface_functional": lambda: surface_functional(mu, z),
-            "log_potential": lambda: log_potential(mu, z),
-            "green_potential_e": lambda: green_potential_e(mu, z),
+            "kernel_potential_log": lambda: kernel_potential(mu, LOG_KERNEL, z),
+            "kernel_potential_green_e": lambda: kernel_potential(mu, GREEN_E_KERNEL, z),
             "kernel_potential_sheet0": lambda: kernel_potential(mu, SHEET0_KERNEL, z),
             "kernel_potential": lambda: kernel_potential(mu, SHEET1_KERNEL, z),
         }
@@ -323,8 +341,8 @@ class TestBandedWindow:
             assert peaks[name] < bound, f"{name}: peak {peaks[name]} bytes, bound {bound:.0f}"
         # the kernel is scaled and its smooth part added inside the row
         # block of -log averages; only the smooth part needs a second block
-        ratio = peaks["kernel_potential"] / peaks["log_potential"]
-        assert ratio <= 2.75, f"kernel_potential peaks at {ratio:.2f} x log_potential"
+        ratio = peaks["kernel_potential"] / peaks["kernel_potential_log"]
+        assert ratio <= 2.75, f"the sheet-1 kernel peaks at {ratio:.2f} x LOG_KERNEL"
 
 
 class TestKSDistance:
@@ -358,7 +376,7 @@ class TestKSDistance:
     def test_symmetry(self):
         g = make_grid(F23, 40, 1.0)
         a = arcsine_cells(g)
-        b = DiscreteMeasure.from_weights(g, np.full(40, 1.0 / 40))
+        b = DiscreteMeasure(g, np.full(40, 1.0 / 40))
         assert ks_distance(a, b) == ks_distance(b, a)
 
 
@@ -369,7 +387,7 @@ class TestCSV:
         p = tmp_path / "m.csv"
         mu.to_csv(p)
         back = np.loadtxt(p, delimiter=",", skiprows=1)
-        for col, values in enumerate((mu.nodes, mu.weights, mu.cell_left, mu.cell_right)):
+        for col, values in enumerate((g.nodes, mu.weights, g.cell_left, g.cell_right)):
             np.testing.assert_array_equal(back[:, col], values)
 
     def test_header_checked(self, tmp_path):
@@ -393,6 +411,6 @@ def test_grid_tiles_support(n, grading):
 def test_mass_conservation(ws):
     ws = np.asarray(ws)
     g = make_grid(F23, len(ws), 1.0)
-    mu = DiscreteMeasure.from_weights(g, ws)
+    mu = DiscreteMeasure(g, ws)
     assert abs(mu.mass - ws.sum()) <= 1e-12 * max(1.0, ws.sum())
-    assert abs(DiscreteMeasure.from_weights(g, 0.5 * ws).mass - 0.5 * ws.sum()) <= 1e-12
+    assert abs(DiscreteMeasure(g, 0.5 * ws).mass - 0.5 * ws.sum()) <= 1e-12

@@ -124,7 +124,7 @@ class TestEquivalence:
         sym = solve_scalar(FSYM, gp)
         w = sym.measure.weights.copy()
         w[0] = np.nextafter(w[0], 1.0)
-        nudged = dataclasses.replace(sym, measure=DiscreteMeasure.from_weights(sym.grid, w))
+        nudged = dataclasses.replace(sym, measure=DiscreteMeasure(sym.grid, w))
         coupled = {F: solve_vector(F, gp) for F in (FSYM, F23)}
         for scalar, F, points in [(sym, FSYM, 4 * n), (nudged, FSYM, 8 * n),
                                   (solve_scalar(F23, gp), F23, 4 * n)]:
@@ -202,8 +202,10 @@ class TestMixedPotential:
         monkeypatch.setattr(measures, "neglog_cell_averages", spy)
         rep = verify_mixed_potential(lam, sol_e.measure, TOL)
         assert len(calls) == len(set(calls))
-        z = lam.cell_right[:-1][lam.cell_right[:-1] == lam.cell_left[1:]]
-        v2 = 3.0 * measures.log_potential(lam, z) + sheet1_comparison(lam, z)
+        g = lam.grid
+        z = g.cell_right[:-1][g.cell_right[:-1] == g.cell_left[1:]]
+        u = measures.kernel_potential(lam, measures.LOG_KERNEL, z)
+        v2 = 3.0 * u + sheet1_comparison(lam, z)
         ident = v2 - 2.0 * surface_functional(lam, z)
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["mixed.affine_identity"].value == float(np.max(np.abs(ident - ident.mean())))
