@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 import time
@@ -52,7 +51,6 @@ DEFAULTS = {
     "grids": {"n_per_component": 400, "grading": 2.0},
     "hp": {"n_list": [5, 10, 20, 40], "precision_bits": 512},
     "balayage": {"point": 2.0},
-    "tolerance_scale": 1.0,
 }
 
 
@@ -91,13 +89,12 @@ def load_config(args) -> dict:
     overrides = {
         "grids.n_per_component": args.nodes,
         "hp.precision_bits": args.precision_bits,
-        "tolerance_scale": args.tolerance_scale,
     }
     for key, value in overrides.items():
         if value is None:
             continue
-        section, _, leaf = key.rpartition(".")
-        node = cfg.setdefault(section, {}) if section else cfg
+        section, leaf = key.split(".")
+        node = cfg.setdefault(section, {})
         if isinstance(node, dict):  # validate_config reports a section that is not
             node[leaf] = value
     return cfg
@@ -108,27 +105,17 @@ class RunConfig(NamedTuple):
 
     F: object                   # IntervalUnion
     grid: object                # GridParams
-    tolerances: object          # Tolerances
     sigma: object               # MarkovSpec
     n_list: list
     precision_bits: int
     balayage_point: float
 
 
-def _expect(ok, what):
-    def parse(value):
-        if not ok(value):
-            raise ValueError(f"must be {what}, got {value!r}")
-        return value
-
-    return parse
-
-
 def _parsers():
     """Config key -> function that checks the value and returns what the run uses."""
     from .balayage import require_outside_e
     from .hermite_pade import require_n_list, require_precision_bits, require_sigma_density
-    from .kernels import IntervalUnion, is_real, require_gap_to_e
+    from .kernels import IntervalUnion, require_gap_to_e
     from .measures import require_grading, require_node_count
 
     return {
@@ -139,8 +126,6 @@ def _parsers():
         "hp.n_list": require_n_list,
         "hp.precision_bits": require_precision_bits,
         "balayage.point": require_outside_e,
-        "tolerance_scale": _expect(lambda s: is_real(s) and 0 < s < math.inf,
-                                   "a positive finite number"),
     }
 
 
@@ -153,19 +138,18 @@ def validate_config(cfg: dict) -> RunConfig:
     """
     from .equilibrium import GridParams
     from .hermite_pade import MarkovSpec
-    from .verify import Tolerances
 
     if not isinstance(cfg, dict):
         raise ConfigError(f"the config must be a JSON object, got {type(cfg).__name__}")
     problems = [f"{name} must be an object, got {cfg[name]!r}" for name in DEFAULTS
-                if isinstance(DEFAULTS[name], dict) and not isinstance(cfg.get(name, {}), dict)]
+                if not isinstance(cfg.get(name, {}), dict)]
     values = {}
     for key, parse in _parsers().items():
-        section, _, leaf = key.rpartition(".")
-        node, default = (cfg.get(section, {}), DEFAULTS[section]) if section else (cfg, DEFAULTS)
+        section, leaf = key.split(".")
+        node = cfg.get(section, {})
         if not isinstance(node, dict):
             continue
-        value = node.get(leaf, default.get(leaf))
+        value = node.get(leaf, DEFAULTS[section].get(leaf))
         if value is None:
             problems.append(f"{key}: missing")
             continue
@@ -180,7 +164,6 @@ def validate_config(cfg: dict) -> RunConfig:
     return RunConfig(
         F=F,
         grid=GridParams(n=values["grids.n_per_component"], grading=values["grids.grading"]),
-        tolerances=Tolerances().scaled(float(values["tolerance_scale"])),
         sigma=MarkovSpec(F, values["problem.sigma"]),
         n_list=values["hp.n_list"],
         precision_bits=values["hp.precision_bits"],
@@ -297,6 +280,7 @@ def _cmd_balayage(rc: RunConfig, out):
     from .equilibrium import E_INTERVAL
     from .kernels import IntervalUnion, green_e_at_infinity
     from .measures import DiscreteMeasure, Grid, ks_distance, make_grid
+    from .verify import TOLERANCES
 
     a = rc.balayage_point
     grid = make_grid(E_INTERVAL, rc.grid.n, rc.grid.grading)
@@ -310,7 +294,7 @@ def _cmd_balayage(rc: RunConfig, out):
     numeric = balayage_numeric(src, grid)
     ks = ks_distance(closed, numeric.measure)
     # the closed form is exact, so the distance is the sweep's discretization error
-    passed = ks <= rc.tolerances.ks
+    passed = ks <= TOLERANCES.ks
     closed.to_csv(out.path("balayage_closed.csv"))
     numeric.measure.to_csv(out.path("balayage_numeric.csv"))
     out.write_json(
@@ -321,12 +305,12 @@ def _cmd_balayage(rc: RunConfig, out):
             "shift_constant_numeric": numeric.constant,
             "green_at_infinity": shift,
             "ks_closed_vs_numeric": ks,
-            "ks_tolerance": rc.tolerances.ks,
+            "ks_tolerance": TOLERANCES.ks,
             # the sweep's residual is this identity on the grid nodes, bit for bit
             "potential_identity_sup": numeric.residual_sup,
         },
     )
-    print(f"[balayage] a={a} ks={ks:.3e} (tolerance {rc.tolerances.ks:.3e}, "
+    print(f"[balayage] a={a} ks={ks:.3e} (tolerance {TOLERANCES.ks:.3e}, "
           f"{'pass' if passed else 'fail'}) shift={numeric.constant:.6f}")
     return 0 if passed else 1
 
@@ -391,14 +375,13 @@ def _cmd_verify(rc: RunConfig, out, which):
         reports.append(rep)
 
     if coupled is not None:
-        timed(verify_equivalence, scalar, coupled, rc.tolerances)
+        timed(verify_equivalence, scalar, coupled)
     if which == "all":
-        timed(verify_mixed_potential, scalar.measure, coupled[0].measure, rc.tolerances)
+        timed(verify_mixed_potential, scalar.measure, coupled[0].measure)
         timed(verify_positivity, scalar.measure)
         timed(verify_charge_slopes, scalar.measure)
     if which in ("prop2", "all"):
-        timed(verify_zero_distribution, rc.sigma, rc.n_list, scalar, rc.precision_bits,
-              rc.tolerances)
+        timed(verify_zero_distribution, rc.sigma, rc.n_list, scalar, rc.precision_bits)
 
     ok = True
     combined_md = []
@@ -459,7 +442,6 @@ def build_parser():
     ap.add_argument("--out", default="out", help="output directory (default: ./out)")
     ap.add_argument("--precision-bits", type=int, dest="precision_bits")
     ap.add_argument("--nodes", type=int, help="override grids.n_per_component")
-    ap.add_argument("--tolerance-scale", type=float, dest="tolerance_scale")
     return ap
 
 

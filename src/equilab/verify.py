@@ -2,7 +2,9 @@
 
 Each verifier returns a :class:`VerificationReport` listing every configured
 check with its measured value, tolerance and status; skipped checks are
-recorded as skipped with a reason, never silently dropped.  Reports carry a
+recorded as skipped with a reason, never silently dropped.  Every tolerance
+is a constant, either a field of :data:`TOLERANCES` or a literal at its
+check; no config key or flag changes one.  Reports carry a
 full configuration echo and probe only fixed points; they hold no
 wall-clock data (the command line times each verifier call), so the
 serialized reports stay byte-stable across runs.
@@ -136,12 +138,12 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Distribution and residual tolerances, calibrated at F = [2, 3] and 400 nodes.
+    """Distribution and residual bounds, calibrated at F = [2, 3] and 400 nodes.
 
     The underlying identities are exact; these bounds encode discretization
-    error only.  The command line multiplies them by the config's
-    ``tolerance_scale`` through :meth:`scaled`, and by nothing else: they
-    are not refitted to the grid size or the geometry.
+    error only.  They are constants: every verifier reads the one instance
+    :data:`TOLERANCES`, and nothing refits them to the grid size or the
+    geometry.
     """
 
     ks: float = 5e-3
@@ -151,16 +153,8 @@ class Tolerances:
     constant_agreement: float = 2e-2
     ks_final: float = 0.08  # KS distance of the highest order's zero-counting measure
 
-    def scaled(self, factor: float) -> "Tolerances":
-        """Every discretization bound times ``factor``; the quadrature identity stays."""
-        return Tolerances(
-            ks=self.ks * factor,
-            residual_rel=self.residual_rel * factor,
-            constancy=self.constancy * factor,
-            identity=self.identity,
-            constant_agreement=self.constant_agreement * factor,
-            ks_final=self.ks_final * factor,
-        )
+
+TOLERANCES = Tolerances()
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +164,6 @@ class Tolerances:
 def verify_equivalence(
     scalar: EquilibriumSolution,
     coupled: tuple,
-    tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Scalar-versus-coupled equivalence suite on the F of the scalar solve.
 
@@ -197,7 +190,7 @@ def verify_equivalence(
         provenance={
             "F": [[l, r] for (l, r) in F.intervals],
             "grid": {"n": grid_params.n, "grading": grid_params.grading},
-            "tolerances": {"ks": tolerances.ks, "residual_rel": tolerances.residual_rel},
+            "tolerances": {"ks": TOLERANCES.ks, "residual_rel": TOLERANCES.residual_rel},
         },
     )
     sol_e, sol_f = coupled
@@ -213,29 +206,29 @@ def verify_equivalence(
     z = fine.nodes[fine.size // 2:] if mirror_exact(lam) else fine.nodes
     res_fine = float(np.max(np.abs(surface_functional(lam, z) - w_f)))
     rep.add_bound("equivalence.scalar_residual_fine", res_fine,
-                  tolerances.residual_rel * max(1.0, abs(w_f)),
+                  TOLERANCES.residual_rel * max(1.0, abs(w_f)),
                   "sup of |P + V - w_F| on a 4x finer grid")
 
     rep.add_bound("equivalence.ks_scalar_vs_coupled_f", ks_distance(lam, sol_f.measure),
-                  tolerances.ks)
+                  TOLERANCES.ks)
 
     swept_f = balayage_numeric(sol_e.measure, scalar.grid, F.is_symmetric())
     rep.add_bound("equivalence.ks_scalar_vs_swept_e", ks_distance(lam, swept_f.measure),
-                  tolerances.ks, "F measure vs balayage of the E measure onto F")
+                  TOLERANCES.ks, "F measure vs balayage of the E measure onto F")
 
     recon = reconstruct_e_measure(lam, sol_e.grid)
     rep.add_bound("equivalence.ks_coupled_e_vs_reconstruction",
-                  ks_distance(sol_e.measure, recon), tolerances.ks,
+                  ks_distance(sol_e.measure, recon), TOLERANCES.ks,
                   "E measure vs (swept F measure + 3 tau_E)/4")
 
     if F.m == 1:
         reduced = solve_reduced(F, grid_params)
         rep.add_bound("equivalence.ks_reduced_vs_coupled_e",
-                      ks_distance(reduced.measure, sol_e.measure), tolerances.ks)
+                      ks_distance(reduced.measure, sol_e.measure), TOLERANCES.ks)
         w_e = reduced.constant
         w12 = sol_e.constants[0] + sol_e.constants[1]
         rep.add_bound("equivalence.reduced_constant_consistency", abs(w_e - w12),
-                      tolerances.constant_agreement * max(1.0, abs(w_e)),
+                      TOLERANCES.constant_agreement * max(1.0, abs(w_e)),
                       "reduced constant vs w1 + w2 from the coupled solve")
     else:
         rep.skip("equivalence.ks_reduced_vs_coupled_e",
@@ -266,7 +259,6 @@ def verify_equivalence(
 def verify_mixed_potential(
     lam: DiscreteMeasure,
     lam_e: DiscreteMeasure,
-    tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Constancy chain of the mixed potential 3U + G_E + 3 g_E(., infinity).
 
@@ -297,10 +289,10 @@ def verify_mixed_potential(
     pv = s + g_inf
     ident = v2 - 2.0 * pv
     rep.add_bound("mixed.affine_identity", float(np.max(np.abs(ident - ident.mean()))),
-                  tolerances.identity,
+                  TOLERANCES.identity,
                   "mixed potential minus twice the surface functional is constant "
                   "pointwise at quadrature level")
-    rep.add_bound("mixed.constancy_on_f", float(v2.max() - v2.min()), tolerances.constancy,
+    rep.add_bound("mixed.constancy_on_f", float(v2.max() - v2.min()), TOLERANCES.constancy,
                   "sup - inf of the mixed potential over the shared cell edges of F")
 
     if F.m == 1:
@@ -308,14 +300,14 @@ def verify_mixed_potential(
         x = lam_e.grid.nodes
         v42 = kernel_potential(lam_e, reduced_kernel(F), x) + sheet1_comparison(lam, x)
         rep.add_bound("mixed.constancy_on_e", float(v42.max() - v42.min()),
-                      tolerances.constancy,
+                      TOLERANCES.constancy,
                       "3 U_1 + G_F constant on E (Green terms vanish there)")
         # swapping U_2 for U_1 on F raises the plateau by 3x the second
         # coupled constant, so the F-side constant exceeds the E-side by 3 w2
         w2 = float(np.mean(u - kernel_potential(lam_e, LOG_KERNEL, z)))
         rep.add_bound("mixed.constant_agreement",
                       float(abs(v2.mean() - 3.0 * w2 - v42.mean())),
-                      tolerances.constant_agreement,
+                      TOLERANCES.constant_agreement,
                       "F-side constant minus 3 w2 equals the E-side constant")
         rep.provenance["constants"] = {"mixed_on_f": float(v2.mean()),
                                        "mixed_on_e": float(v42.mean()),
@@ -405,7 +397,6 @@ def verify_zero_distribution(
     n_list,
     scalar: EquilibriumSolution,
     precision_bits: int,
-    tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Hull containment, degree, and KS decay of normalized zero counting measures.
 
@@ -459,7 +450,7 @@ def verify_zero_distribution(
         worst = max(ratios) if ratios else 0.0
         rep.add_bound("zeros.ks_non_increasing", worst, 1.0 + 0.10,
                       "max step ratio of the KS sequence")
-        rep.add_bound("zeros.ks_final", ks_seq[positive[-1]], tolerances.ks_final)
+        rep.add_bound("zeros.ks_final", ks_seq[positive[-1]], TOLERANCES.ks_final)
     else:
         reason = ("incomplete KS sequence after failures" if positive
                   else "no order where Q2 has positive degree, so no zeros to count")

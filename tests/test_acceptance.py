@@ -282,9 +282,8 @@ def test_criterion_10_determinism(tmp_path):
     t0 = time.perf_counter()
     cfg = {
         "problem": {"f_intervals": [[2.0, 3.0]], "sigma": "arcsine"},
-        "grids": {"n_per_component": 120, "grading": 2.0},
-        "hp": {"n_list": [3, 5], "precision_bits": 256},
-        "tolerance_scale": 3.4,
+        "grids": {"n_per_component": 400, "grading": 2.0},
+        "hp": {"n_list": [5, 10], "precision_bits": 128},
         "positivity_samples": 300,
         "seed": 11,
     }

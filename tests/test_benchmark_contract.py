@@ -84,7 +84,6 @@ def test_presets_are_separate_dicts():
         "grids": {"n_per_component": 400, "grading": 2.0},
         "hp": {"n_list": [5, 10, 20, 40], "precision_bits": 512},
         "balayage": {"point": 2.0},
-        "tolerance_scale": 1.0,
     }
     a, b = cli.PRESETS["f23-arcsine"], cli.PRESETS["sym-arcsine"]
     assert a["grids"] is not b["grids"] and a["hp"]["n_list"] is not b["hp"]["n_list"]

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, artifacts, manifests, idempotence."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -16,19 +17,20 @@ import equilab.verify as verify
 from equilab.cli import run
 from equilab.errors import NonConvergenceError, PrecisionError
 
-SMALL_CFG = {
+# the f23-arcsine preset with two orders at 128 bits, on which every check
+# passes at the fixed bounds; order 10 escalates once
+CFG = {
     "problem": {"f_intervals": [[2.0, 3.0]], "sigma": "arcsine"},
-    "grids": {"n_per_component": 100, "grading": 2.0},
-    "hp": {"n_list": [2, 4], "precision_bits": 192},
+    "grids": {"n_per_component": 400, "grading": 2.0},
+    "hp": {"n_list": [5, 10], "precision_bits": 128},
     "balayage": {"point": 2.0},
-    "tolerance_scale": 4.0,
 }
 
 
 @pytest.fixture()
 def cfg_path(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(SMALL_CFG))
+    p.write_text(json.dumps(CFG))
     return str(p)
 
 
@@ -45,7 +47,7 @@ def test_seed_flag_is_gone(tmp_path, cfg_path, capsys):
 
 
 def test_invalid_config_lists_violations(tmp_path, capsys):
-    bad = dict(SMALL_CFG)
+    bad = dict(CFG)
     bad["problem"] = {"f_intervals": [[0.5, 2.0]], "sigma": "arcsine"}
     bad["grids"] = {"n_per_component": 4, "grading": 2.0}
     p = tmp_path / "bad.json"
@@ -73,12 +75,11 @@ def test_invalid_config_lists_violations(tmp_path, capsys):
         ("grids.grading", "2"),
         ("hp.precision_bits", 256.0),
         ("hp.precision_bits", 8192),
-        ("tolerance_scale", float("inf")),
         ("balayage.point", 0.5),
     ],
 )
 def test_malformed_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, key, value):
-    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg = json.loads(json.dumps(CFG))
     section, _, leaf = key.rpartition(".")
     (cfg[section] if section else cfg)[leaf] = value
     p = tmp_path / "cfg.json"
@@ -115,7 +116,7 @@ def test_solve_scalar_artifacts(cfg_path, tmp_path, capsys):
     sidecar = json.loads((out / "scalar_f.json").read_text())
     assert {"constant", "residual_sup", "min_density", "iterations", "grid"} <= set(sidecar)
     assert (sidecar["method"], sidecar["iterations"]) == ("collocation", 0)
-    assert sidecar["grid"]["n_per_component"] == 100
+    assert sidecar["grid"]["n_per_component"] == 400
     summary = capsys.readouterr().out
     assert "[solve-scalar]" in summary
 
@@ -167,7 +168,7 @@ def test_manifest_records_blas_threads(cfg_path, tmp_path, monkeypatch):
 
 
 def test_hp_order_zero_closed_form(tmp_path):
-    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg = json.loads(json.dumps(CFG))
     cfg["hp"] = {"n_list": [0], "precision_bits": 192}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -194,12 +195,12 @@ def test_hp_solver_error_writes_nothing(tmp_path, cfg_path, monkeypatch, capsys)
 
     original = hermite_pade.solve_with_escalation
 
-    def exhausted_at_4(n, sweep, precision_bits):
-        if n == 4:
-            raise PrecisionError("escalation exhausted at 4096 bits for order 4")
+    def exhausted_at_10(n, sweep, precision_bits):
+        if n == 10:
+            raise PrecisionError("escalation exhausted at 4096 bits for order 10")
         return original(n, sweep, precision_bits)
 
-    monkeypatch.setattr(hermite_pade, "solve_with_escalation", exhausted_at_4)
+    monkeypatch.setattr(hermite_pade, "solve_with_escalation", exhausted_at_10)
     out = tmp_path / "o"
     assert run(["hp", "--config", cfg_path, "--out", str(out)]) == 2
     assert "escalation exhausted" in capsys.readouterr().err
@@ -382,11 +383,11 @@ def test_verify_all_potential_reports_pinned(tmp_path):
         assert (out / "report.json").read_bytes() == fh.read()
 
 
-@pytest.mark.parametrize("n_list, ks_status", [([0, 2, 4], "pass"), ([0], "skipped")])
+@pytest.mark.parametrize("n_list, ks_status", [([0, 5, 10], "pass"), ([0], "skipped")])
 def test_verify_order_zero(tmp_path, n_list, ks_status):
     # order 0 has no zeros: it is checked for degree and count, and the KS
     # sequence runs over the positive orders only
-    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg = json.loads(json.dumps(CFG))
     cfg["hp"]["n_list"] = n_list
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -471,13 +472,44 @@ def test_solver_error_exits_2(cfg_path, tmp_path, monkeypatch, capsys, command):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
-def test_check_failure_exits_1(tmp_path):
-    cfg = json.loads(json.dumps(SMALL_CFG))
+def test_check_failure_exits_1(cfg_path, tmp_path, monkeypatch):
+    # with a KS bound of 0 every distance check fails, and only those
+    monkeypatch.setattr(verify, "TOLERANCES", dataclasses.replace(verify.TOLERANCES, ks=0.0))
+    out = tmp_path / "o"
+    assert run(["verify-theorem1", "--config", cfg_path, "--out", str(out)]) == 1
+    (rep,) = json.loads((out / "report.json").read_text())["reports"]
+    assert {c["check_id"] for c in rep["checks"] if c["status"] == "fail"} == {
+        "equivalence.ks_scalar_vs_coupled_f",
+        "equivalence.ks_scalar_vs_swept_e",
+        "equivalence.ks_coupled_e_vs_reconstruction",
+        "equivalence.ks_reduced_vs_coupled_e",
+    }
+
+
+def test_tolerance_scale_flag_is_gone(tmp_path, cfg_path, monkeypatch, capsys):
+    # the bounds are constants, so no flag scales them
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the arguments were checked")
+
+    monkeypatch.setattr(equilibrium, "solve_scalar", no_solve)
+    monkeypatch.setattr(equilibrium, "solve_vector", no_solve)
+    out = tmp_path / "o"
+    argv = ["verify-all", "--config", cfg_path, "--tolerance-scale", "4", "--out", str(out)]
+    assert run(argv) == 2
+    assert "unrecognized arguments: --tolerance-scale 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tolerance_scale_key_is_ignored(tmp_path, cfg_path):
+    # a config that still carries the retired key runs at the fixed bounds
+    cfg = json.loads(json.dumps(CFG))
     cfg["tolerance_scale"] = 1e-9
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    code = run(["verify-theorem1", "--config", str(p), "--out", str(tmp_path / "o")])
-    assert code == 1
+    for config, out in ((cfg_path, tmp_path / "without"), (str(p), tmp_path / "with")):
+        assert run(["verify-all", "--config", config, "--out", str(out)]) == 0
+    assert (tmp_path / "with" / "report.json").read_bytes() == (
+        tmp_path / "without" / "report.json").read_bytes()
 
 
 def test_failed_order_exits_1_with_report(tmp_path, monkeypatch):
@@ -491,7 +523,7 @@ def test_failed_order_exits_1_with_report(tmp_path, monkeypatch):
         return original(n, sweep, precision_bits)
 
     monkeypatch.setattr(verify, "solve_with_escalation", exhausted_at_3)
-    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg = json.loads(json.dumps(CFG))
     cfg["hp"] = {"n_list": [3, 4], "precision_bits": 128}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -505,11 +537,11 @@ def test_failed_order_exits_1_with_report(tmp_path, monkeypatch):
     assert checks["zeros.ks_final"]["status"] == "skipped"
 
 
-@pytest.mark.parametrize("n_list", [[0, 2, 4], [1, 2, 4]])
+@pytest.mark.parametrize("n_list", [[0, 4, 8], [1, 4, 8]])
 def test_symmetric_f_orders_without_zeros(tmp_path, n_list):
     # on F = -F, Q2 has degree 2 floor(n/2): orders 0 and 1 have no zeros
     # and no KS distance, and the KS sequence runs over the other orders
-    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg = json.loads(json.dumps(CFG))
     cfg["problem"] = {"f_intervals": [[-3.0, -2.0], [2.0, 3.0]], "sigma": "arcsine"}
     cfg["hp"] = {"n_list": n_list, "precision_bits": 128}
     p = tmp_path / "cfg.json"
@@ -520,7 +552,7 @@ def test_symmetric_f_orders_without_zeros(tmp_path, n_list):
     checks = {c["check_id"]: c for c in rep["checks"]}
     low = n_list[0]
     assert (checks[f"zeros.degree_n{low}"]["value"], checks[f"zeros.count_n{low}"]["value"]) == (0, 0)
-    assert set(rep["provenance"]["ks_sequence"]) == {"2", "4"}
+    assert set(rep["provenance"]["ks_sequence"]) == {"4", "8"}
     assert checks["zeros.ks_non_increasing"]["status"] == "pass"
 
 
@@ -552,8 +584,8 @@ def test_balayage_command(cfg_path, tmp_path):
     data = json.loads((out / "balayage.json").read_text())
     assert data["ks_closed_vs_numeric"] <= 5e-3
     assert data["potential_identity_sup"] <= 1e-8
-    # the bound is the run's KS tolerance, 5e-3 times the config's scale of 4
-    assert data["ks_tolerance"] == 2e-2
+    # the bound is the fixed KS tolerance
+    assert data["ks_tolerance"] == 5e-3
 
 
 def test_balayage_pinned(tmp_path):

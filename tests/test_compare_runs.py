@@ -108,6 +108,17 @@ def test_report_statuses_printed(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_cases_cover_the_ci_runs(tmp_path):
+    # every bundled preset twice, every benchmark workload, and the two
+    # other runs of the CI workflow
+    labels = [label for label, _ in compare_runs.cases(ROOT, str(tmp_path))]
+    assert len(labels) == 11
+    assert labels[-2:] == ["verify-theorem1_sym-arcsine_n63", "hp_long-f"]
+    with open(tmp_path / "long-f.config.json", encoding="utf-8") as fh:
+        assert json.load(fh) == {"problem": {"f_intervals": [[1.5, 40.0]]},
+                                 "hp": {"n_list": [10, 20]}}
+
+
 def test_run_measures_the_child(tmp_path):
     # peak RSS and CPU time come from the child's own rusage
     code, _, rss, cpu = compare_runs.run(ROOT, ["--help"], str(tmp_path / "out"))

@@ -12,7 +12,7 @@ from equilab import measures
 from equilab.kernels import IntervalUnion
 from equilab.measures import make_grid, surface_functional
 from equilab.verify import (
-    Tolerances,
+    TOLERANCES,
     VerificationReport,
     counting_measure,
     sheet1_comparison,
@@ -25,8 +25,8 @@ from equilab.verify import (
 
 F23 = IntervalUnion([(2.0, 3.0)])
 FSYM = IntervalUnion([(-3.0, -2.0), (2.0, 3.0)])
-GP = GridParams(n=120, grading=2.0)
-TOL = Tolerances().scaled(400 / 120)
+# the grid size at which the fixed bounds are calibrated
+GP = GridParams(n=400, grading=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def solutions():
 class TestEquivalence:
     def test_single_interval(self, solutions):
         scalar, sol_e, sol_f = solutions
-        rep = verify_equivalence(scalar, (sol_e, sol_f), TOL)
+        rep = verify_equivalence(scalar, (sol_e, sol_f))
         assert rep.all_passed
         ids = {c.check_id for c in rep.checks}
         assert "equivalence.scalar_min_density" in ids
@@ -69,7 +69,7 @@ class TestEquivalence:
         for F, (scalar, sol_e, sol_f) in [(F23, solutions),
                                           (FSYM, (solve_scalar(FSYM, GP), *solve_vector(FSYM, GP)))]:
             built, sweeps = [], []
-            verify_equivalence(scalar, (sol_e, sol_f), TOL)
+            verify_equivalence(scalar, (sol_e, sol_f))
             assert built == [(F, 4 * GP.n, GP.grading)]
             (onto_f, fold_f), (onto_e, fold_e) = sweeps
             assert onto_f is scalar.grid and fold_f == F.is_symmetric()
@@ -79,7 +79,7 @@ class TestEquivalence:
         from equilab.equilibrium import E_INTERVAL
 
         scalar = solve_scalar(FSYM, GP)
-        rep = verify_equivalence(scalar, solve_vector(FSYM, GP), TOL)
+        rep = verify_equivalence(scalar, solve_vector(FSYM, GP))
         assert rep.all_passed
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["equivalence.symmetry_e"].status == "pass"
@@ -129,7 +129,7 @@ class TestEquivalence:
         for scalar, F, points in [(sym, FSYM, 4 * n), (nudged, FSYM, 8 * n),
                                   (solve_scalar(F23, gp), F23, 4 * n)]:
             sizes = []
-            rep = verify_equivalence(scalar, coupled[F], TOL)
+            rep = verify_equivalence(scalar, coupled[F])
             assert sizes == [points]
             fine = make_grid(F, 4 * n, 2.0).nodes
             whole = np.max(np.abs(surface_functional(scalar.measure, fine) - scalar.constant))
@@ -150,13 +150,13 @@ class TestEquivalence:
             ks_distance(sol_e.measure, recon),
             ks_distance(reduced.measure, recon),
         ]
-        assert max(pairs) <= 2 * TOL.ks
+        assert max(pairs) <= 2 * TOLERANCES.ks
 
 
 class TestMixedPotential:
     def test_single_interval(self, solutions):
         scalar, sol_e, _ = solutions
-        rep = verify_mixed_potential(scalar.measure, sol_e.measure, TOL)
+        rep = verify_mixed_potential(scalar.measure, sol_e.measure)
         assert rep.all_passed
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["mixed.affine_identity"].value <= 1e-10
@@ -164,7 +164,7 @@ class TestMixedPotential:
     def test_multi_interval_skips_e_side(self):
         scalar = solve_scalar(FSYM, GP)
         sol_e, _ = solve_vector(FSYM, GP)
-        rep = verify_mixed_potential(scalar.measure, sol_e.measure, TOL)
+        rep = verify_mixed_potential(scalar.measure, sol_e.measure)
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id["mixed.constancy_on_e"].status == "skipped"
         assert by_id["mixed.constancy_on_f"].status == "pass"
@@ -200,7 +200,7 @@ class TestMixedPotential:
             return original(z, mu)
 
         monkeypatch.setattr(measures, "neglog_cell_averages", spy)
-        rep = verify_mixed_potential(lam, sol_e.measure, TOL)
+        rep = verify_mixed_potential(lam, sol_e.measure)
         assert len(calls) == len(set(calls))
         g = lam.grid
         z = g.cell_right[:-1][g.cell_right[:-1] == g.cell_left[1:]]
@@ -236,12 +236,10 @@ class TestZeroDistribution:
     def test_small_orders(self):
         sigma = MarkovSpec(F23, "arcsine")
         gp = GridParams(n=100, grading=2.0)
-        rep = verify_zero_distribution(
-            sigma, [2, 4], solve_scalar(F23, gp), 192, Tolerances(ks_final=0.5)
-        )
+        rep = verify_zero_distribution(sigma, [5, 10], solve_scalar(F23, gp), 192)
         assert rep.all_passed
         assert "ks_sequence" in rep.provenance
-        assert set(rep.provenance["ks_sequence"]) == {"2", "4"}
+        assert set(rep.provenance["ks_sequence"]) == {"5", "10"}
         assert rep.provenance["sigma_quad_orders"] == {"192": 128}
 
     def test_n_list_must_increase(self, solutions):
@@ -290,7 +288,7 @@ class TestReportStructure:
     def test_no_silent_skips(self, solutions):
         scalar = solve_scalar(FSYM, GP)
         sol_e, _ = solve_vector(FSYM, GP)
-        rep = verify_mixed_potential(scalar.measure, sol_e.measure, TOL)
+        rep = verify_mixed_potential(scalar.measure, sol_e.measure)
         for c in rep.checks:
             assert c.status in ("pass", "fail", "skipped")
             if c.status == "skipped":
@@ -298,14 +296,14 @@ class TestReportStructure:
 
     def test_markdown_rendering(self, solutions):
         scalar, sol_e, _ = solutions
-        rep = verify_mixed_potential(scalar.measure, sol_e.measure, TOL)
+        rep = verify_mixed_potential(scalar.measure, sol_e.measure)
         md = rep.to_markdown()
         assert "| mixed.affine_identity |" in md
         assert md.startswith("## mixed-potential")
 
     def test_json_shape(self, solutions):
         scalar, sol_e, _ = solutions
-        rep = verify_mixed_potential(scalar.measure, sol_e.measure, TOL)
+        rep = verify_mixed_potential(scalar.measure, sol_e.measure)
         d = rep.to_json_dict()
         assert d["name"] == "mixed-potential"
         assert isinstance(d["all_passed"], bool)

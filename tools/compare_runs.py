@@ -8,7 +8,11 @@ Both trees run the same commands, each in a fresh interpreter with
 
 - ``verify-all`` and ``hp`` on each bundled preset;
 - each workload of ``perfbench/workloads.json`` (its own command on its
-  config, seed 1).
+  config, seed 1);
+- the two runs of the CI workflow that the cases above miss:
+  ``verify-theorem1`` on ``sym-arcsine`` at 63 cells (the mirror fold at
+  odd n, exit 1) and ``hp`` on the long ``F = [1.5, 40]`` at orders 10
+  and 20.
 
 Every output file other than ``manifest.json`` and ``timings.json`` must be
 byte-identical between the trees, and every exit code equal, unless the
@@ -51,6 +55,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 UNSTABLE = {"manifest.json", "timings.json"}
+# the long-F config of the CI workflow's hp step
+LONG_F = {"problem": {"f_intervals": [[1.5, 40.0]]}, "hp": {"n_list": [10, 20]}}
 
 
 def cases(new_tree, work):
@@ -67,6 +73,12 @@ def cases(new_tree, work):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(workload_config(workload, 1), fh, indent=2, sort_keys=True)
         yield f"{workload['command']}_{name}", [workload["command"], "--config", path]
+    yield "verify-theorem1_sym-arcsine_n63", ["verify-theorem1", "--preset", "sym-arcsine",
+                                              "--nodes", "63"]
+    path = os.path.join(work, "long-f.config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(LONG_F, fh, indent=2, sort_keys=True)
+    yield "hp_long-f", ["hp", "--config", path]
 
 
 def read_expected(path):
